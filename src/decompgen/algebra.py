@@ -19,9 +19,9 @@ from .errors import (
     UnitInIdeal,
     UnsupportedRing,
 )
-from .linalg import Matrix, det, hermite_normal_form, rref_rows
-from .primes import generic_point, reduce_elem, ring_quotient
-from .rings import EuclideanRing, ring_to_str
+from .linalg import Matrix, det, echelon_reduce, hermite_normal_form, pivot_columns, rref_rows
+from .primes import generic_point, quotient_chain, reduce_elem
+from .rings import EuclideanRing
 
 
 class FiniteFreeAlgebra:
@@ -65,36 +65,6 @@ class FiniteFreeAlgebra:
         v = self.vec_zero()
         v[i] = self.ring.one()
         return v
-
-    def left_regular_ring(self, x):
-        """Matrix of left multiplication by x, entries in the base ring;
-        column j holds the coordinates of x * b_j."""
-        n = self.dim
-        cols = []
-        for j in range(n):
-            col = self.vec_zero()
-            for i in range(n):
-                xi = x[i]
-                if xi.is_zero():
-                    continue
-                for k in range(n):
-                    c = self.sc[i][j][k]
-                    if not c.is_zero():
-                        col[k] = col[k] + xi * c
-            cols.append(col)
-        return [[cols[j][k] for j in range(n)] for k in range(n)]
-
-    def trace_of_left_mul(self, x):
-        """Trace of left multiplication by the vector x."""
-        t = self.ring.zero()
-        for i in range(self.dim):
-            if x[i].is_zero():
-                continue
-            for j in range(self.dim):
-                c = self.sc[i][j][j]
-                if not c.is_zero():
-                    t = t + x[i] * c
-        return t
 
     def _validate(self):
         n = self.dim
@@ -206,20 +176,6 @@ class FiberAlgebra:
                         rows[k][j] = F.add(rows[k][j], F.mul(x[i], c))
         return Matrix(F, rows)
 
-    def right_regular_matrix(self, x):
-        F = self.field
-        n = self.dim
-        rows = [[F.zero] * n for _ in range(n)]
-        for j in range(n):
-            if F.is_zero(x[j]):
-                continue
-            for i in range(n):
-                for k in range(n):
-                    c = self.sc[i][j][k]
-                    if not F.is_zero(c):
-                        rows[k][i] = F.add(rows[k][i], F.mul(x[j], c))
-        return Matrix(F, rows)
-
     def _validate(self):
         F = self.field
         n = self.dim
@@ -265,23 +221,7 @@ def restrict(A, p):
     """A over R/p, for primes whose quotient is again a supported ring."""
     if p.is_generic:
         return A
-    ring = A.ring
-    maps = []
-    cur = ring
-    for g in p.generators:
-        # re-express the generator in the current quotient ring
-        for m in maps:
-            g = m(g)
-        if g.is_zero():
-            continue
-        cur, m = ring_quotient(cur, g)
-        maps.append(m)
-
-    def push(e):
-        for m in maps:
-            e = m(e)
-        return e
-
+    cur, push = quotient_chain(A.ring, p.generators)
     n = A.dim
     sc = tuple(
         tuple(tuple(push(A.sc[i][j][k]) for k in range(n)) for j in range(n))
@@ -323,12 +263,7 @@ class SubLattice:
     def contains_vector(self, vec):
         if self.over_field:
             F = self.ambient.field
-            work = list(vec)
-            for row in self.rows:
-                j = next(k for k, c in enumerate(row) if not F.is_zero(c))
-                if not F.is_zero(work[j]):
-                    f = work[j]
-                    work = [F.sub(a, F.mul(f, b)) for a, b in zip(work, row)]
+            work = echelon_reduce(F, self.rows, pivot_columns(F, self.rows), vec)
             return all(F.is_zero(c) for c in work)
         from .linalg import lattice_member
 
@@ -395,15 +330,11 @@ def quotient_algebra(fiber, ideal):
     non-pivot coordinates."""
     F = fiber.field
     n = fiber.dim
-    pivots = [next(k for k, c in enumerate(row) if not F.is_zero(c)) for row in ideal.rows]
+    pivots = pivot_columns(F, ideal.rows)
     keep = [j for j in range(n) if j not in pivots]
 
     def project(vec):
-        work = list(vec)
-        for row, pj in zip(ideal.rows, pivots):
-            if not F.is_zero(work[pj]):
-                f = work[pj]
-                work = [F.sub(a, F.mul(f, b)) for a, b in zip(work, row)]
+        work = echelon_reduce(F, ideal.rows, pivots, vec)
         return [work[j] for j in keep]
 
     unit = project(fiber.unit)
@@ -431,7 +362,7 @@ def quotient_algebra(fiber, ideal):
 def serialize_algebra(A):
     """Canonical text form of an algebra definition; loading it back gives a
     bit-identical object, which is what the golden tests pin down."""
-    lines = [f"algebra {A.name}", f"ring {ring_to_str(A.ring)}",
+    lines = [f"algebra {A.name}", f"ring {A.ring!r}",
              "basis " + " ".join(A.basis_names),
              "unit " + ", ".join(str(c) for c in A.unit)]
     if A.trace_vector is not None:

@@ -24,7 +24,6 @@ from .errors import EngineError, NotSplit
 from .fingerprints import fingerprint_of_simple
 from .modules import is_split, radical
 from .primes import parse_prime
-from .rings import ring_to_str
 from .strata import (
     UnresolvedPrime,
     dec_ex,
@@ -58,13 +57,13 @@ def cmd_validate(args):
     A = _load(args)
     report = {
         "algebra": A.name,
-        "ring": ring_to_str(A.ring),
+        "ring": repr(A.ring),
         "dim": A.dim,
         "basis": list(A.basis_names),
         "symmetric": A.trace_vector is not None,
         "valid": True,
     }
-    lines = [f"{A.name}: dim {A.dim} over {ring_to_str(A.ring)}, "
+    lines = [f"{A.name}: dim {A.dim} over {A.ring!r}, "
              f"{'symmetric' if A.trace_vector is not None else 'no trace form'}, valid"]
     _emit(report, lines, args.format)
     return 0
@@ -264,7 +263,7 @@ def _tree_report(node):
     return {
         "kind": node.kind,
         "algebra": node.algebra_name,
-        "ring": ring_to_str(node.ring),
+        "ring": repr(node.ring),
         "discriminant": _discriminant_report(node.discriminant),
         "stratum": node.stratum_description(),
         "children": [

@@ -15,13 +15,13 @@ cheap test; verification mode computes both and insists they agree.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NoIntegerSolution, NotSplit
+from .errors import NoIntegerSolution, NotSplit, UnsupportedError
 from .fields import Rationals
 from .fingerprints import fingerprint_of_simple, reduce_fingerprint
 from .linalg import gcd_free_basis, rref_rows
 from .algebra import restrict, specialize
 from .modules import is_split
-from .primes import contains, prime_spec
+from .primes import contains, prime_spec, quotient_chain
 
 
 def split_data(A, seed=1):
@@ -213,14 +213,10 @@ def composability_report(A, p, q, seed=1):
         D_p = decomposition_matrix(A, p, seed=seed)
         D_q = decomposition_matrix(A, q, seed=seed)
         B = restrict(A, p)
-        qbar_gens = []
-        for g in q.generators:
-            h = _push_generator(A, p, g, B)
-            if h is not None and not h.is_zero():
-                qbar_gens.append(h)
-        qbar = prime_spec(B.ring, qbar_gens)
+        _, push = quotient_chain(A.ring, p.generators)
+        qbar = prime_spec(B.ring, [push(g) for g in q.generators])
         D_rest = decomposition_matrix(B, qbar, seed=seed)
-    except Exception as e:  # reported, not raised: unsupported legs happen
+    except (UnsupportedError, NotSplit) as e:  # reported, not raised: unsupported legs happen
         return {"status": f"unsupported: {e}", "holds": None}
     # the restriction's generic fiber is the fiber at p with the same table,
     # so the simple orders agree exactly when the fingerprints agree
@@ -238,23 +234,3 @@ def composability_report(A, p, q, seed=1):
     holds = tuple(prod) == D_q.entries
     return {"status": "computed", "holds": holds,
             "D_p": D_p, "D_q": D_q, "D_rest": D_rest}
-
-
-def _push_generator(A, p, g, B):
-    """Image of a generator of q in the restricted ring R/p."""
-    from .primes import ring_quotient
-
-    cur = A.ring
-    maps = []
-    for gen in p.generators:
-        h = gen
-        for m in maps:
-            h = m(h)
-        if h.is_zero():
-            continue
-        cur, m = ring_quotient(cur, h)
-        maps.append(m)
-    out = g
-    for m in maps:
-        out = m(out)
-    return out

@@ -112,7 +112,3 @@ class NotSymmetric(ValidationError):
 
 class NotSemisimpleGeneric(ValidationError):
     pass
-
-
-class UnsupportedFactorization(UnsupportedError):
-    pass

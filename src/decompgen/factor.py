@@ -18,15 +18,17 @@ from math import lcm
 import sympy
 
 from . import polyops as P
-from .errors import FactorBudgetExceeded, UnsupportedRing
+from .errors import EngineError, FactorBudgetExceeded, UnsupportedRing
 from .fields import GFPrime, Rationals
-from .rings import IntegerOps, RingElement, int_content
+from .rings import IntegerOps, RingElement, int_content, is_prime_int
 
 DEFAULT_TRIAL_LIMIT = 10**6
 
 
 def factor_integer(n, limit=None):
-    """(unit, [(prime, multiplicity), ...]) with unit in {1, -1}."""
+    """(unit, [(prime, multiplicity), ...]) with unit in {1, -1}.  A
+    cofactor left over past the trial-division budget is accepted when it
+    is prime."""
     limit = limit or DEFAULT_TRIAL_LIMIT
     if n == 0:
         raise ValueError("cannot factor zero")
@@ -43,7 +45,7 @@ def factor_integer(n, limit=None):
             out.append((d, m))
         d += 1 if d == 2 else 2
     if n > 1:
-        if d * d <= n:
+        if d * d <= n and not is_prime_int(n):
             raise FactorBudgetExceeded(f"cofactor {n} exceeds trial-division budget {limit}")
         out.append((n, 1))
     return unit, out
@@ -69,7 +71,8 @@ def _pth_root_poly(F, f):
     for i, c in enumerate(f):
         if F.is_zero(c):
             continue
-        assert i % p == 0, "polynomial is not a p-th power"
+        if i % p:
+            raise EngineError("polynomial is not a p-th power")
         out[i // p] = _scalar_pow(F, c, q // p)
     return P.utrim(F, out)
 

@@ -247,10 +247,6 @@ class GFExt:
     def from_int(self, n):
         return self._pad((n % self.p,) if n % self.p else ())
 
-    def embed(self, a):
-        """Embedding of the prime field."""
-        return self.from_int(a)
-
     def gen(self):
         """The class of the modulus variable."""
         return self._pad(P.umod(GFPrime(self.p), (0, 1), self.modulus))

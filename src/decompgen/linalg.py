@@ -134,6 +134,23 @@ def rref_rows(field, rows):
     return rows[:r], pivots
 
 
+def pivot_columns(field, rows):
+    """Column of the first nonzero entry of each echelon row."""
+    return [next(k for k, c in enumerate(row) if not field.is_zero(c)) for row in rows]
+
+
+def echelon_reduce(field, rows, pivots, vec):
+    """vec minus its components along echelon rows whose pivot entries are
+    one: the canonical representative of vec modulo their span."""
+    F = field
+    work = list(vec)
+    for row, pj in zip(rows, pivots):
+        f = work[pj]
+        if not F.is_zero(f):
+            work = [F.sub(a, F.mul(f, b)) for a, b in zip(work, row)]
+    return work
+
+
 def rref(mat):
     rows, pivots = rref_rows(mat.field, mat.rows)
     n = mat.ncols
@@ -267,11 +284,17 @@ def _hessenberg_charpoly(F, H):
 
 def eval_poly_at_matrix(field, poly, mat):
     """poly(mat) for a dense univariate poly; used by tests and the chop."""
+    F = field
     n = mat.nrows
-    acc = Matrix.zeros(field, n, n)
+    acc = Matrix.zeros(F, n, n)
+    first = True
     for c in reversed(poly):
-        acc = acc.mul(mat) if acc.rows else acc
-        acc = acc.add(Matrix.identity(field, n).scale(c))
+        if not first:
+            acc = acc.mul(mat)
+        else:
+            first = False
+        if not F.is_zero(c):
+            acc = acc.add(Matrix.identity(F, n).scale(c))
     return acc
 
 

@@ -19,10 +19,19 @@ import random
 from dataclasses import dataclass
 
 from . import polyops as P
-from .errors import ChopBudgetExceeded, RadicalNotNilpotent
+from .errors import ChopBudgetExceeded, EngineError, RadicalNotNilpotent
 from .fields import FuncField
-from .linalg import Matrix, char_poly, kernel_basis, rref_rows, solve
-from .algebra import SubLattice, span_subspace
+from .linalg import (
+    Matrix,
+    char_poly,
+    echelon_reduce,
+    eval_poly_at_matrix,
+    kernel_basis,
+    pivot_columns,
+    rref_rows,
+    solve,
+)
+from .algebra import span_subspace
 
 
 class AlgebraModule:
@@ -88,18 +97,9 @@ def spin(module, vectors):
     F = module.fiber.field
     rows = []
     pivots = []
-
-    def reduce_vec(v):
-        v = list(v)
-        for row, pj in zip(rows, pivots):
-            if not F.is_zero(v[pj]):
-                c = v[pj]
-                v = [F.sub(a, F.mul(c, b)) for a, b in zip(v, row)]
-        return v
-
     queue = [list(v) for v in vectors]
     while queue:
-        v = reduce_vec(queue.pop())
+        v = echelon_reduce(F, rows, pivots, queue.pop())
         pj = next((k for k, c in enumerate(v) if not F.is_zero(c)), None)
         if pj is None:
             continue
@@ -130,15 +130,11 @@ def submodule(module, rows):
 def quotient_module(module, rows):
     """Action on the quotient by the subspace spanned by echelon rows."""
     F = module.fiber.field
-    pivots = [next(k for k, c in enumerate(r) if not F.is_zero(c)) for r in rows]
+    pivots = pivot_columns(F, rows)
     free = [j for j in range(module.dim) if j not in pivots]
 
     def project(v):
-        v = list(v)
-        for row, pj in zip(rows, pivots):
-            if not F.is_zero(v[pj]):
-                c = v[pj]
-                v = [F.sub(a, F.mul(c, b)) for a, b in zip(v, row)]
+        v = echelon_reduce(F, rows, pivots, v)
         return [v[j] for j in free]
 
     acts = []
@@ -268,20 +264,6 @@ def _constant_projection(F, chi):
     return tuple(out)
 
 
-def _eval_poly(F, poly, X):
-    n = X.nrows
-    acc = Matrix.zeros(F, n, n)
-    first = True
-    for c in reversed(poly):
-        if not first:
-            acc = acc.mul(X)
-        else:
-            first = False
-        if not F.is_zero(c):
-            acc = acc.add(Matrix.identity(F, n).scale(c))
-    return acc
-
-
 def _split_or_certify(module, rng, attempts):
     """Either ('split', echelon rows of a proper submodule) or
     ('simple', None); raises ChopBudgetExceeded when nothing certifies."""
@@ -326,7 +308,7 @@ def _split_or_certify(module, rng, attempts):
         for f, is_irred in pieces:
             if not is_irred and P.udeg(f) == P.udeg(chi):
                 continue  # the whole polynomial: kernel is everything
-            N = _eval_poly(F, f, X)
+            N = eval_poly_at_matrix(F, f, X)
             ker = kernel_basis(N)
             if not ker:
                 continue
@@ -385,7 +367,8 @@ def is_isomorphic(S, T, cross_validate=False):
     same = S.dim == T.dim and S.fingerprint_polys == T.fingerprint_polys
     if cross_validate:
         hd = hom_dim(S.module, T.module)
-        assert (hd > 0) == same, "fingerprint equality disagrees with Hom"
+        if (hd > 0) != same:
+            raise EngineError("fingerprint equality disagrees with Hom")
     return same
 
 

@@ -19,8 +19,6 @@ methods; fields additionally provide inv and div.  Integer arithmetic uses
 plain ints through the same interface.
 """
 
-from math import gcd as int_gcd
-
 
 def term_key(exps):
     return (sum(exps), exps)
@@ -117,10 +115,6 @@ def pdeg_in(p, i):
     return max((e[i] for e, _ in p), default=-1)
 
 
-def plead(p):
-    return p[0]
-
-
 def pderiv(dom, p, i):
     items = []
     for e, c in p:
@@ -201,17 +195,6 @@ def p_rec(p, main):
     for e, c in p:
         out.setdefault(e[main], []).append(((e[other],), c))
     return out
-
-
-def p_unrec(dom, d, main):
-    items = []
-    for k, terms in d.items():
-        for e1, c in terms:
-            e = [0, 0]
-            e[main] = k
-            e[1 - main] = e1[0]
-            items.append((tuple(e), c))
-    return pnorm(dom, items)
 
 
 def plead_coeff_in(dom, p, main):
@@ -347,10 +330,6 @@ def utrim(dom, coeffs):
     while coeffs and dom.is_zero(coeffs[-1]):
         coeffs.pop()
     return tuple(coeffs)
-
-
-def uconst(dom, c):
-    return () if dom.is_zero(c) else (c,)
 
 
 def udeg(p):

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import polyops as P
 from .errors import NotPrime, UnsupportedResidueField, UnsupportedRestriction
-from .factor import is_irreducible_gf, is_irreducible_qq
+from .factor import _scalar_pow, is_irreducible_gf, is_irreducible_qq
 from .fields import FuncField, GFExt, GFPrime, IntegerOps, Rationals, scalar_from_coeff
 from .rings import (
     RingDescriptor,
@@ -27,7 +27,6 @@ from .rings import (
     is_prime_int,
     normalize_generator,
     ring_gcd,
-    ring_to_str,
 )
 
 GENERIC = "Generic"
@@ -51,10 +50,6 @@ class PrimeSpec:
     @property
     def is_maximal_point(self):
         return self.tag == MAXIMAL
-
-    @property
-    def residue_char(self):
-        return self.residue_field.characteristic
 
     def __repr__(self):
         if self.is_generic:
@@ -87,7 +82,7 @@ def generic_point(ring):
         images = ()
     else:
         images = tuple(F.var_scalar(i) for i in range(ring.nv))
-    return PrimeSpec(ring, (), GENERIC, F, images, (ring_to_str(ring), "generic"))
+    return PrimeSpec(ring, (), GENERIC, F, images, (repr(ring), "generic"))
 
 
 def prime_spec(ring, generators):
@@ -122,7 +117,7 @@ def _principal_prime(ring, g):
             raise NotPrime(f"({n}) is not a prime ideal of Z")
         p = abs(n)
         return PrimeSpec(ring, (ring.from_int(p),), MAXIMAL, GFPrime(p), (),
-                         (ring_to_str(ring), "prin", str(p)))
+                         (repr(ring), "prin", str(p)))
     if g.is_const():
         if isinstance(coeff, IntegerOps):
             n = g.const_value()
@@ -132,7 +127,7 @@ def _principal_prime(ring, g):
             F = FuncField(GFPrime(p), ring.varnames)
             return PrimeSpec(ring, (ring.from_int(p),), PRINCIPAL, F,
                              tuple(F.var_scalar(i) for i in range(ring.nv)),
-                             (ring_to_str(ring), "prin", str(p)))
+                             (repr(ring), "prin", str(p)))
         raise NotPrime(f"({g}) is the unit ideal")
     if isinstance(coeff, IntegerOps):
         return _zx_principal(ring, g)
@@ -156,16 +151,16 @@ def _kx_principal(ring, g):
                 f"residue field of ({g}) is a degree-{len(dense) - 1} number field")
         root = -dense[0] / dense[1]
         return PrimeSpec(ring, (g,), MAXIMAL, Rationals(), (root,),
-                         (ring_to_str(ring), "prin", str(g)))
+                         (repr(ring), "prin", str(g)))
     if not is_irreducible_gf(coeff, dense):
         raise NotPrime(f"({g}) is not prime: {g} is reducible over {coeff!r}")
     if len(dense) == 2:
         root = coeff.div(coeff.neg(dense[0]), dense[1])
         return PrimeSpec(ring, (g,), MAXIMAL, coeff, (root,),
-                         (ring_to_str(ring), "prin", str(g)))
+                         (repr(ring), "prin", str(g)))
     F = GFExt(coeff.p, len(dense) - 1, dense)
     return PrimeSpec(ring, (g,), MAXIMAL, F, (F.gen(),),
-                     (ring_to_str(ring), "prin", str(g)))
+                     (repr(ring), "prin", str(g)))
 
 
 def _zx_principal(ring, g):
@@ -180,7 +175,7 @@ def _zx_principal(ring, g):
             f"residue field of ({g}) is a degree-{len(dense) - 1} number field")
     root = -dense[0] / dense[1]
     return PrimeSpec(ring, (g,), PRINCIPAL, Rationals(), (root,),
-                     (ring_to_str(ring), "prin", str(g)))
+                     (repr(ring), "prin", str(g)))
 
 
 def _kxy_principal(ring, g):
@@ -220,7 +215,7 @@ def _kxy_principal(ring, g):
                     images[i] = (P.pconst(base, 1, base.gen()), P.pone(base, 1))
                     images[j] = F.var_scalar(0)
             return PrimeSpec(ring, (g,), PRINCIPAL, F, tuple(images),
-                             (ring_to_str(ring), "prin", str(g)))
+                             (repr(ring), "prin", str(g)))
     # generator linear in one variable: substitute a rational function
     for i in range(2):
         if deg_in[i] == 1:
@@ -238,7 +233,7 @@ def _kxy_principal(ring, g):
             images[j] = F.var_scalar(0)
             images[i] = F.make(P.pneg(coeff, b), a)
             return PrimeSpec(ring, (g,), PRINCIPAL, F, tuple(images),
-                             (ring_to_str(ring), "prin", str(g)))
+                             (repr(ring), "prin", str(g)))
     raise UnsupportedResidueField(
         f"cannot certify ({g}) prime or represent its residue field")
 
@@ -260,8 +255,8 @@ def _maximal_pair(ring, g1, g2):
         images = tuple(reduce_elem(qmap(ring.var(v)), sub) for v in ring.varnames)
         return PrimeSpec(ring, (normalize_generator(first), second),
                          MAXIMAL, sub.residue_field, images,
-                         (ring_to_str(ring), "max", str(normalize_generator(first)),
-                          ring_to_str(qring), sub.signature[2]))
+                         (repr(ring), "max", str(normalize_generator(first)),
+                          repr(qring), sub.signature[2]))
     raise last_err or UnsupportedResidueField(
         f"maximal point ({g1}, {g2}) needs a generator with a supported quotient")
 
@@ -311,7 +306,7 @@ def ring_quotient(ring, g):
             def imap(e, _nr=newring, _r=root):
                 total = coeff.zero
                 for ex, c in e.data:
-                    total = coeff.add(total, coeff.mul(c, _scalar_pow_dom(coeff, _r, ex[0])))
+                    total = coeff.add(total, coeff.mul(c, _scalar_pow(coeff, _r, ex[0])))
                 return _nr.from_coeff(total)
 
             return newring, imap
@@ -345,11 +340,24 @@ def ring_quotient(ring, g):
     raise UnsupportedRestriction(f"{ring!r}/({g}) is not a supported ring")
 
 
-def _scalar_pow_dom(dom, a, n):
-    r = dom.one
-    for _ in range(n):
-        r = dom.mul(r, a)
-    return r
+def quotient_chain(ring, generators):
+    """(quotient ring, element map) for R/(g_1, ..., g_k), taken one
+    principal quotient at a time.  Each generator is pushed into the
+    quotient built so far and skipped when it vanishes there."""
+    maps = []
+
+    def push(e):
+        for m in maps:
+            e = m(e)
+        return e
+
+    for g in generators:
+        g = push(g)
+        if g.is_zero():
+            continue
+        ring, m = ring_quotient(ring, g)
+        maps.append(m)
+    return ring, push
 
 
 # --- fraction-field membership ---------------------------------------------------

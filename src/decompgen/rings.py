@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
 
+import sympy
+
 from . import polyops as P
 from .errors import UnsupportedRing
 from .fields import FuncField, GFPrime, IntegerOps, Rationals
@@ -500,14 +502,7 @@ def _parse_poly(text, ring):
 
 
 def is_prime_int(n):
-    if n < 2:
-        return False
-    q = 2
-    while q * q <= n:
-        if n % q == 0:
-            return False
-        q += 1
-    return True
+    return bool(sympy.isprime(n))
 
 
 _RING_RE = re.compile(r"^(Z|Q|GF\((\d+)\))(?:\[([A-Za-z_0-9,\s]+)\])?$")
@@ -530,8 +525,3 @@ def parse_ring(text):
         coeff = GFPrime(p)
     names = tuple(s.strip() for s in vars_part.split(",")) if vars_part else ()
     return RingDescriptor(coeff, names)
-
-
-def ring_to_str(ring):
-    head = "Z" if isinstance(ring.coeff, IntegerOps) else "Q" if isinstance(ring.coeff, Rationals) else f"GF({ring.coeff.p})"
-    return head + (f"[{','.join(ring.varnames)}]" if ring.varnames else "")

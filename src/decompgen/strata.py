@@ -28,14 +28,21 @@ from .algebra import FiberAlgebra, restrict, span_subspace
 from .decomposition import fiber_split_data, split_data
 from .factor import factor_integer, factor_univariate, factor_zx_primitive
 from .fields import IntegerOps, Rationals
-from .linalg import Matrix, det, rref_rows, saturate_rows, unimodular_complement
+from .linalg import (
+    Matrix,
+    det,
+    echelon_reduce,
+    rref_rows,
+    saturate_rows,
+    unimodular_complement,
+)
 from .modules import regular_trace_gram
 from .primes import (
     contains,
     numerator_denominator_in_ring,
     prime_spec,
+    quotient_chain,
     reduce_elem,
-    ring_quotient,
 )
 from .rings import EuclideanRing, RingElement, is_unit, normalize_generator, ring_gcd
 
@@ -52,7 +59,7 @@ class RadicalLattice:
         return len(self.rows)
 
 
-def _clear_row(ring, K, row):
+def _clear_row(ring, row):
     """Fraction-field row vector to a ring vector spanning the same line."""
     if ring.nv == 0 and not ring.is_field_ring:
         from math import lcm
@@ -94,7 +101,7 @@ def radical_lattice(A, seed=1):
     rad = radical(fiber, seed=seed)
     ring = A.ring
     K = fiber.field
-    cleared = [_clear_row(ring, K, list(row)) for row in rad.rows]
+    cleared = [_clear_row(ring, list(row)) for row in rad.rows]
     if not cleared:
         return RadicalLattice(A, (), True, 0)
     if ring.is_euclidean:
@@ -102,7 +109,7 @@ def radical_lattice(A, seed=1):
         reps = [[E.to_rep(c) for c in row] for row in cleared]
         sat = saturate_rows(E, K, reps,
                             lambda a: ring.to_field(E.from_rep(a), K),
-                            lambda frow: [E.to_rep(r) for r in _clear_row(ring, K, frow)])
+                            lambda frow: [E.to_rep(r) for r in _clear_row(ring, frow)])
         rows = tuple(tuple(E.from_rep(c) for c in row) for row in sat)
         lat = RadicalLattice(A, rows, True, rad.dim)
     else:
@@ -161,7 +168,7 @@ def _minor_gcd(A, lat):
     return acc
 
 
-def quotient_over_ring(A, lat, seed=1):
+def quotient_over_ring(A, lat):
     """Structure constants of B = A/J on a complement basis, as a fiber over
     the fraction field, together with the product of every denominator that
     entered the projection.
@@ -182,28 +189,21 @@ def quotient_over_ring(A, lat, seed=1):
     if lat.rank == 0:
         return fiber, one
     rows_K = [[ring.to_field(c, K) for c in row] for row in lat.rows]
+    span_rows, pivots = rref_rows(K, rows_K)
     if ring.is_euclidean:
         E = EuclideanRing(ring)
         comp = unimodular_complement(E, [[E.to_rep(c) for c in row] for row in lat.rows])
         comp_K = [[ring.to_field(E.from_rep(c), K) for c in row] for row in comp]
     else:
         comp_K = []
-        _, pivots0 = rref_rows(K, rows_K)
         for j in range(n):
-            if j not in pivots0:
+            if j not in pivots:
                 e = [K.zero] * n
                 e[j] = K.one
                 comp_K.append(e)
-    span_rows, _ = rref_rows(K, rows_K)
-    pivots = [next(k for k, c in enumerate(row) if not K.is_zero(c)) for row in span_rows]
 
     def project(vec):
-        work = list(vec)
-        for row, pj in zip(span_rows, pivots):
-            if not K.is_zero(work[pj]):
-                f = work[pj]
-                work = [K.sub(a, K.mul(f, b)) for a, b in zip(work, row)]
-        return work
+        return echelon_reduce(K, span_rows, pivots, vec)
 
     basis_t = Matrix(K, comp_K).transpose()
     from .linalg import solve
@@ -255,7 +255,7 @@ def candidate_discriminant(A, seed=1):
     quotient, which the verification stage would reject anyway)."""
     lat = radical_lattice(A, seed=seed)
     ring = A.ring
-    B, denoms = quotient_over_ring(A, lat, seed=seed)
+    B, denoms = quotient_over_ring(A, lat)
     gram = regular_trace_gram(B)
     d = det(gram)
     K = B.field
@@ -315,25 +315,18 @@ def minimal_primes(g, seed=1):
     if is_unit(g) or ring.is_field_ring:
         return []
     out = []
-
-    def add(elem):
-        try:
-            out.append(prime_spec(ring, [elem]))
-        except UnsupportedError as e:
-            out.append(UnresolvedPrime(elem, str(e)))
-
     coeff = ring.coeff
     if isinstance(coeff, IntegerOps) and ring.nv == 0:
         for prime, _ in factor_integer(abs(g.const_value()))[1]:
-            add(ring.from_int(prime))
+            out.append(_prime_or_unresolved(ring, ring.from_int(prime)))
     elif isinstance(coeff, IntegerOps):
         _, pairs = factor_zx_primitive(g, seed)
         for f, _ in pairs:
-            add(f)
+            out.append(_prime_or_unresolved(ring, f))
     elif ring.nv == 1:
         _, pairs = factor_univariate(g, seed)
         for f, _ in pairs:
-            add(f)
+            out.append(_prime_or_unresolved(ring, f))
     else:
         out.extend(_minimal_primes_bivariate(g, seed))
     uniq = []
@@ -347,19 +340,21 @@ def minimal_primes(g, seed=1):
     return uniq
 
 
+def _prime_or_unresolved(ring, elem):
+    """The prime (elem), or an UnresolvedPrime that says why it is out of
+    scope."""
+    try:
+        return prime_spec(ring, [elem])
+    except UnsupportedError as e:
+        return UnresolvedPrime(elem, str(e))
+
+
 def _minimal_primes_bivariate(g, seed):
     """Irreducible components over k[x,y]: univariate content factors plus
     squarefree primitive factors certified irreducible where degrees allow."""
     ring = g.ring
     coeff = ring.coeff
     out = []
-
-    def add(elem):
-        try:
-            out.append(prime_spec(ring, [elem]))
-        except UnsupportedError as e:
-            out.append(UnresolvedPrime(elem, str(e)))
-
     work = g.data
     for main in (1, 0):
         cont = P._content_in(coeff, work, main) if P.pdeg_in(work, main) > 0 else None
@@ -372,7 +367,7 @@ def _minimal_primes_bivariate(g, seed):
                 for f, _ in pairs:
                     out_elem = RingElement(ring, tuple(
                         (_embed_exp(e[0], var_index), c) for e, c in f.data))
-                    add(out_elem)
+                    out.append(_prime_or_unresolved(ring, out_elem))
             work = P.pexact_div(coeff, work, cont)
     if P.pdeg(work) == 0:
         return out
@@ -396,13 +391,13 @@ def _minimal_primes_bivariate(g, seed):
         if piece.total_degree() < 1:
             continue
         if _certify_irreducible_bivariate(piece):
-            add(normalize_generator(piece))
+            out.append(_prime_or_unresolved(ring, normalize_generator(piece)))
             continue
         split = _split_quadratic_bivariate(piece)
         if split:
             for part in split:
                 if _certify_irreducible_bivariate(part):
-                    add(normalize_generator(part))
+                    out.append(_prime_or_unresolved(ring, normalize_generator(part)))
                 else:
                     out.append(UnresolvedPrime(normalize_generator(part),
                                                "cannot certify a quadratic factor"))
@@ -422,12 +417,7 @@ def _split_quadratic_bivariate(piece):
     for main in (1, 0):
         if P.pdeg_in(piece.data, main) != 2:
             continue
-        rec = P.p_rec(piece.data, main)
-        a = P.pnorm(coeff, rec.get(2, ()))
-        b = P.pnorm(coeff, rec.get(1, ()))
-        c = P.pnorm(coeff, rec.get(0, ()))
-        disc = P.psub(coeff, P.pmul(coeff, b, b),
-                      P.pscale(coeff, P.pmul(coeff, a, c), coeff.from_int(4)))
+        a, b, disc = _quadratic_discriminant(coeff, piece.data, main)
         s = _sqrt_univariate(coeff, disc)
         if s is None:
             continue
@@ -461,6 +451,18 @@ def _split_quadratic_bivariate(piece):
     return None
 
 
+def _quadratic_discriminant(coeff, data, main):
+    """(a, b, b^2 - 4ac) for a two-variable polynomial a*v^2 + b*v + c that
+    is quadratic in the variable v of index main."""
+    rec = P.p_rec(data, main)
+    a = P.pnorm(coeff, rec.get(2, ()))
+    b = P.pnorm(coeff, rec.get(1, ()))
+    c = P.pnorm(coeff, rec.get(0, ()))
+    disc = P.psub(coeff, P.pmul(coeff, b, b),
+                  P.pscale(coeff, P.pmul(coeff, a, c), coeff.from_int(4)))
+    return a, b, disc
+
+
 def _sqrt_univariate(coeff, data):
     """Square root of a one-variable polynomial (given in two-variable form)
     when it is a perfect square, else None."""
@@ -489,17 +491,15 @@ def _sqrt_univariate(coeff, data):
             for _ in range(m // 2):
                 root = P.umul(coeff, root, f)
         return P.p_from_dense(coeff, root)
-    from .factor import _scalar_pow, factor_gf
+    from sympy.ntheory import sqrt_mod
+
+    from .factor import factor_gf
 
     unit, pairs = factor_gf(coeff, dense)
     if any(m % 2 for _, m in pairs):
         return None
-    q = coeff.size()
-    u_root = None
-    for cand in coeff.elements():
-        if coeff.is_zero(coeff.sub(coeff.mul(cand, cand), unit)):
-            u_root = cand
-            break
+    # the smaller of the two roots in GF(p), found without a search over GF(p)
+    u_root = sqrt_mod(unit, coeff.p)
     if u_root is None:
         return None
     root = (u_root,)
@@ -575,48 +575,9 @@ def _certify_irreducible_bivariate(piece):
                         P.p_to_dense(coeff, P.pnorm(coeff, b)))
             return P.udeg(gd) == 0
         if dmain == 2 and coeff.characteristic != 2:
-            rec = P.p_rec(piece.data, main)
-            a = P.pnorm(coeff, rec.get(2, ()))
-            b = P.pnorm(coeff, rec.get(1, ()))
-            c = P.pnorm(coeff, rec.get(0, ()))
-            disc = P.psub(coeff, P.pmul(coeff, b, b),
-                          P.pscale(coeff, P.pmul(coeff, a, c), coeff.from_int(4)))
-            if not _is_square_univariate(coeff, disc):
-                return True
-            return False
+            _, _, disc = _quadratic_discriminant(coeff, piece.data, main)
+            return _sqrt_univariate(coeff, disc) is None
     return False
-
-
-def _is_square_univariate(coeff, data):
-    """Whether a one-variable polynomial (possibly constant) is a square."""
-    if P.pis_zero(data):
-        return True
-    dense = P.p_to_dense(coeff, data)
-    if P.udeg(dense) % 2:
-        return False
-    if isinstance(coeff, Rationals):
-        from .factor import factor_qq
-
-        unit, pairs = factor_qq(dense)
-        import math
-
-        if unit < 0 or not math.isqrt(unit.numerator) ** 2 == unit.numerator \
-                or not math.isqrt(unit.denominator) ** 2 == unit.denominator:
-            return False
-        return all(m % 2 == 0 for _, m in pairs)
-    from .factor import factor_gf
-
-    unit, pairs = factor_gf(coeff, dense)
-    if any(m % 2 for _, m in pairs):
-        return False
-    # the unit must be a square in GF(q)
-    q = coeff.size()
-    if q % 2 == 0:
-        return True
-    from .factor import _scalar_pow
-
-    test = _scalar_pow(coeff, unit, (q - 1) // 2)
-    return coeff.is_zero(coeff.sub(test, coeff.one))
 
 
 # --- the discriminant with exact verification ----------------------------------------
@@ -842,24 +803,8 @@ def contains_gen(p, gen):
 
 def _push_prime(A, xi, p):
     """The prime p/xi of the restricted ring, for xi contained in p."""
-    cur = A.ring
-    maps = []
-    for gen in xi.generators:
-        h = gen
-        for m in maps:
-            h = m(h)
-        if h.is_zero():
-            continue
-        cur, m = ring_quotient(cur, h)
-        maps.append(m)
-    gens = []
-    for g in p.generators:
-        h = g
-        for m in maps:
-            h = m(h)
-        if not h.is_zero():
-            gens.append(h)
-    return prime_spec(cur, gens)
+    ring, push = quotient_chain(A.ring, xi.generators)
+    return prime_spec(ring, [push(g) for g in p.generators])
 
 
 def tree_lines(node, indent=0):
@@ -878,7 +823,6 @@ def tree_lines(node, indent=0):
         out.append(f"{pad}  recovered {pt.prime.short_str()} "
                    f"(radical {pt.fiber_radical_dim} = generic {pt.generic_radical_dim})")
     for pt, child in node.children:
-        label = pt.prime.short_str() if not isinstance(pt.prime, UnresolvedPrime) else pt.prime.short_str()
-        out.append(f"{pad}  at {label} [{pt.status}]:")
+        out.append(f"{pad}  at {pt.prime.short_str()} [{pt.status}]:")
         out.extend(tree_lines(child, indent + 2))
     return out

@@ -59,6 +59,11 @@ def test_trivial_verify_mode(corpdir, capsys):
     assert rep["matrix"] == [[1], [1]]
 
 
+def test_trivial_at_a_large_prime(corpdir, capsys):
+    rc, out, _ = run_cli(["trivial", str(corpdir / "ZS3.alg"),
+                          "--prime", f"p={2**61 - 1}"], capsys)
+    assert rc == 0 and "Trivial" in out
+
 def test_unsupported_prime_exit_code(corpdir, capsys):
     rc, out, err = run_cli(["trivial", str(corpdir / "B2_Q.alg"),
                             "--prime", "gen=[d^2 - 2]"], capsys)

@@ -147,6 +147,25 @@ def test_composability_reports(corpus):
         assert rep["status"] == "computed", rep
         assert rep["holds"] is True
     # not a chain
-    rep = composability_report(
-        B2Z, prime_spec(Zd, [Zd.from_int(2)]), prime_spec(Zd, [Zd.parse("d")]))
-    assert rep["status"] == "not-a-chain"
+    for p_gens, q_gens in (([Zd.from_int(2)], [Zd.parse("d")]),
+                           ([Zd.from_int(2)], [Zd.from_int(3)])):
+        rep = composability_report(B2Z, prime_spec(Zd, p_gens), prime_spec(Zd, q_gens))
+        assert rep["status"] == "not-a-chain"
+
+
+def test_composability_reports_unsupported_legs_only(corpus, monkeypatch):
+    import decompgen.decomposition as dm
+
+    ZC3 = corpus["ZC3"]
+    p = prime_spec(Z, [])
+    q = prime_spec(Z, [Z.from_int(3)])
+    rep = composability_report(ZC3, p, q)
+    assert rep == {"status": "unsupported: the generic fiber of ZC3 does not split",
+                   "holds": None}
+
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("bug")
+
+    monkeypatch.setattr(dm, "decomposition_matrix", broken)
+    with pytest.raises(ZeroDivisionError):
+        composability_report(ZC3, p, q)

@@ -1,6 +1,7 @@
 """Arithmetic layer: ring/field axioms, reductions, denominators, factoring."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,7 @@ from decompgen.primes import (
     reduce_scalar,
     ring_quotient,
 )
-from decompgen.rings import parse_ring, ring_gcd
+from decompgen.rings import is_prime_int, parse_ring, ring_gcd
 
 RINGS = ["Z", "Z[x]", "Q[x]", "Q[x,y]", "GF(2)[x]", "GF(5)[x,y]"]
 
@@ -208,6 +209,21 @@ def test_factor_integer():
     assert factor_integer(-6) == (-1, [(2, 1), (3, 1)])
     with pytest.raises(FactorBudgetExceeded):
         factor_integer((10**7 + 19) * (10**7 + 79), limit=10**4)
+    # a prime cofactor past the trial budget is accepted
+    m61 = 2**61 - 1
+    assert factor_integer(2 * m61) == (1, [(2, 1), (m61, 1)])
+
+
+def test_is_prime_int():
+    def trial(n):
+        return n >= 2 and all(n % q for q in range(2, int(n ** 0.5) + 1))
+
+    assert [n for n in range(-3, 500) if is_prime_int(n)] == [
+        n for n in range(-3, 500) if trial(n)]
+    t0 = time.perf_counter()
+    assert is_prime_int(2**61 - 1)
+    assert not is_prime_int((2**31 - 1) * (2**61 - 1))
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_factor_univariate_examples():

@@ -77,6 +77,13 @@ def test_minimal_primes_bivariate():
     # an honest undecidable: irreducible of higher degree is declined
     out = minimal_primes(Qxy.parse("x^3 + y^3 + 1"))
     assert any(isinstance(p, UnresolvedPrime) for p in out)
+    # over a large prime field the square test of the leading unit does
+    # not search the field: 3 is not a square modulo 2^31 - 1, 4 is
+    Fxy = parse_ring(f"GF({2**31 - 1})[x,y]")
+    out = minimal_primes(Fxy.parse("y^2 - 3*x^2"))
+    assert [p.short_str() for p in out] == ["(x^2 + 715827882*y^2)?"]
+    out = minimal_primes(Fxy.parse("y^2 - 4*x^2"))
+    assert [p.short_str() for p in out] == ["(x + 1073741823*y)", "(x + 1073741824*y)"]
 
 
 def test_dec_ex_statuses(corpus):
@@ -204,6 +211,18 @@ def test_cover_every_sampled_prime_lands_in_one_stratum(corpus):
             path = locate_stratum(tree, A, p)
             assert path, (key, p)
             assert path[-1][0] in ("node", "point-leaf", "unresolved-leaf", "leaf")
+
+
+def test_locate_stratum_descends_through_quotient_chains(corpus):
+    A = corpus["B2_Z"]
+    tree = stratify(A)
+    d = Zd.parse("d")
+    assert locate_stratum(tree, A, prime_spec(Zd, [Zd.from_int(2), d])) == (
+        ("descend", "(2)"), ("point-leaf", "B2_Z|(2)", "(d)"))
+    assert locate_stratum(tree, A, prime_spec(Zd, [Zd.from_int(3), d])) == (
+        ("descend", "(d)"), ("node", "B2_Z|(d)"))
+    assert locate_stratum(tree, A, prime_spec(Zd, [Zd.parse("d - 1")])) == (
+        ("node", "B2_Z"),)
 
 
 def _skewed_radical_algebra():
