@@ -14,7 +14,6 @@ or through the `decompgen` command line tool.
 
 from . import corpus
 from .algebra import (
-    FiberAlgebra,
     FiniteFreeAlgebra,
     SubLattice,
     ideal_closure,

@@ -1,15 +1,18 @@
 """Finite free algebras by structure constants, their fibers and lattices.
 
-An algebra is a free module R^n with a multiplication table: basis vectors
+An algebra is a free module D^n with a multiplication table: basis vectors
 b_i, products b_i b_j = sum_k c[i][j][k] b_k, a distinguished unit vector,
-and optionally a symmetrizing trace vector.  Associativity and the unit law
-are verified eagerly at load time; silent non-associativity would poison
-every computation downstream.
+and optionally a symmetrizing trace vector.  One table type serves both
+scalar domains the engine meets: the base ring R (scalars are RingElements,
+arithmetic through a RingScalars view) and a field (scalars are the field's
+plain data).  The fiber A(p) = k(p) (x) A is the same table with reduced
+coefficients over the residue field k(p).
 
-Fibers (scalar extensions to residue fields of primes) carry the same table
-with reduced coefficients.  Because reduction is a ring homomorphism the
-fiber of a valid algebra is valid; construction sites that build tables
-from scratch validate, specialization inherits.
+Associativity and the unit law are verified eagerly at load time; silent
+non-associativity would poison every computation downstream.  Because
+reduction is a ring homomorphism the fiber of a valid algebra is valid;
+construction sites that build tables from scratch validate, specialization
+inherits.
 """
 
 from .errors import (
@@ -18,88 +21,143 @@ from .errors import (
     NotAssociative,
     UnitInIdeal,
     UnsupportedRing,
+    ValidationError,
 )
 from .linalg import Matrix, det, echelon_reduce, hermite_normal_form, pivot_columns, rref_rows
 from .primes import generic_point, quotient_chain, reduce_elem
-from .rings import EuclideanRing
+from .rings import EuclideanRing, RingDescriptor, RingScalars
 
 
 class FiniteFreeAlgebra:
-    def __init__(self, name, ring, basis_names, sc, unit, trace_vector=None, validate=True):
+    """Structure-constant table over a base: a RingDescriptor (the algebra
+    over R; `ring` is set, `field` is None) or a field (a fiber; `field` is
+    set, `ring` is None, and `prime` records the point it lies over)."""
+
+    def __init__(self, name, base, basis_names, sc, unit, trace_vector=None, validate=True,
+                 prime=None):
         self.name = name
-        self.ring = ring
+        if isinstance(base, RingDescriptor):
+            self.ring, self.field, self.domain = base, None, RingScalars(base)
+        else:
+            self.ring, self.field, self.domain = None, base, base
+        self.prime = prime  # PrimeSpec or None: the point a fiber lies over
         self.basis_names = tuple(basis_names)
         self.dim = len(self.basis_names)
-        self.sc = sc  # sc[i][j][k]: RingElement
+        self.sc = sc  # sc[i][j][k]: scalar of the domain
         self.unit = tuple(unit)
         self.trace_vector = tuple(trace_vector) if trace_vector is not None else None
         if validate:
             self._validate()
 
-    # vector arithmetic over the base ring
+    @property
+    def over_field(self):
+        return self.domain.is_field
+
+    # vector arithmetic over the scalar domain
 
     def vec_zero(self):
-        z = self.ring.zero()
-        return [z] * self.dim
+        return [self.domain.zero] * self.dim
+
+    def basis_vector(self, i):
+        v = self.vec_zero()
+        v[i] = self.domain.one
+        return v
 
     def vec_mul(self, x, y):
+        D = self.domain
+        add, mul, is_zero = D.add, D.mul, D.is_zero
         n = self.dim
-        out = self.vec_zero()
+        out = [D.zero] * n
         for i in range(n):
             xi = x[i]
-            if xi.is_zero():
+            if is_zero(xi):
                 continue
             row = self.sc[i]
             for j in range(n):
                 yj = y[j]
-                if yj.is_zero():
+                if is_zero(yj):
                     continue
-                coef = xi * yj
-                for k in range(n):
-                    c = row[j][k]
-                    if not c.is_zero():
-                        out[k] = out[k] + coef * c
+                coef = mul(xi, yj)
+                for k, c in enumerate(row[j]):
+                    if not is_zero(c):
+                        out[k] = add(out[k], mul(coef, c))
         return out
 
-    def basis_vector(self, i):
-        v = self.vec_zero()
-        v[i] = self.ring.one()
-        return v
+    def one_sided_products(self, v):
+        """("left", b_i v) and ("right", v b_i) for every basis element b_i."""
+        v = list(v)
+        for i in range(self.dim):
+            b = self.basis_vector(i)
+            yield "left", self.vec_mul(b, v)
+            yield "right", self.vec_mul(v, b)
+
+    def unstable_side(self, vectors, lattice):
+        """"left" or "right" for the first b_i v or v b_i (v in vectors) that
+        leaves the lattice, None when both multiplications keep it inside."""
+        for v in vectors:
+            for side, w in self.one_sided_products(v):
+                if not lattice.contains_vector(w):
+                    return side
+        return None
+
+    def left_regular_matrix(self, x):
+        F = self.field
+        n = self.dim
+        rows = [[F.zero] * n for _ in range(n)]
+        for i in range(n):
+            if F.is_zero(x[i]):
+                continue
+            for j in range(n):
+                for k in range(n):
+                    c = self.sc[i][j][k]
+                    if not F.is_zero(c):
+                        rows[k][j] = F.add(rows[k][j], F.mul(x[i], c))
+        return Matrix(F, rows)
 
     def _validate(self):
         n = self.dim
-        if len(self.unit) != n or any(len(self.sc[i][j]) != n for i in range(n) for j in range(n)):
+        if (len(self.unit) != n or len(self.sc) != n
+                or any(len(plane) != n or any(len(r) != n for r in plane) for plane in self.sc)):
             raise NoUnit("unit or table has the wrong length")
+        unit = list(self.unit)
         for i in range(n):
             e = self.basis_vector(i)
-            if self.vec_mul(list(self.unit), e) != e or self.vec_mul(e, list(self.unit)) != e:
+            if self.vec_mul(unit, e) != e or self.vec_mul(e, unit) != e:
                 raise NoUnit(f"unit law fails on basis element {self.basis_names[i]}")
         for i in range(n):
             bi = self.basis_vector(i)
             for j in range(n):
-                bij = [self.sc[i][j][k] for k in range(n)]
+                bij = list(self.sc[i][j])
                 for k in range(n):
-                    bk = self.basis_vector(k)
-                    left = self.vec_mul(bij, bk)
-                    right = self.vec_mul(bi, [self.sc[j][k][m] for m in range(n)])
-                    if left != right:
+                    left = self.vec_mul(bij, self.basis_vector(k))
+                    if left != self.vec_mul(bi, list(self.sc[j][k])):
                         raise NotAssociative(
                             f"(b{i} b{j}) b{k} != b{i} (b{j} b{k}) in {self.name}")
-        if self.trace_vector is not None:
+        # a fiber's trace form may degenerate (that locus is the discriminant);
+        # over R it must be nondegenerate over the fraction field
+        if self.trace_vector is not None and not self.over_field:
             self._validate_trace()
+
+    def form_gram(self, t):
+        """G[i][j] = sum_k c[i][j][k] t[k], the Gram matrix of (x, y) -> t(xy)
+        for a linear form given by its values t[k] on the basis."""
+        D = self.domain
+        add, mul, is_zero = D.add, D.mul, D.is_zero
+        gram = []
+        for plane in self.sc:
+            row = []
+            for cs in plane:
+                acc = D.zero
+                for c, tk in zip(cs, t):
+                    if not is_zero(c) and not is_zero(tk):
+                        acc = add(acc, mul(c, tk))
+                row.append(acc)
+            gram.append(row)
+        return gram
 
     def _validate_trace(self):
         n = self.dim
-        t = self.trace_vector
-        gram = [[self.ring.zero()] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                acc = self.ring.zero()
-                for k in range(n):
-                    c = self.sc[i][j][k]
-                    if not c.is_zero():
-                        acc = acc + c * t[k]
-                gram[i][j] = acc
+        gram = self.form_gram(self.trace_vector)
         for i in range(n):
             for j in range(i):
                 if gram[i][j] != gram[j][i]:
@@ -121,81 +179,20 @@ class FiniteFreeAlgebra:
         return specialize(self, generic_point(self.ring))
 
     def __repr__(self):
-        return f"<algebra {self.name}: dim {self.dim} over {self.ring!r}>"
+        if not self.over_field:
+            return f"<algebra {self.name}: dim {self.dim} over {self.ring!r}>"
+        at = "generic" if self.prime is None or self.prime.is_generic else self.prime.short_str()
+        return f"<fiber {self.name} at {at}: dim {self.dim} over {self.field!r}>"
 
 
-class FiberAlgebra:
-    def __init__(self, field, basis_names, sc, unit, provenance, trace_vector=None, validate=True):
-        self.field = field
-        self.basis_names = tuple(basis_names)
-        self.dim = len(self.basis_names)
-        self.sc = sc  # field scalars
-        self.unit = tuple(unit)
-        self.provenance = provenance  # (algebra name, PrimeSpec or None)
-        self.trace_vector = tuple(trace_vector) if trace_vector is not None else None
-        if validate:
-            self._validate()
-
-    def vec_zero(self):
-        return [self.field.zero] * self.dim
-
-    def basis_vector(self, i):
-        v = self.vec_zero()
-        v[i] = self.field.one
-        return v
-
-    def vec_mul(self, x, y):
-        F = self.field
-        n = self.dim
-        out = self.vec_zero()
-        for i in range(n):
-            if F.is_zero(x[i]):
-                continue
-            row = self.sc[i]
-            for j in range(n):
-                if F.is_zero(y[j]):
-                    continue
-                coef = F.mul(x[i], y[j])
-                for k in range(n):
-                    c = row[j][k]
-                    if not F.is_zero(c):
-                        out[k] = F.add(out[k], F.mul(coef, c))
-        return out
-
-    def left_regular_matrix(self, x):
-        F = self.field
-        n = self.dim
-        rows = [[F.zero] * n for _ in range(n)]
-        for i in range(n):
-            if F.is_zero(x[i]):
-                continue
-            for j in range(n):
-                for k in range(n):
-                    c = self.sc[i][j][k]
-                    if not F.is_zero(c):
-                        rows[k][j] = F.add(rows[k][j], F.mul(x[i], c))
-        return Matrix(F, rows)
-
-    def _validate(self):
-        F = self.field
-        n = self.dim
-        for i in range(n):
-            e = self.basis_vector(i)
-            if self.vec_mul(list(self.unit), e) != e or self.vec_mul(e, list(self.unit)) != e:
-                raise NoUnit("unit law fails in fiber")
-        for i in range(n):
-            bi = self.basis_vector(i)
-            for j in range(n):
-                bij = list(self.sc[i][j])
-                for k in range(n):
-                    bk = self.basis_vector(k)
-                    if self.vec_mul(bij, bk) != self.vec_mul(bi, list(self.sc[j][k])):
-                        raise NotAssociative("fiber table is not associative")
-
-    def __repr__(self):
-        name, spec = self.provenance
-        at = "generic" if spec is None or spec.is_generic else spec.short_str()
-        return f"<fiber {name} at {at}: dim {self.dim} over {self.field!r}>"
+def _map_table(A, f, name, base, prime=None, validate=False):
+    """A's table with every coefficient (structure constants, unit, trace
+    vector) sent through f, as a table over base."""
+    sc = tuple(tuple(tuple(f(c) for c in row) for row in plane) for plane in A.sc)
+    unit = tuple(f(u) for u in A.unit)
+    tv = tuple(f(t) for t in A.trace_vector) if A.trace_vector is not None else None
+    return FiniteFreeAlgebra(name, base, A.basis_names, sc, unit, tv, validate=validate,
+                             prime=prime)
 
 
 def specialize(A, p, validate=False):
@@ -206,15 +203,8 @@ def specialize(A, p, validate=False):
     """
     if p.ring != A.ring:
         raise UnsupportedRing(f"prime of {p.ring!r} applied to algebra over {A.ring!r}")
-    n = A.dim
-    sc = tuple(
-        tuple(tuple(reduce_elem(A.sc[i][j][k], p) for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-    unit = tuple(reduce_elem(u, p) for u in A.unit)
-    tv = tuple(reduce_elem(t, p) for t in A.trace_vector) if A.trace_vector is not None else None
-    return FiberAlgebra(p.residue_field, A.basis_names, sc, unit, (A.name, p), tv,
-                        validate=validate)
+    return _map_table(A, lambda c: reduce_elem(c, p), A.name, p.residue_field, prime=p,
+                      validate=validate)
 
 
 def restrict(A, p):
@@ -222,15 +212,7 @@ def restrict(A, p):
     if p.is_generic:
         return A
     cur, push = quotient_chain(A.ring, p.generators)
-    n = A.dim
-    sc = tuple(
-        tuple(tuple(push(A.sc[i][j][k]) for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-    unit = tuple(push(u) for u in A.unit)
-    tv = tuple(push(t) for t in A.trace_vector) if A.trace_vector is not None else None
-    name = f"{A.name}|{p.short_str()}"
-    return FiniteFreeAlgebra(name, cur, A.basis_names, sc, unit, tv, validate=False)
+    return _map_table(A, push, f"{A.name}|{p.short_str()}", cur)
 
 
 # --- sublattices and ideals -----------------------------------------------------
@@ -239,11 +221,10 @@ class SubLattice:
     """Subspace of a fiber (canonical reduced echelon rows) or sublattice of
     an algebra over Z / k[x] (canonical Hermite rows of ring elements)."""
 
-    def __init__(self, ambient, rows, over_field, saturated=False):
+    def __init__(self, ambient, rows):
         self.ambient = ambient
         self.rows = tuple(tuple(r) for r in rows)
-        self.over_field = over_field
-        self.saturated = saturated
+        self.over_field = ambient.over_field
 
     @property
     def dim(self):
@@ -272,56 +253,31 @@ class SubLattice:
         return lattice_member(E, reps, [E.to_rep(c) for c in vec]) is not None
 
 
-def span_subspace(fiber, vectors):
-    rows, _ = rref_rows(fiber.field, list(vectors)) if vectors else ([], [])
-    return SubLattice(fiber, rows, over_field=True)
+def span_subspace(ambient, vectors):
+    """Canonical span of the vectors: reduced echelon rows over a field,
+    Hermite rows over a Euclidean ring."""
+    if ambient.over_field:
+        rows, _ = rref_rows(ambient.field, list(vectors)) if vectors else ([], [])
+        return SubLattice(ambient, rows)
+    E = EuclideanRing(ambient.ring)
+    reps = [[E.to_rep(c) for c in v] for v in vectors]
+    basis = hermite_normal_form(E, reps).basis
+    return SubLattice(ambient, [[E.from_rep(c) for c in row] for row in basis])
 
 
 def ideal_closure(ambient, generators):
     """Smallest two-sided ideal containing the generators, as a canonical
     SubLattice; closure by repeated one-sided multiplications to a fixpoint."""
-    if isinstance(ambient, FiberAlgebra):
-        return _ideal_closure_fiber(ambient, generators)
-    return _ideal_closure_ring(ambient, generators)
-
-
-def _ideal_closure_fiber(fiber, generators):
-    F = fiber.field
-    current = span_subspace(fiber, [list(g) for g in generators])
+    if not ambient.over_field and not ambient.ring.is_euclidean:
+        raise UnsupportedRing("ideal closure over a two-variable ring needs the generic fiber")
+    current = span_subspace(ambient, [list(g) for g in generators])
     while True:
         new_rows = list(current.rows)
         for v in current.rows:
-            for i in range(fiber.dim):
-                b = fiber.basis_vector(i)
-                new_rows.append(fiber.vec_mul(b, list(v)))
-                new_rows.append(fiber.vec_mul(list(v), b))
-        nxt = span_subspace(fiber, new_rows)
-        if nxt.dim == current.dim:
-            return nxt
-        current = nxt
-
-
-def _ideal_closure_ring(A, generators):
-    if not A.ring.is_euclidean:
-        raise UnsupportedRing("ideal closure over a two-variable ring needs the generic fiber")
-    E = EuclideanRing(A.ring)
-
-    def hnf_of(vecs):
-        reps = [[E.to_rep(c) for c in v] for v in vecs]
-        basis = hermite_normal_form(E, reps).basis
-        return [tuple(E.from_rep(c) for c in row) for row in basis]
-
-    current = hnf_of([list(g) for g in generators])
-    while True:
-        new_rows = [list(r) for r in current]
-        for v in current:
-            for i in range(A.dim):
-                b = A.basis_vector(i)
-                new_rows.append(A.vec_mul(b, list(v)))
-                new_rows.append(A.vec_mul(list(v), b))
-        nxt = hnf_of(new_rows)
+            new_rows.extend(w for _, w in ambient.one_sided_products(v))
+        nxt = span_subspace(ambient, new_rows)
         if nxt == current:
-            return SubLattice(A, nxt, over_field=False)
+            return nxt
         current = nxt
 
 
@@ -351,10 +307,10 @@ def quotient_algebra(fiber, ideal):
             prod = project(fiber.vec_mul(ea, eb))
             for c in range(m):
                 sc[a][b][c] = prod[c]
-    name, spec = fiber.provenance
     names = [fiber.basis_names[j] for j in keep]
-    return FiberAlgebra(F, names, tuple(tuple(tuple(r) for r in row) for row in sc),
-                        unit, (f"{name}/ideal", spec), validate=False)
+    return FiniteFreeAlgebra(f"{fiber.name}/ideal", F, names,
+                             tuple(tuple(tuple(r) for r in row) for row in sc),
+                             unit, validate=False, prime=fiber.prime)
 
 
 # --- definition files -------------------------------------------------------------
@@ -378,14 +334,15 @@ def serialize_algebra(A):
 
 
 def load_algebra(text, validate=True):
-    """Parse and validate an algebra definition (see serialize_algebra)."""
+    """Parse and validate an algebra definition (see serialize_algebra).
+    Malformed lines raise ValidationError naming the line number."""
     name = None
     ring = None
     basis = None
     unit = None
     trace = None
-    muls = []
-    for raw in text.splitlines():
+    muls = {}  # (i, j, k) -> (line number, coefficient text)
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -399,13 +356,27 @@ def load_algebra(text, validate=True):
             ring = parse_ring(rest)
         elif head == "basis":
             basis = tuple(rest.split())
+            for b in basis:
+                if basis.count(b) > 1:
+                    raise ValidationError(f"line {lineno}: basis name {b!r} is repeated")
         elif head == "unit":
             unit = [p.strip() for p in rest.split(",")]
         elif head == "trace":
             trace = [p.strip() for p in rest.split(",")]
         elif head == "mul":
-            i, j, k, expr = rest.split(maxsplit=3)
-            muls.append((int(i), int(j), int(k), expr))
+            fields = rest.split(maxsplit=3)
+            if len(fields) != 4:
+                raise ValidationError(f"line {lineno}: expected 'mul i j k coefficient'")
+            try:
+                ijk = tuple(int(f) for f in fields[:3])
+            except ValueError:
+                raise ValidationError(
+                    f"line {lineno}: mul indices must be integers, got {' '.join(fields[:3])!r}"
+                ) from None
+            if ijk in muls:
+                raise ValidationError(
+                    f"line {lineno}: mul {' '.join(map(str, ijk))} repeats line {muls[ijk][0]}")
+            muls[ijk] = (lineno, fields[3])
         else:
             raise UnsupportedRing(f"unknown definition line {line!r}")
     if name is None or ring is None or basis is None or unit is None:
@@ -414,10 +385,13 @@ def load_algebra(text, validate=True):
     if len(unit) != n or (trace is not None and len(trace) != n):
         raise NoUnit("unit/trace length does not match the basis")
     sc = [[[ring.zero() for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for i, j, k, expr in muls:
+    for (i, j, k), (lineno, expr) in muls.items():
         if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
-            raise NotAssociative(f"mul indices {i} {j} {k} out of range")
-        sc[i][j][k] = ring.parse(expr)
+            raise NotAssociative(f"line {lineno}: mul indices {i} {j} {k} out of range")
+        try:
+            sc[i][j][k] = ring.parse(expr)
+        except ValueError as e:
+            raise ValidationError(f"line {lineno}: {e}") from None
     sc = tuple(tuple(tuple(row) for row in plane) for plane in sc)
     unit_v = [ring.parse(e) for e in unit]
     trace_v = [ring.parse(e) for e in trace] if trace is not None else None
@@ -433,12 +407,11 @@ def nilpotency_index(ambient, lattice):
     """Smallest N with lattice^N = 0, or None when the powers stabilize at a
     nonzero subspace.  Ring lattices are checked in the generic fiber, which
     is equivalent for torsion-free lattices."""
-    if isinstance(ambient, FiniteFreeAlgebra):
+    if not ambient.over_field:
         fiber = ambient.generic_fiber()
         rows = [[ambient.ring.to_field(c) for c in row] for row in lattice.rows]
         lattice = span_subspace(fiber, rows)
         ambient = fiber
-    F = ambient.field
     if lattice.dim == 0:
         return 1
     power = lattice

@@ -9,7 +9,6 @@ for a fixed seed; `--format structured` emits JSON with stable keys.
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import factor
 from .algebra import load_algebra_file, serialize_algebra, specialize
@@ -322,7 +321,7 @@ def cmd_corpus_build(args):
 # --- verify-all -----------------------------------------------------------------------
 
 def _verify_job(job):
-    """One corpus verification job; runs in a worker process."""
+    """One corpus verification job on a freshly built algebra: (ok, detail)."""
     kind, key, prime_str, seed = job
     entry = REGISTRY[key]
     A = entry.algebra()
@@ -330,36 +329,36 @@ def _verify_job(job):
         if kind == "notsplit":
             try:
                 split_data(A, seed)
-                return (job, False, "expected a non-split generic fiber")
+                return False, "expected a non-split generic fiber"
             except NotSplit:
-                return (job, True, "generic fiber is not split, as expected")
+                return True, "generic fiber is not split, as expected"
         if kind == "discriminant":
             dec = dec_ex(A, seed=seed)
             got = sorted(str(pt.prime.generators[0]) for pt in dec.excluded)
             want = sorted(entry.facts["excluded"])
             ok = got == want and not dec.unknown
-            return (job, ok, f"excluded {got}, expected {want}")
+            return ok, f"excluded {got}, expected {want}"
         if kind == "schur":
             rep = schur_discriminant_crosscheck(A, seed=seed)
             want = entry.facts["schur"]
             got = [str(c) for c in rep["schur_elements"]]
             ok = rep["match"] and got == want
-            return (job, ok, f"schur {got} (expected {want}), match {rep['match']}")
+            return ok, f"schur {got} (expected {want}), match {rep['match']}"
         if kind == "trivial":
             p = parse_prime(prime_str, A.ring)
             ev = dec_gen_membership(A, p, seed=seed, verify=True)
             want = entry.facts["trivial"][prime_str]
             ok = ev.trivial == want and ev.matrix_agrees
-            return (job, ok, f"trivial={ev.trivial} (expected {want}), matrix agrees")
+            return ok, f"trivial={ev.trivial} (expected {want}), matrix agrees"
         if kind == "decmat":
             p = parse_prime(prime_str, A.ring)
             D = decomposition_matrix(A, p, seed=seed)
             want = tuple(tuple(r) for r in entry.facts["decmat"][prime_str])
             ok = D.entries == want
-            return (job, ok, f"matrix {D.entries} (expected {want})")
-        return (job, False, f"unknown job kind {kind}")
+            return ok, f"matrix {D.entries} (expected {want})"
+        return False, f"unknown job kind {kind}"
     except EngineError as e:
-        return (job, False, f"{type(e).__name__}: {e}")
+        return False, f"{type(e).__name__}: {e}"
 
 
 def _verify_jobs(seed):
@@ -383,19 +382,10 @@ def _verify_jobs(seed):
 
 
 def cmd_verify_all(args):
-    import os
-
-    jobs = _verify_jobs(args.seed)
-    workers = min(4, os.cpu_count() or 1)
-    if args.serial:
-        results = [_verify_job(j) for j in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_verify_job, jobs))
-    results.sort(key=lambda r: jobs.index(r[0]))
     report = {"jobs": [], "passed": 0, "failed": 0}
     lines = []
-    for job, ok, msg in results:
+    for job in _verify_jobs(args.seed):
+        ok, msg = _verify_job(job)
         kind, key, prime_str, _ = job
         label = f"{key}:{kind}" + (f"@{prime_str}" if prime_str else "")
         report["jobs"].append({"job": label, "ok": ok, "detail": msg})
@@ -404,6 +394,12 @@ def cmd_verify_all(args):
     lines.append(f"{report['passed']} passed, {report['failed']} failed")
     _emit(report, lines, args.format)
     return 0 if report["failed"] == 0 else 1
+
+
+def _positive_int(text):
+    if not text.isdigit() or int(text) == 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
 
 
 def build_parser():
@@ -421,7 +417,7 @@ def build_parser():
                            help="p=<int> | gen=[<poly>,...] | generic")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--format", choices=("table", "structured"), default="table")
-        p.add_argument("--max-degree", type=int, default=None,
+        p.add_argument("--max-degree", type=_positive_int, default=None,
                        help="factorization budget (trial division limit)")
 
     handlers = {}
@@ -453,7 +449,8 @@ def build_parser():
                               p.add_argument("--out", default="corpus")))
     register("verify-all", cmd_verify_all, needs_algebra=False,
              extra=lambda p: p.add_argument("--serial", action="store_true",
-                                            help="run verification jobs in-process"))
+                                            help="accepted for compatibility; verify-all "
+                                                 "always runs its jobs in-process"))
     ap._handlers = handlers
     return ap
 
@@ -461,9 +458,10 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
+    handler = ap._handlers[args.command]
+    saved_limit = factor.DEFAULT_TRIAL_LIMIT
     if args.max_degree:
         factor.DEFAULT_TRIAL_LIMIT = args.max_degree
-    handler = ap._handlers[args.command]
     try:
         return handler(args)
     except EngineError as e:
@@ -472,6 +470,8 @@ def main(argv=None):
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    finally:
+        factor.DEFAULT_TRIAL_LIMIT = saved_limit
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ tagged with how it was obtained.
 import random
 from dataclasses import dataclass, field
 
-from .algebra import FiniteFreeAlgebra, FiberAlgebra
+from .algebra import FiniteFreeAlgebra
 from .errors import NotAGroup, UnsupportedRing
 from .fields import GFPrime
 from .linalg import Matrix, det
@@ -325,8 +325,8 @@ def conjugate_fiber(fiber, S):
             plane.append(tuple(to_new(prod)))
         sc.append(tuple(plane))
     unit = tuple(to_new(list(fiber.unit)))
-    return FiberAlgebra(F, fiber.basis_names, tuple(sc), unit,
-                        (fiber.provenance[0] + "~conj", fiber.provenance[1]))
+    return FiniteFreeAlgebra(fiber.name + "~conj", F, fiber.basis_names, tuple(sc), unit,
+                             prime=fiber.prime)
 
 
 def small_fiber_family(p, count, seed=0):

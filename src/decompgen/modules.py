@@ -389,21 +389,7 @@ def _regular_trace_vector(fiber):
 
 def regular_trace_gram(fiber):
     """G[i][j] = trace of left multiplication by b_i b_j."""
-    F = fiber.field
-    n = fiber.dim
-    tr = _regular_trace_vector(fiber)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = F.zero
-            for k in range(n):
-                c = fiber.sc[i][j][k]
-                if not F.is_zero(c) and not F.is_zero(tr[k]):
-                    acc = F.add(acc, F.mul(c, tr[k]))
-            row.append(acc)
-        rows.append(row)
-    return Matrix(F, rows)
+    return Matrix(fiber.field, fiber.form_gram(_regular_trace_vector(fiber)))
 
 
 def radical(fiber, seed=1, simples=None):
@@ -436,13 +422,9 @@ def radical(fiber, seed=1, simples=None):
 def _assert_radical(fiber, lattice):
     from .algebra import nilpotency_index
 
-    for v in lattice.rows:
-        for i in range(fiber.dim):
-            b = fiber.basis_vector(i)
-            if not lattice.contains_vector(fiber.vec_mul(b, list(v))):
-                raise RadicalNotNilpotent("radical candidate is not a left ideal")
-            if not lattice.contains_vector(fiber.vec_mul(list(v), b)):
-                raise RadicalNotNilpotent("radical candidate is not a right ideal")
+    side = fiber.unstable_side(lattice.rows, lattice)
+    if side:
+        raise RadicalNotNilpotent(f"radical candidate is not a {side} ideal")
     if nilpotency_index(fiber, lattice) is None:
         raise RadicalNotNilpotent("radical candidate is not nilpotent")
 

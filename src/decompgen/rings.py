@@ -217,6 +217,21 @@ class RingElement:
         return f"<{self} in {self.ring!r}>"
 
 
+class RingScalars:
+    """A ring as the scalar domain of an algebra table: the zero/one/add/mul/
+    is_zero interface of a field, bound straight to the RingElement methods
+    so a table loop pays no extra call per operation."""
+
+    is_field = False
+    add = staticmethod(RingElement.__add__)
+    mul = staticmethod(RingElement.__mul__)
+    is_zero = staticmethod(RingElement.is_zero)
+
+    def __init__(self, ring):
+        self.zero = ring.zero()
+        self.one = ring.one()
+
+
 # --- ring-level gcd, contents, exact division --------------------------------
 
 def ring_exact_div(a, b):
@@ -444,6 +459,8 @@ def _parse_poly(text, ring):
 
     def take():
         nonlocal pos
+        if pos == len(toks):
+            raise ValueError(f"polynomial {text!r} ends too early")
         t = toks[pos]
         pos += 1
         return t

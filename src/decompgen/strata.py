@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedError,
     UnsupportedRestriction,
 )
-from .algebra import FiberAlgebra, restrict, span_subspace
+from .algebra import FiniteFreeAlgebra, restrict, span_subspace
 from .decomposition import fiber_split_data, split_data
 from .factor import factor_integer, factor_univariate, factor_zx_primitive
 from .fields import IntegerOps, Rationals
@@ -135,13 +135,9 @@ def _assert_lattice(A, lat, generic_radical):
     span = span_subspace(fiber, rows_K)
     if span.dim != generic_radical.dim or span != generic_radical:
         raise EngineError("integral radical lattice does not span the generic radical")
-    for row in rows_K:
-        for i in range(fiber.dim):
-            b = fiber.basis_vector(i)
-            if not generic_radical.contains_vector(fiber.vec_mul(b, row)):
-                raise EngineError("radical lattice is not stable under left multiplication")
-            if not generic_radical.contains_vector(fiber.vec_mul(row, b)):
-                raise EngineError("radical lattice is not stable under right multiplication")
+    side = fiber.unstable_side(rows_K, generic_radical)
+    if side:
+        raise EngineError(f"radical lattice is not stable under {side} multiplication")
 
 
 def _minor_gcd(A, lat):
@@ -236,8 +232,8 @@ def quotient_over_ring(A, lat):
         for c in row:
             absorb(c)
     names = tuple(f"q{i}" for i in range(m))
-    B = FiberAlgebra(K, names, tuple(tuple(tuple(r) for r in p) for p in sc),
-                     unit, (A.name + "/J", None), validate=False)
+    B = FiniteFreeAlgebra(A.name + "/J", K, names, tuple(tuple(tuple(r) for r in p) for p in sc),
+                          unit, validate=False)
     return B, denoms
 
 

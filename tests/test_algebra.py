@@ -3,12 +3,14 @@
 import pytest
 
 from decompgen.algebra import (
+    FiniteFreeAlgebra,
     ideal_closure,
     load_algebra,
     nilpotency_index,
     quotient_algebra,
     restrict,
     serialize_algebra,
+    span_subspace,
     specialize,
 )
 from decompgen.errors import (
@@ -16,8 +18,10 @@ from decompgen.errors import (
     NotAssociative,
     UnitInIdeal,
     UnsupportedRestriction,
+    ValidationError,
 )
 from decompgen.corpus import dual_numbers
+from decompgen.fields import GFPrime
 from decompgen.primes import generic_point, prime_spec
 from decompgen.rings import parse_ring
 
@@ -59,6 +63,42 @@ mul 1 2 0 1
 """
     with pytest.raises(NotAssociative):
         load_algebra(bad_assoc)
+    # the same checks on a table built directly, over Z and over GF(5)
+    bad = load_algebra(bad_assoc, validate=False)
+    F5 = GFPrime(5)
+    for base, conv in ((Z, Z.from_int), (F5, F5.from_int)):
+        sc = tuple(tuple(tuple(conv(c.const_value()) for c in row) for row in plane)
+                   for plane in bad.sc)
+        unit = tuple(conv(c.const_value()) for c in bad.unit)
+        with pytest.raises(NotAssociative):
+            FiniteFreeAlgebra("broken", base, bad.basis_names, sc, unit)
+        with pytest.raises(NoUnit):
+            FiniteFreeAlgebra("short", base, ("a", "b"), sc[:2], unit[:1])
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda t: t.replace("basis e s", "basis e e"), "line 4: basis name 'e' is repeated"),
+    (lambda t: t + "mul 0 0 0 2\n", "line 10: mul 0 0 0 repeats line 6"),
+    (lambda t: t + "mul 0 0\n", "line 10: expected 'mul i j k coefficient'"),
+    (lambda t: t + "mul 0 x 0 1\n", "line 10: mul indices must be integers"),
+    (lambda t: t + "mul 1 1 0 2*\n", "line 10: "),
+    (lambda t: t + "mul 0 0 2 1\n", "line 10: mul indices 0 0 2 out of range"),
+])
+def test_load_reports_the_bad_line(edit, message):
+    text = """
+algebra idem
+ring Z
+basis e s
+unit 1, 0
+mul 0 0 0 1
+mul 0 1 1 1
+mul 1 0 1 1
+mul 1 1 1 1
+"""
+    load_algebra(text)
+    with pytest.raises(ValidationError) as exc:
+        load_algebra(edit(text))
+    assert str(exc.value).startswith(message)
 
 
 def test_b2_loads_and_serializes(corpus):
@@ -147,6 +187,18 @@ def test_left_regular_matrices(corpus):
     y = [B2.field.from_int(k) for k in (-1, 0, 2)]
     assert B2.left_regular_matrix(x).mul(B2.left_regular_matrix(y)) == \
         B2.left_regular_matrix(B2.vec_mul(x, y))
+
+
+def test_unstable_side_names_the_failing_multiplication(corpus):
+    # UT2: e01 spans a two-sided ideal; e00 e01 = e01 and e01 e11 = e01 leave
+    # the spans of e00 and e11 on the right and on the left
+    A = corpus["UT2_Z"]
+    for table in (A, A.generic_fiber()):
+        got = []
+        for i in range(3):
+            lat = span_subspace(table, [table.basis_vector(i)])
+            got.append(table.unstable_side(lat.rows, lat))
+        assert got == ["right", None, "left"]
 
 
 def test_ideal_closure_and_quotient(corpus):

@@ -151,6 +151,20 @@ def test_verify_all_serial(capsys):
     assert "0 failed" in out
 
 
+def test_max_degree_applies_to_one_call_only(corpdir, capsys, monkeypatch):
+    from decompgen import factor
+
+    monkeypatch.setattr(factor, "DEFAULT_TRIAL_LIMIT", factor.DEFAULT_TRIAL_LIMIT)
+    rc, _, _ = run_cli(["validate", str(corpdir / "ZS3.alg"), "--max-degree", "3"], capsys)
+    assert rc == 0
+    # 1009 * 1013 needs trial division past 3; a leaked budget raises here
+    assert factor.factor_integer(1009 * 1013) == (1, [(1009, 1), (1013, 1)])
+    for bad in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", str(corpdir / "ZS3.alg"), "--max-degree", bad])
+        assert exc.value.code == 2
+
+
 def test_definition_roundtrip_through_cli(corpdir, tmp_path, capsys):
     from decompgen.algebra import load_algebra_file, serialize_algebra
 

@@ -128,11 +128,10 @@ def test_field_extension_compatibility():
         tuple(tuple(F4.from_int(c) for c in row) for row in plane)
         for plane in group.sc
     )
-    from decompgen.algebra import FiberAlgebra
+    from decompgen.algebra import FiniteFreeAlgebra
 
-    lifted_fiber = FiberAlgebra(F4, group.basis_names, lifted_sc,
-                                tuple(F4.from_int(c) for c in group.unit),
-                                ("F4C2", None))
+    lifted_fiber = FiniteFreeAlgebra("F4C2", F4, group.basis_names, lifted_sc,
+                                     tuple(F4.from_int(c) for c in group.unit))
     lifted = AlgebraModule(lifted_fiber, lifted_action)
     fp4 = fingerprint(lifted)
     embedded = tuple(tuple(F4.from_int(c) for c in poly) for poly in fp.polys)

@@ -224,7 +224,7 @@ def test_radical_against_exhaustive_search_small(p):
 def test_non_split_simple_over_function_field_raises_budget():
     """Certifying simplicity over k(d) needs factorization the engine does
     not have when End is a proper extension; it must raise, not guess."""
-    from decompgen.algebra import FiberAlgebra
+    from decompgen.algebra import FiniteFreeAlgebra
     from decompgen.errors import ChopBudgetExceeded
 
     K = Qd.fraction_field()
@@ -232,7 +232,7 @@ def test_non_split_simple_over_function_field_raises_budget():
     z, o = K.zero, K.one
     # the quadratic extension K[t]/(t^2 - d) as a 2-dim K-algebra
     sc = (((o, z), (z, o)), ((z, o), (d, z)))
-    F = FiberAlgebra(K, ("one", "t"), sc, (o, z), ("quad-ext", None))
+    F = FiniteFreeAlgebra("quad-ext", K, ("one", "t"), sc, (o, z))
     with pytest.raises(ChopBudgetExceeded):
         chop(regular_module(F), attempts=10)
 
