@@ -46,6 +46,8 @@ class FiniteFreeAlgebra:
         self.sc = sc  # sc[i][j][k]: scalar of the domain
         self.unit = tuple(unit)
         self.trace_vector = tuple(trace_vector) if trace_vector is not None else None
+        self.analyses = {}  # the modules._per_table memo, shared through _map_table
+        self._generic_fiber = None
         if validate:
             self._validate()
 
@@ -176,7 +178,9 @@ class FiniteFreeAlgebra:
         return self._gram_ring
 
     def generic_fiber(self):
-        return specialize(self, generic_point(self.ring))
+        if self._generic_fiber is None:
+            self._generic_fiber = specialize(self, generic_point(self.ring))
+        return self._generic_fiber
 
     def __repr__(self):
         if not self.over_field:
@@ -191,8 +195,10 @@ def _map_table(A, f, name, base, prime=None, validate=False):
     sc = tuple(tuple(tuple(f(c) for c in row) for row in plane) for plane in A.sc)
     unit = tuple(f(u) for u in A.unit)
     tv = tuple(f(t) for t in A.trace_vector) if A.trace_vector is not None else None
-    return FiniteFreeAlgebra(name, base, A.basis_names, sc, unit, tv, validate=validate,
-                             prime=prime)
+    B = FiniteFreeAlgebra(name, base, A.basis_names, sc, unit, tv, validate=validate,
+                          prime=prime)
+    B.analyses = A.analyses
+    return B
 
 
 def specialize(A, p, validate=False):
@@ -378,7 +384,7 @@ def load_algebra(text, validate=True):
                     f"line {lineno}: mul {' '.join(map(str, ijk))} repeats line {muls[ijk][0]}")
             muls[ijk] = (lineno, fields[3])
         else:
-            raise UnsupportedRing(f"unknown definition line {line!r}")
+            raise ValidationError(f"line {lineno}: unknown definition line {line!r}")
     if name is None or ring is None or basis is None or unit is None:
         raise NoUnit("definition must provide algebra, ring, basis and unit lines")
     n = len(basis)

@@ -25,22 +25,15 @@ from .primes import contains, prime_spec, quotient_chain
 
 
 def split_data(A, seed=1):
-    """Cached Wedderburn data of the generic fiber; NotSplit if it fails."""
-    cache = getattr(A, "_split_cache", None)
-    if cache is None or cache[0] != seed:
-        fiber = A.generic_fiber()
-        ok, wd = is_split(fiber, seed=seed)
-        cache = (seed, ok, wd)
-        A._split_cache = cache
-    _, ok, wd = cache
+    """Wedderburn data of the generic fiber; NotSplit if it fails."""
+    ok, wd = is_split(A.generic_fiber(), seed=seed)
     if not ok:
         raise NotSplit(f"the generic fiber of {A.name} does not split")
     return wd
 
 
 def fiber_split_data(A, p, seed=1):
-    fiber = specialize(A, p)
-    ok, wd = is_split(fiber, seed=seed)
+    ok, wd = is_split(specialize(A, p), seed=seed)
     if not ok:
         raise NotSplit(f"the fiber of {A.name} at {p.short_str()} does not split")
     return wd
@@ -148,6 +141,12 @@ def decomposition_matrix(A, p, seed=1):
             raise NoIntegerSolution(
                 f"dimension bookkeeping fails in row {i} at {p.short_str()}")
         entries.append(drow)
+    # reducing the generic regular module gives the fiber's regular module:
+    # sum_i jh_K(S_i) D[i][j] = jh_p(T_j) for every fiber simple T_j
+    for j, jh in enumerate(wf.jh_multiplicities):
+        if sum(m * row[j] for m, row in zip(wk.jh_multiplicities, entries)) != jh:
+            raise NoIntegerSolution(
+                f"regular-module multiplicities fail in column {j} at {p.short_str()}")
     return DecompositionMatrix(
         A.name, p, tuple(entries),
         tuple(s.dim for s in wk.simples), tuple(s.dim for s in wf.simples),
@@ -170,9 +169,7 @@ def is_trivial(D):
 
 def triviality_by_radical(A, p, seed=1):
     """dim Jac(generic fiber) == dim Jac(fiber at p), both sides split."""
-    wk = split_data(A, seed)
-    wf = fiber_split_data(A, p, seed)
-    return wk.radical_dim == wf.radical_dim
+    return dec_gen_membership(A, p, seed).trivial
 
 
 @dataclass

@@ -60,10 +60,10 @@ class AttractorGenerators:
 def attractor_generators(A, seed=1):
     """All fingerprint coefficients of the generic simples, validated to lie
     in the base ring."""
-    from .modules import chop, regular_module
+    from .modules import regular_factors
 
     fiber = A.generic_fiber()
-    factors = chop(regular_module(fiber), seed=seed)
+    factors = regular_factors(fiber, seed)
     ring = A.ring
     K = fiber.field
     seen = {}

@@ -17,6 +17,7 @@ from a growing window, so the same seed gives the same run over any field.
 
 import random
 from dataclasses import dataclass
+from functools import wraps
 
 from . import polyops as P
 from .errors import ChopBudgetExceeded, EngineError, RadicalNotNilpotent
@@ -37,12 +38,10 @@ from .algebra import span_subspace
 class AlgebraModule:
     """A module over a fiber algebra: one action matrix per basis element."""
 
-    def __init__(self, fiber, action, validate=False):
+    def __init__(self, fiber, action):
         self.fiber = fiber
         self.action = action  # list of Matrix
         self.dim = action[0].nrows if action else 0
-        if validate:
-            self.validate()
 
     def validate(self):
         F = self.fiber.field
@@ -360,6 +359,27 @@ def chop(module, seed=1, attempts=80):
     return [grouped[k] for k in sorted(grouped)]
 
 
+def _per_table(analysis):
+    """Memoize analysis(fiber, seed) per distinct table in the fiber's algebra
+    family: the `analyses` dict of the loaded algebra, shared by its
+    specializations and restrictions and keyed by table content, so the fiber
+    at p and the generic fiber of the restriction to V(p) share one result.
+    Every caller gets the same result object and must not mutate it."""
+    @wraps(analysis)
+    def memoized(fiber, seed=1):
+        key = (analysis.__name__, fiber.field, fiber.sc, fiber.unit, seed)
+        if key not in fiber.analyses:
+            fiber.analyses[key] = analysis(fiber, seed)
+        return fiber.analyses[key]
+    return memoized
+
+
+@_per_table
+def regular_factors(fiber, seed=1):
+    """chop of the fiber's regular module."""
+    return chop(regular_module(fiber), seed=seed)
+
+
 def is_isomorphic(S, T, cross_validate=False):
     """Fingerprint comparison; complete for certified simples over one fiber."""
     if S.module.fiber.field != T.module.fiber.field:
@@ -392,7 +412,8 @@ def regular_trace_gram(fiber):
     return Matrix(fiber.field, fiber.form_gram(_regular_trace_vector(fiber)))
 
 
-def radical(fiber, seed=1, simples=None):
+@_per_table
+def radical(fiber, seed=1):
     """Basis of the Jacobson radical as a canonical SubLattice.
 
     Characteristic zero: kernel of the regular trace form.  Characteristic
@@ -404,10 +425,8 @@ def radical(fiber, seed=1, simples=None):
     if F.characteristic == 0:
         ker = kernel_basis(regular_trace_gram(fiber))
     else:
-        if simples is None:
-            simples = [s for s, _ in chop(regular_module(fiber), seed=seed)]
         cols = []
-        for s in simples:
+        for s, _ in regular_factors(fiber, seed):
             mats = s.module.action
             for a in range(s.dim):
                 for b in range(s.dim):
@@ -448,6 +467,7 @@ class WedderburnData:
         return total == self.fiber.dim
 
 
+@_per_table
 def is_split(fiber, seed=1):
     """(split?, WedderburnData) for a fiber algebra.
 
@@ -455,7 +475,7 @@ def is_split(fiber, seed=1):
     radical, dim S / dim End(S); only then does the Artin-Wedderburn count
     radical_dim + sum(mult * dim) = dim A close up.
     """
-    factors = chop(regular_module(fiber), seed=seed)
+    factors = regular_factors(fiber, seed)
     simples = [s for s, _ in factors]
     jh_mults = [m for _, m in factors]
     endo = [hom_dim(s.module, s.module) for s in simples]
@@ -464,7 +484,7 @@ def is_split(fiber, seed=1):
             raise RadicalNotNilpotent(
                 f"endomorphism dimension {e} does not divide module dimension {s.dim}")
     mults = [s.dim // e for s, e in zip(simples, endo)]
-    rad = radical(fiber, seed=seed, simples=simples)
+    rad = radical(fiber, seed=seed)
     data = WedderburnData(fiber, simples, mults, jh_mults, endo, rad.dim)
     if not data.bookkeeping_ok():
         raise RadicalNotNilpotent(

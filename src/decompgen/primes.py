@@ -364,25 +364,7 @@ def quotient_chain(ring, generators):
 
 def denominator_ideal(alpha, ring):
     """Canonical generator of {r in R : r*alpha in R} for alpha in Frac(R)."""
-    if ring.nv == 0:
-        if ring.is_field_ring:
-            return ring.one()
-        return ring.from_int(alpha.denominator)
-    F = ring.fraction_field()
-    num, den = F.numerator(alpha), F.denominator(alpha)
-    if not isinstance(ring.coeff, IntegerOps):
-        return normalize_generator(ring.element(den))
-    # Z[x]: extract rational contents to find the honest denominator
-    from .rings import _rat_clear_denoms
-
-    ratring = RingDescriptor(Rationals(), ring.varnames)
-    cn, _ = _rat_clear_denoms(ratring.element(num))
-    cd, dprim = _rat_clear_denoms(ratring.element(den))
-    if cn == 0:
-        return ring.one()
-    r = cn / cd
-    dz = ring.element(tuple((e, int(c)) for e, c in dprim))
-    return normalize_generator(dz * r.denominator)
+    return normalize_generator(numerator_denominator_in_ring(alpha, ring)[1])
 
 
 def is_in_localization(alpha, spec):

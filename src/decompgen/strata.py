@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedRestriction,
 )
 from .algebra import FiniteFreeAlgebra, restrict, span_subspace
-from .decomposition import fiber_split_data, split_data
+from .decomposition import dec_gen_membership, split_data
 from .factor import factor_integer, factor_univariate, factor_zx_primitive
 from .fields import IntegerOps, Rationals
 from .linalg import (
@@ -36,7 +36,7 @@ from .linalg import (
     saturate_rows,
     unimodular_complement,
 )
-from .modules import regular_trace_gram
+from .modules import radical, regular_factors, regular_trace_gram
 from .primes import (
     contains,
     numerator_denominator_in_ring,
@@ -95,8 +95,6 @@ def _ring_exact(a, b):
 def radical_lattice(A, seed=1):
     """Integral form of the generic radical: denominators cleared, and over
     Z and k[x] Hermite-saturated so the quotient is torsion free."""
-    from .modules import radical
-
     fiber = A.generic_fiber()
     rad = radical(fiber, seed=seed)
     ring = A.ring
@@ -270,11 +268,10 @@ def _character_gram_det(B, seed):
     """Determinant of G[i][j] = sum over simples of trace(b_i b_j acting);
     None when the quotient cannot be chopped."""
     from .errors import ChopBudgetExceeded
-    from .modules import chop, regular_module
 
     K = B.field
     try:
-        factors = chop(regular_module(B), seed=seed)
+        factors = regular_factors(B, seed)
     except ChopBudgetExceeded:
         return None
     acts = [[s.module.action[i] for i in range(B.dim)] for s, _ in factors]
@@ -617,23 +614,19 @@ def dec_ex(A, seed=1):
         return Discriminant(A.name, g, [DiscriminantPoint(
             UnresolvedPrime(g, "trace certificate degenerates"), "Unknown",
             reason="degenerate certificate")])
-    wk = split_data(A, seed)
+    split_data(A, seed)  # a non-split generic fiber ends the node, not one point
     points = []
     for item in minimal_primes(g, seed=seed):
         if isinstance(item, UnresolvedPrime):
             points.append(DiscriminantPoint(item, "Unknown", reason=item.reason))
             continue
         try:
-            wf = fiber_split_data(A, item, seed=seed)
+            ev = dec_gen_membership(A, item, seed=seed)
         except NotSplit as e:
             points.append(DiscriminantPoint(item, "Unknown", reason=str(e)))
             continue
-        if wf.radical_dim == wk.radical_dim:
-            points.append(DiscriminantPoint(item, "RecoveredTrivial",
-                                            wk.radical_dim, wf.radical_dim))
-        else:
-            points.append(DiscriminantPoint(item, "Excluded",
-                                            wk.radical_dim, wf.radical_dim))
+        points.append(DiscriminantPoint(item, "RecoveredTrivial" if ev.trivial else "Excluded",
+                                        ev.generic_radical_dim, ev.fiber_radical_dim))
     return Discriminant(A.name, g, points)
 
 

@@ -21,7 +21,9 @@ from decompgen.errors import (
     ValidationError,
 )
 from decompgen.corpus import dual_numbers
+from decompgen.decomposition import split_data
 from decompgen.fields import GFPrime
+from decompgen.modules import is_split
 from decompgen.primes import generic_point, prime_spec
 from decompgen.rings import parse_ring
 
@@ -83,6 +85,7 @@ mul 1 2 0 1
     (lambda t: t + "mul 0 x 0 1\n", "line 10: mul indices must be integers"),
     (lambda t: t + "mul 1 1 0 2*\n", "line 10: "),
     (lambda t: t + "mul 0 0 2 1\n", "line 10: mul indices 0 0 2 out of range"),
+    (lambda t: t + "foo 1\n", "line 10: unknown definition line 'foo 1'"),
 ])
 def test_load_reports_the_bad_line(edit, message):
     text = """
@@ -107,6 +110,11 @@ def test_b2_loads_and_serializes(corpus):
     B = load_algebra(text)
     assert serialize_algebra(B) == text
     assert B.sc == A.sc and B.unit == A.unit
+    # analyses live with the loaded algebra: a second load of the same text
+    # starts from nothing
+    split_data(B)
+    C = load_algebra(text)
+    assert B.analyses and not C.analyses and C.generic_fiber() is not B.generic_fiber()
 
 
 def test_specialize_preserves_dimension(corpus):
@@ -169,6 +177,9 @@ def test_restrict_specialize_compatibility(corpus):
         assert two_step.field == one_step.field
         assert two_step.sc == one_step.sc
         assert two_step.unit == one_step.unit
+        # equal tables share one analysis across the algebra's family
+        assert is_split(B.generic_fiber())[1] is is_split(specialize(B2, p))[1]
+        assert is_split(two_step)[1] is is_split(one_step)[1]
 
 
 def test_left_regular_matrices(corpus):

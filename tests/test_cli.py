@@ -41,6 +41,9 @@ def test_validate_rejects_garbage(tmp_path, capsys):
     bad.write_text("algebra x\nring Z\nbasis a\nunit 0\n")
     rc, out, err = run_cli(["validate", str(bad)], capsys)
     assert rc == 2
+    bad.write_text("algebra x\nring Z\nbasis a\nunit 1\nfoo 1\n")
+    rc, out, err = run_cli(["validate", str(bad)], capsys)
+    assert rc == 2 and "line 5: unknown definition line 'foo 1'" in err
 
 
 def test_trivial_exit_codes(corpdir, capsys):

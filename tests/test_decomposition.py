@@ -10,7 +10,7 @@ from decompgen.decomposition import (
     split_data,
     triviality_by_radical,
 )
-from decompgen.errors import NotSplit
+from decompgen.errors import NoIntegerSolution, NotSplit
 from decompgen.primes import parse_prime, prime_spec
 from decompgen.rings import parse_ring
 
@@ -27,6 +27,22 @@ def test_decmat_examples(corpus):
     assert sorted(D.entries) == [(0, 1), (1, 0), (1, 1)]
     D = decomposition_matrix(corpus["B2_Q"], prime_spec(Qd, [Qd.parse("d")]))
     assert D.entries == ((1, 0), (0, 1), (1, 0))
+
+
+def test_decmat_checks_regular_module_multiplicities(corpus, monkeypatch):
+    """sum_i jh_K(S_i) D[i][j] = jh_p(T_j): doctored fiber multiplicities
+    that leave dimensions and fingerprints alone are still caught."""
+    import dataclasses
+
+    from decompgen import decomposition
+
+    A, p = corpus["ZS3"], prime_spec(Z, [Z.from_int(3)])
+    decomposition_matrix(A, p)
+    wf = decomposition.fiber_split_data(A, p)
+    doctored = dataclasses.replace(wf, jh_multiplicities=[m + 1 for m in wf.jh_multiplicities])
+    monkeypatch.setattr(decomposition, "fiber_split_data", lambda *args, **kwargs: doctored)
+    with pytest.raises(NoIntegerSolution, match="regular-module multiplicities"):
+        decomposition_matrix(A, p)
 
 
 def test_is_trivial_shapes():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from decompgen.corpus import REGISTRY
 from decompgen.decomposition import dec_gen_membership
 from decompgen.errors import NotSemisimpleGeneric, NotSymmetric
 from decompgen.primes import contains, prime_spec
@@ -141,8 +142,21 @@ def test_stratify_zc2(corpus):
     assert "V(2)" in tree.stratum_description()
 
 
-def test_stratify_b2z_two_levels(corpus):
-    tree = stratify(corpus["B2_Z"])
+def test_stratify_b2z_two_levels(monkeypatch):
+    # a fresh algebra, so every chop of the run is seen: the fiber at (2)
+    # and the generic fiber of B2_Z|(2) share a table and one analysis
+    from decompgen import modules
+
+    chop = modules.chop
+    chopped = []
+
+    def counting_chop(module, *args, **kwargs):
+        chopped.append(repr((module.fiber.field, [m.rows for m in module.action])))
+        return chop(module, *args, **kwargs)
+
+    monkeypatch.setattr(modules, "chop", counting_chop)
+    tree = stratify(REGISTRY["B2_Z"].algebra())
+    assert chopped and len(chopped) == len(set(chopped))
     assert {pt.prime.short_str() for pt, _ in tree.children} == {"(2)", "(d)"}
     for pt, child in tree.children:
         assert child.kind == "node"
