@@ -320,11 +320,10 @@ def cmd_corpus_build(args):
 
 # --- verify-all -----------------------------------------------------------------------
 
-def _verify_job(job):
-    """One corpus verification job on a freshly built algebra: (ok, detail)."""
+def _verify_job(job, A):
+    """One corpus verification job on A, the job's registry algebra: (ok, detail)."""
     kind, key, prime_str, seed = job
     entry = REGISTRY[key]
-    A = entry.algebra()
     try:
         if kind == "notsplit":
             try:
@@ -384,9 +383,13 @@ def _verify_jobs(seed):
 def cmd_verify_all(args):
     report = {"jobs": [], "passed": 0, "failed": 0}
     lines = []
+    # one algebra per registry key, so its checks share the fiber analyses
+    algebras = {}
     for job in _verify_jobs(args.seed):
-        ok, msg = _verify_job(job)
         kind, key, prime_str, _ = job
+        if key not in algebras:
+            algebras[key] = REGISTRY[key].algebra()
+        ok, msg = _verify_job(job, algebras[key])
         label = f"{key}:{kind}" + (f"@{prime_str}" if prime_str else "")
         report["jobs"].append({"job": label, "ok": ok, "detail": msg})
         report["passed" if ok else "failed"] += 1

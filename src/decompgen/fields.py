@@ -13,7 +13,9 @@ structurally, and expose arithmetic on plain-data scalars.
                          rational function field over one of the above in one
                          or two variables; scalars are (num, den) pairs of
                          canonical sparse polynomials with monic denominator
-                         and gcd(num, den) = 1
+                         and gcd(num, den) = 1.  `make` skips the gcd when
+                         the denominator is constant (nearly every result):
+                         scaling it to one already gives that canonical form
 
 Keeping scalars as plain data (rather than wrapper objects) keeps the dense
 linear algebra loops cheap; all operations go through the owning field.
@@ -21,6 +23,7 @@ linear algebra loops cheap; all operations go through the owning field.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import polyops as P
 
@@ -286,11 +289,12 @@ class FuncField:
     def nv(self):
         return len(self.varnames)
 
-    @property
+    # built once per field: scalars are immutable, so every caller can share them
+    @cached_property
     def zero(self):
-        return (P.PZERO, P.pone(self.base, self.nv))
+        return (P.PZERO, self.one[1])
 
-    @property
+    @cached_property
     def one(self):
         u = P.pone(self.base, self.nv)
         return (u, u)
@@ -301,19 +305,29 @@ class FuncField:
             raise ZeroDivisionError("zero denominator in function field")
         if P.pis_zero(num):
             return self.zero
-        g = P.pgcd_field(self.base, self.nv, num, den)
+        base = self.base
+        if P.pis_const(den):
+            # a constant denominator has gcd 1 with num: scaling it to one
+            # gives the canonical pair the gcd path below would give
+            c = den[0][1]
+            if c == base.one:
+                return (num, den)
+            return (P.pscale(base, num, base.inv(c)), self.one[1])
+        g = P.pgcd_field(base, self.nv, num, den)
         if P.pdeg(g) > 0:
-            num = P.pexact_div(self.base, num, g)
-            den = P.pexact_div(self.base, den, g)
+            num = P.pexact_div(base, num, g)
+            den = P.pexact_div(base, den, g)
         lc = den[0][1]
-        if not self.base.is_zero(self.base.sub(lc, self.base.one)):
-            inv = self.base.inv(lc)
-            num = P.pscale(self.base, num, inv)
-            den = P.pscale(self.base, den, inv)
+        if not base.is_zero(base.sub(lc, base.one)):
+            inv = base.inv(lc)
+            num = P.pscale(base, num, inv)
+            den = P.pscale(base, den, inv)
         return (num, den)
 
     def add(self, a, b):
         (na, da), (nb, db) = a, b
+        if P.pis_const(da) and P.pis_const(db):  # both denominators are 1
+            return self.make(P.padd(self.base, na, nb), da)
         num = P.padd(self.base, P.pmul(self.base, na, db), P.pmul(self.base, nb, da))
         return self.make(num, P.pmul(self.base, da, db))
 
@@ -325,6 +339,8 @@ class FuncField:
 
     def mul(self, a, b):
         (na, da), (nb, db) = a, b
+        if P.pis_const(da) and P.pis_const(db):  # both denominators are 1
+            return self.make(P.pmul(self.base, na, nb), da)
         return self.make(P.pmul(self.base, na, nb), P.pmul(self.base, da, db))
 
     def inv(self, a):
@@ -342,15 +358,14 @@ class FuncField:
         return P.pis_zero(a[0])
 
     def from_int(self, n):
-        return (P.pconst(self.base, self.nv, self.base.from_int(n)), P.pone(self.base, self.nv))
+        return self.from_poly(P.pconst(self.base, self.nv, self.base.from_int(n)))
 
     def from_fraction(self, q):
-        c = self.base.from_fraction(q)
-        return (P.pconst(self.base, self.nv, c), P.pone(self.base, self.nv))
+        return self.from_poly(P.pconst(self.base, self.nv, self.base.from_fraction(q)))
 
     def from_poly(self, p):
         """Scalar from a polynomial over the base coefficient field."""
-        return (p, P.pone(self.base, self.nv))
+        return (p, self.one[1])
 
     def var_scalar(self, i):
         return self.from_poly(P.pvar(self.base, self.nv, i))

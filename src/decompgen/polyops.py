@@ -16,7 +16,13 @@ dense univariate ("u" functions)
 All functions take the coefficient domain as an explicit first argument.  A
 domain is any object with zero/one attributes and add/sub/mul/neg/is_zero
 methods; fields additionally provide inv and div.  Integer arithmetic uses
-plain ints through the same interface.
+plain ints through the same interface.  Every domain used here is an
+integral domain, so scaling by a nonzero scalar neither creates a zero
+coefficient nor changes the term order.
+
+`padd` and `psub` require canonical operands: they merge the two sorted
+term lists in one pass instead of re-sorting through `pnorm`.  Build a
+polynomial from arbitrary terms with `pnorm`.
 """
 
 
@@ -72,7 +78,27 @@ def pconst_value(dom, p):
 
 
 def padd(dom, a, b):
-    return pnorm(dom, list(a) + list(b))
+    """Sum of two canonical polynomials by one merge of their sorted terms."""
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        (ea, ca), (eb, cb) = a[i], b[j]
+        ka, kb = term_key(ea), term_key(eb)
+        if ka > kb:
+            out.append(a[i])
+            i += 1
+        elif ka < kb:
+            out.append(b[j])
+            j += 1
+        else:
+            c = dom.add(ca, cb)
+            if not dom.is_zero(c):
+                out.append((ea, c))
+            i += 1
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
 
 
 def pneg(dom, a):
@@ -84,9 +110,11 @@ def psub(dom, a, b):
 
 
 def pscale(dom, a, c):
+    # no re-sort: over an integral domain the products stay nonzero and in order
     if dom.is_zero(c):
         return PZERO
-    return pnorm(dom, [(e, dom.mul(x, c)) for e, x in a])
+    mul = dom.mul
+    return tuple((e, mul(x, c)) for e, x in a)
 
 
 def pmul(dom, a, b):

@@ -14,10 +14,12 @@ from decompgen.corpus import REGISTRY, small_fiber_family
 from decompgen.decomposition import (
     dec_gen_membership,
     decomposition_matrix,
+    fiber_split_data,
     is_trivial,
     split_data,
     triviality_by_radical,
 )
+from decompgen.errors import NotPrime, UnsupportedError
 from decompgen.fingerprints import fingerprint_of_simple
 from decompgen.modules import is_split, radical
 from decompgen.primes import contains, prime_spec
@@ -116,7 +118,7 @@ def _sampled_primes(A, rng, count, avoid=None):
                 else:
                     c = rng.randint(-15, 15)
                     p = prime_spec(ring, [ring.parse(f"d - {c}" if c >= 0 else f"d + {-c}")])
-        except Exception:
+        except (NotPrime, UnsupportedError):
             continue
         if avoid is not None and contains(p, avoid):
             continue
@@ -223,38 +225,31 @@ def test_criterion_5_radical_oracle():
 
 
 def test_criterion_6_fingerprint_injectivity(corpus):
+    """Distinct simples of one fiber have distinct fingerprints.  Every pair
+    is counted once, over the generic fiber, every excluded point and five
+    sampled good primes of each split algebra."""
+    rng = random.Random(606)
     simple_sets = []
     for key, A in split_corpus(corpus).items():
-        wd = split_data(A)
-        simple_sets.append([fingerprint_of_simple(s) for s in wd.simples])
+        simple_sets.append(split_data(A).simples)
         dec = dec_ex(A)
-        for pt in dec.excluded[:1]:
-            from decompgen.decomposition import fiber_split_data
-
-            wf = fiber_split_data(A, pt.prime)
-            simple_sets.append([fingerprint_of_simple(s) for s in wf.simples])
+        primes = [pt.prime for pt in dec.excluded]
+        primes += _sampled_primes(A, rng, 5, avoid=dec.candidate)
+        for p in primes:
+            simple_sets.append(fiber_split_data(A, p).simples)
     comparisons = 0
     collisions = 0
-    for fps in simple_sets:
+    for simples in simple_sets:
+        fps = [fingerprint_of_simple(s) for s in simples]
         for i in range(len(fps)):
             for j in range(i + 1, len(fps)):
                 comparisons += 1
                 if fps[i].polys == fps[j].polys:
                     collisions += 1
-    # pad comparisons across fibers of the same algebra family where the
-    # count within single fibers is small
-    while comparisons < 100:
-        for fps in simple_sets:
-            for a in fps:
-                for b in fps:
-                    if a is not b:
-                        comparisons += 1
-                        if a.polys == b.polys:
-                            collisions += 1
-            if comparisons >= 100:
-                break
     assert collisions == 0
-    report(6, f"{comparisons} simple-pair comparisons, no fingerprint collisions")
+    assert comparisons >= 100
+    report(6, f"{comparisons} simple-pair comparisons in {len(simple_sets)} fibers, "
+              "no fingerprint collisions")
 
 
 def _commutative_characters_by_enumeration(fiber, candidates):

@@ -16,7 +16,7 @@ from decompgen.factor import (
     funcfield_polynomial_roots,
     squarefree_decomposition,
 )
-from decompgen.fields import FuncField, GFExt, GFPrime, Rationals
+from decompgen.fields import FuncField, GFExt, GFPrime, IntegerOps, Rationals
 from decompgen.primes import (
     denominator_ideal,
     generic_point,
@@ -352,3 +352,85 @@ def test_canonical_forms_are_bit_identical():
     b = Qxy.parse("2*x*y")
     assert a.data == b.data
     assert hash(a) == hash(b)
+
+
+# --- merge kernels and the constant-denominator path --------------------------
+
+KERNEL_DOMAINS = [IntegerOps(), Rationals(), GFPrime(5), GFExt(2, 2, (1, 1, 1))]
+
+
+def _kernel_coeff(dom, rng):
+    if isinstance(dom, GFExt):
+        return tuple(rng.randrange(dom.p) for _ in range(dom.e))
+    return dom.from_int(rng.randint(-4, 4))
+
+
+def _kernel_poly(dom, nv, rng, size=5):
+    """A canonical polynomial from random terms (often with repeats and zeros)."""
+    return P.pnorm(dom, [(tuple(rng.randrange(0, 4) for _ in range(nv)), _kernel_coeff(dom, rng))
+                         for _ in range(rng.randrange(0, size + 1))])
+
+
+def _is_canonical(dom, p):
+    return isinstance(p, tuple) and p == P.pnorm(dom, list(p)) and \
+        not any(dom.is_zero(c) for _, c in p)
+
+
+@pytest.mark.parametrize("dom", KERNEL_DOMAINS, ids=lambda d: type(d).__name__)
+@pytest.mark.parametrize("nv", [1, 2])
+def test_merge_kernels_match_pnorm(dom, nv):
+    rng = random.Random(31 + nv)
+    for _ in range(300):
+        a = _kernel_poly(dom, nv, rng)
+        kind = rng.randrange(4)
+        if kind == 0:
+            b = P.pneg(dom, a)                       # cancels to zero
+        elif kind == 1:                              # cancels in part
+            b = P.pnorm(dom, list(P.pneg(dom, a)) + list(_kernel_poly(dom, nv, rng, 2)))
+        elif kind == 2:
+            b = P.PZERO
+        else:
+            b = _kernel_poly(dom, nv, rng)
+        for x, y in ((a, b), (b, a)):
+            s, d = P.padd(dom, x, y), P.psub(dom, x, y)
+            assert s == P.pnorm(dom, list(x) + list(y))
+            assert d == P.pnorm(dom, list(x) + list(P.pneg(dom, y)))
+            assert _is_canonical(dom, s) and _is_canonical(dom, d)
+        assert P.padd(dom, a, P.pneg(dom, a)) == P.PZERO
+        assert P.psub(dom, a, a) == P.PZERO
+        c = _kernel_coeff(dom, rng)
+        scaled = P.pscale(dom, a, c)
+        assert _is_canonical(dom, scaled)
+        assert scaled == P.pnorm(dom, [(e, dom.mul(x, c)) for e, x in a])
+    assert P.padd(dom, P.PZERO, P.PZERO) == P.PZERO
+
+
+FUNCTION_FIELDS = [
+    FuncField(Rationals(), ("d",)),
+    FuncField(GFPrime(5), ("d",)),
+    FuncField(GFExt(2, 2, (1, 1, 1)), ("d",)),
+    FuncField(Rationals(), ("x", "y")),
+]
+
+
+@pytest.mark.parametrize("F", FUNCTION_FIELDS, ids=lambda f: repr(f))
+def test_make_with_constant_denominator_matches_gcd_path(F):
+    base, nv = F.base, F.nv
+    rng = random.Random(13)
+    # multiplying through by a nonconstant q sends make down its gcd path
+    q = P.padd(base, P.pvar(base, nv, nv - 1), P.pone(base, nv))
+    consts = [base.one, base.from_int(3), base.from_int(-2)]
+    if isinstance(base, GFExt):
+        consts.append(base.gen())
+    for c in consts:
+        if base.is_zero(c):  # -2 in characteristic 2
+            continue
+        den = P.pconst(base, nv, c)
+        assert F.make(P.PZERO, den) == F.zero
+        for _ in range(40):
+            num = ring_like_poly(F, rng)
+            got = F.make(num, den)
+            assert got == F.make(P.pmul(base, num, q), P.pmul(base, den, q))
+            if num:
+                assert got[1] == F.one[1]
+                assert got == F.div(F.from_poly(num), F.from_poly(den))

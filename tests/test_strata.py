@@ -6,7 +6,7 @@ import pytest
 
 from decompgen.corpus import REGISTRY
 from decompgen.decomposition import dec_gen_membership
-from decompgen.errors import NotSemisimpleGeneric, NotSymmetric
+from decompgen.errors import NotPrime, NotSemisimpleGeneric, NotSymmetric, UnsupportedError
 from decompgen.primes import contains, prime_spec
 from decompgen.rings import parse_ring
 from decompgen.strata import (
@@ -203,7 +203,7 @@ def _random_primes_zd(rng, count):
                 p = rng.choice([2, 3, 5])
                 c = rng.randint(0, p - 1)
                 out.append(prime_spec(Zd, [Zd.from_int(p), Zd.parse(f"d - {c}")]))
-        except Exception:
+        except (NotPrime, UnsupportedError):
             continue
     return out
 
