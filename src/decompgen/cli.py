@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 mathematical negative (a check that can honestly
 say "no", like `trivial` or `split-check`), 2 validation error in the
-input, 3 request outside the supported scope.  Reports are deterministic
-for a fixed seed; `--format structured` emits JSON with stable keys.
+input, 3 request outside the supported scope.  Until failures get codes of
+their own, 1 also covers a failed internal check and an exhausted chop
+budget.  Reports are deterministic for a fixed seed; `--format structured`
+emits JSON with stable keys.
 """
 
 import argparse

@@ -2,8 +2,9 @@
 
 Every error carries an exit-code class so the command line tool can map
 failures uniformly: 2 for validation problems in the input, 3 for requests
-that fall outside the supported scope, and plain EngineError (internal
-consistency failures) aborts with a traceback.
+that fall outside the supported scope, and 1 for a plain EngineError (a
+failed internal check or an exhausted chop budget), which `cli.main`
+prints as `error: ...` like the others.
 """
 
 VALIDATION = 2

@@ -3,8 +3,9 @@
 Integers are factored by trial division with an explicit budget (the
 engine's discriminants are tiny).  Univariate polynomials over GF(q) go
 through squarefree decomposition, distinct-degree splitting and seeded
-Cantor-Zassenhaus equal-degree splitting; over Q the heavy lifting is
-delegated to sympy and the result is renormalized to monic canonical form.
+Cantor-Zassenhaus equal-degree splitting; over Q and over rational function
+fields Q(vars) the heavy lifting is delegated to sympy and the result is
+renormalized to monic canonical form.
 
 Dense polynomials here follow the polyops "u" conventions (ascending
 coefficient tuples); the RingElement-level entry points convert at the
@@ -244,162 +245,34 @@ def is_irreducible_qq(f):
     return len(pairs) == 1 and pairs[0][1] == 1
 
 
-# --- linear factors over rational function fields -------------------------------
-#
-# Splitting modules over k(d) needs linear factors X - r(d) of characteristic
-# polynomials.  Full bivariate factorization is out of scope, but polynomial
-# roots r in k[d] (which is what split fibers produce) can be found by Newton
-# lifting from a sample point d = c where the specialized polynomial is
-# squarefree, then verified exactly.  The routine is sound (everything is
-# verified) and complete for roots lying in k[d] up to the degree bound.
+# --- factorization over Q(vars) (via sympy) ------------------------------------
 
-def _series_mul(k, a, b, N):
-    out = [k.zero] * min(N, len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if k.is_zero(x):
-            continue
-        for j, y in enumerate(b):
-            if i + j >= N:
-                break
-            out[i + j] = k.add(out[i + j], k.mul(x, y))
+def factor_funcfield(F, f):
+    """[(monic irreducible, mult)] for a nonconstant f over F = Q(vars).
+
+    sympy factors over QQ.frac_field(vars) exactly; scalars cross as
+    numerator/denominator term dicts.  The polynomial variable is a Dummy
+    because the ring variables may themselves be called x or t.
+    """
+    K = sympy.QQ.frac_field(*[sympy.Symbol(v) for v in F.varnames])
+    R = K.field.ring
+
+    def to_sympy(p):
+        return R.from_dict({e: sympy.QQ(c.numerator, c.denominator) for e, c in p})
+
+    def from_sympy(p):
+        return P.pnorm(F.base, [(e, Fraction(int(c.numerator), int(c.denominator)))
+                                for e, c in p.items()])
+
+    coeffs = [K.field.new(to_sympy(num), to_sympy(den)) for num, den in reversed(f)]
+    poly = sympy.Poly.from_list(coeffs, sympy.Dummy("X"), domain=K)
+    out = []
+    for fac, mult in poly.factor_list()[1]:
+        dense = tuple(F.make(from_sympy(c.numer), from_sympy(c.denom))
+                      for c in reversed(fac.monic().rep.to_list()))
+        out.append((dense, mult))
+    out.sort(key=lambda t: (P.udeg(t[0]), tuple(F.sort_key(c) for c in reversed(t[0]))))
     return out
-
-
-def _series_inv(k, a, N):
-    inv0 = k.inv(a[0])
-    out = [inv0] + [k.zero] * (N - 1)
-    for i in range(1, N):
-        acc = k.zero
-        for j in range(1, min(i, len(a) - 1) + 1):
-            acc = k.add(acc, k.mul(a[j], out[i - j]))
-        out[i] = k.neg(k.mul(inv0, acc))
-    return out
-
-
-def _series_add(k, a, b):
-    n = max(len(a), len(b))
-    return [k.add(a[i] if i < len(a) else k.zero, b[i] if i < len(b) else k.zero)
-            for i in range(n)]
-
-
-def _shift_poly_series(k, dense, c, N):
-    """g(c + t) mod t^N for a dense 1-variable polynomial over k."""
-    out = [k.zero]
-    for coeff in reversed(dense):
-        # out = out * (c + t) + coeff
-        shifted = [k.zero] + list(out[: N - 1])
-        scaled = [k.mul(x, c) for x in out]
-        out = _series_add(k, shifted, scaled)
-        out = out[:N] if len(out) > N else out
-        if not out:
-            out = [k.zero]
-        out[0] = k.add(out[0], coeff)
-    return out
-
-
-def _eval_series_poly(k, coeff_series, r, N):
-    """Evaluate sum_j coeff_series[j] * r^j mod t^N."""
-    acc = [k.zero]
-    for cs in reversed(coeff_series):
-        acc = _series_mul(k, acc, r, N)
-        if not acc:
-            acc = [k.zero]
-        acc = _series_add(k, acc, cs)[:N]
-    return acc
-
-
-def _sample_points(base):
-    from .fields import GFExt as _GFExt, GFPrime as _GFPrime, Rationals as _Rationals
-
-    if isinstance(base, _Rationals):
-        for i in range(0, 25):
-            yield Fraction(i)
-            if i:
-                yield Fraction(-i)
-    elif isinstance(base, (_GFPrime, _GFExt)):
-        for a in base.elements():
-            yield a
-
-
-def funcfield_polynomial_roots(F, chi, max_deg=80):
-    """Roots in k[vars] of a monic squarefree chi over a one-variable
-    rational function field F = k(d).  Exactly verified; may miss roots
-    only by declining (degree bound or no good sample point), never by
-    returning a wrong one."""
-    base = F.base
-    if F.nv != 1 or P.udeg(chi) < 2:
-        return []
-    m = P.udeg(chi)
-    # clear denominators: common_den = lcm of the coefficient denominators
-    common = P.pone(base, 1)
-    for s in chi:
-        den = s[1]
-        g = P.pgcd_field(base, 1, common, den)
-        common = P.pexact_div(base, P.pmul(base, common, den), g)
-    cleared = []
-    for s in chi:
-        num, den = s
-        mult = P.pexact_div(base, common, den)
-        cleared.append(P.p_to_dense(base, P.pmul(base, num, mult)))
-    D = max((len(g) - 1 for g in cleared if g), default=0)
-    if D > max_deg:
-        return []
-    N = D + 1
-    lead = cleared[-1]
-    for c in _sample_points(base):
-        if base.is_zero(P.ueval(base, lead, c)):
-            continue
-        spec = tuple(P.ueval(base, g, c) for g in cleared)
-        spec = P.utrim(base, spec)
-        if P.udeg(spec) != m:
-            continue
-        der = P.uderiv(base, spec)
-        if P.udeg(P.ugcd(base, spec, der)) > 0:
-            continue
-        from .fields import Rationals as _Rationals
-
-        if isinstance(base, _Rationals):
-            _, pairs = factor_qq(P.umonic(base, spec))
-        else:
-            _, pairs = factor_gf(base, spec)
-        root0s = [base.div(base.neg(f[0]), f[1]) for f, _ in pairs if P.udeg(f) == 1]
-        if not root0s:
-            return []
-        coeff_series = [_shift_poly_series(base, g, c, N) for g in cleared]
-        der_series = [
-            _series_mul(base, [base.from_int(j)], coeff_series[j], N)
-            for j in range(1, len(coeff_series))
-        ]
-        roots = []
-        for r0 in root0s:
-            r = [r0]
-            prec = 1
-            ok = True
-            while prec < N:
-                prec = min(2 * prec, N)
-                val = _eval_series_poly(base, [cs[:prec] for cs in coeff_series], r, prec)
-                dval = _eval_series_poly(base, [cs[:prec] for cs in der_series], r, prec)
-                if base.is_zero(dval[0]):
-                    ok = False
-                    break
-                corr = _series_mul(base, val, _series_inv(base, dval, prec), prec)
-                r = _series_add(base, r, [base.neg(x) for x in corr])[:prec]
-            if not ok:
-                continue
-            # shift back: candidate(d) = r(d - c)
-            rpoly = ()
-            for coeff in reversed(r):
-                shift = P.p_from_dense(base, (base.neg(c), base.one))
-                rpoly = P.padd(base, P.pmul(base, rpoly, shift), P.pconst(base, 1, coeff))
-            cand = F.from_poly(rpoly)
-            if F.is_zero(P.ueval(F, chi, cand)):
-                roots.append(cand)
-        seen = []
-        for r in roots:
-            if r not in seen:
-                seen.append(r)
-        return sorted(seen, key=F.sort_key)
-    return []
 
 
 # --- RingElement-level entry points --------------------------------------------

@@ -4,12 +4,12 @@ The chop follows the classical randomized recipe: spin up kernel vectors of
 polynomial evaluations of random algebra elements to find proper submodules,
 and certify simplicity either by the surjectivity-onto-End criterion (the
 image of the algebra spans the full matrix ring exactly for split simples,
-a pure rank computation that needs no factorization) or, over fields with
-univariate factorization, by the standard two-sided kernel-spinning test
-with a multiplicity-one irreducible factor.  Over function fields the
-second route is unavailable; there the rank certificate plus the budget is
-the engineering answer, and running out of budget is an error rather than a
-wrong answer.
+a pure rank computation that needs no factorization) or by Norton's
+two-sided kernel-spinning test with an irreducible factor of a
+characteristic polynomial.  Factors are certified irreducible over Q, GF(q)
+and Q(vars); over GF(p)(vars) only constant-coefficient polynomials factor,
+so there the rank certificate plus the budget is the engineering answer, and
+running out of budget is an error rather than a wrong answer.
 
 Random elements are integer-coefficient combinations of the basis drawn
 from a growing window, so the same seed gives the same run over any field.
@@ -21,7 +21,8 @@ from functools import wraps
 
 from . import polyops as P
 from .errors import ChopBudgetExceeded, EngineError, RadicalNotNilpotent
-from .fields import FuncField
+from .factor import factor_funcfield, factor_gf, factor_qq, squarefree_part_safe
+from .fields import GFExt, GFPrime, Rationals
 from .linalg import (
     Matrix,
     char_poly,
@@ -196,28 +197,15 @@ def hom_dim(S, T):
     return len(ker)
 
 
-def _field_can_factor(F):
-    return not isinstance(F, FuncField)
-
-
 def _charpoly_pieces(F, chi, seed):
-    """Factors of the characteristic polynomial to take kernels of.
+    """Factors of the characteristic polynomial to take kernels of, each
+    tagged with whether it is certified irreducible.
 
-    Over fields with factorization: the honest irreducible factors, each
-    tagged irreducible.  Over function fields: constant-coefficient
-    polynomials factor over the constant field; otherwise squarefree gcd
-    pieces are refined by exact polynomial-root extraction, leaving
-    certified linear factors plus uncertified cofactors.
+    Over Q, GF(q) and Q(vars): the irreducible factors.  Over GF(p)(vars):
+    constant-coefficient polynomials factor over the constant field;
+    otherwise the squarefree part is the one piece, uncertified unless
+    linear.
     """
-    from .factor import (
-        factor_gf,
-        factor_qq,
-        funcfield_polynomial_roots,
-        squarefree_decomposition,
-        squarefree_part_safe,
-    )
-    from .fields import GFExt, GFPrime, Rationals
-
     if isinstance(F, Rationals):
         _, pairs = factor_qq(chi)
         return [(f, True) for f, _ in pairs]
@@ -234,21 +222,9 @@ def _charpoly_pieces(F, chi, seed):
         lift = lambda p: tuple(F.from_poly(P.pconst(base, F.nv, c)) for c in p)
         return [(lift(f), True) for f, _ in pairs]
     if F.characteristic == 0:
-        pieces = [f for f, _ in squarefree_decomposition(F, chi)]
-    else:
-        pieces = [squarefree_part_safe(F, chi)]
-    out = []
-    for f in pieces:
-        if P.udeg(f) >= 2 and F.nv == 1:
-            for r in funcfield_polynomial_roots(F, f):
-                lin = (F.neg(r), F.one)
-                q, rem = P.udivmod(F, f, lin)
-                if not rem:
-                    out.append((lin, True))
-                    f = q
-        if P.udeg(f) >= 1:
-            out.append((f, P.udeg(f) == 1))
-    return out
+        return [(f, True) for f, _ in factor_funcfield(F, chi)]
+    f = squarefree_part_safe(F, chi)
+    return [(f, P.udeg(f) == 1)]
 
 
 def _constant_projection(F, chi):
@@ -296,7 +272,6 @@ def _split_or_certify(module, rng, attempts):
             comp = kernel_basis(Matrix(F, wt))
             if 0 < len(comp) < d:
                 return ("split", spin(module, comp))
-    can_factor = _field_can_factor(F)
     for attempt in range(attempts):
         window = 1 + attempt // 4
         coeffs = [F.from_int(rng.randint(-window, window)) for _ in range(n)]

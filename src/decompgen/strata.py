@@ -31,7 +31,6 @@ from .fields import IntegerOps, Rationals
 from .linalg import (
     Matrix,
     det,
-    echelon_reduce,
     rref_rows,
     saturate_rows,
     unimodular_complement,
@@ -168,10 +167,12 @@ def quotient_over_ring(A, lat):
     entered the projection.
 
     Over Euclidean rings the complement completes a saturated lattice to a
-    unimodular basis, so the constants are integral and the denominator
-    product is 1.  Over two-variable rings the echelon projection can
-    introduce denominators; the certificate is only valid where they are
-    invertible, so the caller absorbs the product into the discriminant.
+    unimodular basis, so the constants are integral and only the echelon
+    rows of the lattice can contribute denominators.  Over two-variable
+    rings the complement is spanned by the non-pivot unit vectors and the
+    coordinates can have denominators.  The certificate is only valid where
+    the denominators are invertible, so the caller absorbs their product
+    into the discriminant.
     """
     from .primes import denominator_ideal as _den
 
@@ -196,13 +197,17 @@ def quotient_over_ring(A, lat):
                 e[j] = K.one
                 comp_K.append(e)
 
-    def project(vec):
-        return echelon_reduce(K, span_rows, pivots, vec)
-
-    basis_t = Matrix(K, comp_K).transpose()
-    from .linalg import solve
-
+    # coordinates on the complement are the first m of the unique
+    # decomposition over complement plus lattice rows: the first m rows of
+    # the inverse of that basis, read off one reduction of [basis^T | I]
     m = len(comp_K)
+    basis = comp_K + span_rows
+    aug = [[row[j] for row in basis] + [K.one if i == j else K.zero for i in range(n)]
+           for j in range(n)]
+    inv_rows, inv_pivots = rref_rows(K, aug)
+    if inv_pivots[:n] != list(range(n)):
+        raise EngineError("complement and lattice rows do not form a basis")
+    coords = Matrix(K, [row[n:] for row in inv_rows[:m]])
     denoms = one
     seen = set()
 
@@ -218,12 +223,11 @@ def quotient_over_ring(A, lat):
     sc = [[[K.zero] * m for _ in range(m)] for _ in range(m)]
     for a in range(m):
         for b in range(m):
-            prod = project(fiber.vec_mul(list(comp_K[a]), list(comp_K[b])))
-            coeffs = solve(basis_t, prod)
+            coeffs = coords.apply(fiber.vec_mul(list(comp_K[a]), list(comp_K[b])))
             for c in range(m):
                 sc[a][b][c] = coeffs[c]
                 absorb(coeffs[c])
-    unit = solve(basis_t, project(list(fiber.unit)))
+    unit = coords.apply(list(fiber.unit))
     for c in unit:
         absorb(c)
     for row in span_rows:

@@ -174,3 +174,74 @@ def test_definition_roundtrip_through_cli(corpdir, tmp_path, capsys):
     A = load_algebra_file(str(corpdir / "B2_Z.alg"))
     text = serialize_algebra(A)
     assert (corpdir / "B2_Z.alg").read_text() == text
+
+
+SQ = """algebra SQ
+ring Q[d]
+basis one t
+unit 1, 0
+mul 0 0 0 1
+mul 0 1 1 1
+mul 1 0 1 1
+mul 1 1 0 d
+"""
+
+BIV = """algebra BIV
+ring Q[x,y]
+basis one t
+unit 1, 0
+mul 0 0 0 1
+mul 0 1 1 1
+mul 1 0 1 1
+mul 1 1 0 -x*y
+mul 1 1 1 x + y
+"""
+
+NIL = """algebra NIL
+ring Q[y]
+basis one t
+unit 1, 0
+mul 0 0 0 1
+mul 0 1 1 1
+mul 1 0 1 1
+mul 1 1 0 -y^2
+mul 1 1 1 2*y
+"""
+
+
+def _write(tmp_path, text):
+    path = tmp_path / (text.split()[1] + ".alg")
+    path.write_text(text)
+    return str(path)
+
+
+def test_quadratic_extension_of_a_function_field(tmp_path, capsys):
+    """Q[d][t]/(t^2 - d): the generic fiber is a field, so it is certified
+    simple and not split instead of exhausting the chop budget."""
+    sq = _write(tmp_path, SQ)
+    rc, out, err = run_cli(["split-check", sq, "--prime", "generic"], capsys)
+    assert rc == 1 and "NOT split (endo dims [2])" in out and not err
+    rc, out, err = run_cli(["stratify", sq], capsys)
+    assert rc == 0 and not err
+    assert "unresolved SQ: the generic fiber of SQ does not split" in out
+
+
+def test_stratify_over_two_variables_descends_to_a_line(tmp_path, capsys):
+    """Q[x,y][t]/((t - x)(t - y)) splits generically over Q(x, y) and is
+    excluded on the diagonal, where the restriction over Q[y] has a radical
+    that stays one-dimensional everywhere."""
+    rc, out, err = run_cli(["stratify", _write(tmp_path, BIV)], capsys)
+    assert rc == 0 and not err
+    lines = out.splitlines()
+    assert lines[0].startswith("BIV over Q[x,y]: ")
+    assert lines[1] == "  at (x - y) [Excluded]:"
+    assert lines[2] == "    BIV|(x - y) over Q[y]: candidate (y), stratum = all of Spec(R)"
+
+
+def test_discriminant_and_stratify_over_a_euclidean_ring(tmp_path, capsys):
+    nil = _write(tmp_path, NIL)
+    rc, out, err = run_cli(["discriminant", nil], capsys)
+    assert rc == 0 and not err
+    assert "(y): RecoveredTrivial" in out
+    rc, out, err = run_cli(["stratify", nil], capsys)
+    assert rc == 0 and not err and "NIL: all of Spec(R)" in out

@@ -221,11 +221,11 @@ def test_radical_against_exhaustive_search_small(p):
         assert rad == brute_force_radical(fiber)
 
 
-def test_non_split_simple_over_function_field_raises_budget():
-    """Certifying simplicity over k(d) needs factorization the engine does
-    not have when End is a proper extension; it must raise, not guess."""
+def test_non_split_simple_over_function_field_certifies():
+    """K[t]/(t^2 - d) is a field over K = Q(d): the irreducible quadratic
+    factor of a characteristic polynomial certifies its regular module
+    simple by Norton's test, and End has dimension 2."""
     from decompgen.algebra import FiniteFreeAlgebra
-    from decompgen.errors import ChopBudgetExceeded
 
     K = Qd.fraction_field()
     d = K.var_scalar(0)
@@ -233,8 +233,9 @@ def test_non_split_simple_over_function_field_raises_budget():
     # the quadratic extension K[t]/(t^2 - d) as a 2-dim K-algebra
     sc = (((o, z), (z, o)), ((z, o), (d, z)))
     F = FiniteFreeAlgebra("quad-ext", K, ("one", "t"), sc, (o, z))
-    with pytest.raises(ChopBudgetExceeded):
-        chop(regular_module(F), attempts=10)
+    assert factors_profile(F) == [(2, 1)]
+    split, data = is_split(F)
+    assert split is False and data.endo_dims == [2]
 
 
 def test_qc3_chops_fine_over_q():

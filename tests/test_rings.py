@@ -12,8 +12,8 @@ from decompgen.factor import (
     factor_gf,
     factor_integer,
     factor_univariate,
+    factor_funcfield,
     factor_zx_primitive,
-    funcfield_polynomial_roots,
     squarefree_decomposition,
 )
 from decompgen.fields import FuncField, GFExt, GFPrime, IntegerOps, Rationals
@@ -284,15 +284,36 @@ def test_squarefree_decomposition_char_p():
     assert out == [((1, 1), 4)]
 
 
-def test_funcfield_root_extraction():
+def _expand(F, factors):
+    out = (F.one,)
+    for f in factors:
+        out = P.umul(F, out, f)
+    return out
+
+
+def test_factor_funcfield():
     K = FuncField(Rationals(), ("d",))
     d = K.var_scalar(0)
     one = K.one
-    # (X - d)(X - (d^2+1)) expanded
+    # (X - d)(X - (d^2+1))
     r1, r2 = d, K.add(K.mul(d, d), one)
-    chi = (K.mul(r1, r2), K.neg(K.add(r1, r2)), one)
-    roots = funcfield_polynomial_roots(K, chi)
-    assert sorted(roots, key=K.sort_key) == sorted([r1, r2], key=K.sort_key)
+    lin1, lin2 = (K.neg(r1), one), (K.neg(r2), one)
+    assert factor_funcfield(K, _expand(K, [lin1, lin2])) == [(lin1, 1), (lin2, 1)]
+    # (t - x)(t - y)(t^2 - x*y - 1) over Q(x, y): the ring variables must not
+    # collide with the polynomial variable sympy factors in
+    L = FuncField(Rationals(), ("x", "y"))
+    x, y = L.var_scalar(0), L.var_scalar(1)
+    quad = (L.neg(L.add(L.mul(x, y), L.one)), L.zero, L.one)
+    factors = [(L.neg(x), L.one), (L.neg(y), L.one), quad]
+    chi = _expand(L, factors + [factors[0]])
+    out = factor_funcfield(L, chi)
+    assert sorted(out, key=str) == sorted([(factors[0], 2), (factors[1], 1), (quad, 1)], key=str)
+    # a denominator survives the round trip through sympy
+    half_x = L.div(x, L.from_int(2 * 3))
+    inv_y = L.inv(y)
+    lin3, lin4 = (half_x, L.one), (inv_y, L.one)
+    assert sorted(factor_funcfield(L, _expand(L, [lin3, lin4])), key=str) == sorted(
+        [(lin3, 1), (lin4, 1)], key=str)
 
 
 def test_prime_validation():

@@ -291,6 +291,37 @@ def test_two_variable_radical_lattice_with_denominators():
     assert not dec.unknown
 
 
+def test_quotient_over_euclidean_ring_off_the_pivot_complement():
+    """Over Q[y], t^2 = 2y*t - y^2 has radical line t - y, whose unimodular
+    complement (e.g. the unit) is not the pivot-coordinate complement; the
+    quotient must still be the one-dimensional field with integral
+    constants."""
+    from decompgen.algebra import load_algebra
+    from decompgen.strata import quotient_over_ring
+
+    A = load_algebra("""
+algebra NIL
+ring Q[y]
+basis one t
+unit 1, 0
+mul 0 0 0 1
+mul 0 1 1 1
+mul 1 0 1 1
+mul 1 1 0 -y^2
+mul 1 1 1 2*y
+""")
+    B, denoms = quotient_over_ring(A, radical_lattice(A))
+    K = B.field
+    assert B.dim == 1 and B.unit == (K.one,) and B.sc == (((K.one,),),)
+    # only the echelon row (1, -1/y) of the lattice contributes a denominator
+    assert denoms == A.ring.parse("y")
+    dec = dec_ex(A)
+    assert [(pt.prime.short_str(), pt.status) for pt in dec.points] == [
+        ("(y)", "RecoveredTrivial")]
+    tree = stratify(A)
+    assert tree.kind == "node" and tree.stratum_description() == "all of Spec(R)"
+
+
 def test_stratify_b3_over_zd_resolves_char_p_legs():
     """The regular trace form of B3's semisimple quotient vanishes over
     GF(2)(d) and GF(3)(d); the character-form fallback must still resolve
