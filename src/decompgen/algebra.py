@@ -15,6 +15,8 @@ construction sites that build tables from scratch validate, specialization
 inherits.
 """
 
+from functools import cached_property
+
 from .errors import (
     BadTraceForm,
     NoUnit,
@@ -26,6 +28,30 @@ from .errors import (
 from .linalg import Matrix, det, echelon_reduce, hermite_normal_form, pivot_columns, rref_rows
 from .primes import generic_point, quotient_chain, reduce_elem
 from .rings import EuclideanRing, RingDescriptor, RingScalars
+
+
+class TableKey:
+    """Content key of one structure-constant table (field, sc, unit).
+
+    The hash of the whole table is taken once, when the key is built;
+    equality still compares the content, so two tables whose hashes collide
+    never share a memo entry."""
+
+    __slots__ = ("content", "_hash")
+
+    def __init__(self, field, sc, unit):
+        self.content = (field, sc, unit)
+        self._hash = hash(self.content)
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, TableKey):
+            return NotImplemented
+        return self._hash == other._hash and self.content == other.content
 
 
 class FiniteFreeAlgebra:
@@ -54,6 +80,11 @@ class FiniteFreeAlgebra:
     @property
     def over_field(self):
         return self.domain.is_field
+
+    @cached_property
+    def table_key(self):
+        """The TableKey of this table, built on first use and kept."""
+        return TableKey(self.field, self.sc, self.unit)
 
     # vector arithmetic over the scalar domain
 

@@ -1,11 +1,12 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 mathematical negative (a check that can honestly
-say "no", like `trivial` or `split-check`), 2 validation error in the
-input, 3 request outside the supported scope.  Until failures get codes of
-their own, 1 also covers a failed internal check and an exhausted chop
-budget.  Reports are deterministic for a fixed seed; `--format structured`
-emits JSON with stable keys.
+say "no", like `trivial` or `split-check`, or a command that needs a split
+fiber run on one that does not split), 2 validation error in the input,
+3 request outside the supported scope.  Until failures get codes of their
+own, 1 also covers a failed internal check and an exhausted chop budget.
+Reports are deterministic for a fixed seed; `--format structured` emits
+JSON with stable keys.
 """
 
 import argparse

@@ -13,7 +13,6 @@ cheap test; verification mode computes both and insists they agree.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import NoIntegerSolution, NotSplit, UnsupportedError
 from .fields import Rationals
@@ -120,8 +119,8 @@ def decomposition_matrix(A, p, seed=1):
         rhs = []
         for k in range(n):
             for g in range(t):
-                mat_rows.append([Fraction(fiber_mults[j][k][g]) for j in range(ncols)])
-                rhs.append(Fraction(reduced_mults[i][k][g]))
+                mat_rows.append([fiber_mults[j][k][g] for j in range(ncols)])
+                rhs.append(reduced_mults[i][k][g])
         aug = [row + [b] for row, b in zip(mat_rows, rhs)]
         sol_rows, pivots = rref_rows(QQ, aug)
         if ncols in pivots:

@@ -3,8 +3,9 @@
 Every error carries an exit-code class so the command line tool can map
 failures uniformly: 2 for validation problems in the input, 3 for requests
 that fall outside the supported scope, and 1 for a plain EngineError (a
-failed internal check or an exhausted chop budget), which `cli.main`
-prints as `error: ...` like the others.
+mathematical negative such as NotSplit, a failed internal check or an
+exhausted chop budget), which `cli.main` prints as `error: ...` like the
+others.
 """
 
 VALIDATION = 2
@@ -99,8 +100,9 @@ class AttractorEscapesBase(EngineError):
     """A fingerprint coefficient of a generic simple fell outside the base ring."""
 
 
-class NotSplit(ValidationError):
-    pass
+class NotSplit(EngineError):
+    """A valid algebra whose fiber does not split: a mathematical negative
+    (exit 1), not a fault of the input."""
 
 
 class NoIntegerSolution(EngineError):

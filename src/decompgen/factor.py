@@ -13,7 +13,6 @@ boundary.
 """
 
 import random
-from fractions import Fraction
 from math import lcm
 
 import sympy
@@ -216,7 +215,7 @@ _X = sympy.Symbol("x")
 
 
 def factor_qq(f):
-    """(unit Fraction, [(monic dense over Fraction, mult)]) for f over Q."""
+    """(unit, [(monic dense, mult)]) for f over Q, scalars as in Rationals."""
     if not f:
         raise ValueError("cannot factor zero")
     F = Rationals()
@@ -224,14 +223,14 @@ def factor_qq(f):
         return f[0], []
     poly = sympy.Poly(list(reversed([sympy.Rational(c.numerator, c.denominator) for c in f])), _X, domain="QQ")
     const, flist = poly.factor_list()
-    unit = Fraction(int(const.p), int(const.q))
+    unit = F.parse_coeff(int(const.p), int(const.q))
     out = []
     for fac, mult in flist:
-        coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(fac.all_coeffs())]
+        coeffs = [F.parse_coeff(int(c.p), int(c.q)) for c in reversed(fac.all_coeffs())]
         dense = P.utrim(F, tuple(coeffs))
         lc = dense[-1]
         if lc != 1:
-            unit *= lc**mult
+            unit = F.mul(unit, lc**mult)
             dense = P.umonic(F, dense)
         out.append((dense, mult))
     out.sort(key=lambda t: (P.udeg(t[0]), tuple(reversed(t[0]))))
@@ -261,7 +260,7 @@ def factor_funcfield(F, f):
         return R.from_dict({e: sympy.QQ(c.numerator, c.denominator) for e, c in p})
 
     def from_sympy(p):
-        return P.pnorm(F.base, [(e, Fraction(int(c.numerator), int(c.denominator)))
+        return P.pnorm(F.base, [(e, F.base.parse_coeff(int(c.numerator), int(c.denominator)))
                                 for e, c in p.items()])
 
     coeffs = [K.field.new(to_sympy(num), to_sympy(den)) for num, den in reversed(f)]
@@ -315,7 +314,7 @@ def factor_zx_primitive(elem, seed=1):
     for p, m in factor_integer(abs(content))[1]:
         out.append((ring.from_int(p), m))
     if prim.total_degree() >= 1:
-        dense = P.p_to_dense(Rationals(), tuple((e, Fraction(c)) for e, c in prim.data))
+        dense = P.p_to_dense(Rationals(), prim.data)
         _, pairs = factor_qq(dense)
         for fac, m in pairs:
             den = 1

@@ -3,7 +3,8 @@
 Field objects double as their own descriptors: they are immutable, compare
 structurally, and expose arithmetic on plain-data scalars.
 
-    Rationals            scalars are fractions.Fraction
+    Rationals            scalars are ints when integral, fractions.Fraction
+                         otherwise (never a Fraction with denominator 1)
     GFPrime(p)           scalars are ints in [0, p)
     GFExt(p, e, modulus) scalars are length-e tuples of ints (coordinates of
                          the representative polynomial, constant term first);
@@ -73,37 +74,53 @@ class IntegerOps:
 
 @dataclass(frozen=True)
 class Rationals:
+    """Q.  A scalar is an int when it is integral and a Fraction otherwise.
+
+    Nearly every rational the engine meets is an integer, and int
+    arithmetic is many times cheaper than Fraction arithmetic, so every
+    operation hands back `r.numerator` when its result has denominator 1.
+    Both types compare, hash and print alike (3 == Fraction(3)), so the
+    choice never shows in a report or a memo key.  Division builds a
+    Fraction from its operands: `/` on two ints would give a float.
+    """
+
     is_field = True
     characteristic = 0
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def add(self, a, b):
-        return a + b
+        r = a + b
+        return r if type(r) is int or r.denominator != 1 else r.numerator
 
     def sub(self, a, b):
-        return a - b
+        r = a - b
+        return r if type(r) is int or r.denominator != 1 else r.numerator
 
     def mul(self, a, b):
-        return a * b
+        r = a * b
+        return r if type(r) is int or r.denominator != 1 else r.numerator
 
     def neg(self, a):
         return -a
 
     def inv(self, a):
-        return 1 / a
+        return self.div(1, a)
 
     def div(self, a, b):
-        return a / b
+        r = Fraction(a, b)
+        return r if r.denominator != 1 else r.numerator
 
     def is_zero(self, a):
         return a == 0
 
     def from_int(self, n):
-        return Fraction(n)
+        return n
 
     def from_fraction(self, q):
-        return Fraction(q)
+        """The scalar of an int or a Fraction (a float has no denominator
+        and fails here rather than entering the field)."""
+        return q if type(q) is int or q.denominator != 1 else q.numerator
 
     def sort_key(self, a):
         return a
@@ -112,7 +129,7 @@ class Rationals:
         return str(a)
 
     def parse_coeff(self, num, den):
-        return Fraction(num, den)
+        return self.div(num, den)
 
     def __repr__(self):
         return "Q"
@@ -400,7 +417,8 @@ class FuncField:
 
 
 def scalar_from_coeff(field, c):
-    """Embed a base-ring coefficient (int or Fraction) into a field."""
+    """Embed a base-ring coefficient (an int, or a Fraction of a Q
+    coefficient ring) into a field."""
     if isinstance(c, Fraction):
         return field.from_fraction(c)
     return field.from_int(c)

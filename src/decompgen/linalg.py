@@ -122,11 +122,17 @@ def rref_rows(field, rows):
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
         inv = F.inv(rows[r][j])
-        rows[r] = [F.mul(inv, c) for c in rows[r]]
+        prow = rows[r]
+        # the pivot row is zero left of j; only its nonzero columns move others
+        support = [k for k in range(j, n) if not F.is_zero(prow[k])]
+        for k in support:
+            prow[k] = F.mul(inv, prow[k])
         for i in range(m):
             if i != r and not F.is_zero(rows[i][j]):
-                f = rows[i][j]
-                rows[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(rows[i], rows[r])]
+                row = rows[i]
+                f = row[j]
+                for k in support:
+                    row[k] = F.sub(row[k], F.mul(f, prow[k]))
         pivots.append(j)
         r += 1
         if r == m:
@@ -147,7 +153,9 @@ def echelon_reduce(field, rows, pivots, vec):
     for row, pj in zip(rows, pivots):
         f = work[pj]
         if not F.is_zero(f):
-            work = [F.sub(a, F.mul(f, b)) for a, b in zip(work, row)]
+            for k in range(pj, len(row)):  # an echelon row is zero left of its pivot
+                if not F.is_zero(row[k]):
+                    work[k] = F.sub(work[k], F.mul(f, row[k]))
     return work
 
 

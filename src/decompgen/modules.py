@@ -337,12 +337,13 @@ def chop(module, seed=1, attempts=80):
 def _per_table(analysis):
     """Memoize analysis(fiber, seed) per distinct table in the fiber's algebra
     family: the `analyses` dict of the loaded algebra, shared by its
-    specializations and restrictions and keyed by table content, so the fiber
-    at p and the generic fiber of the restriction to V(p) share one result.
-    Every caller gets the same result object and must not mutate it."""
+    specializations and restrictions and keyed by table content (the fiber's
+    `table_key`, hashed once per fiber), so the fiber at p and the generic
+    fiber of the restriction to V(p) share one result.  Every caller gets the
+    same result object and must not mutate it."""
     @wraps(analysis)
     def memoized(fiber, seed=1):
-        key = (analysis.__name__, fiber.field, fiber.sc, fiber.unit, seed)
+        key = (analysis.__name__, fiber.table_key, seed)
         if key not in fiber.analyses:
             fiber.analyses[key] = analysis(fiber, seed)
         return fiber.analyses[key]

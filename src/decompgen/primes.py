@@ -15,7 +15,6 @@ two-variable function fields over these} are rejected at construction.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import polyops as P
 from .errors import NotPrime, UnsupportedResidueField, UnsupportedRestriction
@@ -32,6 +31,8 @@ from .rings import (
 GENERIC = "Generic"
 PRINCIPAL = "PrincipalIrreducible"
 MAXIMAL = "MaximalPoint"
+
+QQ = Rationals()
 
 
 @dataclass(frozen=True)
@@ -149,7 +150,7 @@ def _kx_principal(ring, g):
         if len(dense) > 2:
             raise UnsupportedResidueField(
                 f"residue field of ({g}) is a degree-{len(dense) - 1} number field")
-        root = -dense[0] / dense[1]
+        root = QQ.div(QQ.neg(dense[0]), dense[1])
         return PrimeSpec(ring, (g,), MAXIMAL, Rationals(), (root,),
                          (repr(ring), "prin", str(g)))
     if not is_irreducible_gf(coeff, dense):
@@ -167,13 +168,13 @@ def _zx_principal(ring, g):
     content, prim = int_content(g)
     if abs(content) != 1:
         raise NotPrime(f"({g}) is not prime in {ring!r}: content {content}")
-    dense = [Fraction(c) for c in _dense(ring, g)]
-    if not is_irreducible_qq(tuple(dense)):
+    dense = _dense(ring, g)
+    if not is_irreducible_qq(dense):
         raise NotPrime(f"({g}) is not prime: reducible over Q")
     if len(dense) > 2:
         raise UnsupportedResidueField(
             f"residue field of ({g}) is a degree-{len(dense) - 1} number field")
-    root = -dense[0] / dense[1]
+    root = QQ.div(QQ.neg(dense[0]), dense[1])
     return PrimeSpec(ring, (g,), PRINCIPAL, Rationals(), (root,),
                      (repr(ring), "prin", str(g)))
 
@@ -193,7 +194,7 @@ def _kxy_principal(ring, g):
                 if len(dense) > 2:
                     raise UnsupportedResidueField(
                         f"residue field of ({g}) is a number-field function field")
-                root = -dense[0] / dense[1]
+                root = QQ.div(QQ.neg(dense[0]), dense[1])
                 F = FuncField(Rationals(), (ring.varnames[j],))
                 images = [None, None]
                 images[i] = F.from_fraction(root)
@@ -390,7 +391,7 @@ def numerator_denominator_in_ring(alpha, ring):
     cd, dprim = _rat_clear_denoms(ratring.element(den))
     if cn == 0:
         return ring.zero(), ring.one()
-    r = cn / cd
+    r = QQ.div(cn, cd)
     nz = ring.element(tuple((e, int(c)) for e, c in nprim))
     dz = ring.element(tuple((e, int(c)) for e, c in dprim))
     return nz * r.numerator, dz * r.denominator

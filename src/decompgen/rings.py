@@ -13,14 +13,13 @@ objects and hashing/golden serialization are reliable.
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd as int_gcd
 
 import sympy
 
 from . import polyops as P
 from .errors import UnsupportedRing
-from .fields import FuncField, GFPrime, IntegerOps, Rationals
+from .fields import FuncField, GFPrime, IntegerOps, Rationals, scalar_from_coeff
 
 
 @dataclass(frozen=True)
@@ -103,13 +102,9 @@ class RingDescriptor:
         """Image of elem in the fraction field (or any field via from_int/from_fraction)."""
         field = field or self.fraction_field()
         if self.nv == 0:
-            c = P.pconst_value(self.coeff, elem.data)
-            return field.from_fraction(Fraction(c)) if not isinstance(self.coeff, GFPrime) else field.from_int(c)
-        if isinstance(self.coeff, IntegerOps):
-            data = tuple((e, Fraction(c)) for e, c in elem.data)
-        else:
-            data = elem.data
-        return field.from_poly(data)
+            return scalar_from_coeff(field, P.pconst_value(self.coeff, elem.data))
+        # integer coefficients are already scalars of Q
+        return field.from_poly(elem.data)
 
     def from_field_scalar(self, a, field=None):
         """RingElement with the same value as the fraction-field scalar a,
@@ -272,9 +267,9 @@ def _rat_clear_denoms(elem):
     if not elem.is_zero() and elem.data[0][1] < 0:
         num_gcd = -num_gcd
     if num_gcd == 0:
-        return Fraction(0), P.PZERO
+        return 0, P.PZERO
     data = tuple((e, int(c * den) // num_gcd) for e, c in elem.data)
-    return Fraction(num_gcd, den), data
+    return Rationals().div(num_gcd, den), data
 
 
 def ring_gcd(a, b):
@@ -296,9 +291,7 @@ def ring_gcd(a, b):
     ca, pa = int_content(a)
     cb, pb = int_content(b)
     ratring = _int_to_rat(ring)
-    qa = ratring.element(tuple((e, Fraction(c)) for e, c in pa.data))
-    qb = ratring.element(tuple((e, Fraction(c)) for e, c in pb.data))
-    g = P.pgcd_field(Rationals(), 1, qa.data, qb.data)
+    g = P.pgcd_field(Rationals(), 1, pa.data, pb.data)
     _, gdata = _rat_clear_denoms(ratring.element(g))
     return ring.element(tuple((e, int(c)) for e, c in gdata)) * int_gcd(ca, cb)
 

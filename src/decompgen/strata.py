@@ -481,9 +481,7 @@ def _sqrt_univariate(coeff, data):
             return None
         if any(m % 2 for _, m in pairs):
             return None
-        from fractions import Fraction
-
-        root = ((Fraction(num_r, den_r)),)
+        root = (coeff.parse_coeff(num_r, den_r),)
         for f, m in pairs:
             for _ in range(m // 2):
                 root = P.umul(coeff, root, f)

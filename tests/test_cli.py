@@ -79,6 +79,19 @@ def test_bad_prime_exit_code(corpdir, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("args", [["discriminant"], ["decmat", "--prime", "p=5"]])
+def test_not_split_is_a_negative_not_invalid_input(corpdir, capsys, args):
+    """ZC3 is a valid algebra whose generic fiber does not split (x^2 + x + 1
+    is irreducible over Q): commands that need a split fiber say so with the
+    exit code of a mathematical negative, as split-check does."""
+    cmd, *rest = args
+    rc, out, err = run_cli([cmd, str(corpdir / "ZC3.alg"), *rest], capsys)
+    assert rc == 1 and not out
+    assert err == "error: the generic fiber of ZC3 does not split\n"
+    rc, out, _ = run_cli(["split-check", str(corpdir / "ZC3.alg")], capsys)
+    assert rc == 1 and "NOT split" in out
+
+
 def test_decmat(corpdir, capsys):
     rc, out, _ = run_cli(["decmat", str(corpdir / "ZC2.alg"), "--prime", "p=2",
                           "--format", "structured"], capsys)

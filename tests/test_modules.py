@@ -242,3 +242,23 @@ def test_qc3_chops_fine_over_q():
     QC3 = REGISTRY["ZC3"].algebra().generic_fiber()
     factors = chop(regular_module(QC3))
     assert [(s.dim, mult) for s, mult in factors] == [(1, 1), (2, 1)]
+
+
+def test_equal_fibers_share_one_memo_entry():
+    """Two specializations at one prime are distinct objects with equal
+    tables; the memo keys on content, so both get the same result object."""
+    A = REGISTRY["ZS3"].algebra()
+    p = prime_spec(Z, [Z.from_int(3)])
+    F1, F2 = specialize(A, p), specialize(A, p)
+    assert F1 is not F2 and F1.table_key is not F2.table_key
+    assert F1.table_key == F2.table_key
+    assert is_split(F1) is is_split(F2)
+
+
+def test_table_keys_with_colliding_hashes_stay_apart():
+    A = REGISTRY["ZS3"].algebra()
+    k1 = specialize(A, prime_spec(Z, [Z.from_int(2)])).table_key
+    k2 = specialize(A, prime_spec(Z, [Z.from_int(3)])).table_key
+    k2._hash = k1._hash
+    assert hash(k1) == hash(k2) and k1 != k2
+    assert len({k1: 1, k2: 2}) == 2

@@ -16,3 +16,15 @@ def test_internal_checks_raise_instead_of_assert():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in engine code: {found}"
+
+
+def test_no_true_division_in_engine_code():
+    # every quotient goes through a field's div: `/` on two ints is a float,
+    # and now that integral rationals are ints it would slip into exact data
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.BinOp, ast.AugAssign))
+                  and isinstance(node.op, ast.Div)]
+    assert not found, f"true division in engine code: {found}"
