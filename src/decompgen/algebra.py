@@ -86,6 +86,14 @@ class FiniteFreeAlgebra:
         """The TableKey of this table, built on first use and kept."""
         return TableKey(self.field, self.sc, self.unit)
 
+    @cached_property
+    def terms(self):
+        """terms[i][j]: the nonzero (k, c[i][j][k]) of b_i b_j, k ascending.
+        Table loops iterate these instead of scanning the zero constants."""
+        is_zero = self.domain.is_zero
+        return tuple(tuple(tuple((k, c) for k, c in enumerate(cs) if not is_zero(c))
+                           for cs in plane) for plane in self.sc)
+
     # vector arithmetic over the scalar domain
 
     def vec_zero(self):
@@ -99,20 +107,16 @@ class FiniteFreeAlgebra:
     def vec_mul(self, x, y):
         D = self.domain
         add, mul, is_zero = D.add, D.mul, D.is_zero
-        n = self.dim
-        out = [D.zero] * n
-        for i in range(n):
-            xi = x[i]
+        out = [D.zero] * self.dim
+        ys = [(j, yj) for j, yj in enumerate(y) if not is_zero(yj)]
+        for xi, row in zip(x, self.terms):
             if is_zero(xi):
                 continue
-            row = self.sc[i]
-            for j in range(n):
-                yj = y[j]
-                if is_zero(yj):
-                    continue
-                coef = mul(xi, yj)
-                for k, c in enumerate(row[j]):
-                    if not is_zero(c):
+            for j, yj in ys:
+                ts = row[j]
+                if ts:
+                    coef = mul(xi, yj)
+                    for k, c in ts:
                         out[k] = add(out[k], mul(coef, c))
         return out
 
@@ -137,14 +141,12 @@ class FiniteFreeAlgebra:
         F = self.field
         n = self.dim
         rows = [[F.zero] * n for _ in range(n)]
-        for i in range(n):
-            if F.is_zero(x[i]):
+        for xi, row in zip(x, self.terms):
+            if F.is_zero(xi):
                 continue
-            for j in range(n):
-                for k in range(n):
-                    c = self.sc[i][j][k]
-                    if not F.is_zero(c):
-                        rows[k][j] = F.add(rows[k][j], F.mul(x[i], c))
+            for j, ts in enumerate(row):
+                for k, c in ts:
+                    rows[k][j] = F.add(rows[k][j], F.mul(xi, c))
         return Matrix(F, rows)
 
     def _validate(self):
@@ -157,13 +159,14 @@ class FiniteFreeAlgebra:
             e = self.basis_vector(i)
             if self.vec_mul(unit, e) != e or self.vec_mul(e, unit) != e:
                 raise NoUnit(f"unit law fails on basis element {self.basis_names[i]}")
+        # (b_i b_j) b_k = sum_l c[i][j][l] b_l b_k and
+        # b_i (b_j b_k) = sum_l c[j][k][l] b_i b_l, compared term by term
+        terms = self.terms
         for i in range(n):
-            bi = self.basis_vector(i)
             for j in range(n):
-                bij = list(self.sc[i][j])
                 for k in range(n):
-                    left = self.vec_mul(bij, self.basis_vector(k))
-                    if left != self.vec_mul(bi, list(self.sc[j][k])):
+                    left = self._combine((c, terms[l][k]) for l, c in terms[i][j])
+                    if left != self._combine((c, terms[i][l]) for l, c in terms[j][k]):
                         raise NotAssociative(
                             f"(b{i} b{j}) b{k} != b{i} (b{j} b{k}) in {self.name}")
         # a fiber's trace form may degenerate (that locus is the discriminant);
@@ -171,19 +174,30 @@ class FiniteFreeAlgebra:
         if self.trace_vector is not None and not self.over_field:
             self._validate_trace()
 
+    def _combine(self, scaled):
+        """sum of c * v over the (c, v) pairs, each v a terms entry, as a
+        {k: nonzero coefficient} dict."""
+        D = self.domain
+        add, mul = D.add, D.mul
+        acc = {}
+        for c, ts in scaled:
+            for k, e in ts:
+                acc[k] = add(acc[k], mul(c, e)) if k in acc else mul(c, e)
+        return {k: v for k, v in acc.items() if not D.is_zero(v)}
+
     def form_gram(self, t):
         """G[i][j] = sum_k c[i][j][k] t[k], the Gram matrix of (x, y) -> t(xy)
         for a linear form given by its values t[k] on the basis."""
         D = self.domain
         add, mul, is_zero = D.add, D.mul, D.is_zero
         gram = []
-        for plane in self.sc:
+        for plane in self.terms:
             row = []
-            for cs in plane:
+            for ts in plane:
                 acc = D.zero
-                for c, tk in zip(cs, t):
-                    if not is_zero(c) and not is_zero(tk):
-                        acc = add(acc, mul(c, tk))
+                for k, c in ts:
+                    if not is_zero(t[k]):
+                        acc = add(acc, mul(c, t[k]))
                 row.append(acc)
             gram.append(row)
         return gram

@@ -75,13 +75,9 @@ def cmd_fiber(args):
     A = _load(args)
     p = _prime(args, A)
     F = specialize(A, p, validate=True)
-    consts = []
-    for i in range(F.dim):
-        for j in range(F.dim):
-            for k in range(F.dim):
-                c = F.sc[i][j][k]
-                if not F.field.is_zero(c):
-                    consts.append([i, j, k, F.field.to_str(c)])
+    consts = [[i, j, k, F.field.to_str(c)]
+              for i, plane in enumerate(F.terms)
+              for j, ts in enumerate(plane) for k, c in ts]
     report = {
         "algebra": A.name,
         "prime": p.short_str(),

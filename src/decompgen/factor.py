@@ -263,7 +263,8 @@ def factor_funcfield(F, f):
         return P.pnorm(F.base, [(e, F.base.parse_coeff(int(c.numerator), int(c.denominator)))
                                 for e, c in p.items()])
 
-    coeffs = [K.field.new(to_sympy(num), to_sympy(den)) for num, den in reversed(f)]
+    coeffs = [K.field.new(to_sympy(F.numerator(c)), to_sympy(F.denominator(c)))
+              for c in reversed(f)]
     poly = sympy.Poly.from_list(coeffs, sympy.Dummy("X"), domain=K)
     out = []
     for fac, mult in poly.factor_list()[1]:

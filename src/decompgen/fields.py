@@ -12,11 +12,19 @@ structurally, and expose arithmetic on plain-data scalars.
                          GF(p) of degree e
     FuncField(base, varnames)
                          rational function field over one of the above in one
-                         or two variables; scalars are (num, den) pairs of
-                         canonical sparse polynomials with monic denominator
-                         and gcd(num, den) = 1.  `make` skips the gcd when
-                         the denominator is constant (nearly every result):
-                         scaling it to one already gives that canonical form
+                         or two variables; scalars are (num, den) pairs with
+                         monic denominator and gcd(num, den) = 1.  In one
+                         variable num and den are dense coefficient tuples,
+                         constant term first (the polyops `u*` form, so a
+                         constant is a 1-tuple); in two they are canonical
+                         sparse polynomials.  The methods are written once
+                         against a kernel set chosen per field.  `make`,
+                         `from_poly`, `numerator` and `denominator` take and
+                         give sparse polynomials in both cases, so callers
+                         never see the representation.  The gcd is skipped
+                         when the denominator is constant (nearly every
+                         result): scaling it to one already gives the
+                         canonical form
 
 Keeping scalars as plain data (rather than wrapper objects) keeps the dense
 linear algebra loops cheap; all operations go through the owning field.
@@ -291,6 +299,88 @@ class GFExt:
         return f"GF({self.p}^{self.e})"
 
 
+class _SparseKernels:
+    """k[vars] as canonical sparse term tuples (the polyops `p*` kernels)."""
+
+    def __init__(self, base, nv):
+        self.base, self.nv = base, nv
+        self.one = P.pone(base, nv)
+
+    def add(self, a, b):
+        return P.padd(self.base, a, b)
+
+    def neg(self, a):
+        return P.pneg(self.base, a)
+
+    def mul(self, a, b):
+        return P.pmul(self.base, a, b)
+
+    def scale(self, a, c):
+        return P.pscale(self.base, a, c)
+
+    def gcd(self, a, b):
+        return P.pgcd_field(self.base, self.nv, a, b)
+
+    def exact_div(self, a, b):
+        return P.pexact_div(self.base, a, b)
+
+    is_const = staticmethod(P.pis_const)
+
+    @staticmethod
+    def lead(a):
+        """Degree-lexicographically leading coefficient."""
+        return a[0][1]
+
+    @staticmethod
+    def to_sparse(a):
+        return a
+
+    @staticmethod
+    def from_sparse(a):
+        return a
+
+
+class _DenseKernels:
+    """k[d] as dense coefficient tuples, constant term first (the polyops
+    `u*` kernels)."""
+
+    def __init__(self, base):
+        self.base = base
+        self.one = (base.one,)
+
+    def add(self, a, b):
+        return P.uadd(self.base, a, b)
+
+    def neg(self, a):
+        return P.uneg(self.base, a)
+
+    def mul(self, a, b):
+        return P.umul(self.base, a, b)
+
+    def scale(self, a, c):
+        return P.uscale(self.base, a, c)
+
+    def gcd(self, a, b):
+        return P.ugcd(self.base, a, b)
+
+    def exact_div(self, a, b):
+        return P.uexact_div(self.base, a, b)
+
+    @staticmethod
+    def is_const(a):
+        return len(a) <= 1
+
+    @staticmethod
+    def lead(a):
+        return a[-1]
+
+    def to_sparse(self, a):
+        return P.p_from_dense(self.base, a)
+
+    def from_sparse(self, a):
+        return P.p_to_dense(self.base, a)
+
+
 @dataclass(frozen=True)
 class FuncField:
     base: object
@@ -306,73 +396,88 @@ class FuncField:
     def nv(self):
         return len(self.varnames)
 
+    @cached_property
+    def _k(self):
+        """The polynomial kernels of this field's scalar representation."""
+        if self.nv == 1:
+            return _DenseKernels(self.base)
+        return _SparseKernels(self.base, self.nv)
+
     # built once per field: scalars are immutable, so every caller can share them
     @cached_property
     def zero(self):
-        return (P.PZERO, self.one[1])
+        return ((), self._k.one)
 
     @cached_property
     def one(self):
-        u = P.pone(self.base, self.nv)
+        u = self._k.one
         return (u, u)
 
     def make(self, num, den):
-        """Canonical scalar from a numerator/denominator polynomial pair."""
-        if P.pis_zero(den):
+        """Canonical scalar from a sparse numerator/denominator pair."""
+        k = self._k
+        return self._canon(k.from_sparse(num), k.from_sparse(den))
+
+    def _canon(self, num, den):
+        """Canonical scalar from a numerator/denominator pair in this
+        field's representation."""
+        if not den:
             raise ZeroDivisionError("zero denominator in function field")
-        if P.pis_zero(num):
+        if not num:
             return self.zero
-        base = self.base
-        if P.pis_const(den):
+        base, k = self.base, self._k
+        if k.is_const(den):
             # a constant denominator has gcd 1 with num: scaling it to one
             # gives the canonical pair the gcd path below would give
-            c = den[0][1]
+            c = k.lead(den)
             if c == base.one:
                 return (num, den)
-            return (P.pscale(base, num, base.inv(c)), self.one[1])
-        g = P.pgcd_field(base, self.nv, num, den)
-        if P.pdeg(g) > 0:
-            num = P.pexact_div(base, num, g)
-            den = P.pexact_div(base, den, g)
-        lc = den[0][1]
+            return (k.scale(num, base.inv(c)), k.one)
+        g = k.gcd(num, den)
+        if not k.is_const(g):
+            num = k.exact_div(num, g)
+            den = k.exact_div(den, g)
+        lc = k.lead(den)
         if not base.is_zero(base.sub(lc, base.one)):
             inv = base.inv(lc)
-            num = P.pscale(base, num, inv)
-            den = P.pscale(base, den, inv)
+            num = k.scale(num, inv)
+            den = k.scale(den, inv)
         return (num, den)
 
     def add(self, a, b):
         (na, da), (nb, db) = a, b
-        if P.pis_const(da) and P.pis_const(db):  # both denominators are 1
-            return self.make(P.padd(self.base, na, nb), da)
-        num = P.padd(self.base, P.pmul(self.base, na, db), P.pmul(self.base, nb, da))
-        return self.make(num, P.pmul(self.base, da, db))
+        k = self._k
+        if k.is_const(da) and k.is_const(db):  # both denominators are 1
+            return self._canon(k.add(na, nb), da)
+        return self._canon(k.add(k.mul(na, db), k.mul(nb, da)), k.mul(da, db))
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def neg(self, a):
-        return (P.pneg(self.base, a[0]), a[1])
+        return (self._k.neg(a[0]), a[1])
 
     def mul(self, a, b):
         (na, da), (nb, db) = a, b
-        if P.pis_const(da) and P.pis_const(db):  # both denominators are 1
-            return self.make(P.pmul(self.base, na, nb), da)
-        return self.make(P.pmul(self.base, na, nb), P.pmul(self.base, da, db))
+        k = self._k
+        if k.is_const(da) and k.is_const(db):  # both denominators are 1
+            return self._canon(k.mul(na, nb), da)
+        return self._canon(k.mul(na, nb), k.mul(da, db))
 
     def inv(self, a):
-        if P.pis_zero(a[0]):
+        if not a[0]:
             raise ZeroDivisionError("inverse of zero in function field")
-        return self.make(a[1], a[0])
+        return self._canon(a[1], a[0])
 
     def div(self, a, b):
         (na, da), (nb, db) = a, b
-        if P.pis_zero(nb):
+        if not nb:
             raise ZeroDivisionError("division by zero in function field")
-        return self.make(P.pmul(self.base, na, db), P.pmul(self.base, da, nb))
+        k = self._k
+        return self._canon(k.mul(na, db), k.mul(da, nb))
 
     def is_zero(self, a):
-        return P.pis_zero(a[0])
+        return not a[0]
 
     def from_int(self, n):
         return self.from_poly(P.pconst(self.base, self.nv, self.base.from_int(n)))
@@ -381,27 +486,30 @@ class FuncField:
         return self.from_poly(P.pconst(self.base, self.nv, self.base.from_fraction(q)))
 
     def from_poly(self, p):
-        """Scalar from a polynomial over the base coefficient field."""
-        return (p, self.one[1])
+        """Scalar from a sparse polynomial over the base coefficient field."""
+        k = self._k
+        return (k.from_sparse(p), k.one)
 
     def var_scalar(self, i):
         return self.from_poly(P.pvar(self.base, self.nv, i))
 
     def is_polynomial(self, a):
-        return P.pis_const(a[1])
+        return self._k.is_const(a[1])
 
     def numerator(self, a):
-        return a[0]
+        """The numerator as a sparse polynomial."""
+        return self._k.to_sparse(a[0])
 
     def denominator(self, a):
-        return a[1]
+        """The (monic) denominator as a sparse polynomial."""
+        return self._k.to_sparse(a[1])
 
     def sort_key(self, a):
         bk = self.base.sort_key
-        return (P.pkey(bk, a[0]), P.pkey(bk, a[1]))
+        return (P.pkey(bk, self.numerator(a)), P.pkey(bk, self.denominator(a)))
 
     def to_str(self, a):
-        num, den = a
+        num, den = self.numerator(a), self.denominator(a)
         ns = P.pformat(num, self.varnames, self.base.to_str)
         if P.pis_const(den):
             return ns

@@ -236,58 +236,48 @@ def det(mat):
 
 
 def char_poly(mat):
-    """Monic characteristic polynomial via Hessenberg reduction.
+    """Monic characteristic polynomial det(xI - A) by Berkowitz's
+    division-free algorithm (Berkowitz 1984, Inf. Process. Lett. 18).
 
-    Returned as a dense univariate polynomial over the matrix field
-    (coefficient tuple, constant term first).
+    Only additions and multiplications occur, so over k(d) no entry ever
+    needs a gcd and coefficients cannot swell through divisions.  Returned
+    as a dense univariate polynomial over the matrix field (coefficient
+    tuple, constant term first).
     """
     F = mat.field
     if mat.nrows != mat.ncols:
         raise NotSquare("characteristic polynomial of a non-square matrix")
-    return _hessenberg_charpoly(F, _hessenberg(F, mat.rows))
+    A = mat.rows
+    add, mul, neg, is_zero = F.add, F.mul, F.neg, F.is_zero
 
+    def dot(r, v):  # r is cut to len(v)
+        acc = F.zero
+        for a, b in zip(r, v):
+            if not is_zero(a) and not is_zero(b):
+                acc = add(acc, mul(a, b))
+        return acc
 
-def _hessenberg(F, rows):
-    n = len(rows)
-    H = [list(r) for r in rows]
-    for j in range(n - 2):
-        sel = None
-        for i in range(j + 1, n):
-            if not F.is_zero(H[i][j]):
-                sel = i
-                break
-        if sel is None:
-            continue
-        if sel != j + 1:
-            H[j + 1], H[sel] = H[sel], H[j + 1]
-            for row in H:
-                row[j + 1], row[sel] = row[sel], row[j + 1]
-        piv = H[j + 1][j]
-        inv = F.inv(piv)
-        for i in range(j + 2, n):
-            if F.is_zero(H[i][j]):
-                continue
-            f = F.mul(H[i][j], inv)
-            H[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(H[i], H[j + 1])]
-            for row in H:
-                row[j + 1] = F.add(row[j + 1], F.mul(f, row[i]))
-    return H
-
-
-def _hessenberg_charpoly(F, H):
-    n = len(H)
-    polys = [(F.one,)]  # char poly of the empty matrix
-    for m in range(1, n + 1):
-        x_minus = (F.neg(H[m - 1][m - 1]), F.one)
-        pm = P.umul(F, x_minus, polys[m - 1])
-        prod = F.one
-        for i in range(m - 1, 0, -1):
-            prod = F.mul(prod, H[i][i - 1])
-            term = F.mul(H[i - 1][m - 1], prod)
-            pm = P.usub(F, pm, P.uscale(F, polys[i - 1], term))
-        polys.append(pm)
-    out = polys[n]
-    return out if out else (F.one,)
+    p = [F.one]  # det(xI - A_k) of the leading k x k block, leading coefficient first
+    for k in range(len(A)):
+        # the leading (k+1) x (k+1) block is [[A_k, col], [row, A[k][k]]];
+        # its polynomial is T p for the Toeplitz column
+        # t = (1, -A[k][k], -row col, -row A_k col, ..., -row A_k^(k-1) col)
+        rows = A[:k]
+        row, v = A[k], [r[k] for r in rows]
+        t = [F.one, neg(A[k][k])]
+        for j in range(k):
+            t.append(neg(dot(row, v)))
+            if j + 1 < k:
+                v = [dot(r, v) for r in rows]
+        new = []
+        for i in range(k + 2):
+            acc = F.zero
+            for j in range(min(i, k) + 1):
+                if not is_zero(t[i - j]) and not is_zero(p[j]):
+                    acc = add(acc, mul(t[i - j], p[j]))
+            new.append(acc)
+        p = new
+    return tuple(reversed(p))
 
 
 def eval_poly_at_matrix(field, poly, mat):

@@ -58,10 +58,8 @@ class AlgebraModule:
             for j in range(n):
                 lhs = self.action[i].mul(self.action[j])
                 rhs = Matrix.zeros(F, self.dim, self.dim)
-                for k in range(n):
-                    c = self.fiber.sc[i][j][k]
-                    if not F.is_zero(c):
-                        rhs = rhs.add(self.action[k].scale(c))
+                for k, c in self.fiber.terms[i][j]:
+                    rhs = rhs.add(self.action[k].scale(c))
                 if lhs != rhs:
                     raise RadicalNotNilpotent("action does not respect the table")
         return self
@@ -232,8 +230,10 @@ def _constant_projection(F, chi):
     chi is constant, else None."""
     out = []
     for s in chi:
-        num, den = s
-        if not P.pis_const(den) or not P.pis_const(num):
+        if not F.is_polynomial(s):
+            return None
+        num = F.numerator(s)
+        if not P.pis_const(num):
             return None
         out.append(P.pconst_value(F.base, num))
     return tuple(out)
@@ -373,12 +373,12 @@ def is_isomorphic(S, T, cross_validate=False):
 def _regular_trace_vector(fiber):
     F = fiber.field
     out = []
-    for k in range(fiber.dim):
+    for plane in fiber.terms:
         t = F.zero
-        for j in range(fiber.dim):
-            c = fiber.sc[k][j][j]
-            if not F.is_zero(c):
-                t = F.add(t, c)
+        for j, ts in enumerate(plane):
+            for l, c in ts:
+                if l == j:
+                    t = F.add(t, c)
         out.append(t)
     return out
 

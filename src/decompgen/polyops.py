@@ -11,7 +11,9 @@ sparse multivariate ("p" functions)
 
 dense univariate ("u" functions)
     A polynomial is a tuple of coefficients, constant term first, with no
-    trailing zeros.  The zero polynomial is the empty tuple.
+    trailing zeros.  The zero polynomial is the empty tuple.  These kernels
+    serve the numerators and denominators of one-variable function-field
+    scalars (fields.FuncField), GF(p^e) arithmetic and the factorizers.
 
 All functions take the coefficient domain as an explicit first argument.  A
 domain is any object with zero/one attributes and add/sub/mul/neg/is_zero

@@ -207,13 +207,13 @@ def _kxy_principal(ring, g):
                     rootval = coeff.div(coeff.neg(dense[0]), dense[1])
                     F = FuncField(base, (ring.varnames[j],))
                     images = [None, None]
-                    images[i] = (P.pconst(base, 1, rootval), P.pone(base, 1))
+                    images[i] = F.from_poly(P.pconst(base, 1, rootval))
                     images[j] = F.var_scalar(0)
                 else:
                     base = GFExt(coeff.p, len(dense) - 1, dense)
                     F = FuncField(base, (ring.varnames[j],))
                     images = [None, None]
-                    images[i] = (P.pconst(base, 1, base.gen()), P.pone(base, 1))
+                    images[i] = F.from_poly(P.pconst(base, 1, base.gen()))
                     images[j] = F.var_scalar(0)
             return PrimeSpec(ring, (g,), PRINCIPAL, F, tuple(images),
                              (repr(ring), "prin", str(g)))

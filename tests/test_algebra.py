@@ -63,7 +63,7 @@ mul 2 0 2 1
 mul 1 1 2 1
 mul 1 2 0 1
 """
-    with pytest.raises(NotAssociative):
+    with pytest.raises(NotAssociative, match=r"^\(b1 b1\) b1 != b1 \(b1 b1\) in broken$"):
         load_algebra(bad_assoc)
     # the same checks on a table built directly, over Z and over GF(5)
     bad = load_algebra(bad_assoc, validate=False)
@@ -76,6 +76,29 @@ mul 1 2 0 1
             FiniteFreeAlgebra("broken", base, bad.basis_names, sc, unit)
         with pytest.raises(NoUnit):
             FiniteFreeAlgebra("short", base, ("a", "b"), sc[:2], unit[:1])
+
+
+def test_first_failing_triple_is_named(corpus):
+    # one constant of TL4_Q off by one: the check runs over (i, j, k) in
+    # order and names the first triple whose two products differ
+    A = corpus["TL4_Q"]
+    sc = [[list(r) for r in plane] for plane in A.sc]
+    sc[9][4][11] = sc[9][4][11] + A.ring.from_int(1)
+    sc = tuple(tuple(tuple(r) for r in plane) for plane in sc)
+    with pytest.raises(NotAssociative, match=r"^\(b0 b9\) b4 != b0 \(b9 b4\) in TL4_Q$"):
+        FiniteFreeAlgebra(A.name, A.ring, A.basis_names, sc, A.unit, A.trace_vector)
+
+
+def test_terms_match_the_table(corpus, b3):
+    tables = [A for A in corpus.values()] + [b3]
+    tables += [specialize(A, generic_point(A.ring)) for A in tables]
+    for A in tables:
+        n, D = A.dim, A.domain
+        assert len(A.terms) == n and all(len(plane) == n for plane in A.terms)
+        for i in range(n):
+            for j in range(n):
+                expect = tuple((k, c) for k, c in enumerate(A.sc[i][j]) if not D.is_zero(c))
+                assert A.terms[i][j] == expect, (A.name, i, j)
 
 
 @pytest.mark.parametrize("edit, message", [

@@ -31,6 +31,7 @@ QQ = Rationals()
 F3 = GFPrime(3)
 F4 = GFExt(2, 2, (1, 1, 1))
 QX = FuncField(Rationals(), ("x",))
+QD = FuncField(Rationals(), ("d",))
 
 FIELDS = [QQ, F3, F4, QX]
 
@@ -107,6 +108,32 @@ def test_char_poly_block_multiplicativity(F):
         assert char_poly(block) == P.umul(F, char_poly(a), char_poly(b))
 
 
+def test_char_poly_over_qd_needs_no_gcd_swell():
+    # a 7x7 matrix with entries a + b*d: an elimination that divides in Q(d)
+    # swells the gcds of its entries on it; the result is checked against sympy
+    import time
+
+    import sympy
+
+    rng = random.Random(7)
+    n = 7
+    pairs = [[(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+    d = QD.var_scalar(0)
+    m = Matrix(QD, [[QD.add(QD.from_int(a), QD.mul(QD.from_int(b), d)) for a, b in r]
+                    for r in pairs])
+    start = time.perf_counter()
+    chi = char_poly(m)
+    assert time.perf_counter() - start < 2.0
+    sd, sx = sympy.symbols("d X")
+    ref = sympy.Matrix([[a + b * sd for a, b in r] for r in pairs]).charpoly(sx).all_coeffs()
+    assert len(chi) == n + 1
+    for c, r in zip(chi, reversed(ref)):
+        assert QD.is_polynomial(c)
+        num = QD.numerator(c)
+        got = sum(sympy.Rational(x.numerator, x.denominator) * sd ** e for (e,), x in num)
+        assert sympy.expand(got - r) == 0
+
+
 @pytest.mark.parametrize("F", FIELDS, ids=lambda f: repr(f))
 def test_cayley_hamilton(F):
     rng = random.Random(29)
@@ -143,12 +170,13 @@ def test_hermite_saturation_examples():
         return Qx.to_field(E.from_rep(a), K)
 
     def from_f(row):
+        pairs = [(K.numerator(a), K.denominator(a)) for a in row]
         acc = P.pone(QQ, 1)
-        for num, den in row:
+        for num, den in pairs:
             g = P.pgcd_field(QQ, 1, acc, den)
             acc = P.pexact_div(QQ, P.pmul(QQ, acc, den), g)
         return [P.p_to_dense(QQ, P.pmul(QQ, num, P.pexact_div(QQ, acc, den)))
-                for num, den in row]
+                for num, den in pairs]
 
     x = (Fraction(0), Fraction(1))
     x2 = (Fraction(0), Fraction(0), Fraction(1))
