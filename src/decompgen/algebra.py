@@ -236,8 +236,17 @@ class FiniteFreeAlgebra:
 
 def _map_table(A, f, name, base, prime=None, validate=False):
     """A's table with every coefficient (structure constants, unit, trace
-    vector) sent through f, as a table over base."""
-    sc = tuple(tuple(tuple(f(c) for c in row) for row in plane) for plane in A.sc)
+    vector) sent through f, as a table over base.  f is a ring homomorphism,
+    so the zero constants all map to f(0), taken once, and only the nonzero
+    constants of A.terms go through f."""
+    n = A.dim
+    zero = f(A.domain.zero)
+    sc = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    for plane, ts_plane in zip(sc, A.terms):
+        for row, ts in zip(plane, ts_plane):
+            for k, c in ts:
+                row[k] = f(c)
+    sc = tuple(tuple(tuple(row) for row in plane) for plane in sc)
     unit = tuple(f(u) for u in A.unit)
     tv = tuple(f(t) for t in A.trace_vector) if A.trace_vector is not None else None
     B = FiniteFreeAlgebra(name, base, A.basis_names, sc, unit, tv, validate=validate,
@@ -292,10 +301,15 @@ class SubLattice:
         kind = "subspace" if self.over_field else "lattice"
         return f"<{kind} of dim {self.dim} in dim-{self.ambient.dim} ambient>"
 
+    @cached_property
+    def pivots(self):
+        """Pivot columns of the echelon rows of a subspace, found once."""
+        return pivot_columns(self.ambient.field, self.rows)
+
     def contains_vector(self, vec):
         if self.over_field:
             F = self.ambient.field
-            work = echelon_reduce(F, self.rows, pivot_columns(F, self.rows), vec)
+            work = echelon_reduce(F, self.rows, self.pivots, vec)
             return all(F.is_zero(c) for c in work)
         from .linalg import lattice_member
 
@@ -337,7 +351,7 @@ def quotient_algebra(fiber, ideal):
     non-pivot coordinates."""
     F = fiber.field
     n = fiber.dim
-    pivots = pivot_columns(F, ideal.rows)
+    pivots = ideal.pivots
     keep = [j for j in range(n) if j not in pivots]
 
     def project(vec):

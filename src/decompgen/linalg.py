@@ -1,5 +1,9 @@
-"""Dense exact linear algebra over the engine's fields, plus lattice normal
-forms over Z and k[x] and gcd-free bases of univariate polynomial families.
+"""Exact linear algebra over the engine's fields, plus lattice normal forms
+over Z and k[x] and gcd-free bases of univariate polynomial families.
+
+A `Matrix` keeps dense rows and, for matrix-vector products, a view of the
+nonzero entries of each column: action matrices of monomial tables are
+mostly zero.  The rows of a `Matrix` are never mutated after construction.
 
 Everything is deterministic: no randomized pivoting, row echelon forms pick
 the first usable pivot, so repeated runs produce identical output.  Matrices
@@ -13,11 +17,16 @@ from . import polyops as P
 from .errors import DimensionMismatch, Inconsistent, NotSquare
 
 class Matrix:
-    __slots__ = ("field", "rows")
+    """A matrix over a field as a list of dense rows.  The rows must not be
+    mutated after construction: the column view `apply` builds on first use
+    is never invalidated."""
+
+    __slots__ = ("field", "rows", "_cols")
 
     def __init__(self, field, rows):
         self.field = field
         self.rows = [list(r) for r in rows]
+        self._cols = None  # per column j, the nonzero (i, a_ij); see apply
 
     @classmethod
     def identity(cls, field, n):
@@ -41,9 +50,6 @@ class Matrix:
     def __repr__(self):
         body = "; ".join(" ".join(self.field.to_str(c) for c in r) for r in self.rows)
         return f"[{body}]"
-
-    def copy(self):
-        return Matrix(self.field, self.rows)
 
     def transpose(self):
         return Matrix(self.field, [list(c) for c in zip(*self.rows)] if self.rows else [])
@@ -76,14 +82,23 @@ class Matrix:
         return Matrix(F, out)
 
     def apply(self, vec):
+        """self * vec over the nonzero entries of vec and of each column;
+        each out[i] still adds its terms in increasing column order."""
         F = self.field
-        out = []
-        for r in self.rows:
-            acc = F.zero
-            for a, b in zip(r, vec):
-                if not F.is_zero(a) and not F.is_zero(b):
-                    acc = F.add(acc, F.mul(a, b))
-            out.append(acc)
+        add, mul, is_zero = F.add, F.mul, F.is_zero
+        cols = self._cols
+        if cols is None:
+            cols = [[] for _ in range(self.ncols)]
+            for i, r in enumerate(self.rows):
+                for col, a in zip(cols, r):
+                    if not is_zero(a):
+                        col.append((i, a))
+            self._cols = cols
+        out = [F.zero] * len(self.rows)
+        for col, b in zip(cols, vec):
+            if not is_zero(b):
+                for i, a in col:
+                    out[i] = add(out[i], mul(a, b))
         return out
 
     def is_zero_matrix(self):
@@ -159,15 +174,8 @@ def echelon_reduce(field, rows, pivots, vec):
     return work
 
 
-def rref(mat):
-    rows, pivots = rref_rows(mat.field, mat.rows)
-    n = mat.ncols
-    full = rows + [[mat.field.zero] * n for _ in range(mat.nrows - len(rows))]
-    return Matrix(mat.field, full), pivots
-
-
 def rank(mat):
-    return len(rref(mat)[1])
+    return len(rref_rows(mat.field, mat.rows)[1])
 
 
 def kernel_basis(mat):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import wraps
 
 from . import polyops as P
-from .errors import ChopBudgetExceeded, EngineError, RadicalNotNilpotent
+from .errors import ChopBudgetExceeded, EngineError, Inconsistent, RadicalNotNilpotent
 from .factor import factor_funcfield, factor_gf, factor_qq, squarefree_part_safe
 from .fields import GFExt, GFPrime, Rationals
 from .linalg import (
@@ -31,7 +31,6 @@ from .linalg import (
     kernel_basis,
     pivot_columns,
     rref_rows,
-    solve,
 )
 from .algebra import span_subspace
 
@@ -114,14 +113,21 @@ def spin(module, vectors):
 
 
 def submodule(module, rows):
-    """Restriction of the action to the subspace spanned by echelon rows."""
+    """Restriction of the action to the subspace spanned by reduced echelon
+    rows, as `spin` returns them: the coordinates of a vector of that span
+    are its entries at the pivot columns.  Raises Inconsistent when the
+    subspace is not stable under the action."""
     F = module.fiber.field
-    basis_t = Matrix(F, rows).transpose()
+    pivots = pivot_columns(F, rows)
     acts = []
     for m in module.action:
-        cols = [solve(basis_t, m.apply(row)) for row in rows]
-        acts.append(Matrix(F, [[cols[j][i] for j in range(len(rows))]
-                               for i in range(len(rows))]))
+        cols = []
+        for row in rows:
+            w = m.apply(row)
+            if not all(F.is_zero(c) for c in echelon_reduce(F, rows, pivots, w)):
+                raise Inconsistent("the subspace is not stable under the action")
+            cols.append([w[p] for p in pivots])
+        acts.append(Matrix(F, zip(*cols)))
     return AlgebraModule(module.fiber, acts)
 
 
@@ -130,20 +136,11 @@ def quotient_module(module, rows):
     F = module.fiber.field
     pivots = pivot_columns(F, rows)
     free = [j for j in range(module.dim) if j not in pivots]
-
-    def project(v):
-        v = echelon_reduce(F, rows, pivots, v)
-        return [v[j] for j in free]
-
     acts = []
     for m in module.action:
-        cols = []
-        for j in free:
-            e = [F.zero] * module.dim
-            e[j] = F.one
-            cols.append(project(m.apply(e)))
-        acts.append(Matrix(F, [[cols[b][a] for b in range(len(free))]
-                               for a in range(len(free))]))
+        # column j of m is the image of the unit vector e_j
+        cols = [echelon_reduce(F, rows, pivots, [r[j] for r in m.rows]) for j in free]
+        acts.append(Matrix(F, [[col[a] for col in cols] for a in free]))
     return AlgebraModule(module.fiber, acts)
 
 

@@ -443,13 +443,6 @@ def uderiv(dom, a):
     return utrim(dom, [dom.mul(c, dom.from_int(i)) for i, c in enumerate(a) if i >= 1])
 
 
-def ueval(dom, a, x):
-    out = dom.zero
-    for c in reversed(a):
-        out = dom.add(dom.mul(out, x), c)
-    return out
-
-
 def upow_mod(dom, a, n, m):
     """a**n mod m by square and multiply."""
     r = (dom.one,)

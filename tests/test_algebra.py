@@ -4,6 +4,7 @@ import pytest
 
 from decompgen.algebra import (
     FiniteFreeAlgebra,
+    TableKey,
     ideal_closure,
     load_algebra,
     nilpotency_index,
@@ -20,11 +21,11 @@ from decompgen.errors import (
     UnsupportedRestriction,
     ValidationError,
 )
-from decompgen.corpus import dual_numbers
+from decompgen.corpus import REGISTRY, dual_numbers
 from decompgen.decomposition import split_data
 from decompgen.fields import GFPrime
 from decompgen.modules import is_split
-from decompgen.primes import generic_point, prime_spec
+from decompgen.primes import generic_point, prime_spec, quotient_chain, reduce_elem
 from decompgen.rings import parse_ring
 
 Z = parse_ring("Z")
@@ -162,6 +163,34 @@ def test_restrict_examples(corpus):
     # (2d - 1) has residue field Q but its quotient ring Z[1/2] is unsupported
     with pytest.raises(UnsupportedRestriction):
         restrict(B2, prime_spec(Zd, [Zd.parse("2*d - 1")]))
+
+
+def _entrywise(A, f, field=None):
+    """(sc, table key) of A with each of its n^3 structure constants and its
+    unit sent through f one by one."""
+    sc = tuple(tuple(tuple(f(c) for c in row) for row in plane) for plane in A.sc)
+    return sc, TableKey(field, sc, tuple(f(u) for u in A.unit))
+
+
+@pytest.mark.parametrize("key", sorted(REGISTRY))
+def test_specialize_and_restrict_map_every_constant(corpus, registry_points, key):
+    """The maps that send only the nonzero constants through the homomorphism
+    give the tables of the entrywise map, at the generic point and at every
+    registry prime."""
+    A = corpus[key]
+    for p in registry_points(key, A):
+        F = specialize(A, p)
+        sc, table_key = _entrywise(A, lambda c: reduce_elem(c, p), F.field)
+        assert F.sc == sc and F.table_key == table_key, p.short_str()
+        assert hash(F.table_key) == hash(table_key)
+        if p.is_generic:
+            continue
+        R = restrict(A, p)
+        _, push = quotient_chain(A.ring, p.generators)
+        sc, table_key = _entrywise(A, push)
+        assert R.sc == sc and R.table_key == table_key, p.short_str()
+        assert R.trace_vector == (None if A.trace_vector is None
+                                  else tuple(push(t) for t in A.trace_vector))
 
 
 def test_restrict_specialize_compatibility(corpus):

@@ -14,7 +14,7 @@ from decompgen import polyops as P
 from decompgen.algebra import specialize
 from decompgen.corpus import REGISTRY
 from decompgen.fields import FuncField, GFExt, GFPrime, Rationals
-from decompgen.primes import generic_point, parse_prime, prime_spec
+from decompgen.primes import prime_spec
 from decompgen.rings import parse_ring
 
 QQ = Rationals()
@@ -73,21 +73,10 @@ def _stray_scalars(field, values):
     return [c for c in values if isinstance(c, float)]
 
 
-def _registry_points(key, A):
-    """The generic point and every prime the registry names for A."""
-    facts = REGISTRY[key].facts
-    yield generic_point(A.ring)
-    for text in facts.get("excluded", []):
-        yield prime_spec(A.ring, [A.ring.parse(text)])
-    for kind in ("decmat", "trivial"):
-        for text in facts.get(kind, {}):
-            yield parse_prime(text, A.ring)
-
-
 @pytest.mark.parametrize("key", sorted(REGISTRY))
-def test_no_float_or_integral_fraction_in_registry_fibers(corpus, key):
+def test_no_float_or_integral_fraction_in_registry_fibers(corpus, registry_points, key):
     A = corpus[key]
-    for p in _registry_points(key, A):
+    for p in registry_points(key, A):
         F = specialize(A, p)
         values = [c for plane in F.sc for row in plane for c in row] + list(F.unit)
         assert _stray_scalars(F.field, values) == [], (key, p.short_str())

@@ -266,3 +266,55 @@ def test_gcd_free_reconstruction_randomized(F):
         for i, a in enumerate(gb.basis):
             for b in gb.basis[i + 1:]:
                 assert P.udeg(P.ugcd(F, a, b)) == 0
+
+
+# --- the nonzero-column view of Matrix.apply ---------------------------------
+
+QXY = FuncField(Rationals(), ("x", "y"))
+
+
+def _entry(F, rng, density):
+    """Zero with probability 1 - density, else a random scalar; over function
+    fields a rational function in every variable."""
+    if rng.random() >= density:
+        return F.zero
+    if isinstance(F, Rationals):
+        return F.from_fraction(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+    if not isinstance(F, FuncField):
+        return rand_scalar(F, rng)
+    num = F.from_int(rng.randint(-3, 3))
+    for i in range(F.nv):
+        num = F.add(num, F.mul(F.from_int(rng.randint(-2, 2)), F.var_scalar(i)))
+    den = F.add(F.var_scalar(rng.randrange(F.nv)), F.from_int(rng.randint(1, 3)))
+    return F.div(num, den)
+
+
+def _apply_reference(mat, vec):
+    """mat * vec row by row over every entry."""
+    F = mat.field
+    out = []
+    for r in mat.rows:
+        acc = F.zero
+        for a, b in zip(r, vec):
+            acc = F.add(acc, F.mul(a, b))
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("F", [QQ, GFPrime(7), F4, QD, QXY], ids=repr)
+def test_apply_matches_row_by_row_reference(F):
+    rng = random.Random(11)
+    for m, n in ((1, 1), (4, 4), (5, 3), (3, 6)):
+        for density in (1.0, 0.5, 0.2):
+            rows = [[_entry(F, rng, density) for _ in range(n)] for _ in range(m)]
+            if density < 1.0:  # a zero row and a zero column
+                rows[rng.randrange(m)] = [F.zero] * n
+                j = rng.randrange(n)
+                for r in rows:
+                    r[j] = F.zero
+            M = Matrix(F, rows)
+            vecs = [[F.zero] * n] + [[_entry(F, rng, d) for _ in range(n)]
+                                     for d in (1.0, 0.5, 0.2)]
+            for vec in vecs:  # the first call builds the view, later ones reuse it
+                assert M.apply(vec) == _apply_reference(M, vec), (m, n, density)
+    assert Matrix(F, []).apply([]) == []

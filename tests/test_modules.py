@@ -6,8 +6,10 @@ import pytest
 
 from decompgen.algebra import quotient_algebra, specialize
 from decompgen.corpus import REGISTRY, small_fiber_family
+from decompgen.errors import Inconsistent
 from decompgen.fields import GFPrime
-from decompgen.linalg import Matrix, det
+from decompgen.linalg import Matrix, det, solve
+from decompgen import modules
 from decompgen.modules import (
     SimpleModule,
     algebra_image_rank,
@@ -17,6 +19,7 @@ from decompgen.modules import (
     is_split,
     radical,
     regular_module,
+    submodule,
 )
 from decompgen.primes import prime_spec
 from decompgen.rings import parse_ring
@@ -262,3 +265,69 @@ def test_table_keys_with_colliding_hashes_stay_apart():
     k2._hash = k1._hash
     assert hash(k1) == hash(k2) and k1 != k2
     assert len({k1: 1, k2: 2}) == 2
+
+
+def _submodule_by_solve(module, rows):
+    """Action matrices on span(rows), each column solved for in the rows."""
+    F = module.fiber.field
+    basis_t = Matrix(F, rows).transpose()
+    acts = []
+    for m in module.action:
+        images = [m.mul(Matrix(F, [[c] for c in row])) for row in rows]
+        cols = [solve(basis_t, [r[0] for r in image.rows]) for image in images]
+        acts.append([list(r) for r in zip(*cols)])
+    return acts
+
+
+def _quotient_by_solve(module, rows):
+    """Action matrices on the quotient by span(rows), in the basis of the unit
+    vectors off the pivots: each image is solved for in rows + that basis and
+    its coordinates on the complement kept."""
+    F = module.fiber.field
+    d = module.dim
+    pivots = [next(k for k, c in enumerate(r) if not F.is_zero(c)) for r in rows]
+    units = [[F.one if k == j else F.zero for k in range(d)] for j in range(d)]
+    free = [j for j in range(d) if j not in pivots]
+    basis_t = Matrix(F, list(rows) + [units[j] for j in free]).transpose()
+    acts = []
+    for m in module.action:
+        cols = [solve(basis_t, [r[j] for r in m.rows])[len(rows):] for j in free]
+        acts.append([list(r) for r in zip(*cols)])
+    return acts
+
+
+@pytest.mark.parametrize("key", sorted(k for k, e in REGISTRY.items()
+                                       if e.facts["generic_split"]))
+def test_chop_subquotients_match_solve_references(corpus, key, monkeypatch):
+    """Every submodule and quotient the chop of a split generic fiber's
+    regular module builds equals the one found by solving linear systems."""
+    seen = []
+
+    def recording(build, reference):
+        def wrapper(module, rows):
+            out = build(module, rows)
+            seen.append(([m.rows for m in out.action], reference(module, rows)))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(modules, "submodule",
+                        recording(modules.submodule, _submodule_by_solve))
+    monkeypatch.setattr(modules, "quotient_module",
+                        recording(modules.quotient_module, _quotient_by_solve))
+    chop(regular_module(corpus[key].generic_fiber()))
+    assert seen
+    for got, want in seen:
+        assert got == want
+
+
+def test_submodule_of_an_unstable_subspace_raises():
+    """The span of one group element of Q S3 is no submodule: left
+    multiplication by any other element moves it out."""
+    fiber = REGISTRY["ZS3"].algebra().generic_fiber()
+    module = regular_module(fiber)
+    for i in range(fiber.dim):
+        with pytest.raises(Inconsistent):
+            submodule(module, [fiber.basis_vector(i)])
+    whole = [fiber.basis_vector(i) for i in range(fiber.dim)]
+    assert [m.rows for m in submodule(module, whole).action] == \
+        [m.rows for m in module.action]
