@@ -161,29 +161,24 @@ class FiniteFreeAlgebra:
                 raise NoUnit(f"unit law fails on basis element {self.basis_names[i]}")
         # (b_i b_j) b_k = sum_l c[i][j][l] b_l b_k and
         # b_i (b_j b_k) = sum_l c[j][k][l] b_i b_l, compared term by term
-        terms = self.terms
+        # on plain data (see RingDescriptor.plain), not on RingElements
+        if self.over_field:
+            D, terms = self.domain, self.terms
+        else:
+            D, to_plain = self.ring.plain()
+            terms = tuple(tuple(tuple((k, to_plain(c)) for k, c in ts) for ts in plane)
+                          for plane in self.terms)
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    left = self._combine((c, terms[l][k]) for l, c in terms[i][j])
-                    if left != self._combine((c, terms[i][l]) for l, c in terms[j][k]):
+                    left = _combine(D, ((c, terms[l][k]) for l, c in terms[i][j]))
+                    if left != _combine(D, ((c, terms[i][l]) for l, c in terms[j][k])):
                         raise NotAssociative(
                             f"(b{i} b{j}) b{k} != b{i} (b{j} b{k}) in {self.name}")
         # a fiber's trace form may degenerate (that locus is the discriminant);
         # over R it must be nondegenerate over the fraction field
         if self.trace_vector is not None and not self.over_field:
             self._validate_trace()
-
-    def _combine(self, scaled):
-        """sum of c * v over the (c, v) pairs, each v a terms entry, as a
-        {k: nonzero coefficient} dict."""
-        D = self.domain
-        add, mul = D.add, D.mul
-        acc = {}
-        for c, ts in scaled:
-            for k, e in ts:
-                acc[k] = add(acc[k], mul(c, e)) if k in acc else mul(c, e)
-        return {k: v for k, v in acc.items() if not D.is_zero(v)}
 
     def form_gram(self, t):
         """G[i][j] = sum_k c[i][j][k] t[k], the Gram matrix of (x, y) -> t(xy)
@@ -232,6 +227,17 @@ class FiniteFreeAlgebra:
             return f"<algebra {self.name}: dim {self.dim} over {self.ring!r}>"
         at = "generic" if self.prime is None or self.prime.is_generic else self.prime.short_str()
         return f"<fiber {self.name} at {at}: dim {self.dim} over {self.field!r}>"
+
+
+def _combine(D, scaled):
+    """sum of c * v over the (c, v) pairs, each v a terms entry, as a
+    {k: nonzero coefficient} dict over the scalar domain D."""
+    add, mul = D.add, D.mul
+    acc = {}
+    for c, ts in scaled:
+        for k, e in ts:
+            acc[k] = add(acc[k], mul(c, e)) if k in acc else mul(c, e)
+    return {k: v for k, v in acc.items() if not D.is_zero(v)}
 
 
 def _map_table(A, f, name, base, prime=None, validate=False):

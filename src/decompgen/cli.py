@@ -12,6 +12,7 @@ JSON with stable keys.
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import factor
 from .algebra import load_algebra_file, serialize_algebra, specialize
@@ -422,14 +423,14 @@ def build_parser():
         p.add_argument("--max-degree", type=_positive_int, default=None,
                        help="factorization budget (trial division limit)")
 
-    handlers = {}
-
     def register(name, fn, needs_prime=False, needs_algebra=True, extra=None):
         p = sub.add_parser(name)
         common(p, needs_algebra, needs_prime)
         if extra:
             extra(p)
-        handlers[name] = fn
+        # by name: main looks the handler up in this module when it runs, so
+        # a handler replaced after the parser was built is the one called
+        p.set_defaults(handler=fn.__name__)
 
     register("validate", cmd_validate)
     register("fiber", cmd_fiber, needs_prime=True)
@@ -453,14 +454,19 @@ def build_parser():
              extra=lambda p: p.add_argument("--serial", action="store_true",
                                             help="accepted for compatibility; verify-all "
                                                  "always runs its jobs in-process"))
-    ap._handlers = handlers
     return ap
 
 
+@cache
+def _parser():
+    """The argument parser, built once per process: parsing leaves it
+    unchanged."""
+    return build_parser()
+
+
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    handler = ap._handlers[args.command]
+    args = _parser().parse_args(argv)
+    handler = globals()[args.handler]
     saved_limit = factor.DEFAULT_TRIAL_LIMIT
     if args.max_degree:
         factor.DEFAULT_TRIAL_LIMIT = args.max_degree

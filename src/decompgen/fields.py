@@ -299,8 +299,12 @@ class GFExt:
         return f"GF({self.p}^{self.e})"
 
 
-class _SparseKernels:
-    """k[vars] as canonical sparse term tuples (the polyops `p*` kernels)."""
+class SparseKernels:
+    """Polynomials over a coefficient domain as canonical sparse term tuples
+    (the polyops `p*` kernels): k[vars] for a FuncField, and the element
+    data of a two-variable ring."""
+
+    is_zero = staticmethod(P.pis_zero)
 
     def __init__(self, base, nv):
         self.base, self.nv = base, nv
@@ -324,6 +328,9 @@ class _SparseKernels:
     def exact_div(self, a, b):
         return P.pexact_div(self.base, a, b)
 
+    def at(self, a, point):
+        return P.peval(self.base, a, self.base, lambda c: c, point)
+
     is_const = staticmethod(P.pis_const)
 
     @staticmethod
@@ -340,9 +347,14 @@ class _SparseKernels:
         return a
 
 
-class _DenseKernels:
-    """k[d] as dense coefficient tuples, constant term first (the polyops
-    `u*` kernels)."""
+class DenseKernels:
+    """Polynomials in one variable over a coefficient domain as dense
+    coefficient tuples, constant term first (the polyops `u*` kernels): k[d]
+    for a FuncField, and the element data of a one-variable ring."""
+
+    @staticmethod
+    def is_zero(a):
+        return not a
 
     def __init__(self, base):
         self.base = base
@@ -365,6 +377,15 @@ class _DenseKernels:
 
     def exact_div(self, a, b):
         return P.uexact_div(self.base, a, b)
+
+    def at(self, a, point):
+        """a(x) by Horner's rule, for the one coordinate x of point."""
+        B = self.base
+        (x,) = point
+        acc = B.zero
+        for c in reversed(a):
+            acc = B.add(B.mul(acc, x), c)
+        return acc
 
     @staticmethod
     def is_const(a):
@@ -400,8 +421,8 @@ class FuncField:
     def _k(self):
         """The polynomial kernels of this field's scalar representation."""
         if self.nv == 1:
-            return _DenseKernels(self.base)
-        return _SparseKernels(self.base, self.nv)
+            return DenseKernels(self.base)
+        return SparseKernels(self.base, self.nv)
 
     # built once per field: scalars are immutable, so every caller can share them
     @cached_property
@@ -495,6 +516,15 @@ class FuncField:
 
     def is_polynomial(self, a):
         return self._k.is_const(a[1])
+
+    def evaluate(self, a, point):
+        """The value of a at a point of base^nv (one base scalar per
+        variable), or None when its denominator vanishes there."""
+        k, base = self._k, self.base
+        den = k.at(a[1], point)
+        if base.is_zero(den):
+            return None
+        return base.div(k.at(a[0], point), den)
 
     def numerator(self, a):
         """The numerator as a sparse polynomial."""

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from . import polyops as P
 from .errors import DimensionMismatch, Inconsistent, NotSquare
+from .fields import FuncField
 
 class Matrix:
     """A matrix over a field as a list of dense rows.  The rows must not be
@@ -176,6 +177,42 @@ def echelon_reduce(field, rows, pivots, vec):
 
 def rank(mat):
     return len(rref_rows(mat.field, mat.rows)[1])
+
+
+# Points tried by point_rank, in order, as integers read in the base field
+# (elements of GF(p) over GF(p)); one variable takes the first coordinate.
+_RANK_POINTS = ((3, 5), (5, 7), (7, 3))
+
+
+def point_rank(mat):
+    """Rank of a matrix over k(vars) at the first point of _RANK_POINTS
+    where no entry has a pole; None over any other field, or when every
+    point is a pole of some entry.
+
+    One-directional: a minor nonzero at a point is a nonzero rational
+    function, so the rank over k(vars) is at least this.  Callers use it
+    only to confirm the largest rank the matrix can have; a smaller value
+    decides nothing, and the exact elimination runs.
+    """
+    F = mat.field
+    if not isinstance(F, FuncField):
+        return None
+    base = F.base
+    tried = []
+    for coords in _RANK_POINTS:
+        point = tuple(base.from_int(c) for c in coords[:F.nv])
+        if point in tried:  # small integers can coincide in GF(p)
+            continue
+        tried.append(point)
+        rows = []
+        for row in mat.rows:
+            vals = [base.zero if F.is_zero(a) else F.evaluate(a, point) for a in row]
+            if None in vals:
+                break
+            rows.append(vals)
+        else:
+            return rank(Matrix(base, rows))
+    return None
 
 
 def kernel_basis(mat):

@@ -30,6 +30,7 @@ from .linalg import (
     eval_poly_at_matrix,
     kernel_basis,
     pivot_columns,
+    point_rank,
     rref_rows,
 )
 from .algebra import span_subspace
@@ -165,14 +166,23 @@ class SimpleModule:
 
 
 def algebra_image_rank(module):
-    """Dimension of the image of the algebra in End(module)."""
+    """Dimension of the image of the algebra in End(module).  Over k(vars)
+    a point rank (linalg.point_rank, a lower bound) of d^2, the most there
+    can be, is the answer; any smaller one falls back to elimination."""
     F = module.fiber.field
     flat = [[c for row in m.rows for c in row] for m in module.action]
+    full = module.dim ** 2
+    if point_rank(Matrix(F, flat)) == full:
+        return full
     return len(rref_rows(F, flat)[0])
 
 
 def hom_dim(S, T):
-    """Dimension of the space of intertwiners S -> T."""
+    """Dimension of the space of intertwiners S -> T: the kernel of a
+    system in dim S * dim T unknowns, whose rank is at most d^2 - 1 for
+    T = S (the identity is in the kernel).  Over k(vars) a point rank
+    (linalg.point_rank, a lower bound) equal to that most fixes the
+    dimension; any smaller one falls back to the exact kernel."""
     F = S.fiber.field
     ds, dt = S.dim, T.dim
     rows = []
@@ -188,8 +198,13 @@ def hom_dim(S, T):
                 for k in range(ds):
                     row[c * ds + k] = F.sub(row[c * ds + k], ms.rows[k][b])
                 rows.append(row)
-    ker = kernel_basis(Matrix(F, rows)) if rows else []
-    return len(ker)
+    if not rows:
+        return 0
+    system = Matrix(F, rows)
+    most = dt * ds - (1 if S is T else 0)
+    if point_rank(system) == most:
+        return dt * ds - most
+    return len(kernel_basis(system))
 
 
 def _charpoly_pieces(F, chi, seed):
@@ -389,14 +404,17 @@ def regular_trace_gram(fiber):
 def radical(fiber, seed=1):
     """Basis of the Jacobson radical as a canonical SubLattice.
 
-    Characteristic zero: kernel of the regular trace form.  Characteristic
+    Characteristic zero: kernel of the regular trace form, empty without
+    elimination over k(vars) when the Gram matrix has point rank dim A
+    (linalg.point_rank, a lower bound on its rank).  Characteristic
     p: intersection of the annihilators of the simple modules (the trace
     form can degenerate on semisimple algebras there).  The result is
     verified to be a nilpotent two-sided ideal.
     """
     F = fiber.field
     if F.characteristic == 0:
-        ker = kernel_basis(regular_trace_gram(fiber))
+        gram = regular_trace_gram(fiber)
+        ker = [] if point_rank(gram) == fiber.dim else kernel_basis(gram)
     else:
         cols = []
         for s, _ in regular_factors(fiber, seed):

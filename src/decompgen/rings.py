@@ -19,7 +19,8 @@ import sympy
 
 from . import polyops as P
 from .errors import UnsupportedRing
-from .fields import FuncField, GFPrime, IntegerOps, Rationals, scalar_from_coeff
+from .fields import DenseKernels, FuncField, GFPrime, IntegerOps, Rationals, SparseKernels
+from .fields import scalar_from_coeff
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,19 @@ class RingDescriptor:
     def __repr__(self):
         c = {True: "Z"}.get(isinstance(self.coeff, IntegerOps)) or repr(self.coeff)
         return c + (f"[{','.join(self.varnames)}]" if self.varnames else "")
+
+    def plain(self):
+        """(ops, to_plain): add/mul/is_zero on the canonical plain data of
+        elements (the coefficient's value with no variables, a dense `u*`
+        tuple in one, sparse `p*` terms in two) and the map from a
+        RingElement to it, for table loops that would otherwise build a
+        RingElement per operation."""
+        coeff = self.coeff
+        if self.nv == 0:
+            return coeff, lambda e: P.pconst_value(coeff, e.data)
+        if self.nv == 1:
+            return DenseKernels(coeff), lambda e: P.p_to_dense(coeff, e.data)
+        return SparseKernels(coeff, self.nv), lambda e: e.data
 
     # element constructors
 

@@ -278,15 +278,21 @@ def _character_gram_det(B, seed):
         factors = regular_factors(B, seed)
     except ChopBudgetExceeded:
         return None
-    acts = [[s.module.action[i] for i in range(B.dim)] for s, _ in factors]
+    acts = [[s.module.action[i].rows for i in range(B.dim)] for s, _ in factors]
     n = B.dim
+    add, mul, is_zero = K.add, K.mul, K.is_zero
     rows = []
     for i in range(n):
         row = []
         for j in range(n):
+            # trace(XY) = sum over a, b of X[a][b] Y[b][a], without forming XY
             acc = K.zero
             for mats in acts:
-                acc = K.add(acc, mats[i].mul(mats[j]).trace())
+                X, Y = mats[i], mats[j]
+                for a, xrow in enumerate(X):
+                    for b, x in enumerate(xrow):
+                        if not is_zero(x) and not is_zero(Y[b][a]):
+                            acc = add(acc, mul(x, Y[b][a]))
             row.append(acc)
         rows.append(row)
     return det(Matrix(K, rows))

@@ -1,5 +1,8 @@
 """Structure-constant algebras: validation, fibers, restrictions, ideals."""
 
+import random
+from itertools import product
+
 import pytest
 
 from decompgen.algebra import (
@@ -21,7 +24,7 @@ from decompgen.errors import (
     UnsupportedRestriction,
     ValidationError,
 )
-from decompgen.corpus import REGISTRY, dual_numbers
+from decompgen.corpus import REGISTRY, brauer_algebra, dual_numbers, temperley_lieb
 from decompgen.decomposition import split_data
 from decompgen.fields import GFPrime
 from decompgen.modules import is_split
@@ -88,6 +91,55 @@ def test_first_failing_triple_is_named(corpus):
     sc = tuple(tuple(tuple(r) for r in plane) for plane in sc)
     with pytest.raises(NotAssociative, match=r"^\(b0 b9\) b4 != b0 \(b9 b4\) in TL4_Q$"):
         FiniteFreeAlgebra(A.name, A.ring, A.basis_names, sc, A.unit, A.trace_vector)
+
+
+def _first_failing_triple(A):
+    """The first (i, j, k) with (b_i b_j) b_k != b_i (b_j b_k), found with
+    the ring's own RingElement arithmetic on the full table, or None."""
+    n, sc, zero = A.dim, A.sc, A.ring.zero()
+    for i, j, k in product(range(n), repeat=3):
+        left = [sum((sc[i][j][l] * sc[l][k][m] for l in range(n)), zero) for m in range(n)]
+        right = [sum((sc[j][k][l] * sc[i][l][m] for l in range(n)), zero) for m in range(n)]
+        if left != right:
+            return i, j, k
+    return None
+
+
+@pytest.mark.parametrize("ring, build", [
+    ("Z", lambda R: REGISTRY["ZS3"].algebra()),
+    ("Z[d]", lambda R: temperley_lieb(3, R, "TL3")),
+    ("Q[d]", lambda R: brauer_algebra(2, R, "B2")),
+    ("Q[x,y]", lambda R: temperley_lieb(3, R, "TL3", delta=R.parse("x + y"))),
+    ("GF(5)[x,y]", lambda R: brauer_algebra(2, R, "B2", delta=R.parse("x*y + 2"))),
+], ids=["Z", "Z[d]", "Q[d]", "Q[x,y]", "GF(5)[x,y]"])
+def test_load_check_names_the_reference_triple(ring, build):
+    """The associativity check runs on plain coefficient data (values, dense
+    or sparse polynomials by the number of variables); a seeded change of
+    one nonzero constant away from the unit's row and column gets the
+    triple that RingElement arithmetic finds first."""
+    R = parse_ring(ring)
+    A = build(R)
+    u = A.unit.index(R.one())
+    rng = random.Random(8)
+    others = [i for i in range(A.dim) if i != u]
+    failing = 0
+    for _ in range(6):
+        i, j = rng.choice(others), rng.choice(others)
+        k = rng.choice(A.terms[i][j])[0] if A.terms[i][j] else rng.randrange(A.dim)
+        sc = [[list(r) for r in plane] for plane in A.sc]
+        sc[i][j][k] = sc[i][j][k] + R.from_int(rng.randint(1, 3))
+        sc = tuple(tuple(tuple(r) for r in plane) for plane in sc)
+        triple = _first_failing_triple(
+            FiniteFreeAlgebra(A.name, R, A.basis_names, sc, A.unit, validate=False))
+        if triple is None:  # the changed table is another associative one
+            FiniteFreeAlgebra(A.name, R, A.basis_names, sc, A.unit)
+            continue
+        failing += 1
+        a, b, c = triple
+        with pytest.raises(NotAssociative,
+                           match=rf"^\(b{a} b{b}\) b{c} != b{a} \(b{b} b{c}\) in {A.name}$"):
+            FiniteFreeAlgebra(A.name, R, A.basis_names, sc, A.unit)
+    assert failing >= 3
 
 
 def test_terms_match_the_table(corpus, b3):

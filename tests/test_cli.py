@@ -181,6 +181,22 @@ def test_max_degree_applies_to_one_call_only(corpdir, capsys, monkeypatch):
         assert exc.value.code == 2
 
 
+def test_a_handler_replaced_after_the_first_call_is_the_one_called(corpdir, capsys,
+                                                                  monkeypatch):
+    # the parser is built once per process; the handler is looked up when
+    # main runs, so one patched in later (as a tracer does) still runs
+    import decompgen.cli as cli
+
+    path = str(corpdir / "ZC2.alg")
+    assert run_cli(["validate", path], capsys)[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_validate", lambda args: seen.append(args.algebra) or 7)
+    assert run_cli(["validate", path], capsys)[0] == 7
+    assert seen == [path]
+    monkeypatch.undo()
+    assert run_cli(["validate", path], capsys)[0] == 0 and seen == [path]
+
+
 def test_definition_roundtrip_through_cli(corpdir, tmp_path, capsys):
     from decompgen.algebra import load_algebra_file, serialize_algebra
 

@@ -21,6 +21,12 @@ CASES = [
      ["split-check", "{alg}", "--prime", "generic", "--format", "structured"]),
     ("verify-all.txt", None, ["verify-all", "--serial"]),
 ]
+# every registry algebra over a ring with a variable: the radical and the
+# split test of its generic fiber over k(d)
+CASES += [(f"{key}.{argv[0]}.json", REGISTRY[key], argv)
+          for key in ("B2_Q", "B2_Z", "TL2_Z", "TL3_Q", "TL4_Q")
+          for argv in (["radical", "{alg}", "--format", "structured"],
+                       ["split-check", "{alg}", "--prime", "generic", "--format", "structured"])]
 
 
 @pytest.mark.parametrize("name,entry,argv", CASES, ids=[c[0] for c in CASES])

@@ -20,6 +20,7 @@ from decompgen.linalg import (
     kernel_basis,
     lattice_member,
     left_kernel_ring,
+    point_rank,
     rank,
     saturate_rows,
     solve,
@@ -318,3 +319,72 @@ def test_apply_matches_row_by_row_reference(F):
             for vec in vecs:  # the first call builds the view, later ones reuse it
                 assert M.apply(vec) == _apply_reference(M, vec), (m, n, density)
     assert Matrix(F, []).apply([]) == []
+
+
+# --- rank at one point of k^nv ------------------------------------------------------
+
+GF5D = FuncField(GFPrime(5), ("d",))
+GF2D = FuncField(GFPrime(2), ("d",))
+
+
+def _pole_entry(F, rng):
+    """A random entry with a denominator vanishing at one of the points
+    point_rank tries (d, x or y = 3, 5 or 7, read in the base field)."""
+    v = F.var_scalar(rng.randrange(F.nv))
+    den = F.sub(v, F.from_int(rng.choice((3, 5, 7))))
+    return F.div(_entry(F, rng, 1.0), den) if not F.is_zero(den) else F.zero
+
+
+def _low_rank(F, rng, m, n, r, poles):
+    """An m x n matrix of rank at most r: a product of m x r and r x n."""
+    pick = lambda: _pole_entry(F, rng) if rng.random() < poles else _entry(F, rng, 0.7)
+    left = Matrix(F, [[pick() for _ in range(r)] for _ in range(m)])
+    right = Matrix(F, [[pick() for _ in range(n)] for _ in range(r)])
+    return left.mul(right)
+
+
+# the exact rank over k(vars) these are checked against is slow on larger shapes
+@pytest.mark.parametrize("F, shapes", [
+    (QD, ((3, 3), (4, 3), (3, 4))),
+    (GF5D, ((3, 3), (4, 4), (5, 3), (3, 6))),
+    (GF2D, ((3, 3), (4, 4), (5, 3), (3, 6))),
+    (QXY, ((2, 2), (2, 3))),
+], ids=["Q(d)", "GF(5)(d)", "GF(2)(d)", "Q(x,y)"])
+def test_point_rank_is_a_lower_bound(F, shapes):
+    rng = random.Random(5)
+    cases = attained = 0
+    for m, n in shapes:
+        for r in range(1, min(m, n) + 1):
+            for poles in (0.0, 0.3):
+                M = _low_rank(F, rng, m, n, r, poles)
+                pr = point_rank(M)
+                assert pr is None or pr <= rank(M), (m, n, r, poles)
+                cases += 1
+                attained += pr == rank(M)
+    if F != GF2D:  # GF(2) has one nonzero point to try
+        assert attained >= cases // 3
+
+
+def test_point_rank_skips_poles_and_never_guesses():
+    # d = 3 is a pole: the rank is read at d = 5, where the matrix is
+    # singular exactly as it is over Q(d)
+    d, one = QD.var_scalar(0), QD.one
+    pole = QD.inv(QD.sub(d, QD.from_int(3)))
+    singular = Matrix(QD, [[pole, one], [one, QD.sub(d, QD.from_int(3))]])
+    assert rank(singular) == 1 and point_rank(singular) == 1
+    regular = Matrix(QD, [[pole, one], [one, d]])
+    assert rank(regular) == 2 and point_rank(regular) == 2
+    # every point is a pole: no rank at all
+    poles = [QD.inv(QD.sub(d, QD.from_int(c))) for c in (3, 5, 7)]
+    assert point_rank(Matrix(QD, [poles])) is None
+    x = GF2D.var_scalar(0)
+    assert point_rank(Matrix(GF2D, [[GF2D.inv(GF2D.add(x, GF2D.one))]])) is None
+    # nonsingular over Q(d), singular at every point tried
+    f = QD.one
+    for c in (3, 5, 7):
+        f = QD.mul(f, QD.sub(d, QD.from_int(c)))
+    diag = Matrix(QD, [[f, QD.zero], [QD.zero, one]])
+    assert rank(diag) == 2 and point_rank(diag) == 1
+    # no function field, no point
+    for F in (QQ, F3, F4):
+        assert point_rank(Matrix.identity(F, 2)) is None

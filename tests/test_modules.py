@@ -331,3 +331,122 @@ def test_submodule_of_an_unstable_subspace_raises():
     whole = [fiber.basis_vector(i) for i in range(fiber.dim)]
     assert [m.rows for m in submodule(module, whole).action] == \
         [m.rows for m in module.action]
+
+
+# --- full-rank certificates at one point ------------------------------------------------
+
+def _analyses_at_registry_points(key, registry_points):
+    """radical, is_split, image ranks and Hom dimensions of every registry
+    fiber of a freshly built algebra, so that no memo entry is shared with
+    another run."""
+    A = REGISTRY[key].algebra()
+    out = []
+    for p in registry_points(key, A):
+        fiber = specialize(A, p)
+        split, data = is_split(fiber)
+        mods = [regular_module(fiber)] + [s.module for s in data.simples]
+        out.append((repr(fiber), radical(fiber).rows, split, data.endo_dims,
+                    data.multiplicities, data.radical_dim,
+                    [algebra_image_rank(m) for m in mods],
+                    [[hom_dim(s.module, t.module) for t in data.simples]
+                     for s in data.simples]))
+    return out
+
+
+@pytest.mark.parametrize("key", sorted(REGISTRY))
+def test_certified_ranks_match_the_exact_path(key, registry_points, monkeypatch):
+    """radical, is_split, algebra_image_rank and hom_dim give what exact
+    elimination gives, at the generic point and at every registry prime;
+    over k(d) the certificate fires on some of them."""
+    real, answers = modules.point_rank, []
+
+    def counting(mat):
+        answers.append(real(mat))
+        return answers[-1]
+
+    monkeypatch.setattr(modules, "point_rank", counting)
+    certified = _analyses_at_registry_points(key, registry_points)
+    monkeypatch.setattr(modules, "point_rank", lambda mat: None)
+    assert certified == _analyses_at_registry_points(key, registry_points)
+    if REGISTRY[key].algebra().ring.nv:
+        assert any(a is not None for a in answers)
+
+
+def _quadratic(f1, f0):
+    """Q[d][x]/(x^2 + f1 x + f0) on the basis 1, x."""
+    from decompgen.algebra import FiniteFreeAlgebra
+
+    z, o = Qd.zero(), Qd.one()
+    sc = (((o, z), (z, o)), ((z, o), (-f0, -f1)))
+    return FiniteFreeAlgebra("quad", Qd, ("one", "x"), sc, (o, z))
+
+
+def _vanishing_at_tried_points():
+    c = Qd.one()
+    for a in (3, 5, 7):
+        c = c * Qd.parse(f"d - {a}")
+    return c
+
+
+@pytest.mark.parametrize("shape, radical_dim, endo_dims", [
+    ("x^2 - c", 0, [2]),
+    ("x^2 - c^2", 0, [1, 1]),
+    ("(x - c)^2", 1, [1]),
+])
+def test_singular_at_every_tried_point_falls_back(shape, radical_dim, endo_dims, monkeypatch):
+    """The trace Gram of Q[d][x]/(f) is singular where the discriminant of
+    f vanishes; with c = (d - 3)(d - 5)(d - 7) that is every point the
+    certificate tries, so the answers come from exact elimination."""
+    from decompgen.modules import regular_trace_gram
+    from decompgen.linalg import point_rank, rank
+
+    c, zero = _vanishing_at_tried_points(), Qd.zero()
+    f1, f0 = {"x^2 - c": (zero, -c), "x^2 - c^2": (zero, -c * c),
+              "(x - c)^2": (-2 * c, c * c)}[shape]
+    results = []
+    for exact in (False, True):
+        if exact:
+            monkeypatch.setattr(modules, "point_rank", lambda mat: None)
+        fiber = _quadratic(f1, f0).generic_fiber()
+        gram = regular_trace_gram(fiber)
+        assert point_rank(gram) == 1 and rank(gram) == 2 - radical_dim
+        split, data = is_split(fiber)
+        results.append((radical(fiber).rows, split, data.endo_dims))
+        assert radical(fiber).dim == radical_dim and data.endo_dims == endo_dims
+    assert results[0] == results[1]
+
+
+def test_hom_dim_and_image_rank_where_the_first_point_is_unlucky():
+    """Modules over Q(d) whose ranks drop at d = 3, the first point tried:
+    the point rank stays below the largest possible rank there, so the
+    answers come from exact elimination."""
+    from decompgen.algebra import FiniteFreeAlgebra
+    from decompgen.linalg import point_rank
+    from decompgen.modules import AlgebraModule
+
+    K = Qd.fraction_field()
+    d, z, o = K.var_scalar(0), K.zero, K.one
+    k = lambda c: K.from_int(c)
+    t = K.sub(d, k(3))
+    # Q(d)[x]/((x - d)(x - 3)) and its two characters x -> d, x -> 3, which
+    # agree at d = 3 only
+    sc = (((o, z), (z, o)), ((z, o), (K.neg(K.mul(k(3), d)), K.add(d, k(3)))))
+    A = FiniteFreeAlgebra("two-roots", K, ("one", "x"), sc, (o, z))
+    S = AlgebraModule(A, [Matrix(K, [[o]]), Matrix(K, [[d]])]).validate()
+    T = AlgebraModule(A, [Matrix(K, [[o]]), Matrix(K, [[k(3)]])]).validate()
+    assert [hom_dim(S, T), hom_dim(T, S), hom_dim(S, S), hom_dim(T, T)] == [0, 0, 1, 1]
+    # Mat_2(Q(d)) on the basis E11, (d - 3) E12, (d - 3) E21, E22: at d = 3
+    # only the diagonal acts on the column space, whose commutant is 2-dim
+    tt = K.mul(t, t)
+    sc = [[[z] * 4 for _ in range(4)] for _ in range(4)]
+    for i, j, m, c in ((0, 0, 0, o), (0, 1, 1, o), (1, 3, 1, o), (2, 0, 2, o),
+                       (3, 2, 2, o), (3, 3, 3, o), (1, 2, 0, tt), (2, 1, 3, tt)):
+        sc[i][j][m] = c
+    sc = tuple(tuple(tuple(r) for r in plane) for plane in sc)
+    M2 = FiniteFreeAlgebra("mat2", K, ("e11", "e12", "e21", "e22"), sc, (o, z, z, o))
+    acts = [Matrix(K, rows) for rows in ([[o, z], [z, z]], [[z, t], [z, z]],
+                                         [[z, z], [t, z]], [[z, z], [z, o]])]
+    V = AlgebraModule(M2, acts).validate()
+    flat = Matrix(K, [[c for row in m.rows for c in row] for m in acts])
+    assert point_rank(flat) == 2
+    assert algebra_image_rank(V) == 4 and hom_dim(V, V) == 1

@@ -378,3 +378,28 @@ def test_soundness_outside_candidate(corpus):
             if tested >= 10:
                 break
         assert tested >= 5, key
+
+
+@pytest.mark.parametrize("key, prime", [
+    ("ZS3", "generic"), ("ZS3", "p=2"), ("Mat2_Z", "generic"), ("Mat2_Z", "p=2"),
+    ("ZC2", "p=2"), ("B2_Z", "p=2"), ("TL2_Z", "p=2"), ("B2_Q", "generic"),
+])
+def test_character_gram_matches_traces_of_products(corpus, key, prime):
+    """The character Gram entries sum X[a][b] Y[b][a] over the simples;
+    the reference forms each product XY and takes its trace."""
+    from decompgen.algebra import specialize
+    from decompgen.linalg import Matrix, det
+    from decompgen.modules import regular_factors
+    from decompgen.primes import parse_prime
+    from decompgen.strata import _character_gram_det
+
+    A = corpus[key]
+    B = specialize(A, parse_prime(prime, A.ring))
+    K = B.field
+    acts = [s.module.action for s, _ in regular_factors(B)]
+    gram = [[K.zero] * B.dim for _ in range(B.dim)]
+    for i in range(B.dim):
+        for j in range(B.dim):
+            for mats in acts:
+                gram[i][j] = K.add(gram[i][j], mats[i].mul(mats[j]).trace())
+    assert _character_gram_det(B, 1) == det(Matrix(K, gram))
