@@ -58,6 +58,22 @@ class RadicalLattice:
         return len(self.rows)
 
 
+def _is_integral(ring, K, s):
+    """Whether the fraction-field scalar s lies in the ring, decided on s
+    itself without building RingElements: an int over Z, a polynomial with
+    int coefficients over Z[d], a polynomial over k[vars], anything over a
+    field ring.  Rationals and FuncField keep scalars canonical (an integral
+    rational is an int, a denominator is monic), so the test is exact."""
+    if ring.is_field_ring:
+        return True
+    if ring.nv == 0:
+        return type(s) is int
+    if not K.is_polynomial(s):
+        return False
+    return not isinstance(ring.coeff, IntegerOps) or all(
+        type(c) is int for _, c in K.numerator(s))
+
+
 def _clear_row(ring, row):
     """Fraction-field row vector to a ring vector spanning the same line."""
     if ring.nv == 0 and not ring.is_field_ring:
@@ -69,6 +85,9 @@ def _clear_row(ring, row):
         return [ring.from_int(int(c * den)) for c in row]
     if ring.is_field_ring:
         return [ring.from_coeff(c) for c in row]
+    K = ring.fraction_field()
+    if all(_is_integral(ring, K, c) for c in row):
+        return [ring.from_field_scalar(c, K) for c in row]
     out_nd = [numerator_denominator_in_ring(c, ring) for c in row]
     acc = ring.one()
     for _, d in out_nd:
@@ -124,17 +143,15 @@ def radical_lattice(A, seed=1):
 
 
 def _assert_lattice(A, lat, generic_radical):
-    """The cleared lattice spans the generic radical and is closed, at the
-    level of its fraction-field span, under both one-sided multiplications."""
+    """The cleared lattice spans the generic radical.  Its fraction-field
+    span is then closed under both one-sided multiplications, because
+    `radical` verified exactly that of the generic radical."""
     fiber = A.generic_fiber()
     K = fiber.field
     rows_K = [[A.ring.to_field(c, K) for c in row] for row in lat.rows]
     span = span_subspace(fiber, rows_K)
     if span.dim != generic_radical.dim or span != generic_radical:
         raise EngineError("integral radical lattice does not span the generic radical")
-    side = fiber.unstable_side(rows_K, generic_radical)
-    if side:
-        raise EngineError(f"radical lattice is not stable under {side} multiplication")
 
 
 def _minor_gcd(A, lat):
@@ -163,16 +180,20 @@ def _minor_gcd(A, lat):
 
 def quotient_over_ring(A, lat):
     """Structure constants of B = A/J on a complement basis, as a fiber over
-    the fraction field, together with the product of every denominator that
-    entered the projection.
+    the fraction field; the complement lifts c_i in A's generic fiber, whose
+    classes q_i are B's basis (the character-Gram fallback reads A's
+    memoized simples through them); and the product of every denominator
+    that entered the projection.
 
     Over Euclidean rings the complement completes a saturated lattice to a
-    unimodular basis, so the constants are integral and only the echelon
-    rows of the lattice can contribute denominators.  Over two-variable
-    rings the complement is spanned by the non-pivot unit vectors and the
-    coordinates can have denominators.  The certificate is only valid where
-    the denominators are invertible, so the caller absorbs their product
-    into the discriminant.
+    unimodular basis, so B's constants and unit coordinates are integral and
+    nothing is absorbed: a non-integral one is a broken invariant and raises
+    EngineError.  Over Z[d] and two-variable rings the complement is spanned
+    by the non-pivot unit vectors and the coordinates, like the echelon rows
+    of the lattice, can have denominators.  The certificate is only valid
+    where the denominators are invertible, so the caller absorbs their
+    product into the discriminant.  Integral scalars never reach
+    `denominator_ideal`: `_is_integral` decides them on the scalar itself.
     """
     from .primes import denominator_ideal as _den
 
@@ -182,7 +203,7 @@ def quotient_over_ring(A, lat):
     n = A.dim
     one = ring.one()
     if lat.rank == 0:
-        return fiber, one
+        return fiber, [fiber.basis_vector(i) for i in range(n)], one
     rows_K = [[ring.to_field(c, K) for c in row] for row in lat.rows]
     span_rows, pivots = rref_rows(K, rows_K)
     if ring.is_euclidean:
@@ -213,12 +234,18 @@ def quotient_over_ring(A, lat):
 
     def absorb(scalar):
         nonlocal denoms
+        if _is_integral(ring, K, scalar):
+            return
         d = _den(scalar, ring)
-        if not is_unit(d):
-            key = str(d)
-            if key not in seen:
-                seen.add(key)
-                denoms = denoms * d
+        if is_unit(d):
+            return
+        if ring.is_euclidean:
+            raise EngineError(f"constant {K.to_str(scalar)} of {A.name}/J is not integral "
+                              "on the unimodular complement")
+        key = str(d)
+        if key not in seen:
+            seen.add(key)
+            denoms = denoms * d
 
     sc = [[[K.zero] * m for _ in range(m)] for _ in range(m)]
     for a in range(m):
@@ -230,13 +257,14 @@ def quotient_over_ring(A, lat):
     unit = coords.apply(list(fiber.unit))
     for c in unit:
         absorb(c)
-    for row in span_rows:
-        for c in row:
-            absorb(c)
+    if not ring.is_euclidean:
+        for row in span_rows:
+            for c in row:
+                absorb(c)
     names = tuple(f"q{i}" for i in range(m))
     B = FiniteFreeAlgebra(A.name + "/J", K, names, tuple(tuple(tuple(r) for r in p) for p in sc),
                           unit, validate=False)
-    return B, denoms
+    return B, comp_K, denoms
 
 
 def candidate_discriminant(A, seed=1):
@@ -249,17 +277,21 @@ def candidate_discriminant(A, seed=1):
     simple characters then takes over: on a split semisimple algebra it
     restricts to the plain matrix trace on each block, so its Gram
     determinant is never zero, and it still kills the radical of every
-    fiber.  Returns the zero element only when both degenerate (a non-split
+    fiber.  The simples are those of A's generic fiber, memoized when the
+    radical was taken and read through the complement lifts (J acts as
+    zero on them), so B is never chopped; B's integral constants never
+    reach `denominator_ideal`.
+    Returns the zero element only when both degenerate (a non-split
     quotient, which the verification stage would reject anyway)."""
     lat = radical_lattice(A, seed=seed)
     ring = A.ring
-    B, denoms = quotient_over_ring(A, lat)
+    B, lifts, denoms = quotient_over_ring(A, lat)
     gram = regular_trace_gram(B)
     d = det(gram)
     K = B.field
     if K.is_zero(d):
-        d = _character_gram_det(B, seed)
-        if d is None or K.is_zero(d):
+        d = _character_gram_det(A, B, lifts, seed)
+        if K.is_zero(d):
             return ring.zero()
     if ring.is_field_ring:
         return ring.one()
@@ -268,34 +300,30 @@ def candidate_discriminant(A, seed=1):
     return normalize_generator(g)
 
 
-def _character_gram_det(B, seed):
-    """Determinant of G[i][j] = sum over simples of trace(b_i b_j acting);
-    None when the quotient cannot be chopped."""
-    from .errors import ChopBudgetExceeded
+def _character_gram_det(A, B, lifts, seed):
+    """Determinant of G[i][j] = sum over the simples S of chi_S(q_i q_j).
 
-    K = B.field
-    try:
-        factors = regular_factors(B, seed)
-    except ChopBudgetExceeded:
-        return None
-    acts = [[s.module.action[i].rows for i in range(B.dim)] for s, _ in factors]
-    n = B.dim
-    add, mul, is_zero = K.add, K.mul, K.is_zero
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            # trace(XY) = sum over a, b of X[a][b] Y[b][a], without forming XY
-            acc = K.zero
-            for mats in acts:
-                X, Y = mats[i], mats[j]
-                for a, xrow in enumerate(X):
-                    for b, x in enumerate(xrow):
-                        if not is_zero(x) and not is_zero(Y[b][a]):
-                            acc = add(acc, mul(x, Y[b][a]))
-            row.append(acc)
-        rows.append(row)
-    return det(Matrix(K, rows))
+    J acts as zero on every simple of A's generic fiber, so chi_S(q_k) is
+    the trace of the complement lift c_k acting on S, and G is the Gram of
+    the form on B whose values on the basis are those traces.  The simples
+    are a memo hit: the fallback only fires in characteristic p, where
+    `radical` chopped the same fiber for the lattice.  A trace does not
+    depend on the basis of S, so G is the Gram that chopping B itself
+    would give."""
+    fiber = A.generic_fiber()
+    K = fiber.field
+    chi = [K.zero] * fiber.dim
+    for s, _ in regular_factors(fiber, seed):
+        for k, m in enumerate(s.module.action):
+            chi[k] = K.add(chi[k], m.trace())
+    values = []
+    for lift in lifts:
+        t = K.zero
+        for c, x in zip(lift, chi):
+            if not K.is_zero(c) and not K.is_zero(x):
+                t = K.add(t, K.mul(c, x))
+        values.append(t)
+    return det(Matrix(K, B.form_gram(values)))
 
 
 # --- minimal primes -----------------------------------------------------------------
@@ -643,7 +671,12 @@ def dec_ex(A, seed=1):
 def schur_elements(A, seed=1):
     """Schur elements of the generic simples of a symmetric algebra with
     split semisimple generic fiber, via the dual basis of the trace form.
-    Validated nonzero and integral over the base ring."""
+    Validated nonzero and integral over the base ring.
+
+    For a split simple S, sum_k rho(b_k) X rho(b_k^dual) = c_S tr(X) Id
+    (Geck and Pfeiffer 2000, Thm 7.2.1); with X = E_00 the (0, 0) entry is
+    c_S itself, so no division by dim S (zero in characteristic dividing
+    it) is needed."""
     if A.trace_vector is None:
         raise NotSymmetric(f"{A.name} carries no symmetrizing trace")
     gram_ring = A.trace_gram_ring()
@@ -665,14 +698,14 @@ def schur_elements(A, seed=1):
     # ginv_cols[j][k] = (G^-1)[k][j]; G is symmetric so indexing is forgiving
     out = []
     for s in wd.simples:
-        chars = [s.module.action[k].trace() for k in range(n)]
+        # (0, 0) entry of rho(b_k) E_00 rho(b_k^dual) is rho(b_k)[0][0] rho(b_k^dual)[0][0]
+        corner = [s.module.action[k].rows[0][0] for k in range(n)]
         c = K.zero
         for k in range(n):
-            dual_char = K.zero
+            dual_corner = K.zero
             for l in range(n):
-                dual_char = K.add(dual_char, K.mul(ginv_cols[k][l], chars[l]))
-            c = K.add(c, K.mul(chars[k], dual_char))
-        c = K.div(c, K.from_int(s.dim))
+                dual_corner = K.add(dual_corner, K.mul(ginv_cols[k][l], corner[l]))
+            c = K.add(c, K.mul(corner[k], dual_corner))
         if K.is_zero(c):
             raise EngineError(f"vanishing Schur element on a semisimple fiber of {A.name}")
         elem = A.ring.from_field_scalar(c, K)

@@ -264,13 +264,14 @@ def test_stratify_over_two_variables_descends_to_a_line(tmp_path, capsys):
     lines = out.splitlines()
     assert lines[0].startswith("BIV over Q[x,y]: ")
     assert lines[1] == "  at (x - y) [Excluded]:"
-    assert lines[2] == "    BIV|(x - y) over Q[y]: candidate (y), stratum = all of Spec(R)"
+    assert lines[2] == "    BIV|(x - y) over Q[y]: candidate (1), stratum = all of Spec(R)"
 
 
 def test_discriminant_and_stratify_over_a_euclidean_ring(tmp_path, capsys):
     nil = _write(tmp_path, NIL)
     rc, out, err = run_cli(["discriminant", nil], capsys)
     assert rc == 0 and not err
-    assert "(y): RecoveredTrivial" in out
+    assert out.splitlines()[0] == "candidate discriminant of NIL: (1)"
+    assert "RecoveredTrivial" not in out
     rc, out, err = run_cli(["stratify", nil], capsys)
     assert rc == 0 and not err and "NIL: all of Spec(R)" in out

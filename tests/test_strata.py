@@ -126,6 +126,17 @@ def test_schur_elements(corpus):
         schur_elements(A)
 
 
+def test_schur_elements_in_characteristic_dividing_the_dimension():
+    """Mat2 over GF(2): dim S = 2 is zero, and the Schur element is read off
+    the (0, 0) entry of sum_k rho(b_k) E_00 rho(b_k^dual) with no division."""
+    from decompgen.corpus import matrix_algebra
+
+    for ring in ("GF(2)", "GF(2)[d]"):
+        A = matrix_algebra(2, parse_ring(ring))
+        assert [str(c) for c in schur_elements(A)] == ["1"], ring
+        assert schur_discriminant_crosscheck(A)["match"], ring
+
+
 def test_schur_crosscheck(corpus):
     for key in ("ZS3", "ZC2", "Mat2_Z"):
         rep = schur_discriminant_crosscheck(corpus[key])
@@ -310,14 +321,15 @@ mul 1 0 1 1
 mul 1 1 0 -y^2
 mul 1 1 1 2*y
 """)
-    B, denoms = quotient_over_ring(A, radical_lattice(A))
+    B, lifts, denoms = quotient_over_ring(A, radical_lattice(A))
     K = B.field
     assert B.dim == 1 and B.unit == (K.one,) and B.sc == (((K.one,),),)
-    # only the echelon row (1, -1/y) of the lattice contributes a denominator
-    assert denoms == A.ring.parse("y")
+    assert len(lifts) == 1
+    # the constants are integral on the unimodular complement, and the
+    # echelon row (1, -1/y) of the lattice is not absorbed
+    assert denoms == 1
     dec = dec_ex(A)
-    assert [(pt.prime.short_str(), pt.status) for pt in dec.points] == [
-        ("(y)", "RecoveredTrivial")]
+    assert str(dec.candidate) == "1" and dec.points == []
     tree = stratify(A)
     assert tree.kind == "node" and tree.stratum_description() == "all of Spec(R)"
 
@@ -383,18 +395,22 @@ def test_soundness_outside_candidate(corpus):
 @pytest.mark.parametrize("key, prime", [
     ("ZS3", "generic"), ("ZS3", "p=2"), ("Mat2_Z", "generic"), ("Mat2_Z", "p=2"),
     ("ZC2", "p=2"), ("B2_Z", "p=2"), ("TL2_Z", "p=2"), ("B2_Q", "generic"),
+    ("B3_Zd", "p=2"), ("B3_Zd", "p=3"),
 ])
 def test_character_gram_matches_traces_of_products(corpus, key, prime):
-    """The character Gram entries sum X[a][b] Y[b][a] over the simples;
-    the reference forms each product XY and takes its trace."""
-    from decompgen.algebra import specialize
+    """The character Gram read from A's simples through the complement
+    lifts has the determinant of the reference Gram, which chops B = A/J
+    itself and takes the trace of each product XY over B's simples."""
+    from decompgen.algebra import restrict
+    from decompgen.corpus import brauer_algebra
     from decompgen.linalg import Matrix, det
     from decompgen.modules import regular_factors
     from decompgen.primes import parse_prime
-    from decompgen.strata import _character_gram_det
+    from decompgen.strata import _character_gram_det, quotient_over_ring
 
-    A = corpus[key]
-    B = specialize(A, parse_prime(prime, A.ring))
+    A = brauer_algebra(3, Zd) if key == "B3_Zd" else corpus[key]
+    R = restrict(A, parse_prime(prime, A.ring))
+    B, lifts, _ = quotient_over_ring(R, radical_lattice(R))
     K = B.field
     acts = [s.module.action for s, _ in regular_factors(B)]
     gram = [[K.zero] * B.dim for _ in range(B.dim)]
@@ -402,4 +418,45 @@ def test_character_gram_matches_traces_of_products(corpus, key, prime):
         for j in range(B.dim):
             for mats in acts:
                 gram[i][j] = K.add(gram[i][j], mats[i].mul(mats[j]).trace())
-    assert _character_gram_det(B, 1) == det(Matrix(K, gram))
+    assert _character_gram_det(R, B, lifts, 1) == det(Matrix(K, gram))
+
+
+def test_integrality_fast_path_agrees_with_denominator_ideal():
+    """_is_integral decides on a canonical fraction-field scalar what
+    is_unit(denominator_ideal(s, R)) decides through RingElements."""
+    from decompgen import polyops as P
+    from decompgen.primes import denominator_ideal
+    from decompgen.rings import is_unit
+    from decompgen.strata import _is_integral
+
+    def agrees(ring, K, s):
+        return _is_integral(ring, K, s) == is_unit(denominator_ideal(s, ring))
+
+    rng = random.Random(11)
+    for ring_str in ("Q", "Z", "Z[d]", "Q[d]", "GF(5)[d]", "Q[x,y]"):
+        ring = parse_ring(ring_str)
+        K = ring.fraction_field()
+
+        def element():
+            terms = [(tuple(rng.randrange(3) for _ in range(ring.nv)),
+                      ring.coeff.from_int(rng.randint(-4, 4))) for _ in range(rng.randrange(3))]
+            return ring.to_field(ring.element(P.pnorm(ring.coeff, terms)), K)
+
+        for _ in range(80):
+            num, den = element(), element()
+            if K.is_zero(den):
+                continue
+            den = K.mul(den, K.from_int(rng.choice((1, 1, 2, 3))))
+            assert agrees(ring, K, K.div(num, den)), (ring_str, K.to_str(K.div(num, den)))
+
+    # a constant denominator that is not a unit of Z[d], and 1/(d + 1)
+    for ring_str, text, integral in (
+            ("Z[d]", "d/2", False), ("Q[d]", "d/2", True), ("Z[d]", "1/(d + 1)", False),
+            ("Q[d]", "1/(d + 1)", False), ("GF(5)[d]", "1/(d + 1)", False)):
+        ring = parse_ring(ring_str)
+        K = ring.fraction_field()
+        d = K.var_scalar(0)
+        s = (K.div(d, K.from_int(2)) if text == "d/2"
+             else K.inv(K.add(d, K.one)))
+        assert _is_integral(ring, K, s) == integral, (ring_str, text)
+        assert agrees(ring, K, s), (ring_str, text)
