@@ -27,7 +27,7 @@ from .errors import (
 )
 from .linalg import Matrix, det, echelon_reduce, hermite_normal_form, pivot_columns, rref_rows
 from .primes import generic_point, quotient_chain, reduce_elem
-from .rings import EuclideanRing, RingDescriptor, RingScalars
+from .rings import RingDescriptor, RingScalars
 
 
 class TableKey:
@@ -165,7 +165,7 @@ class FiniteFreeAlgebra:
         if self.over_field:
             D, terms = self.domain, self.terms
         else:
-            D, to_plain = self.ring.plain()
+            D, to_plain, _ = self.ring.plain()
             terms = tuple(tuple(tuple((k, to_plain(c)) for k, c in ts) for ts in plane)
                           for plane in self.terms)
         for i in range(n):
@@ -319,9 +319,9 @@ class SubLattice:
             return all(F.is_zero(c) for c in work)
         from .linalg import lattice_member
 
-        E = EuclideanRing(self.ambient.ring)
-        reps = [[E.to_rep(c) for c in row] for row in self.rows]
-        return lattice_member(E, reps, [E.to_rep(c) for c in vec]) is not None
+        E, to_plain, _ = self.ambient.ring.plain()
+        reps = [[to_plain(c) for c in row] for row in self.rows]
+        return lattice_member(E, reps, [to_plain(c) for c in vec]) is not None
 
 
 def span_subspace(ambient, vectors):
@@ -330,10 +330,9 @@ def span_subspace(ambient, vectors):
     if ambient.over_field:
         rows, _ = rref_rows(ambient.field, list(vectors)) if vectors else ([], [])
         return SubLattice(ambient, rows)
-    E = EuclideanRing(ambient.ring)
-    reps = [[E.to_rep(c) for c in v] for v in vectors]
-    basis = hermite_normal_form(E, reps).basis
-    return SubLattice(ambient, [[E.from_rep(c) for c in row] for row in basis])
+    E, to_plain, from_plain = ambient.ring.plain()
+    basis = hermite_normal_form(E, [[to_plain(c) for c in v] for v in vectors]).basis
+    return SubLattice(ambient, [[from_plain(c) for c in row] for row in basis])
 
 
 def ideal_closure(ambient, generators):

@@ -28,6 +28,9 @@ structurally, and expose arithmetic on plain-data scalars.
 
 Keeping scalars as plain data (rather than wrapper objects) keeps the dense
 linear algebra loops cheap; all operations go through the owning field.
+IntegerOps, Rationals, GFPrime and DenseKernels over a field also divide
+with remainder (`divmod`, `unit_normalize`, `euclid_size`): they are the
+Euclidean rings Z, Q, GF(p) and k[x] that linalg's Hermite forms run on.
 """
 
 from dataclasses import dataclass
@@ -68,6 +71,16 @@ class IntegerOps:
         q, r = divmod(a, b)
         return q if r == 0 else None
 
+    def divmod(self, a, b):
+        return divmod(a, b)
+
+    def unit_normalize(self, a):
+        """(u, a*u) with the unit u = ±1 making a*u nonnegative."""
+        return (1, a) if a >= 0 else (-1, -a)
+
+    def euclid_size(self, a):
+        return abs(a)
+
     def sort_key(self, a):
         return a
 
@@ -80,8 +93,23 @@ class IntegerOps:
         return num // den
 
 
+class _FieldEuclid:
+    """A field as a Euclidean ring: every nonzero element is a unit, so a
+    division leaves no remainder and every nonzero element has size 0."""
+
+    def divmod(self, a, b):
+        return self.div(a, b), self.zero
+
+    def unit_normalize(self, a):
+        """(u, a*u) with a*u one, or (one, a) for zero."""
+        return (self.one, a) if self.is_zero(a) else (self.inv(a), self.one)
+
+    def euclid_size(self, a):
+        return 0
+
+
 @dataclass(frozen=True)
-class Rationals:
+class Rationals(_FieldEuclid):
     """Q.  A scalar is an int when it is integral and a Fraction otherwise.
 
     Nearly every rational the engine meets is an integer, and int
@@ -144,7 +172,7 @@ class Rationals:
 
 
 @dataclass(frozen=True)
-class GFPrime:
+class GFPrime(_FieldEuclid):
     p: int
 
     is_field = True
@@ -352,6 +380,8 @@ class DenseKernels:
     coefficient tuples, constant term first (the polyops `u*` kernels): k[d]
     for a FuncField, and the element data of a one-variable ring."""
 
+    zero = ()
+
     @staticmethod
     def is_zero(a):
         return not a
@@ -362,6 +392,9 @@ class DenseKernels:
 
     def add(self, a, b):
         return P.uadd(self.base, a, b)
+
+    def sub(self, a, b):
+        return P.usub(self.base, a, b)
 
     def neg(self, a):
         return P.uneg(self.base, a)
@@ -377,6 +410,22 @@ class DenseKernels:
 
     def exact_div(self, a, b):
         return P.uexact_div(self.base, a, b)
+
+    # k[x] as a Euclidean ring (over a field base only)
+
+    def divmod(self, a, b):
+        return P.udivmod(self.base, a, b)
+
+    def unit_normalize(self, a):
+        """(u, a*u) with a*u monic, or (one, a) for zero."""
+        if not a:
+            return self.one, a
+        inv = self.base.inv(a[-1])
+        return (inv,), P.uscale(self.base, a, inv)
+
+    @staticmethod
+    def euclid_size(a):
+        return len(a) - 1
 
     def at(self, a, point):
         """a(x) by Horner's rule, for the one coordinate x of point."""

@@ -345,29 +345,31 @@ def eval_poly_at_matrix(field, poly, mat):
 
 @dataclass
 class HermiteResult:
-    basis: list       # nonzero canonical rows, adapter representation
+    basis: list       # nonzero canonical rows
     transform: list   # full unimodular transform, or None
-    zero_transform: list  # transform rows mapping to zero (left kernel), or None
 
 
 def hermite_normal_form(E, rows, transform=False):
-    """Row Hermite normal form over a EuclideanRing adapter.
+    """Row Hermite normal form over a Euclidean ring, on its plain data.
 
-    rows: list of adapter-representation row vectors.  Pivots are canonical
-    (positive over Z, monic over k[x]), entries above a pivot are reduced
-    modulo it.  With transform=True the unimodular row transform is tracked.
+    E is the `ops` of `RingDescriptor.plain` for Z, a field or k[x]
+    (IntegerOps, the field itself, DenseKernels) and rows are lists of that
+    plain data.  Pivots are canonical (positive over Z, monic over k[x], one
+    over a field) and entries above a pivot are reduced modulo it, so the
+    basis is the unique Hermite basis of the row lattice.  With
+    transform=True the unimodular U with U . rows = [basis; 0] is tracked.
     """
     work = [list(r) for r in rows]
     m = len(work)
     n = len(work[0]) if work else 0
-    U = [[E.one if i == j else E.zero for j in range(m)] for i in range(m)] if transform else None
+    U = _identity(E, m) if transform else None
     r = 0
     for j in range(n):
         while True:
             live = [i for i in range(r, m) if not E.is_zero(work[i][j])]
             if not live:
                 break
-            sel = min(live, key=lambda i: (E.size(work[i][j]), i))
+            sel = min(live, key=lambda i: (E.euclid_size(work[i][j]), i))
             if sel != r:
                 work[r], work[sel] = work[sel], work[r]
                 if U:
@@ -404,39 +406,29 @@ def hermite_normal_form(E, rows, transform=False):
             r += 1
             if r == m:
                 break
-    basis = work[:r]
-    return HermiteResult(basis, U, U[r:] if U else None)
+    return HermiteResult(work[:r], U)
 
 
-def left_kernel_ring(E, rows):
-    """Basis of {u over R : u . rows = 0}, canonical; rows in adapter reps."""
-    res = hermite_normal_form(E, rows, transform=True)
-    if not res.zero_transform:
-        return []
-    return hermite_normal_form(E, res.zero_transform).basis
+def _column_split(E, rows):
+    """(H, V) with U . rows^T = [H; 0] for a unimodular U, H the Hermite
+    basis of rank r, and V = U^-1.  Then rows^T = V[:, :r] H: the first r
+    columns of V span the rows over the fraction field K, and as columns of
+    a unimodular matrix they span L_K meet R^n and extend, by the other
+    columns of V, to a basis of R^n."""
+    res = hermite_normal_form(E, [list(c) for c in zip(*rows)], transform=True)
+    return res.basis, _invert_unimodular(E, res.transform)
 
 
-def saturate_rows(E, field, rows, to_field, from_field):
-    """Basis of (K-span of rows) intersected with R^n, in Hermite form.
-
-    to_field / from_field convert between adapter representation and field
-    scalars; from_field must clear denominators row-wise (it receives a full
-    row).
-    """
-    if not rows:
-        return []
-    n = len(rows[0])
-    frows = [[to_field(a) for a in row] for row in rows]
-    ker = kernel_basis(Matrix(field, frows))
-    if not ker:
-        return hermite_normal_form(E, [_unit_row(E, n, i) for i in range(n)]).basis
-    cleared = [from_field(v) for v in ker]
-    cols = [list(c) for c in zip(*cleared)]
-    return left_kernel_ring(E, cols)
+def saturate_rows(E, rows):
+    """Hermite basis of the saturation L_K meet R^n of the row lattice L
+    (K the fraction field), rows and result in the plain data of E: the
+    first rank(L) columns of V from `_column_split`, in Hermite form."""
+    H, V = _column_split(E, rows)
+    return hermite_normal_form(E, [[row[i] for row in V] for i in range(len(H))]).basis
 
 
-def _unit_row(E, n, i):
-    return [E.one if j == i else E.zero for j in range(n)]
+def _identity(E, n):
+    return [[E.one if j == i else E.zero for j in range(n)] for i in range(n)]
 
 
 def lattice_member(E, basis, vec):
@@ -461,48 +453,25 @@ def lattice_member(E, basis, vec):
 
 
 def unimodular_complement(E, basis):
-    """For a saturated Hermite basis of rank r in R^n, vectors completing it
-    to a basis of R^n (representatives of a free complement)."""
-    if not basis:
-        return None
-    n = len(basis[0])
-    r = len(basis)
-    cols = [list(c) for c in zip(*basis)]  # n x r
-    res = hermite_normal_form(E, cols, transform=True)
-    if len(res.basis) != r:
-        raise Inconsistent("saturated basis with deficient rank")
-    for i, row in enumerate(res.basis):
-        # pivots of a saturated lattice are units
-        if E.is_zero(row[i]) or not E.is_zero(E.sub(E.unit_normalize(row[i])[1], E.one)):
-            raise Inconsistent("lattice is not saturated")
-    U = res.transform
-    Uinv = _invert_unimodular(E, U)
-    comp = []
-    for i in range(r, n):
-        comp.append([Uinv[k][i] for k in range(n)])
-    return comp
+    """For a saturated basis of rank r in R^n (plain data of E), the last
+    n - r columns of V from `_column_split`: vectors completing it to a
+    basis of R^n (representatives of a free complement).  The basis is
+    saturated of rank r exactly when H is the r x r identity; otherwise
+    this raises Inconsistent."""
+    H, V = _column_split(E, basis)
+    if H != _identity(E, len(basis)):
+        raise Inconsistent("lattice basis is not saturated")
+    return [[row[i] for row in V] for i in range(len(basis), len(V))]
 
 
 def _invert_unimodular(E, U):
+    """U^-1 from the Hermite form of [U | I], which is [I | U^-1] exactly
+    when U is unimodular: every pivot is then a unit, normalized to one,
+    and the entries above it reduce to zero."""
     n = len(U)
-    aug = [row + _unit_row(E, n, i) for i, row in enumerate(U)]
-    res = hermite_normal_form(E, aug)
-    rows = res.basis
-    if len(rows) != n:
-        raise Inconsistent("transform is singular")
-    # back-substitute to reduce the left block to the identity
-    for i in range(n - 1, -1, -1):
-        piv = rows[i][i]
-        u, canon = E.unit_normalize(piv)
-        if not E.is_zero(E.sub(canon, E.one)):
-            raise Inconsistent("matrix is not unimodular")
-        if not E.is_zero(E.sub(u, E.one)):
-            rows[i] = [E.mul(u, a) for a in rows[i]]
-        for k in range(i):
-            q = rows[k][i]
-            if E.is_zero(q):
-                continue
-            rows[k] = [E.sub(a, E.mul(q, b)) for a, b in zip(rows[k], rows[i])]
+    rows = hermite_normal_form(E, [row + e for row, e in zip(U, _identity(E, n))]).basis
+    if [row[:n] for row in rows] != _identity(E, n):
+        raise Inconsistent("matrix is not unimodular")
     return [row[n:] for row in rows]
 
 

@@ -55,7 +55,8 @@ class RingDescriptor:
 
     @property
     def is_euclidean(self):
-        """True when Hermite normal forms are available (Z, fields, k[x])."""
+        """True for Z, a field and k[x]: the rings whose `plain` ops carry a
+        division with remainder, so linalg's Hermite forms run on them."""
         if self.nv == 0:
             return True
         return self.nv == 1 and not isinstance(self.coeff, IntegerOps)
@@ -69,17 +70,21 @@ class RingDescriptor:
         return c + (f"[{','.join(self.varnames)}]" if self.varnames else "")
 
     def plain(self):
-        """(ops, to_plain): add/mul/is_zero on the canonical plain data of
-        elements (the coefficient's value with no variables, a dense `u*`
-        tuple in one, sparse `p*` terms in two) and the map from a
-        RingElement to it, for table loops that would otherwise build a
-        RingElement per operation."""
+        """(ops, to_plain, from_plain): kernels on the canonical plain data
+        of elements (the coefficient's value with no variables, a dense `u*`
+        tuple in one, sparse `p*` terms in two) and the maps from a
+        RingElement to that data and back.  Table loops use them instead of
+        building a RingElement per operation.  Over a Euclidean ring the ops
+        are IntegerOps, the field, or DenseKernels over a field, and also
+        carry the divmod, unit_normalize and euclid_size that linalg's
+        Hermite forms run on."""
         coeff = self.coeff
         if self.nv == 0:
-            return coeff, lambda e: P.pconst_value(coeff, e.data)
+            return coeff, lambda e: P.pconst_value(coeff, e.data), self.from_coeff
         if self.nv == 1:
-            return DenseKernels(coeff), lambda e: P.p_to_dense(coeff, e.data)
-        return SparseKernels(coeff, self.nv), lambda e: e.data
+            return (DenseKernels(coeff), lambda e: P.p_to_dense(coeff, e.data),
+                    lambda u: self.element(P.p_from_dense(coeff, u)))
+        return SparseKernels(coeff, self.nv), lambda e: e.data, self.element
 
     # element constructors
 
@@ -332,109 +337,6 @@ def is_unit(elem):
     if isinstance(ring.coeff, IntegerOps):
         return elem.const_value() in (1, -1)
     return True
-
-
-# --- Euclidean view for Hermite normal forms ---------------------------------
-
-class EuclideanRing:
-    """Z, k (fields), and k[x] through one divmod interface; the element
-    representation is ints for Z, raw scalars for fields, and dense
-    coefficient tuples for k[x]."""
-
-    def __init__(self, ring):
-        if not ring.is_euclidean:
-            raise UnsupportedRing(f"no Euclidean structure on {ring!r}")
-        self.ring = ring
-        self.kind = (
-            "int" if isinstance(ring.coeff, IntegerOps) and ring.nv == 0
-            else "field" if ring.nv == 0
-            else "poly"
-        )
-
-    def to_rep(self, elem):
-        if self.kind == "int":
-            return elem.const_value()
-        if self.kind == "field":
-            return elem.const_value()
-        return P.p_to_dense(self.ring.coeff, elem.data)
-
-    def from_rep(self, r):
-        if self.kind == "int":
-            return self.ring.from_int(r)
-        if self.kind == "field":
-            return self.ring.from_coeff(r)
-        return self.ring.element(P.p_from_dense(self.ring.coeff, r))
-
-    @property
-    def zero(self):
-        return 0 if self.kind == "int" else self.ring.coeff.zero if self.kind == "field" else ()
-
-    @property
-    def one(self):
-        return 1 if self.kind == "int" else self.ring.coeff.one if self.kind == "field" else (self.ring.coeff.one,)
-
-    def is_zero(self, a):
-        if self.kind == "int":
-            return a == 0
-        if self.kind == "field":
-            return self.ring.coeff.is_zero(a)
-        return not a
-
-    def size(self, a):
-        """Euclidean size used for pivoting; None for zero."""
-        if self.is_zero(a):
-            return None
-        if self.kind == "int":
-            return abs(a)
-        if self.kind == "field":
-            return 0
-        return len(a) - 1
-
-    def add(self, a, b):
-        if self.kind == "int":
-            return a + b
-        if self.kind == "field":
-            return self.ring.coeff.add(a, b)
-        return P.uadd(self.ring.coeff, a, b)
-
-    def sub(self, a, b):
-        if self.kind == "int":
-            return a - b
-        if self.kind == "field":
-            return self.ring.coeff.sub(a, b)
-        return P.usub(self.ring.coeff, a, b)
-
-    def neg(self, a):
-        if self.kind == "int":
-            return -a
-        if self.kind == "field":
-            return self.ring.coeff.neg(a)
-        return P.uneg(self.ring.coeff, a)
-
-    def mul(self, a, b):
-        if self.kind == "int":
-            return a * b
-        if self.kind == "field":
-            return self.ring.coeff.mul(a, b)
-        return P.umul(self.ring.coeff, a, b)
-
-    def divmod(self, a, b):
-        if self.kind == "int":
-            return divmod(a, b)
-        if self.kind == "field":
-            return self.ring.coeff.div(a, b), self.ring.coeff.zero
-        return P.udivmod(self.ring.coeff, a, b)
-
-    def unit_normalize(self, a):
-        """(u, a*u) with u a unit making a*u canonical (positive / monic)."""
-        if self.is_zero(a):
-            return self.one, a
-        if self.kind == "int":
-            return (1, a) if a > 0 else (-1, -a)
-        if self.kind == "field":
-            return self.ring.coeff.inv(a), self.ring.coeff.one
-        inv = self.ring.coeff.inv(a[-1])
-        return ((inv,), P.uscale(self.ring.coeff, a, inv))
 
 
 # --- parsing ------------------------------------------------------------------

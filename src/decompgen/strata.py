@@ -43,7 +43,7 @@ from .primes import (
     quotient_chain,
     reduce_elem,
 )
-from .rings import EuclideanRing, RingElement, is_unit, normalize_generator, ring_gcd
+from .rings import RingElement, is_unit, normalize_generator, ring_gcd
 
 
 @dataclass
@@ -116,17 +116,13 @@ def radical_lattice(A, seed=1):
     fiber = A.generic_fiber()
     rad = radical(fiber, seed=seed)
     ring = A.ring
-    K = fiber.field
     cleared = [_clear_row(ring, list(row)) for row in rad.rows]
     if not cleared:
         return RadicalLattice(A, (), True, 0)
     if ring.is_euclidean:
-        E = EuclideanRing(ring)
-        reps = [[E.to_rep(c) for c in row] for row in cleared]
-        sat = saturate_rows(E, K, reps,
-                            lambda a: ring.to_field(E.from_rep(a), K),
-                            lambda frow: [E.to_rep(r) for r in _clear_row(ring, frow)])
-        rows = tuple(tuple(E.from_rep(c) for c in row) for row in sat)
+        E, to_plain, from_plain = ring.plain()
+        sat = saturate_rows(E, [[to_plain(c) for c in row] for row in cleared])
+        rows = tuple(tuple(from_plain(c) for c in row) for row in sat)
         lat = RadicalLattice(A, rows, True, rad.dim)
     else:
         prim = []
@@ -207,9 +203,9 @@ def quotient_over_ring(A, lat):
     rows_K = [[ring.to_field(c, K) for c in row] for row in lat.rows]
     span_rows, pivots = rref_rows(K, rows_K)
     if ring.is_euclidean:
-        E = EuclideanRing(ring)
-        comp = unimodular_complement(E, [[E.to_rep(c) for c in row] for row in lat.rows])
-        comp_K = [[ring.to_field(E.from_rep(c), K) for c in row] for row in comp]
+        E, to_plain, from_plain = ring.plain()
+        comp = unimodular_complement(E, [[to_plain(c) for c in row] for row in lat.rows])
+        comp_K = [[ring.to_field(from_plain(c), K) for c in row] for row in comp]
     else:
         comp_K = []
         for j in range(n):

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from cli_sweep import BIV, NIL, SQ
 from decompgen.cli import main
 
 
@@ -203,39 +204,6 @@ def test_definition_roundtrip_through_cli(corpdir, tmp_path, capsys):
     A = load_algebra_file(str(corpdir / "B2_Z.alg"))
     text = serialize_algebra(A)
     assert (corpdir / "B2_Z.alg").read_text() == text
-
-
-SQ = """algebra SQ
-ring Q[d]
-basis one t
-unit 1, 0
-mul 0 0 0 1
-mul 0 1 1 1
-mul 1 0 1 1
-mul 1 1 0 d
-"""
-
-BIV = """algebra BIV
-ring Q[x,y]
-basis one t
-unit 1, 0
-mul 0 0 0 1
-mul 0 1 1 1
-mul 1 0 1 1
-mul 1 1 0 -x*y
-mul 1 1 1 x + y
-"""
-
-NIL = """algebra NIL
-ring Q[y]
-basis one t
-unit 1, 0
-mul 0 0 0 1
-mul 0 1 1 1
-mul 1 0 1 1
-mul 1 1 0 -y^2
-mul 1 1 1 2*y
-"""
 
 
 def _write(tmp_path, text):

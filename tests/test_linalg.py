@@ -3,7 +3,6 @@ normal forms with saturation, gcd-free bases."""
 
 import random
 from fractions import Fraction
-from math import lcm
 
 import pytest
 
@@ -19,14 +18,13 @@ from decompgen.linalg import (
     hermite_normal_form,
     kernel_basis,
     lattice_member,
-    left_kernel_ring,
     point_rank,
     rank,
     saturate_rows,
     solve,
     unimodular_complement,
 )
-from decompgen.rings import EuclideanRing, parse_ring
+from decompgen.rings import is_unit, parse_ring
 
 QQ = Rationals()
 F3 = GFPrime(3)
@@ -143,90 +141,85 @@ def test_cayley_hamilton(F):
         assert eval_poly_at_matrix(F, char_poly(m), m).is_zero_matrix()
 
 
-def _z_adapter():
-    return EuclideanRing(parse_ring("Z"))
-
-
-def _clear_q_row(row):
-    den = 1
-    for c in row:
-        den = lcm(den, c.denominator)
-    return [int(c * den) for c in row]
-
-
-def saturate_z(rows):
-    E = _z_adapter()
-    return saturate_rows(E, QQ, rows, lambda a: Fraction(a), _clear_q_row)
+ZZ = parse_ring("Z").plain()[0]
 
 
 def test_hermite_saturation_examples():
-    assert saturate_z([[2, 0], [0, 2]]) == [[1, 0], [0, 1]]
-    assert saturate_z([[2, 2]]) == [[1, 1]]
+    assert saturate_rows(ZZ, [[2, 0], [0, 2]]) == [[1, 0], [0, 1]]
+    assert saturate_rows(ZZ, [[2, 2]]) == [[1, 1]]
     # over Q[x]: {(x, x^2)} saturates to {(1, x)}
-    Qx = parse_ring("Q[x]")
-    E = EuclideanRing(Qx)
-    K = Qx.fraction_field()
+    E = parse_ring("Q[x]").plain()[0]
+    assert saturate_rows(E, [[(0, 1), (0, 0, 1)]]) == [[(1,), (0, 1)]]
 
-    def to_f(a):
-        return Qx.to_field(E.from_rep(a), K)
 
-    def from_f(row):
-        pairs = [(K.numerator(a), K.denominator(a)) for a in row]
-        acc = P.pone(QQ, 1)
-        for num, den in pairs:
-            g = P.pgcd_field(QQ, 1, acc, den)
-            acc = P.pexact_div(QQ, P.pmul(QQ, acc, den), g)
-        return [P.p_to_dense(QQ, P.pmul(QQ, num, P.pexact_div(QQ, acc, den)))
-                for num, den in pairs]
+def _lattice_entry(ring, rng, deg=2):
+    """An int in [-9, 9] over Z, a polynomial of degree <= deg with
+    coefficients in [-4, 4] over k[x]."""
+    if ring.nv == 0:
+        return ring.from_int(rng.randint(-9, 9))
+    x = ring.var(ring.varnames[0])
+    return sum((ring.from_int(rng.randint(-4, 4)) * x ** k for k in range(deg + 1)),
+               ring.zero())
 
-    x = (Fraction(0), Fraction(1))
-    x2 = (Fraction(0), Fraction(0), Fraction(1))
-    sat = saturate_rows(E, K, [[x, x2]], to_f, from_f)
-    assert sat == [[(Fraction(1),), x]]
+
+def _lattice_rows(ring, rng):
+    """m x n rows, m <= n, one of them times a non-unit and sometimes one the
+    sum of two others: the lattice is rarely saturated, and its rank can be
+    below m."""
+    m = rng.randrange(1, 4)
+    n = rng.randrange(m, 5)
+    rows = [[_lattice_entry(ring, rng) for _ in range(n)] for _ in range(m)]
+    f = ring.from_int(rng.choice((2, 3, 6))) if ring.nv == 0 else (
+        ring.var(ring.varnames[0]) - rng.randint(-2, 2))
+    rows[0] = [f * c for c in rows[0]]
+    if m > 2 and rng.random() < 0.3:
+        rows[2] = [a + b for a, b in zip(rows[0], rows[1])]
+    return rows
 
 
 def test_hermite_saturation_idempotent_and_rank_preserving():
+    """The saturation contains every input row, has the rank over K of the
+    input, is its own saturation, and completes with unimodular_complement
+    to a matrix of unit determinant: so it is saturated, which the Hermite
+    form of the input alone rarely is."""
     rng = random.Random(31)
-    E = _z_adapter()
-    for _ in range(40):
-        m = rng.randrange(1, 4)
-        n = rng.randrange(m, 5)
-        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-        sat1 = saturate_z(rows)
-        sat2 = saturate_z(sat1)
-        assert sat1 == sat2
-        qrank = rank(Matrix(QQ, [[Fraction(c) for c in r] for r in rows]))
-        assert len(sat1) == qrank
-        # every original row is in the saturation
-        for r in rows:
-            assert lattice_member(E, sat1, r) is not None
-
-
-def test_left_kernel_over_z():
-    E = _z_adapter()
-    ker = left_kernel_ring(E, [[2], [3]])
-    assert ker == [[3, -2]] or ker == [[-3, 2]]
-    for u in ker:
-        assert u[0] * 2 + u[1] * 3 == 0
+    for ring_text in ("Z", "Q[x]", "GF(5)[x]"):
+        ring = parse_ring(ring_text)
+        E, to_plain, from_plain = ring.plain()
+        K = ring.fraction_field()
+        unsaturated = 0
+        for _ in range(40):
+            rows = _lattice_rows(ring, rng)
+            reps = [[to_plain(c) for c in r] for r in rows]
+            sat = saturate_rows(E, reps)
+            assert saturate_rows(E, sat) == sat
+            assert len(sat) == rank(Matrix(K, [[ring.to_field(c, K) for c in r] for r in rows]))
+            for r in reps:
+                assert lattice_member(E, sat, r) is not None
+            unsaturated += hermite_normal_form(E, reps).basis != sat
+            if not sat:
+                continue
+            full = sat + unimodular_complement(E, sat)
+            d = det(Matrix(K, [[ring.to_field(from_plain(c), K) for c in r] for r in full]))
+            assert is_unit(ring.from_field_scalar(d, K)), (ring_text, rows)
+        assert unsaturated >= 20, ring_text
 
 
 def test_unimodular_complement():
-    E = _z_adapter()
     for basis in ([[2, 1]], [[1, 2]], [[1, 0, 3], [0, 1, 4]]):
-        sat = saturate_z(basis)
-        comp = unimodular_complement(E, sat)
-        n = len(basis[0])
+        sat = saturate_rows(ZZ, basis)
+        comp = unimodular_complement(ZZ, sat)
         full = [list(r) for r in sat] + [list(r) for r in comp]
-        d = det(Matrix(QQ, [[Fraction(c) for c in r] for r in full]))
-        assert abs(d) == 1
+        assert abs(det(Matrix(QQ, full))) == 1
+    with pytest.raises(Inconsistent):
+        unimodular_complement(ZZ, [[2, 0]])
 
 
 def test_hermite_canonical_form():
-    E = _z_adapter()
-    res = hermite_normal_form(E, [[4, 6], [2, 5]])
+    res = hermite_normal_form(ZZ, [[4, 6], [2, 5]])
     assert res.basis == [[2, 1], [0, 4]]
     # entries above pivots are reduced
-    res = hermite_normal_form(E, [[1, 7], [0, 3]])
+    res = hermite_normal_form(ZZ, [[1, 7], [0, 3]])
     assert res.basis == [[1, 1], [0, 3]]
 
 

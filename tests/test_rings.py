@@ -27,7 +27,7 @@ from decompgen.primes import (
     reduce_scalar,
     ring_quotient,
 )
-from decompgen.rings import is_prime_int, parse_ring, ring_gcd
+from decompgen.rings import is_prime_int, is_unit, parse_ring, ring_gcd
 
 RINGS = ["Z", "Z[x]", "Q[x]", "Q[x,y]", "GF(2)[x]", "GF(5)[x,y]"]
 
@@ -61,6 +61,53 @@ def test_ring_axioms_randomized(ring_str):
         assert a + ring.zero() == a
         assert a * ring.one() == a
         assert a + (-a) == ring.zero()
+
+
+PLAIN_RINGS = ["Z", "Q", "GF(5)", "Z[d]", "Q[d]", "GF(5)[d]", "Q[x,y]"]
+
+
+def plain_element(ring, rng):
+    """random_element, with a random denominator over Q."""
+    e = random_element(ring, rng)
+    if isinstance(ring.coeff, Rationals):
+        e = e * ring.from_coeff(ring.coeff.div(1, rng.randint(1, 4)))
+    return e
+
+
+@pytest.mark.parametrize("ring_str", PLAIN_RINGS)
+def test_plain_kernels(ring_str):
+    """plain() round-trips elements and its ops match the ring's arithmetic;
+    on Z, Q, GF(5) and k[d] they also divide with remainder and normalize
+    by a unit, as the Hermite forms of linalg need."""
+    ring = parse_ring(ring_str)
+    ops, to_plain, from_plain = ring.plain()
+    rng = random.Random(41)
+    elems = [plain_element(ring, rng) for _ in range(60)]
+    for a, b in zip(elems, elems[1:]):
+        pa, pb = to_plain(a), to_plain(b)
+        assert from_plain(pa) == a
+        assert from_plain(ops.add(pa, pb)) == a + b
+        assert from_plain(ops.mul(pa, pb)) == a * b
+        assert ops.is_zero(pa) == a.is_zero()
+    assert ring.is_euclidean == (ring_str not in ("Z[d]", "Q[x,y]"))
+    if not ring.is_euclidean:
+        return
+    for a, b in zip(elems, elems[1:]):
+        pa, pb = to_plain(a), to_plain(b)
+        if not b.is_zero():
+            q, r = ops.divmod(pa, pb)
+            assert from_plain(q) * b + from_plain(r) == a
+            assert ops.is_zero(r) or ops.euclid_size(r) < ops.euclid_size(pb)
+        u, c = ops.unit_normalize(pa)
+        assert is_unit(from_plain(u)) and from_plain(u) * a == from_plain(c)
+        if a.is_zero():
+            assert ops.is_zero(c)
+        elif ring.nv == 1:
+            assert c[-1] == ring.coeff.one  # monic
+        elif ring.coeff.is_field:
+            assert c == ring.coeff.one
+        else:
+            assert c > 0
 
 
 FIELDS = [
