@@ -106,7 +106,7 @@ def squarefree_decomposition(F, f):
             rec(_pth_root_poly(F, g), mult * F.characteristic)
 
     rec(f, 1)
-    out.sort(key=lambda t: (P.udeg(t[0]), tuple(F.sort_key(c) for c in reversed(t[0]))))
+    out.sort(key=lambda t: P.ukey(F, t[0]))
     return out
 
 
@@ -198,7 +198,7 @@ def factor_gf(F, f, seed=1):
             for irr in _edf(F, part, d, rng):
                 irr = P.umonic(F, irr)
                 out[irr] = out.get(irr, 0) + mult
-    pairs = sorted(out.items(), key=lambda t: (P.udeg(t[0]), tuple(F.sort_key(c) for c in reversed(t[0]))))
+    pairs = sorted(out.items(), key=lambda t: P.ukey(F, t[0]))
     return unit, pairs
 
 
@@ -233,7 +233,7 @@ def factor_qq(f):
             unit = F.mul(unit, lc**mult)
             dense = P.umonic(F, dense)
         out.append((dense, mult))
-    out.sort(key=lambda t: (P.udeg(t[0]), tuple(reversed(t[0]))))
+    out.sort(key=lambda t: P.ukey(F, t[0]))
     return unit, out
 
 
@@ -271,7 +271,7 @@ def factor_funcfield(F, f):
         dense = tuple(F.make(from_sympy(c.numer), from_sympy(c.denom))
                       for c in reversed(fac.monic().rep.to_list()))
         out.append((dense, mult))
-    out.sort(key=lambda t: (P.udeg(t[0]), tuple(F.sort_key(c) for c in reversed(t[0]))))
+    out.sort(key=lambda t: P.ukey(F, t[0]))
     return out
 
 

@@ -29,9 +29,7 @@ class Fingerprint:
         return P.udeg(self.polys[0]) if self.polys else 0
 
     def sort_key(self):
-        F = self.field
-        return tuple((P.udeg(p), tuple(F.sort_key(c) for c in reversed(p)))
-                     for p in self.polys)
+        return tuple(P.ukey(self.field, p) for p in self.polys)
 
     def entrywise_product(self, other):
         F = self.field

@@ -420,11 +420,15 @@ def _column_split(E, rows):
 
 
 def saturate_rows(E, rows):
-    """Hermite basis of the saturation L_K meet R^n of the row lattice L
-    (K the fraction field), rows and result in the plain data of E: the
-    first rank(L) columns of V from `_column_split`, in Hermite form."""
+    """(saturation, complement) of the row lattice L in R^n (K the fraction
+    field), rows and results in the plain data of E, both read off one
+    `_column_split`: the Hermite basis of the saturation L_K meet R^n (the
+    first rank(L) columns of V, in Hermite form) and the other n - rank(L)
+    columns of V, which complete it to a basis of R^n (representatives of
+    a free complement)."""
     H, V = _column_split(E, rows)
-    return hermite_normal_form(E, [[row[i] for row in V] for i in range(len(H))]).basis
+    cols = [[row[i] for row in V] for i in range(len(V))]
+    return hermite_normal_form(E, cols[:len(H)]).basis, cols[len(H):]
 
 
 def _identity(E, n):
@@ -450,18 +454,6 @@ def lattice_member(E, basis, vec):
     if any(not E.is_zero(a) for a in v):
         return None
     return coeffs
-
-
-def unimodular_complement(E, basis):
-    """For a saturated basis of rank r in R^n (plain data of E), the last
-    n - r columns of V from `_column_split`: vectors completing it to a
-    basis of R^n (representatives of a free complement).  The basis is
-    saturated of rank r exactly when H is the r x r identity; otherwise
-    this raises Inconsistent."""
-    H, V = _column_split(E, basis)
-    if H != _identity(E, len(basis)):
-        raise Inconsistent("lattice basis is not saturated")
-    return [[row[i] for row in V] for i in range(len(basis), len(V))]
 
 
 def _invert_unimodular(E, U):
@@ -493,10 +485,6 @@ class GcdFreeBasis:
         return out
 
 
-def _upoly_key(F, p):
-    return (P.udeg(p), tuple(F.sort_key(c) for c in reversed(p)))
-
-
 def gcd_free_basis(field, polys):
     """Coarsest gcd-free refinement of a family of nonzero univariate
     polynomials, with squarefree splitting where derivatives allow it."""
@@ -511,7 +499,7 @@ def gcd_free_basis(field, polys):
         if P.udeg(s) >= 1:
             work.add(s)
     basis = []
-    queue = sorted(work, key=lambda p: _upoly_key(F, p))
+    queue = sorted(work, key=lambda p: P.ukey(F, p))
     guard = 0
     while queue:
         guard += 1
@@ -534,7 +522,7 @@ def gcd_free_basis(field, polys):
             break
         if not again:
             basis.append(f)
-    basis = sorted(set(basis), key=lambda p: _upoly_key(F, p))
+    basis = sorted(set(basis), key=lambda p: P.ukey(F, p))
     mults = []
     for m in monics:
         row = []

@@ -158,8 +158,7 @@ class SimpleModule:
 
     def sort_key(self):
         F = self.module.fiber.field
-        return (self.dim, tuple((P.udeg(p), tuple(F.sort_key(c) for c in reversed(p)))
-                                for p in self.fingerprint_polys))
+        return (self.dim, tuple(P.ukey(F, p) for p in self.fingerprint_polys))
 
     def __repr__(self):
         return f"<simple of dim {self.dim}>"
@@ -469,11 +468,14 @@ def is_split(fiber, seed=1):
     factors = regular_factors(fiber, seed)
     simples = [s for s, _ in factors]
     jh_mults = [m for _, m in factors]
-    endo = [hom_dim(s.module, s.module) for s in simples]
-    for s, e in zip(simples, endo):
-        if s.dim % e:
+    endo = []
+    for s in simples:
+        # A maps onto End_D(S) (Jacobson density), of dimension d^2 / dim D
+        r = algebra_image_rank(s.module)
+        if s.dim ** 2 % r or s.dim % (s.dim ** 2 // r):
             raise RadicalNotNilpotent(
-                f"endomorphism dimension {e} does not divide module dimension {s.dim}")
+                f"image rank {r} is not d^2 / dim End for a simple of dimension d = {s.dim}")
+        endo.append(s.dim ** 2 // r)
     mults = [s.dim // e for s, e in zip(simples, endo)]
     rad = radical(fiber, seed=seed)
     data = WedderburnData(fiber, simples, mults, jh_mults, endo, rad.dim)

@@ -366,6 +366,12 @@ def udeg(p):
     return len(p) - 1
 
 
+def ukey(dom, p):
+    """Total-order sort key for dense polynomials: degree first, then the
+    coefficients from the leading one down."""
+    return (udeg(p), tuple(dom.sort_key(c) for c in reversed(p)))
+
+
 def uadd(dom, a, b):
     n = max(len(a), len(b))
     out = []

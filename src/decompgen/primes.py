@@ -386,31 +386,21 @@ def numerator_denominator_in_ring(alpha, ring):
         return ring.element(num), ring.element(den)
     from .rings import _rat_clear_denoms
 
-    ratring = RingDescriptor(Rationals(), ring.varnames)
-    cn, nprim = _rat_clear_denoms(ratring.element(num))
-    cd, dprim = _rat_clear_denoms(ratring.element(den))
+    cn, nprim = _rat_clear_denoms(num)
+    cd, dprim = _rat_clear_denoms(den)
     if cn == 0:
         return ring.zero(), ring.one()
     r = QQ.div(cn, cd)
-    nz = ring.element(tuple((e, int(c)) for e, c in nprim))
-    dz = ring.element(tuple((e, int(c)) for e, c in dprim))
-    return nz * r.numerator, dz * r.denominator
+    return ring.element(nprim) * r.numerator, ring.element(dprim) * r.denominator
 
 
 def reduce_scalar(alpha, spec):
-    """Image of alpha in k(p) for alpha in the localization R_p."""
+    """Image of alpha in k(p) for alpha in the localization R_p, read off
+    the numerator and denominator of `numerator_denominator_in_ring`; over
+    a field ring that is alpha itself."""
     from .errors import NotReducible
 
-    ring = spec.ring
-    if ring.is_field_ring:
-        return alpha
-    if ring.nv == 0:
-        n, d = alpha.numerator, alpha.denominator
-        dval = reduce_elem(ring.from_int(d), spec)
-        if spec.residue_field.is_zero(dval):
-            raise NotReducible(f"{alpha} has denominator in {spec!r}")
-        return spec.residue_field.div(reduce_elem(ring.from_int(n), spec), dval)
-    n, d = numerator_denominator_in_ring(alpha, ring)
+    n, d = numerator_denominator_in_ring(alpha, spec.ring)
     dval = reduce_elem(d, spec)
     if spec.residue_field.is_zero(dval):
         raise NotReducible(f"{alpha} is not in the localization at {spec!r}")

@@ -125,22 +125,29 @@ class RingDescriptor:
         # integer coefficients are already scalars of Q
         return field.from_poly(elem.data)
 
+    def contains(self, a, field):
+        """Whether the scalar a of the fraction field lies in the ring,
+        decided on a itself: an int over Z, a polynomial with int
+        coefficients over Z[x], a polynomial over k[vars], anything over a
+        field.  Rationals and FuncField keep scalars canonical (an integral
+        rational is an int, a denominator is monic), so the test is exact.
+        The one integrality rule: `from_field_scalar` is built on it."""
+        if self.is_field_ring:
+            return True
+        if self.nv == 0:
+            return type(a) is int
+        return field.is_polynomial(a) and (not isinstance(self.coeff, IntegerOps) or all(
+            type(c) is int for _, c in field.numerator(a)))
+
     def from_field_scalar(self, a, field=None):
         """RingElement with the same value as the fraction-field scalar a,
         or None when a is not in the ring."""
         field = field or self.fraction_field()
-        if self.is_field_ring:
-            return self.from_coeff(a)
-        if self.nv == 0:
-            return self.from_int(a.numerator) if a.denominator == 1 else None
-        if not field.is_polynomial(a):
+        if not self.contains(a, field):
             return None
-        num = field.numerator(a)
-        if isinstance(self.coeff, IntegerOps):
-            if any(c.denominator != 1 for _, c in num):
-                return None
-            num = tuple((e, int(c)) for e, c in num)
-        return self.element(num)
+        if self.nv == 0:
+            return self.from_coeff(a)
+        return self.element(field.numerator(a))
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -269,26 +276,21 @@ def int_content(elem):
     return c, RingElement(elem.ring, prim)
 
 
-def _int_to_rat(ring):
-    return RingDescriptor(Rationals(), ring.varnames)
-
-
-def _rat_clear_denoms(elem):
-    """Rational-coefficient polynomial to (fraction, primitive integer-coeff data)."""
+def _rat_clear_denoms(data):
+    """Rational-coefficient sparse terms to (fraction, primitive integer-coeff data)."""
     from math import lcm
 
     den = 1
-    for _, c in elem.data:
+    for _, c in data:
         den = lcm(den, c.denominator)
     num_gcd = 0
-    for _, c in elem.data:
+    for _, c in data:
         num_gcd = int_gcd(num_gcd, int(c * den))
-    if not elem.is_zero() and elem.data[0][1] < 0:
+    if data and data[0][1] < 0:
         num_gcd = -num_gcd
     if num_gcd == 0:
         return 0, P.PZERO
-    data = tuple((e, int(c * den) // num_gcd) for e, c in elem.data)
-    return Rationals().div(num_gcd, den), data
+    return Rationals().div(num_gcd, den), tuple((e, int(c * den) // num_gcd) for e, c in data)
 
 
 def ring_gcd(a, b):
@@ -309,10 +311,8 @@ def ring_gcd(a, b):
     # Z[x]: Gauss -- gcd of contents times primitive gcd over Q
     ca, pa = int_content(a)
     cb, pb = int_content(b)
-    ratring = _int_to_rat(ring)
-    g = P.pgcd_field(Rationals(), 1, pa.data, pb.data)
-    _, gdata = _rat_clear_denoms(ratring.element(g))
-    return ring.element(tuple((e, int(c)) for e, c in gdata)) * int_gcd(ca, cb)
+    _, gdata = _rat_clear_denoms(P.pgcd_field(Rationals(), 1, pa.data, pb.data))
+    return ring.element(gdata) * int_gcd(ca, cb)
 
 
 def normalize_generator(elem):

@@ -28,13 +28,7 @@ from .algebra import FiniteFreeAlgebra, restrict, span_subspace
 from .decomposition import dec_gen_membership, split_data
 from .factor import factor_integer, factor_univariate, factor_zx_primitive
 from .fields import IntegerOps, Rationals
-from .linalg import (
-    Matrix,
-    det,
-    rref_rows,
-    saturate_rows,
-    unimodular_complement,
-)
+from .linalg import Matrix, det, rref_rows, saturate_rows
 from .modules import radical, regular_factors, regular_trace_gram
 from .primes import (
     contains,
@@ -48,45 +42,28 @@ from .rings import RingElement, is_unit, normalize_generator, ring_gcd
 
 @dataclass
 class RadicalLattice:
+    """Integral form of the generic radical, with the facts the quotient
+    B = A/J reads from it: `generic` is the memoized generic-radical
+    SubLattice (its rows are the reduced echelon form of J over K), and
+    `complement` spans a complement of J, as fraction-field vectors.  Over
+    Z and k[x] the complement is the rest of the unimodular V of the
+    saturation's Hermite split, so it completes `rows` to a basis of R^n;
+    otherwise it is the non-pivot unit vectors of `generic`."""
     algebra: object
     rows: tuple          # RingElement coordinate vectors spanning J over R
     saturated: bool
-    generic_dim: int
+    generic: object
+    complement: tuple
 
     @property
     def rank(self):
         return len(self.rows)
 
 
-def _is_integral(ring, K, s):
-    """Whether the fraction-field scalar s lies in the ring, decided on s
-    itself without building RingElements: an int over Z, a polynomial with
-    int coefficients over Z[d], a polynomial over k[vars], anything over a
-    field ring.  Rationals and FuncField keep scalars canonical (an integral
-    rational is an int, a denominator is monic), so the test is exact."""
-    if ring.is_field_ring:
-        return True
-    if ring.nv == 0:
-        return type(s) is int
-    if not K.is_polynomial(s):
-        return False
-    return not isinstance(ring.coeff, IntegerOps) or all(
-        type(c) is int for _, c in K.numerator(s))
-
-
 def _clear_row(ring, row):
     """Fraction-field row vector to a ring vector spanning the same line."""
-    if ring.nv == 0 and not ring.is_field_ring:
-        from math import lcm
-
-        den = 1
-        for c in row:
-            den = lcm(den, c.denominator)
-        return [ring.from_int(int(c * den)) for c in row]
-    if ring.is_field_ring:
-        return [ring.from_coeff(c) for c in row]
     K = ring.fraction_field()
-    if all(_is_integral(ring, K, c) for c in row):
+    if all(ring.contains(c, K) for c in row):
         return [ring.from_field_scalar(c, K) for c in row]
     out_nd = [numerator_denominator_in_ring(c, ring) for c in row]
     acc = ring.one()
@@ -112,18 +89,19 @@ def _ring_exact(a, b):
 
 def radical_lattice(A, seed=1):
     """Integral form of the generic radical: denominators cleared, and over
-    Z and k[x] Hermite-saturated so the quotient is torsion free."""
+    Z and k[x] Hermite-saturated so the quotient is torsion free.  The one
+    Hermite split of the saturation also gives the complement."""
     fiber = A.generic_fiber()
     rad = radical(fiber, seed=seed)
     ring = A.ring
     cleared = [_clear_row(ring, list(row)) for row in rad.rows]
-    if not cleared:
-        return RadicalLattice(A, (), True, 0)
-    if ring.is_euclidean:
+    if ring.is_euclidean and cleared:
         E, to_plain, from_plain = ring.plain()
-        sat = saturate_rows(E, [[to_plain(c) for c in row] for row in cleared])
+        sat, comp = saturate_rows(E, [[to_plain(c) for c in row] for row in cleared])
         rows = tuple(tuple(from_plain(c) for c in row) for row in sat)
-        lat = RadicalLattice(A, rows, True, rad.dim)
+        complement = tuple(tuple(ring.to_field(from_plain(c), fiber.field) for c in row)
+                           for row in comp)
+        lat = RadicalLattice(A, rows, True, rad, complement)
     else:
         prim = []
         for row in cleared:
@@ -133,20 +111,21 @@ def radical_lattice(A, seed=1):
             if not is_unit(g) and not g.is_zero():
                 row = [_ring_exact(c, g) for c in row]
             prim.append(tuple(row))
-        lat = RadicalLattice(A, tuple(prim), False, rad.dim)
-    _assert_lattice(A, lat, rad)
+        complement = tuple(tuple(fiber.basis_vector(j))
+                           for j in range(A.dim) if j not in rad.pivots)
+        lat = RadicalLattice(A, tuple(prim), not cleared, rad, complement)
+    _assert_lattice(A, lat)
     return lat
 
 
-def _assert_lattice(A, lat, generic_radical):
+def _assert_lattice(A, lat):
     """The cleared lattice spans the generic radical.  Its fraction-field
     span is then closed under both one-sided multiplications, because
     `radical` verified exactly that of the generic radical."""
     fiber = A.generic_fiber()
     K = fiber.field
     rows_K = [[A.ring.to_field(c, K) for c in row] for row in lat.rows]
-    span = span_subspace(fiber, rows_K)
-    if span.dim != generic_radical.dim or span != generic_radical:
+    if span_subspace(fiber, rows_K) != lat.generic:
         raise EngineError("integral radical lattice does not span the generic radical")
 
 
@@ -175,11 +154,13 @@ def _minor_gcd(A, lat):
 
 
 def quotient_over_ring(A, lat):
-    """Structure constants of B = A/J on a complement basis, as a fiber over
-    the fraction field; the complement lifts c_i in A's generic fiber, whose
-    classes q_i are B's basis (the character-Gram fallback reads A's
-    memoized simples through them); and the product of every denominator
-    that entered the projection.
+    """Structure constants of B = A/J on the lattice's complement basis, as
+    a fiber over the fraction field; the complement lifts c_i in A's
+    generic fiber, whose classes q_i are B's basis (the character-Gram
+    fallback reads A's memoized simples through them); and the product of
+    every denominator that entered the projection.  The complement and the
+    echelon rows of J come from `lat`, so no Hermite or echelon form of the
+    lattice rows runs here.
 
     Over Euclidean rings the complement completes a saturated lattice to a
     unimodular basis, so B's constants and unit coordinates are integral and
@@ -189,7 +170,8 @@ def quotient_over_ring(A, lat):
     of the lattice, can have denominators.  The certificate is only valid
     where the denominators are invertible, so the caller absorbs their
     product into the discriminant.  Integral scalars never reach
-    `denominator_ideal`: `_is_integral` decides them on the scalar itself.
+    `denominator_ideal`: `RingDescriptor.contains` decides them on the
+    scalar itself.
     """
     from .primes import denominator_ideal as _den
 
@@ -199,20 +181,8 @@ def quotient_over_ring(A, lat):
     n = A.dim
     one = ring.one()
     if lat.rank == 0:
-        return fiber, [fiber.basis_vector(i) for i in range(n)], one
-    rows_K = [[ring.to_field(c, K) for c in row] for row in lat.rows]
-    span_rows, pivots = rref_rows(K, rows_K)
-    if ring.is_euclidean:
-        E, to_plain, from_plain = ring.plain()
-        comp = unimodular_complement(E, [[to_plain(c) for c in row] for row in lat.rows])
-        comp_K = [[ring.to_field(from_plain(c), K) for c in row] for row in comp]
-    else:
-        comp_K = []
-        for j in range(n):
-            if j not in pivots:
-                e = [K.zero] * n
-                e[j] = K.one
-                comp_K.append(e)
+        return fiber, lat.complement, one
+    comp_K, span_rows = lat.complement, lat.generic.rows
 
     # coordinates on the complement are the first m of the unique
     # decomposition over complement plus lattice rows: the first m rows of
@@ -230,7 +200,7 @@ def quotient_over_ring(A, lat):
 
     def absorb(scalar):
         nonlocal denoms
-        if _is_integral(ring, K, scalar):
+        if ring.contains(scalar, K):
             return
         d = _den(scalar, ring)
         if is_unit(d):

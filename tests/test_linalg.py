@@ -22,7 +22,6 @@ from decompgen.linalg import (
     rank,
     saturate_rows,
     solve,
-    unimodular_complement,
 )
 from decompgen.rings import is_unit, parse_ring
 
@@ -145,11 +144,11 @@ ZZ = parse_ring("Z").plain()[0]
 
 
 def test_hermite_saturation_examples():
-    assert saturate_rows(ZZ, [[2, 0], [0, 2]]) == [[1, 0], [0, 1]]
-    assert saturate_rows(ZZ, [[2, 2]]) == [[1, 1]]
+    assert saturate_rows(ZZ, [[2, 0], [0, 2]]) == ([[1, 0], [0, 1]], [])
+    assert saturate_rows(ZZ, [[2, 2]])[0] == [[1, 1]]
     # over Q[x]: {(x, x^2)} saturates to {(1, x)}
     E = parse_ring("Q[x]").plain()[0]
-    assert saturate_rows(E, [[(0, 1), (0, 0, 1)]]) == [[(1,), (0, 1)]]
+    assert saturate_rows(E, [[(0, 1), (0, 0, 1)]])[0] == [[(1,), (0, 1)]]
 
 
 def _lattice_entry(ring, rng, deg=2):
@@ -179,9 +178,9 @@ def _lattice_rows(ring, rng):
 
 def test_hermite_saturation_idempotent_and_rank_preserving():
     """The saturation contains every input row, has the rank over K of the
-    input, is its own saturation, and completes with unimodular_complement
-    to a matrix of unit determinant: so it is saturated, which the Hermite
-    form of the input alone rarely is."""
+    input, is its own saturation, and completes with the complement of the
+    same split to a matrix of unit determinant: so it is saturated, which
+    the Hermite form of the input alone rarely is."""
     rng = random.Random(31)
     for ring_text in ("Z", "Q[x]", "GF(5)[x]"):
         ring = parse_ring(ring_text)
@@ -191,28 +190,27 @@ def test_hermite_saturation_idempotent_and_rank_preserving():
         for _ in range(40):
             rows = _lattice_rows(ring, rng)
             reps = [[to_plain(c) for c in r] for r in rows]
-            sat = saturate_rows(E, reps)
-            assert saturate_rows(E, sat) == sat
+            sat, comp = saturate_rows(E, reps)
+            assert saturate_rows(E, sat)[0] == sat
             assert len(sat) == rank(Matrix(K, [[ring.to_field(c, K) for c in r] for r in rows]))
             for r in reps:
                 assert lattice_member(E, sat, r) is not None
             unsaturated += hermite_normal_form(E, reps).basis != sat
             if not sat:
                 continue
-            full = sat + unimodular_complement(E, sat)
+            full = sat + comp
             d = det(Matrix(K, [[ring.to_field(from_plain(c), K) for c in r] for r in full]))
             assert is_unit(ring.from_field_scalar(d, K)), (ring_text, rows)
         assert unsaturated >= 20, ring_text
 
 
-def test_unimodular_complement():
-    for basis in ([[2, 1]], [[1, 2]], [[1, 0, 3], [0, 1, 4]]):
-        sat = saturate_rows(ZZ, basis)
-        comp = unimodular_complement(ZZ, sat)
-        full = [list(r) for r in sat] + [list(r) for r in comp]
-        assert abs(det(Matrix(QQ, full))) == 1
-    with pytest.raises(Inconsistent):
-        unimodular_complement(ZZ, [[2, 0]])
+def test_saturation_completes_to_a_unimodular_basis():
+    """The saturation and the complement of one split form a matrix of
+    determinant +-1, also when the input rows are not saturated."""
+    for basis in ([[2, 1]], [[1, 2]], [[1, 0, 3], [0, 1, 4]], [[2, 0]], [[2, 4, 6], [0, 3, 3]]):
+        sat, comp = saturate_rows(ZZ, basis)
+        assert len(sat) == len(basis) and len(sat) + len(comp) == len(basis[0])
+        assert abs(det(Matrix(QQ, sat + comp))) == 1
 
 
 def test_hermite_canonical_form():

@@ -357,7 +357,8 @@ def _analyses_at_registry_points(key, registry_points):
 def test_certified_ranks_match_the_exact_path(key, registry_points, monkeypatch):
     """radical, is_split, algebra_image_rank and hom_dim give what exact
     elimination gives, at the generic point and at every registry prime;
-    over k(d) the certificate fires on some of them."""
+    over k(d) the certificate fires on some of them.  The endomorphism
+    dimensions is_split reads from the image ranks are those hom_dim finds."""
     real, answers = modules.point_rank, []
 
     def counting(mat):
@@ -368,6 +369,8 @@ def test_certified_ranks_match_the_exact_path(key, registry_points, monkeypatch)
     certified = _analyses_at_registry_points(key, registry_points)
     monkeypatch.setattr(modules, "point_rank", lambda mat: None)
     assert certified == _analyses_at_registry_points(key, registry_points)
+    for _, _, _, endo_dims, _, _, _, homs in certified:
+        assert endo_dims == [homs[i][i] for i in range(len(homs))]
     if REGISTRY[key].algebra().ring.nv:
         assert any(a is not None for a in answers)
 

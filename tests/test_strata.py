@@ -422,15 +422,14 @@ def test_character_gram_matches_traces_of_products(corpus, key, prime):
 
 
 def test_integrality_fast_path_agrees_with_denominator_ideal():
-    """_is_integral decides on a canonical fraction-field scalar what
-    is_unit(denominator_ideal(s, R)) decides through RingElements."""
+    """RingDescriptor.contains decides on a canonical fraction-field scalar
+    what is_unit(denominator_ideal(s, R)) decides through RingElements."""
     from decompgen import polyops as P
     from decompgen.primes import denominator_ideal
     from decompgen.rings import is_unit
-    from decompgen.strata import _is_integral
 
     def agrees(ring, K, s):
-        return _is_integral(ring, K, s) == is_unit(denominator_ideal(s, ring))
+        return ring.contains(s, K) == is_unit(denominator_ideal(s, ring))
 
     rng = random.Random(11)
     for ring_str in ("Q", "Z", "Z[d]", "Q[d]", "GF(5)[d]", "Q[x,y]"):
@@ -458,5 +457,5 @@ def test_integrality_fast_path_agrees_with_denominator_ideal():
         d = K.var_scalar(0)
         s = (K.div(d, K.from_int(2)) if text == "d/2"
              else K.inv(K.add(d, K.one)))
-        assert _is_integral(ring, K, s) == integral, (ring_str, text)
+        assert ring.contains(s, K) == integral, (ring_str, text)
         assert agrees(ring, K, s), (ring_str, text)
