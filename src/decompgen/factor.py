@@ -31,7 +31,7 @@ def factor_integer(n, limit=None):
     is prime."""
     limit = limit or DEFAULT_TRIAL_LIMIT
     if n == 0:
-        raise ValueError("cannot factor zero")
+        raise EngineError("cannot factor zero")
     unit = 1 if n > 0 else -1
     n = abs(n)
     out = []
@@ -189,7 +189,7 @@ def _edf(F, f, d, rng):
 def factor_gf(F, f, seed=1):
     """(unit scalar, [(monic irreducible, mult)]) over GF(q), deterministic."""
     if not f:
-        raise ValueError("cannot factor zero")
+        raise EngineError("cannot factor zero")
     unit = f[-1]
     rng = random.Random(seed)
     out = {}
@@ -217,7 +217,7 @@ _X = sympy.Symbol("x")
 def factor_qq(f):
     """(unit, [(monic dense, mult)]) for f over Q, scalars as in Rationals."""
     if not f:
-        raise ValueError("cannot factor zero")
+        raise EngineError("cannot factor zero")
     F = Rationals()
     if P.udeg(f) == 0:
         return f[0], []
@@ -288,7 +288,7 @@ def factor_univariate(elem, seed=1):
     if ring.nv != 1:
         raise UnsupportedRing("factor_univariate needs a one-variable polynomial ring")
     if elem.is_zero():
-        raise ValueError("cannot factor zero")
+        raise EngineError("cannot factor zero")
     coeff = ring.coeff
     dense = P.p_to_dense(coeff, elem.data)
     if isinstance(coeff, Rationals):
@@ -308,7 +308,7 @@ def factor_zx_primitive(elem, seed=1):
     if not isinstance(ring.coeff, IntegerOps) or ring.nv != 1:
         raise UnsupportedRing("expected Z[x]")
     if elem.is_zero():
-        raise ValueError("cannot factor zero")
+        raise EngineError("cannot factor zero")
     content, prim = int_content(elem)
     unit = 1 if content > 0 else -1
     out = []

@@ -13,6 +13,11 @@ running out of budget is an error rather than a wrong answer.
 
 Random elements are integer-coefficient combinations of the basis drawn
 from a growing window, so the same seed gives the same run over any field.
+
+The Jacobson radical is the intersection of the annihilators of the
+simples in every characteristic: the kernel of the matrix of their
+entries, read off the memoized chop of the regular module that the split
+test needs anyway.
 """
 
 import random
@@ -381,48 +386,27 @@ def is_isomorphic(S, T, cross_validate=False):
 
 # --- radical and splitting -----------------------------------------------------------
 
-def _regular_trace_vector(fiber):
-    F = fiber.field
-    out = []
-    for plane in fiber.terms:
-        t = F.zero
-        for j, ts in enumerate(plane):
-            for l, c in ts:
-                if l == j:
-                    t = F.add(t, c)
-        out.append(t)
-    return out
-
-
-def regular_trace_gram(fiber):
-    """G[i][j] = trace of left multiplication by b_i b_j."""
-    return Matrix(fiber.field, fiber.form_gram(_regular_trace_vector(fiber)))
-
-
 @_per_table
 def radical(fiber, seed=1):
-    """Basis of the Jacobson radical as a canonical SubLattice.
-
-    Characteristic zero: kernel of the regular trace form, empty without
-    elimination over k(vars) when the Gram matrix has point rank dim A
-    (linalg.point_rank, a lower bound on its rank).  Characteristic
-    p: intersection of the annihilators of the simple modules (the trace
-    form can degenerate on semisimple algebras there).  The result is
-    verified to be a nilpotent two-sided ideal.
+    """Basis of the Jacobson radical as a canonical SubLattice: the
+    intersection of the annihilators of the simple modules, read off the
+    memoized chop of the regular module, in every characteristic.  Over
+    k(vars) the radical is 0 without elimination when the matrix of simple
+    entries has point rank dim A (linalg.point_rank, a lower bound on its
+    rank).  The result is verified to be a nilpotent two-sided ideal.
     """
     F = fiber.field
-    if F.characteristic == 0:
-        gram = regular_trace_gram(fiber)
-        ker = [] if point_rank(gram) == fiber.dim else kernel_basis(gram)
+    cols = []
+    for s, _ in regular_factors(fiber, seed):
+        mats = s.module.action
+        for a in range(s.dim):
+            for b in range(s.dim):
+                cols.append([mats[i].rows[a][b] for i in range(fiber.dim)])
+    if not cols:
+        ker = [list(v) for v in Matrix.identity(F, fiber.dim).rows]
     else:
-        cols = []
-        for s, _ in regular_factors(fiber, seed):
-            mats = s.module.action
-            for a in range(s.dim):
-                for b in range(s.dim):
-                    cols.append([mats[i].rows[a][b] for i in range(fiber.dim)])
-        ker = kernel_basis(Matrix(F, cols)) if cols else [list(v) for v in
-                                                          Matrix.identity(F, fiber.dim).rows]
+        entries = Matrix(F, cols)
+        ker = [] if point_rank(entries) == fiber.dim else kernel_basis(entries)
     lattice = span_subspace(fiber, ker)
     _assert_radical(fiber, lattice)
     return lattice

@@ -3,8 +3,11 @@ recursive stratification of the base spectrum.
 
 The discriminant candidate is the trace-Gram certificate: clear the generic
 radical into an integral lattice J, form the quotient algebra B = A/J on a
-complement basis, and take g = det(regular trace form of B) times the gcd
-of the maximal minors of J's basis matrix.  Outside V(g) the reduced
+complement basis, and take g = det(Gram of B's weighted character form)
+times the gcd of the maximal minors of J's basis matrix.  The form is
+sum_S w_S chi_S over the memoized simples of A's generic fiber, with w_S
+the multiplicity of S in B's regular module (1 where that vanishes in K),
+so it is B's regular trace in characteristic 0.  Outside V(g) the reduced
 lattice keeps its dimension and B's fiber is semisimple, so the fiber
 radical equals the reduced lattice and has the generic dimension.  The
 candidate over-approximates: each of its minimal primes is then verified
@@ -29,7 +32,7 @@ from .decomposition import dec_gen_membership, split_data
 from .factor import factor_integer, factor_univariate, factor_zx_primitive
 from .fields import IntegerOps, Rationals
 from .linalg import Matrix, det, rref_rows, saturate_rows
-from .modules import radical, regular_factors, regular_trace_gram
+from .modules import is_split, radical
 from .primes import (
     contains,
     numerator_denominator_in_ring,
@@ -156,8 +159,8 @@ def _minor_gcd(A, lat):
 def quotient_over_ring(A, lat):
     """Structure constants of B = A/J on the lattice's complement basis, as
     a fiber over the fraction field; the complement lifts c_i in A's
-    generic fiber, whose classes q_i are B's basis (the character-Gram
-    fallback reads A's memoized simples through them); and the product of
+    generic fiber, whose classes q_i are B's basis (the certificate reads
+    A's memoized simples through them); and the product of
     every denominator that entered the projection.  The complement and the
     echelon rows of J come from `lat`, so no Hermite or echelon form of the
     lattice rows runs here.
@@ -237,28 +240,26 @@ def candidate_discriminant(A, seed=1):
     """Ring element g with: outside V(g) the fiber radical dimension equals
     the generic one.
 
-    The primary certificate is the regular trace form of B = A/J.  In
-    characteristic p that form can vanish identically on a semisimple
-    algebra (every matrix block of size divisible by p); the sum of the
-    simple characters then takes over: on a split semisimple algebra it
-    restricts to the plain matrix trace on each block, so its Gram
-    determinant is never zero, and it still kills the radical of every
-    fiber.  The simples are those of A's generic fiber, memoized when the
-    radical was taken and read through the complement lifts (J acts as
-    zero on them), so B is never chopped; B's integral constants never
-    reach `denominator_ideal`.
-    Returns the zero element only when both degenerate (a non-split
-    quotient, which the verification stage would reject anyway)."""
+    The certificate is the Gram determinant of t = sum_S w_S chi_S on
+    B = A/J, with w_S = dim S / dim End(S), the multiplicity of S in B's
+    regular module, replaced by 1 where it vanishes in K.  B is semisimple,
+    so t is B's regular trace unless a weight was replaced.  B splits into
+    one block per simple, so other nonzero weights change the determinant
+    only by a nonzero prime-field constant, which `normalize_generator`
+    removes.  On a split semisimple algebra t is a nonzero multiple of the
+    matrix trace on each block, so its Gram determinant is never zero, and
+    it kills the radical of every fiber.  The simples and weights are the
+    memoized Wedderburn data of A's generic fiber, read through the
+    complement lifts, so B is never chopped; B's integral constants never
+    reach `denominator_ideal`.  Returns the zero element only when t
+    degenerates (a non-split quotient, which the verification stage would
+    reject)."""
     lat = radical_lattice(A, seed=seed)
     ring = A.ring
     B, lifts, denoms = quotient_over_ring(A, lat)
-    gram = regular_trace_gram(B)
-    d = det(gram)
-    K = B.field
-    if K.is_zero(d):
-        d = _character_gram_det(A, B, lifts, seed)
-        if K.is_zero(d):
-            return ring.zero()
+    d = det(Matrix(B.field, B.form_gram(_weighted_character_values(A, lifts, seed))))
+    if B.field.is_zero(d):
+        return ring.zero()
     if ring.is_field_ring:
         return ring.one()
     num, den = numerator_denominator_in_ring(d, ring)
@@ -266,22 +267,21 @@ def candidate_discriminant(A, seed=1):
     return normalize_generator(g)
 
 
-def _character_gram_det(A, B, lifts, seed):
-    """Determinant of G[i][j] = sum over the simples S of chi_S(q_i q_j).
-
-    J acts as zero on every simple of A's generic fiber, so chi_S(q_k) is
-    the trace of the complement lift c_k acting on S, and G is the Gram of
-    the form on B whose values on the basis are those traces.  The simples
-    are a memo hit: the fallback only fires in characteristic p, where
-    `radical` chopped the same fiber for the lattice.  A trace does not
-    depend on the basis of S, so G is the Gram that chopping B itself
-    would give."""
+def _weighted_character_values(A, lifts, seed):
+    """t(q_k) = sum over the simples S of w_S chi_S(c_k) for each
+    complement lift c_k: J acts as zero on every simple of A's generic
+    fiber, so chi_S(q_k) is the trace of c_k acting on S, whatever basis S
+    has."""
     fiber = A.generic_fiber()
     K = fiber.field
+    _, data = is_split(fiber, seed=seed)
     chi = [K.zero] * fiber.dim
-    for s, _ in regular_factors(fiber, seed):
-        for k, m in enumerate(s.module.action):
-            chi[k] = K.add(chi[k], m.trace())
+    for s, m in zip(data.simples, data.multiplicities):
+        w = K.from_int(m)
+        if K.is_zero(w):
+            w = K.one
+        for k, act in enumerate(s.module.action):
+            chi[k] = K.add(chi[k], K.mul(w, act.trace()))
     values = []
     for lift in lifts:
         t = K.zero
@@ -289,7 +289,7 @@ def _character_gram_det(A, B, lifts, seed):
             if not K.is_zero(c) and not K.is_zero(x):
                 t = K.add(t, K.mul(c, x))
         values.append(t)
-    return det(Matrix(K, B.form_gram(values)))
+    return values
 
 
 # --- minimal primes -----------------------------------------------------------------
@@ -307,7 +307,7 @@ def minimal_primes(g, seed=1):
     """Minimal primes over V(g) as PrimeSpecs, with UnresolvedPrime markers
     for components whose primality or residue field is out of scope."""
     if g.is_zero():
-        raise ValueError("the zero ideal has no minimal-prime decomposition here")
+        raise EngineError("the zero ideal has no minimal-prime decomposition here")
     ring = g.ring
     if is_unit(g) or ring.is_field_ring:
         return []

@@ -80,6 +80,29 @@ def test_bad_prime_exit_code(corpdir, capsys):
     assert rc == 2
 
 
+def test_internal_invariants_are_not_invalid_input(corpdir, capsys):
+    """Factoring zero and the minimal primes of the zero ideal are broken
+    invariants of the engine, reported with exit 1 as an EngineError; a
+    malformed prime polynomial is bad input and still exits 2."""
+    from decompgen.errors import EngineError
+    from decompgen.factor import (
+        factor_gf, factor_integer, factor_qq, factor_univariate, factor_zx_primitive)
+    from decompgen.fields import GFPrime
+    from decompgen.rings import parse_ring
+    from decompgen.strata import minimal_primes
+
+    Zd, Qd = parse_ring("Z[d]"), parse_ring("Q[d]")
+    for call in (lambda: factor_integer(0), lambda: factor_gf(GFPrime(5), ()),
+                 lambda: factor_qq(()), lambda: factor_univariate(Qd.zero()),
+                 lambda: factor_zx_primitive(Zd.zero()), lambda: minimal_primes(Zd.zero())):
+        with pytest.raises(EngineError) as exc:
+            call()
+        assert type(exc.value) is EngineError and exc.value.exit_code == 1
+    rc, out, err = run_cli(["trivial", str(corpdir / "B2_Z.alg"), "--prime", "gen=[d^^2 - 2]"],
+                           capsys)
+    assert rc == 2 and not out and err == "error: expected integer exponent\n"
+
+
 @pytest.mark.parametrize("args", [["discriminant"], ["decmat", "--prime", "p=5"]])
 def test_not_split_is_a_negative_not_invalid_input(corpdir, capsys, args):
     """ZC3 is a valid algebra whose generic fiber does not split (x^2 + x + 1

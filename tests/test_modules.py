@@ -335,15 +335,29 @@ def test_submodule_of_an_unstable_subspace_raises():
 
 # --- full-rank certificates at one point ------------------------------------------------
 
+def _regular_trace_radical(fiber):
+    """Kernel of the regular trace form (x, y) -> tr(L_xy), which is the
+    Jacobson radical in characteristic 0 (Dickson's criterion)."""
+    from decompgen.algebra import span_subspace
+    from decompgen.linalg import kernel_basis
+
+    traces = [fiber.left_regular_matrix(fiber.basis_vector(k)).trace()
+              for k in range(fiber.dim)]
+    return span_subspace(fiber, kernel_basis(Matrix(fiber.field, fiber.form_gram(traces))))
+
+
 def _analyses_at_registry_points(key, registry_points):
     """radical, is_split, image ranks and Hom dimensions of every registry
     fiber of a freshly built algebra, so that no memo entry is shared with
-    another run."""
+    another run.  In characteristic 0 the radical is also checked against
+    the kernel of the regular trace form."""
     A = REGISTRY[key].algebra()
     out = []
     for p in registry_points(key, A):
         fiber = specialize(A, p)
         split, data = is_split(fiber)
+        if fiber.field.characteristic == 0:
+            assert radical(fiber) == _regular_trace_radical(fiber), (key, p.short_str())
         mods = [regular_module(fiber)] + [s.module for s in data.simples]
         out.append((repr(fiber), radical(fiber).rows, split, data.endo_dims,
                     data.multiplicities, data.radical_dim,
@@ -397,23 +411,27 @@ def _vanishing_at_tried_points():
     ("(x - c)^2", 1, [1]),
 ])
 def test_singular_at_every_tried_point_falls_back(shape, radical_dim, endo_dims, monkeypatch):
-    """The trace Gram of Q[d][x]/(f) is singular where the discriminant of
-    f vanishes; with c = (d - 3)(d - 5)(d - 7) that is every point the
-    certificate tries, so the answers come from exact elimination."""
-    from decompgen.modules import regular_trace_gram
+    """The radical of Q[d][x]/(f) is the kernel of the matrix of the
+    simples' entries.  With c = (d - 3)(d - 5)(d - 7), the characters
+    x -> c and x -> -c of x^2 - c^2 agree at every point the certificate
+    tries, and so do those of (x - c)^2 trivially: the point rank is short
+    there and exact elimination decides.  x^2 - c has one simple of
+    dimension 2, whose entries have full rank at every point."""
     from decompgen.linalg import point_rank, rank
 
     c, zero = _vanishing_at_tried_points(), Qd.zero()
-    f1, f0 = {"x^2 - c": (zero, -c), "x^2 - c^2": (zero, -c * c),
-              "(x - c)^2": (-2 * c, c * c)}[shape]
+    f1, f0, at_points = {"x^2 - c": (zero, -c, 2), "x^2 - c^2": (zero, -c * c, 1),
+                         "(x - c)^2": (-2 * c, c * c, 1)}[shape]
     results = []
     for exact in (False, True):
         if exact:
             monkeypatch.setattr(modules, "point_rank", lambda mat: None)
         fiber = _quadratic(f1, f0).generic_fiber()
-        gram = regular_trace_gram(fiber)
-        assert point_rank(gram) == 1 and rank(gram) == 2 - radical_dim
         split, data = is_split(fiber)
+        entries = Matrix(fiber.field, [[m.rows[a][b] for m in s.module.action]
+                                       for s in data.simples
+                                       for a in range(s.dim) for b in range(s.dim)])
+        assert point_rank(entries) == at_points and rank(entries) == 2 - radical_dim
         results.append((radical(fiber).rows, split, data.endo_dims))
         assert radical(fiber).dim == radical_dim and data.endo_dims == endo_dims
     assert results[0] == results[1]

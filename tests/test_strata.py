@@ -395,30 +395,46 @@ def test_soundness_outside_candidate(corpus):
 @pytest.mark.parametrize("key, prime", [
     ("ZS3", "generic"), ("ZS3", "p=2"), ("Mat2_Z", "generic"), ("Mat2_Z", "p=2"),
     ("ZC2", "p=2"), ("B2_Z", "p=2"), ("TL2_Z", "p=2"), ("B2_Q", "generic"),
-    ("B3_Zd", "p=2"), ("B3_Zd", "p=3"),
+    ("B3_Zd", "p=2"), ("B3_Zd", "p=3"), ("UT2_Z", "generic"),
 ])
 def test_character_gram_matches_traces_of_products(corpus, key, prime):
-    """The character Gram read from A's simples through the complement
-    lifts has the determinant of the reference Gram, which chops B = A/J
-    itself and takes the trace of each product XY over B's simples."""
+    """The certificate's form sum_S w_S chi_S, read from A's simples through
+    the complement lifts, has the Gram determinant of B = A/J's own regular
+    trace, built here from traces of B's left regular matrices, wherever no
+    weight dim S / dim End(S) vanishes.  Where one does (B3 at 2 and 3) that
+    determinant is 0, and the certificate's is nonzero and a nonzero
+    constant times the one of the reference that chops B itself and sums
+    the traces of each product XY over B's simples."""
+    from decompgen import polyops as P
     from decompgen.algebra import restrict
     from decompgen.corpus import brauer_algebra
+    from decompgen.fields import FuncField
     from decompgen.linalg import Matrix, det
-    from decompgen.modules import regular_factors
+    from decompgen.modules import is_split, regular_factors
     from decompgen.primes import parse_prime
-    from decompgen.strata import _character_gram_det, quotient_over_ring
+    from decompgen.strata import _weighted_character_values, quotient_over_ring
 
     A = brauer_algebra(3, Zd) if key == "B3_Zd" else corpus[key]
     R = restrict(A, parse_prime(prime, A.ring))
     B, lifts, _ = quotient_over_ring(R, radical_lattice(R))
     K = B.field
+    d = det(Matrix(K, B.form_gram(_weighted_character_values(R, lifts, 1))))
+    L = [B.left_regular_matrix(B.basis_vector(i)) for i in range(B.dim)]
+    regular = det(Matrix(K, [[X.mul(Y).trace() for Y in L] for X in L]))
+    _, data = is_split(R.generic_fiber())
+    if all(not K.is_zero(K.from_int(m)) for m in data.multiplicities):
+        assert key != "B3_Zd" and d == regular
+        return
     acts = [s.module.action for s, _ in regular_factors(B)]
     gram = [[K.zero] * B.dim for _ in range(B.dim)]
     for i in range(B.dim):
         for j in range(B.dim):
             for mats in acts:
                 gram[i][j] = K.add(gram[i][j], mats[i].mul(mats[j]).trace())
-    assert _character_gram_det(R, B, lifts, 1) == det(Matrix(K, gram))
+    ratio = K.div(d, det(Matrix(K, gram)))
+    assert K.is_zero(regular) and not K.is_zero(d)
+    if isinstance(K, FuncField):
+        assert K.is_polynomial(ratio) and P.pis_const(K.numerator(ratio))
 
 
 def test_integrality_fast_path_agrees_with_denominator_ideal():
