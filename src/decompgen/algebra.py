@@ -25,7 +25,15 @@ from .errors import (
     UnsupportedRing,
     ValidationError,
 )
-from .linalg import Matrix, det, echelon_reduce, hermite_normal_form, pivot_columns, rref_rows
+from .linalg import (
+    Matrix,
+    det,
+    echelon_reduce,
+    hermite_normal_form,
+    inverse,
+    pivot_columns,
+    rref_rows,
+)
 from .primes import generic_point, quotient_chain, reduce_elem
 from .rings import RingDescriptor, RingScalars
 
@@ -351,36 +359,33 @@ def ideal_closure(ambient, generators):
         current = nxt
 
 
+def table_on_basis(fiber, basis, m):
+    """(sc, unit) of the fiber's table on the first m of the basis vectors,
+    modulo the span of the rest.  The coordinates of a vector on the whole
+    basis are one product with the inverse of the matrix whose columns are
+    the basis vectors, so the table reads off one `inverse`; raises
+    Inconsistent when the vectors are not a basis."""
+    F = fiber.field
+    coords = Matrix(F, inverse(Matrix(F, basis).transpose()).rows[:m])
+    vecs = [list(v) for v in basis[:m]]
+    sc = tuple(tuple(tuple(coords.apply(fiber.vec_mul(a, b))) for b in vecs) for a in vecs)
+    return sc, tuple(coords.apply(list(fiber.unit)))
+
+
 def quotient_algebra(fiber, ideal):
     """Fiber modulo a closure-stable ideal, on the complement basis of the
     non-pivot coordinates."""
     F = fiber.field
-    n = fiber.dim
-    pivots = ideal.pivots
-    keep = [j for j in range(n) if j not in pivots]
-
-    def project(vec):
-        work = echelon_reduce(F, ideal.rows, pivots, vec)
-        return [work[j] for j in keep]
-
-    unit = project(fiber.unit)
-    if all(F.is_zero(c) for c in unit) and keep:
-        raise UnitInIdeal("the unit lies in the ideal")
+    keep = [j for j in range(fiber.dim) if j not in ideal.pivots]
     if not keep:
         raise UnitInIdeal("quotient by the whole algebra")
-    m = len(keep)
-    sc = [[[F.zero] * m for _ in range(m)] for _ in range(m)]
-    for a in range(m):
-        ea = fiber.basis_vector(keep[a])
-        for b in range(m):
-            eb = fiber.basis_vector(keep[b])
-            prod = project(fiber.vec_mul(ea, eb))
-            for c in range(m):
-                sc[a][b][c] = prod[c]
+    basis = [fiber.basis_vector(j) for j in keep] + [list(r) for r in ideal.rows]
+    sc, unit = table_on_basis(fiber, basis, len(keep))
+    if all(F.is_zero(c) for c in unit):
+        raise UnitInIdeal("the unit lies in the ideal")
     names = [fiber.basis_names[j] for j in keep]
-    return FiniteFreeAlgebra(f"{fiber.name}/ideal", F, names,
-                             tuple(tuple(tuple(r) for r in row) for row in sc),
-                             unit, validate=False, prime=fiber.prime)
+    return FiniteFreeAlgebra(f"{fiber.name}/ideal", F, names, sc, unit, validate=False,
+                             prime=fiber.prime)
 
 
 # --- definition files -------------------------------------------------------------
@@ -430,9 +435,9 @@ def load_algebra(text, validate=True):
                 if basis.count(b) > 1:
                     raise ValidationError(f"line {lineno}: basis name {b!r} is repeated")
         elif head == "unit":
-            unit = [p.strip() for p in rest.split(",")]
+            unit = (lineno, [p.strip() for p in rest.split(",")])
         elif head == "trace":
-            trace = [p.strip() for p in rest.split(",")]
+            trace = (lineno, [p.strip() for p in rest.split(",")])
         elif head == "mul":
             fields = rest.split(maxsplit=3)
             if len(fields) != 4:
@@ -452,19 +457,23 @@ def load_algebra(text, validate=True):
     if name is None or ring is None or basis is None or unit is None:
         raise NoUnit("definition must provide algebra, ring, basis and unit lines")
     n = len(basis)
-    if len(unit) != n or (trace is not None and len(trace) != n):
+    if len(unit[1]) != n or (trace is not None and len(trace[1]) != n):
         raise NoUnit("unit/trace length does not match the basis")
+
+    def parse(lineno, expr):
+        try:
+            return ring.parse(expr)
+        except ValueError as e:
+            raise ValidationError(f"line {lineno}: {e}") from None
+
     sc = [[[ring.zero() for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for (i, j, k), (lineno, expr) in muls.items():
         if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
             raise NotAssociative(f"line {lineno}: mul indices {i} {j} {k} out of range")
-        try:
-            sc[i][j][k] = ring.parse(expr)
-        except ValueError as e:
-            raise ValidationError(f"line {lineno}: {e}") from None
+        sc[i][j][k] = parse(lineno, expr)
     sc = tuple(tuple(tuple(row) for row in plane) for plane in sc)
-    unit_v = [ring.parse(e) for e in unit]
-    trace_v = [ring.parse(e) for e in trace] if trace is not None else None
+    unit_v = [parse(unit[0], e) for e in unit[1]]
+    trace_v = [parse(trace[0], e) for e in trace[1]] if trace is not None else None
     return FiniteFreeAlgebra(name, ring, basis, sc, unit_v, trace_v, validate=validate)
 
 

@@ -14,7 +14,7 @@ tagged with how it was obtained.
 import random
 from dataclasses import dataclass, field
 
-from .algebra import FiniteFreeAlgebra
+from .algebra import FiniteFreeAlgebra, table_on_basis
 from .errors import NotAGroup, UnsupportedRing
 from .fields import GFPrime
 from .linalg import Matrix, det
@@ -303,29 +303,11 @@ def direct_sum(A, B, name=None):
 # --- small-fiber family for the radical oracle ------------------------------------
 
 def conjugate_fiber(fiber, S):
-    """Transport the table through the invertible matrix S (basis change)."""
-    F = fiber.field
-    n = fiber.dim
-    Sm = Matrix(F, S)
-    if F.is_zero(det(Sm)):
-        raise ValueError("basis change must be invertible")
-    # new basis vectors are rows of S expressed in the old basis
-    from .linalg import solve
-
-    def to_new(vec):
-        # coordinates of vec w.r.t. rows of S
-        return solve(Sm.transpose(), list(vec))
-
-    rows = Sm.rows
-    sc = []
-    for i in range(n):
-        plane = []
-        for j in range(n):
-            prod = fiber.vec_mul(list(rows[i]), list(rows[j]))
-            plane.append(tuple(to_new(prod)))
-        sc.append(tuple(plane))
-    unit = tuple(to_new(list(fiber.unit)))
-    return FiniteFreeAlgebra(fiber.name + "~conj", F, fiber.basis_names, tuple(sc), unit,
+    """Transport the table through the invertible matrix S (basis change):
+    the new basis vectors are the rows of S in the old basis.  Raises
+    Inconsistent when S is singular."""
+    sc, unit = table_on_basis(fiber, S, len(S))
+    return FiniteFreeAlgebra(fiber.name + "~conj", fiber.field, fiber.basis_names, sc, unit,
                              prime=fiber.prime)
 
 

@@ -251,6 +251,21 @@ def solve(mat, rhs):
     return x
 
 
+def inverse(mat):
+    """mat^-1 read off one reduced echelon form of [mat | I], which is
+    [I | mat^-1] exactly when mat is invertible; raises NotSquare for a
+    non-square matrix and Inconsistent for a singular one."""
+    F = mat.field
+    n = mat.nrows
+    if n != mat.ncols:
+        raise NotSquare("inverse of a non-square matrix")
+    ident = Matrix.identity(F, n).rows
+    rows, pivots = rref_rows(F, [row + e for row, e in zip(mat.rows, ident)])
+    if pivots[:n] != list(range(n)):
+        raise Inconsistent("matrix is singular")
+    return Matrix(F, [row[n:] for row in rows])
+
+
 def det(mat):
     F = mat.field
     n = mat.nrows

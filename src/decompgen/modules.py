@@ -156,6 +156,7 @@ def quotient_module(module, rows):
 class SimpleModule:
     module: AlgebraModule
     fingerprint_polys: tuple
+    image_rank: int  # dimension of the image of the algebra in End(module)
 
     @property
     def dim(self):
@@ -183,10 +184,7 @@ def algebra_image_rank(module):
 
 def hom_dim(S, T):
     """Dimension of the space of intertwiners S -> T: the kernel of a
-    system in dim S * dim T unknowns, whose rank is at most d^2 - 1 for
-    T = S (the identity is in the kernel).  Over k(vars) a point rank
-    (linalg.point_rank, a lower bound) equal to that most fixes the
-    dimension; any smaller one falls back to the exact kernel."""
+    system in dim S * dim T unknowns, by exact elimination."""
     F = S.fiber.field
     ds, dt = S.dim, T.dim
     rows = []
@@ -204,11 +202,7 @@ def hom_dim(S, T):
                 rows.append(row)
     if not rows:
         return 0
-    system = Matrix(F, rows)
-    most = dt * ds - (1 if S is T else 0)
-    if point_rank(system) == most:
-        return dt * ds - most
-    return len(kernel_basis(system))
+    return len(kernel_basis(Matrix(F, rows)))
 
 
 def _charpoly_pieces(F, chi, seed):
@@ -256,12 +250,13 @@ def _constant_projection(F, chi):
 
 
 def _split_or_certify(module, rng, attempts):
-    """Either ('split', echelon rows of a proper submodule) or
-    ('simple', None); raises ChopBudgetExceeded when nothing certifies."""
+    """Either ('split', echelon rows of a proper submodule) or ('simple',
+    the image rank of the algebra in End(module)); raises
+    ChopBudgetExceeded when nothing certifies."""
     F = module.fiber.field
     d = module.dim
     if d == 1:
-        return ("simple", None)
+        return ("simple", 1)
     n = module.fiber.dim
 
     def try_vector(v):
@@ -277,8 +272,9 @@ def _split_or_certify(module, rng, attempts):
         w = try_vector(e)
         if w:
             return ("split", w)
-    if algebra_image_rank(module) == d * d:
-        return ("simple", None)
+    rank = algebra_image_rank(module)
+    if rank == d * d:
+        return ("simple", rank)
     transpose = module.transpose_module()
     for j in range(d):
         e = [F.zero] * d
@@ -317,7 +313,7 @@ def _split_or_certify(module, rng, attempts):
                 # kernel dimension equals deg f and every spin on both sides
                 # filled the module (here or in the opening sweeps): Norton's
                 # criterion certifies irreducibility
-                return ("simple", None)
+                return ("simple", rank)
     raise ChopBudgetExceeded(
         f"could not split or certify a dim-{d} module over {F!r} in {attempts} attempts")
 
@@ -334,14 +330,13 @@ def chop(module, seed=1, attempts=80):
             continue
         verdict, data = _split_or_certify(m, rng, attempts)
         if verdict == "simple":
-            leaves.append(m)
+            leaves.append((m, data))
         else:
-            rows = data
-            stack.append(submodule(m, rows))
-            stack.append(quotient_module(m, rows))
+            stack.append(submodule(m, data))
+            stack.append(quotient_module(m, data))
     grouped = {}
-    for m in leaves:
-        s = SimpleModule(m, m.char_polys())
+    for m, rank in leaves:
+        s = SimpleModule(m, m.char_polys(), rank)
         key = s.sort_key()
         if key in grouped:
             grouped[key] = (grouped[key][0], grouped[key][1] + 1)
@@ -454,8 +449,9 @@ def is_split(fiber, seed=1):
     jh_mults = [m for _, m in factors]
     endo = []
     for s in simples:
-        # A maps onto End_D(S) (Jacobson density), of dimension d^2 / dim D
-        r = algebra_image_rank(s.module)
+        # A maps onto End_D(S) (Jacobson density), of dimension d^2 / dim D;
+        # the chop took that image rank when it certified S
+        r = s.image_rank
         if s.dim ** 2 % r or s.dim % (s.dim ** 2 // r):
             raise RadicalNotNilpotent(
                 f"image rank {r} is not d^2 / dim End for a simple of dimension d = {s.dim}")

@@ -18,7 +18,7 @@ from math import gcd as int_gcd
 import sympy
 
 from . import polyops as P
-from .errors import UnsupportedRing
+from .errors import EngineError, UnsupportedRing
 from .fields import DenseKernels, FuncField, GFPrime, IntegerOps, Rationals, SparseKernels
 from .fields import scalar_from_coeff
 
@@ -256,9 +256,11 @@ class RingScalars:
 # --- ring-level gcd, contents, exact division --------------------------------
 
 def ring_exact_div(a, b):
-    """a/b in the ring, or None when b does not divide a."""
+    """a/b in the ring; raises EngineError when b does not divide a."""
     q = P.pexact_div(a.ring.coeff, a.data, b.data)
-    return None if q is None else RingElement(a.ring, q)
+    if q is None:
+        raise EngineError("expected exact ring division")
+    return RingElement(a.ring, q)
 
 
 def int_content(elem):

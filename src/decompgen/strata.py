@@ -27,11 +27,11 @@ from .errors import (
     UnsupportedError,
     UnsupportedRestriction,
 )
-from .algebra import FiniteFreeAlgebra, restrict, span_subspace
+from .algebra import FiniteFreeAlgebra, restrict, span_subspace, table_on_basis
 from .decomposition import dec_gen_membership, split_data
 from .factor import factor_integer, factor_univariate, factor_zx_primitive
 from .fields import IntegerOps, Rationals
-from .linalg import Matrix, det, rref_rows, saturate_rows
+from .linalg import Matrix, det, inverse, saturate_rows
 from .modules import is_split, radical
 from .primes import (
     contains,
@@ -40,7 +40,7 @@ from .primes import (
     quotient_chain,
     reduce_elem,
 )
-from .rings import RingElement, is_unit, normalize_generator, ring_gcd
+from .rings import RingElement, is_unit, normalize_generator, ring_exact_div, ring_gcd
 
 
 @dataclass
@@ -71,23 +71,8 @@ def _clear_row(ring, row):
     out_nd = [numerator_denominator_in_ring(c, ring) for c in row]
     acc = ring.one()
     for _, d in out_nd:
-        g = ring_gcd(acc, d)
-        q = _ring_exact(acc * d, g)
-        acc = q
-    out = []
-    for (nu, de), c in zip(out_nd, row):
-        mult = _ring_exact(acc, de)
-        out.append(nu * mult)
-    return out
-
-
-def _ring_exact(a, b):
-    from .rings import ring_exact_div
-
-    q = ring_exact_div(a, b)
-    if q is None:
-        raise EngineError("expected exact ring division")
-    return q
+        acc = ring_exact_div(acc * d, ring_gcd(acc, d))
+    return [nu * ring_exact_div(acc, de) for nu, de in out_nd]
 
 
 def radical_lattice(A, seed=1):
@@ -112,7 +97,7 @@ def radical_lattice(A, seed=1):
             for c in row:
                 g = ring_gcd(g, c)
             if not is_unit(g) and not g.is_zero():
-                row = [_ring_exact(c, g) for c in row]
+                row = [ring_exact_div(c, g) for c in row]
             prim.append(tuple(row))
         complement = tuple(tuple(fiber.basis_vector(j))
                            for j in range(A.dim) if j not in rad.pivots)
@@ -160,10 +145,12 @@ def quotient_over_ring(A, lat):
     """Structure constants of B = A/J on the lattice's complement basis, as
     a fiber over the fraction field; the complement lifts c_i in A's
     generic fiber, whose classes q_i are B's basis (the certificate reads
-    A's memoized simples through them); and the product of
-    every denominator that entered the projection.  The complement and the
-    echelon rows of J come from `lat`, so no Hermite or echelon form of the
-    lattice rows runs here.
+    A's memoized simples through them); and the product of every
+    denominator that entered the projection.  The complement and the
+    echelon rows of J come from `lat`, and B's table is read off one
+    inverse of the basis of complement lifts and lattice rows
+    (`table_on_basis`), so no Hermite or echelon form of the lattice rows
+    runs here.
 
     Over Euclidean rings the complement completes a saturated lattice to a
     unimodular basis, so B's constants and unit coordinates are integral and
@@ -181,58 +168,29 @@ def quotient_over_ring(A, lat):
     fiber = A.generic_fiber()
     K = fiber.field
     ring = A.ring
-    n = A.dim
-    one = ring.one()
+    denoms = ring.one()
     if lat.rank == 0:
-        return fiber, lat.complement, one
+        return fiber, lat.complement, denoms
     comp_K, span_rows = lat.complement, lat.generic.rows
-
-    # coordinates on the complement are the first m of the unique
-    # decomposition over complement plus lattice rows: the first m rows of
-    # the inverse of that basis, read off one reduction of [basis^T | I]
-    m = len(comp_K)
-    basis = comp_K + span_rows
-    aug = [[row[j] for row in basis] + [K.one if i == j else K.zero for i in range(n)]
-           for j in range(n)]
-    inv_rows, inv_pivots = rref_rows(K, aug)
-    if inv_pivots[:n] != list(range(n)):
-        raise EngineError("complement and lattice rows do not form a basis")
-    coords = Matrix(K, [row[n:] for row in inv_rows[:m]])
-    denoms = one
-    seen = set()
-
-    def absorb(scalar):
-        nonlocal denoms
-        if ring.contains(scalar, K):
-            return
-        d = _den(scalar, ring)
-        if is_unit(d):
-            return
-        if ring.is_euclidean:
-            raise EngineError(f"constant {K.to_str(scalar)} of {A.name}/J is not integral "
-                              "on the unimodular complement")
-        key = str(d)
-        if key not in seen:
-            seen.add(key)
-            denoms = denoms * d
-
-    sc = [[[K.zero] * m for _ in range(m)] for _ in range(m)]
-    for a in range(m):
-        for b in range(m):
-            coeffs = coords.apply(fiber.vec_mul(list(comp_K[a]), list(comp_K[b])))
-            for c in range(m):
-                sc[a][b][c] = coeffs[c]
-                absorb(coeffs[c])
-    unit = coords.apply(list(fiber.unit))
-    for c in unit:
-        absorb(c)
+    sc, unit = table_on_basis(fiber, comp_K + span_rows, len(comp_K))
+    scalars = [c for plane in sc for row in plane for c in row] + list(unit)
     if not ring.is_euclidean:
-        for row in span_rows:
-            for c in row:
-                absorb(c)
-    names = tuple(f"q{i}" for i in range(m))
-    B = FiniteFreeAlgebra(A.name + "/J", K, names, tuple(tuple(tuple(r) for r in p) for p in sc),
-                          unit, validate=False)
+        scalars += [c for row in span_rows for c in row]
+    seen = set()
+    for c in scalars:
+        if ring.contains(c, K):
+            continue
+        d = _den(c, ring)
+        if is_unit(d):
+            continue
+        if ring.is_euclidean:
+            raise EngineError(f"constant {K.to_str(c)} of {A.name}/J is not integral "
+                              "on the unimodular complement")
+        if str(d) not in seen:
+            seen.add(str(d))
+            denoms = denoms * d
+    names = tuple(f"q{i}" for i in range(len(comp_K)))
+    B = FiniteFreeAlgebra(A.name + "/J", K, names, sc, unit, validate=False)
     return B, comp_K, denoms
 
 
@@ -377,7 +335,7 @@ def _minimal_primes_bivariate(g, seed):
             continue
         sf = ring_gcd(rest, der)
         if not is_unit(sf) and sf.total_degree() > 0:
-            q = _ring_exact(rest, sf)
+            q = ring_exact_div(rest, sf)
             pieces.extend(_split_coprime(q, sf))
             break
     else:
@@ -438,7 +396,7 @@ def _split_quadratic_bivariate(piece):
             # strip the content in the main variable
             cont = P._content_in(coeff, f.data, main) if f.data else None
             if cont and P.pdeg(cont) > 0:
-                f = _ring_exact(f, RingElement(ring, cont))
+                f = ring_exact_div(f, RingElement(ring, cont))
             factors.append(normalize_generator(f))
         prod = factors[0] * factors[1]
         target = normalize_generator(piece)
@@ -521,7 +479,7 @@ def _split_coprime(a, b):
             d = ring_gcd(f, g)
             if not is_unit(d) and d.total_degree() > 0:
                 del out[i]
-                work.extend([d, _ring_exact(g, d), _ring_exact(f, d)])
+                work.extend([d, ring_exact_div(g, d), ring_exact_div(f, d)])
                 placed = True
                 break
         if not placed:
@@ -652,26 +610,16 @@ def schur_elements(A, seed=1):
     fiber = A.generic_fiber()
     K = fiber.field
     n = A.dim
-    gmat = Matrix(K, [[A.ring.to_field(gram_ring[i][j], K) for j in range(n)]
-                      for i in range(n)])
-    from .linalg import solve
-
-    ginv_cols = []
-    for j in range(n):
-        e = [K.zero] * n
-        e[j] = K.one
-        ginv_cols.append(solve(gmat, e))
-    # ginv_cols[j][k] = (G^-1)[k][j]; G is symmetric so indexing is forgiving
+    # b_k^dual = sum_l (G^-1)[k][l] b_l for the trace Gram G
+    ginv = inverse(Matrix(K, [[A.ring.to_field(gram_ring[i][j], K) for j in range(n)]
+                              for i in range(n)]))
     out = []
     for s in wd.simples:
         # (0, 0) entry of rho(b_k) E_00 rho(b_k^dual) is rho(b_k)[0][0] rho(b_k^dual)[0][0]
         corner = [s.module.action[k].rows[0][0] for k in range(n)]
         c = K.zero
-        for k in range(n):
-            dual_corner = K.zero
-            for l in range(n):
-                dual_corner = K.add(dual_corner, K.mul(ginv_cols[k][l], corner[l]))
-            c = K.add(c, K.mul(corner[k], dual_corner))
+        for a, b in zip(corner, ginv.apply(corner)):
+            c = K.add(c, K.mul(a, b))
         if K.is_zero(c):
             raise EngineError(f"vanishing Schur element on a semisimple fiber of {A.name}")
         elem = A.ring.from_field_scalar(c, K)

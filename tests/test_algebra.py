@@ -162,6 +162,8 @@ def test_terms_match_the_table(corpus, b3):
     (lambda t: t + "mul 1 1 0 2*\n", "line 10: "),
     (lambda t: t + "mul 0 0 2 1\n", "line 10: mul indices 0 0 2 out of range"),
     (lambda t: t + "foo 1\n", "line 10: unknown definition line 'foo 1'"),
+    (lambda t: t.replace("unit 1, 0", "unit 1, x"), "line 5: unknown variable 'x' in Z"),
+    (lambda t: t + "trace 1, 1/2\n", "line 10: 1/2 is not an integer coefficient"),
 ])
 def test_load_reports_the_bad_line(edit, message):
     text = """

@@ -7,6 +7,7 @@ from decompgen.corpus import (
     brauer_algebra,
     brauer_diagrams,
     compose_diagrams,
+    conjugate_fiber,
     cyclic_table,
     direct_sum,
     dual_numbers,
@@ -20,7 +21,7 @@ from decompgen.corpus import (
     upper_triangular,
     validate_group_table,
 )
-from decompgen.errors import NotAGroup
+from decompgen.errors import Inconsistent, NotAGroup
 from decompgen.rings import parse_ring
 
 Z = parse_ring("Z")
@@ -110,3 +111,14 @@ def test_small_fiber_family_validates():
     for f in fibers:
         assert f.dim <= 4
         f._validate()  # conjugated tables stay associative with units
+
+
+def test_conjugate_fiber_rejects_a_singular_basis_change():
+    F = matrix_algebra(2, Z).generic_fiber()
+    Q = F.field
+    S = [[Q.from_int(c) for c in row]
+         for row in ([1, 0, 0, 1], [0, 1, 0, 0], [2, 1, 0, 2], [0, 0, 1, 0])]
+    with pytest.raises(Inconsistent):
+        conjugate_fiber(F, S)
+    S[2] = [Q.zero, Q.zero, Q.zero, Q.one]
+    assert conjugate_fiber(F, S).dim == 4

@@ -16,6 +16,7 @@ from decompgen.linalg import (
     eval_poly_at_matrix,
     gcd_free_basis,
     hermite_normal_form,
+    inverse,
     kernel_basis,
     lattice_member,
     point_rank,
@@ -65,6 +66,27 @@ def test_kernel_and_solve_examples():
         solve(Matrix(QQ, [[Fraction(1)], [Fraction(1)]]), [Fraction(1), Fraction(2)])
     with pytest.raises(NotSquare):
         det(Matrix(QQ, [[Fraction(1), Fraction(2)]]))
+
+
+@pytest.mark.parametrize("F", [QQ, GFPrime(7), F4, QD], ids=lambda f: repr(f))
+def test_inverse(F):
+    """M M^-1 = M^-1 M = I on seeded invertible matrices; a singular matrix
+    raises Inconsistent and a non-square one NotSquare."""
+    rng = random.Random(31)
+    for n in (1, 2, 3, 4):
+        for _ in range(5):
+            m = rand_invertible(F, n, rng)
+            minv = inverse(m)
+            assert m.mul(minv) == Matrix.identity(F, n) == minv.mul(m)
+        rows = [[rand_scalar(F, rng) for _ in range(n)] for _ in range(n - 1)]
+        two = F.from_int(2)
+        last = rows[0] if rows else [F.zero]
+        singular = Matrix(F, rows + [[F.mul(two, c) for c in last]])
+        assert F.is_zero(det(singular))
+        with pytest.raises(Inconsistent):
+            inverse(singular)
+        with pytest.raises(NotSquare):
+            inverse(Matrix(F, rows + [[F.one] * n, [F.zero] * n]))
 
 
 def test_char_poly_examples():

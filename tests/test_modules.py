@@ -81,7 +81,7 @@ def test_is_isomorphic_on_conjugated_bases(corpus):
     from decompgen.modules import AlgebraModule
 
     other = AlgebraModule(F, conj_action)
-    other_simple = SimpleModule(other, other.char_polys())
+    other_simple = SimpleModule(other, other.char_polys(), algebra_image_rank(other))
     assert is_isomorphic(two_dim, other_simple, cross_validate=True)
     triv = next(s for s, _ in factors if s.dim == 1)
     assert not is_isomorphic(two_dim, triv)
@@ -349,13 +349,16 @@ def _regular_trace_radical(fiber):
 def _analyses_at_registry_points(key, registry_points):
     """radical, is_split, image ranks and Hom dimensions of every registry
     fiber of a freshly built algebra, so that no memo entry is shared with
-    another run.  In characteristic 0 the radical is also checked against
-    the kernel of the regular trace form."""
+    another run.  The image rank each simple carries from the chop is
+    checked against a fresh `algebra_image_rank`, and in characteristic 0
+    the radical against the kernel of the regular trace form."""
     A = REGISTRY[key].algebra()
     out = []
     for p in registry_points(key, A):
         fiber = specialize(A, p)
         split, data = is_split(fiber)
+        for s in data.simples:
+            assert s.image_rank == algebra_image_rank(s.module), (key, p.short_str())
         if fiber.field.characteristic == 0:
             assert radical(fiber) == _regular_trace_radical(fiber), (key, p.short_str())
         mods = [regular_module(fiber)] + [s.module for s in data.simples]
@@ -438,9 +441,10 @@ def test_singular_at_every_tried_point_falls_back(shape, radical_dim, endo_dims,
 
 
 def test_hom_dim_and_image_rank_where_the_first_point_is_unlucky():
-    """Modules over Q(d) whose ranks drop at d = 3, the first point tried:
-    the point rank stays below the largest possible rank there, so the
-    answers come from exact elimination."""
+    """Modules over Q(d) whose ranks drop at d = 3, the first point tried.
+    The image rank's point rank stays below d^2 there, so that answer
+    comes from exact elimination; hom_dim takes no point rank and always
+    eliminates."""
     from decompgen.algebra import FiniteFreeAlgebra
     from decompgen.linalg import point_rank
     from decompgen.modules import AlgebraModule
