@@ -5,7 +5,9 @@ engine's discriminants are tiny).  Univariate polynomials over GF(q) go
 through squarefree decomposition, distinct-degree splitting and seeded
 Cantor-Zassenhaus equal-degree splitting; over Q and over rational function
 fields Q(vars) the heavy lifting is delegated to sympy and the result is
-renormalized to monic canonical form.
+renormalized to monic canonical form.  sympy is imported inside those two
+routines, on the first factorization over Q or Q(vars), so a run that stays
+in finite fields never loads it.
 
 Dense polynomials here follow the polyops "u" conventions (ascending
 coefficient tuples); the RingElement-level entry points convert at the
@@ -14,8 +16,6 @@ boundary.
 
 import random
 from math import lcm
-
-import sympy
 
 from . import polyops as P
 from .errors import EngineError, FactorBudgetExceeded, UnsupportedRing
@@ -211,9 +211,6 @@ def is_irreducible_gf(F, f, seed=1):
 
 # --- rational factorization (via sympy) ----------------------------------------
 
-_X = sympy.Symbol("x")
-
-
 def factor_qq(f):
     """(unit, [(monic dense, mult)]) for f over Q, scalars as in Rationals."""
     if not f:
@@ -221,7 +218,10 @@ def factor_qq(f):
     F = Rationals()
     if P.udeg(f) == 0:
         return f[0], []
-    poly = sympy.Poly(list(reversed([sympy.Rational(c.numerator, c.denominator) for c in f])), _X, domain="QQ")
+    import sympy
+
+    poly = sympy.Poly(list(reversed([sympy.Rational(c.numerator, c.denominator) for c in f])),
+                      sympy.Symbol("x"), domain="QQ")
     const, flist = poly.factor_list()
     unit = F.parse_coeff(int(const.p), int(const.q))
     out = []
@@ -253,6 +253,8 @@ def factor_funcfield(F, f):
     numerator/denominator term dicts.  The polynomial variable is a Dummy
     because the ring variables may themselves be called x or t.
     """
+    import sympy
+
     K = sympy.QQ.frac_field(*[sympy.Symbol(v) for v in F.varnames])
     R = K.field.ring
 

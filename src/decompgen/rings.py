@@ -15,8 +15,6 @@ import re
 from dataclasses import dataclass
 from math import gcd as int_gcd
 
-import sympy
-
 from . import polyops as P
 from .errors import EngineError, UnsupportedRing
 from .fields import DenseKernels, FuncField, GFPrime, IntegerOps, Rationals, SparseKernels
@@ -429,8 +427,36 @@ def _parse_poly(text, ring):
     return P.pnorm(coeff, items)
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, Strong pseudoprimes to twelve prime bases, Math.
+# Comp. 86 (2017)); the bound itself is a strong pseudoprime to all of them.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime_int(n):
-    return bool(sympy.isprime(n))
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n >= _MR_BOUND:
+        import sympy
+
+        return bool(sympy.isprime(n))
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 _RING_RE = re.compile(r"^(Z|Q|GF\((\d+)\))(?:\[([A-Za-z_0-9,\s]+)\])?$")

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .algebra import FiniteFreeAlgebra, restrict, span_subspace, table_on_basis
 from .decomposition import dec_gen_membership, split_data
-from .factor import factor_integer, factor_univariate, factor_zx_primitive
+from .factor import factor_gf, factor_integer, factor_qq, factor_univariate, factor_zx_primitive
 from .fields import IntegerOps, Rationals
 from .linalg import Matrix, det, inverse, saturate_rows
 from .modules import is_split, radical
@@ -418,6 +418,14 @@ def _quadratic_discriminant(coeff, data, main):
     return a, b, disc
 
 
+def _sqrt_gf(F, u):
+    """The smaller square root of u in GF(p), as an integer in [0, p), or
+    None: the roots of x^2 - u off the engine's own factorization."""
+    _, pairs = factor_gf(F, (F.neg(u), 0, 1))
+    roots = [F.neg(f[0]) for f, _ in pairs if P.udeg(f) == 1]
+    return min(roots) if roots else None
+
+
 def _sqrt_univariate(coeff, data):
     """Square root of a one-variable polynomial (given in two-variable form)
     when it is a perfect square, else None."""
@@ -428,8 +436,6 @@ def _sqrt_univariate(coeff, data):
         return None
     if isinstance(coeff, Rationals):
         import math
-
-        from .factor import factor_qq
 
         unit, pairs = factor_qq(dense)
         if unit < 0:
@@ -444,15 +450,10 @@ def _sqrt_univariate(coeff, data):
             for _ in range(m // 2):
                 root = P.umul(coeff, root, f)
         return P.p_from_dense(coeff, root)
-    from sympy.ntheory import sqrt_mod
-
-    from .factor import factor_gf
-
     unit, pairs = factor_gf(coeff, dense)
     if any(m % 2 for _, m in pairs):
         return None
-    # the smaller of the two roots in GF(p), found without a search over GF(p)
-    u_root = sqrt_mod(unit, coeff.p)
+    u_root = _sqrt_gf(coeff, unit)
     if u_root is None:
         return None
     root = (u_root,)

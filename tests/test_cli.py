@@ -2,6 +2,7 @@
 
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -266,3 +267,35 @@ def test_discriminant_and_stratify_over_a_euclidean_ring(tmp_path, capsys):
     assert "RecoveredTrivial" not in out
     rc, out, err = run_cli(["stratify", nil], capsys)
     assert rc == 0 and not err and "NIL: all of Spec(R)" in out
+
+
+def _sympy_modules_after(argv):
+    """The sympy modules a fresh interpreter holds after importing the CLI
+    and, when argv is given, running cli.main(argv) in it.  The suite itself
+    imports sympy, so the cold start is only visible from a new process."""
+    script = ("import contextlib, io, sys\n"
+              "import decompgen.cli\n"
+              "if sys.argv[1:]:\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        rc = decompgen.cli.main(sys.argv[1:])\n"
+              "    if rc:\n"
+              "        sys.exit(rc)\n"
+              "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'sympy'))\n")
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_cold_start_imports_no_sympy():
+    assert _sympy_modules_after([]) == "[]"
+
+
+def test_finite_field_calls_import_no_sympy(corpdir, tmp_path):
+    assert _sympy_modules_after(["corpus-build", "--out", str(tmp_path)]) == "[]"
+    assert _sympy_modules_after(["decmat", str(corpdir / "Dual_Z.alg"),
+                                 "--prime", "p=29"]) == "[]"
+    # the generic point of Z is Q, whose characteristic polynomials sympy
+    # factors: the probe does see sympy when a call loads it
+    assert "'sympy'" in _sympy_modules_after(["simples", str(corpdir / "ZS3.alg"),
+                                              "--prime", "generic"])

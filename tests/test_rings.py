@@ -271,6 +271,20 @@ def test_is_prime_int():
     assert is_prime_int(2**61 - 1)
     assert not is_prime_int((2**31 - 1) * (2**61 - 1))
     assert time.perf_counter() - t0 < 1.0
+    # Miller-Rabin on the first 13 primes is exact below 3317044064679887385961981
+    # and hands larger n to sympy; the strong pseudoprimes are the least ones to
+    # the first k prime bases for k = 1..12, so a prefix of the bases that
+    # stops short of 41 takes one of them for a prime
+    import sympy
+
+    rng = random.Random(1)
+    cases = list(range(-3, 200000))
+    cases += [rng.getrandbits(rng.randrange(1, 82)) for _ in range(20000)]
+    cases += [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051, 318665857834031151167461,
+              3317044064679887385961981, 561, 1105, 2**89 - 1, 2**127 - 1]
+    wrong = [n for n in cases if is_prime_int(n) != sympy.isprime(n)]
+    assert not wrong, wrong[:5]
 
 
 def test_factor_univariate_examples():

@@ -7,10 +7,12 @@ import pytest
 from decompgen.corpus import REGISTRY
 from decompgen.decomposition import dec_gen_membership
 from decompgen.errors import NotPrime, NotSemisimpleGeneric, NotSymmetric, UnsupportedError
+from decompgen.fields import GFPrime
 from decompgen.primes import contains, prime_spec
 from decompgen.rings import parse_ring
 from decompgen.strata import (
     UnresolvedPrime,
+    _sqrt_gf,
     candidate_discriminant,
     dec_ex,
     locate_stratum,
@@ -475,3 +477,13 @@ def test_integrality_fast_path_agrees_with_denominator_ideal():
              else K.inv(K.add(d, K.one)))
         assert ring.contains(s, K) == integral, (ring_str, text)
         assert agrees(ring, K, s), (ring_str, text)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 101, 103])
+def test_sqrt_gf_is_the_smaller_root(p):
+    # the square root a discriminant over GF(p)[d] is read with: the smaller
+    # root of x^2 - u, as sympy's sqrt_mod gives it, or None off the squares
+    from sympy.ntheory import sqrt_mod
+
+    F = GFPrime(p)
+    assert [_sqrt_gf(F, u) for u in range(p)] == [sqrt_mod(u, p) for u in range(p)]
