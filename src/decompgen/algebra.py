@@ -169,18 +169,45 @@ class FiniteFreeAlgebra:
                 raise NoUnit(f"unit law fails on basis element {self.basis_names[i]}")
         # (b_i b_j) b_k = sum_l c[i][j][l] b_l b_k and
         # b_i (b_j b_k) = sum_l c[j][k][l] b_i b_l, compared term by term
-        # on plain data (see RingDescriptor.plain), not on RingElements
+        # on plain data (see RingDescriptor.plain), not on RingElements.
+        # When b_i b_j, b_j b_k and the two entries they pick have at most
+        # one term each, each side is zero or one pair (index, c e): two zero
+        # sides, or two pairs with the same index and product, are equal, and
+        # each product c e is taken once per distinct (c, e).  Every other
+        # triple goes through _combine, which also settles pairs that only
+        # look unequal because a product c e is zero.
         if self.over_field:
             D, terms = self.domain, self.terms
         else:
             D, to_plain, _ = self.ring.plain()
             terms = tuple(tuple(tuple((k, to_plain(c)) for k, c in ts) for ts in plane)
                           for plane in self.terms)
+        mul, products = D.mul, {}
+
+        def product(key):
+            p = products.get(key)
+            if p is None:
+                p = products[key] = mul(*key)
+            return p
+
         for i in range(n):
+            row_i = terms[i]
             for j in range(n):
+                ij, row_j = row_i[j], terms[j]
                 for k in range(n):
-                    left = _combine(D, ((c, terms[l][k]) for l, c in terms[i][j]))
-                    if left != _combine(D, ((c, terms[i][l]) for l, c in terms[j][k])):
+                    jk = row_j[k]
+                    if len(ij) < 2 and len(jk) < 2:
+                        lt = terms[ij[0][0]][k] if ij else ()
+                        rt = row_i[jk[0][0]] if jk else ()
+                        if len(lt) < 2 and len(rt) < 2:
+                            if not lt and not rt:
+                                continue
+                            if (lt and rt and lt[0][0] == rt[0][0]
+                                    and product((ij[0][1], lt[0][1]))
+                                    == product((jk[0][1], rt[0][1]))):
+                                continue
+                    left = _combine(D, ((c, terms[l][k]) for l, c in ij))
+                    if left != _combine(D, ((c, row_i[l]) for l, c in jk)):
                         raise NotAssociative(
                             f"(b{i} b{j}) b{k} != b{i} (b{j} b{k}) in {self.name}")
         # a fiber's trace form may degenerate (that locus is the discriminant);
@@ -460,13 +487,20 @@ def load_algebra(text, validate=True):
     if len(unit[1]) != n or (trace is not None and len(trace[1]) != n):
         raise NoUnit("unit/trace length does not match the basis")
 
-    def parse(lineno, expr):
-        try:
-            return ring.parse(expr)
-        except ValueError as e:
-            raise ValidationError(f"line {lineno}: {e}") from None
+    parsed = {}  # coefficient text -> RingElement: each distinct text parsed once
 
-    sc = [[[ring.zero() for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    def parse(lineno, expr):
+        c = parsed.get(expr)
+        if c is None:
+            try:
+                c = parsed[expr] = ring.parse(expr)
+            except ValueError as e:
+                raise ValidationError(f"line {lineno}: {e}") from None
+        return c
+
+    # RingElements are immutable, so every zero entry is the one ring.zero()
+    zero = ring.zero()
+    sc = [[[zero] * n for _ in range(n)] for _ in range(n)]
     for (i, j, k), (lineno, expr) in muls.items():
         if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
             raise NotAssociative(f"line {lineno}: mul indices {i} {j} {k} out of range")

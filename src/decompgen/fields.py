@@ -88,6 +88,8 @@ class IntegerOps:
         return str(a)
 
     def parse_coeff(self, num, den):
+        if not den:
+            raise ValueError(f"{num}/{den} has a zero denominator")
         if num % den:
             raise ValueError(f"{num}/{den} is not an integer coefficient")
         return num // den
@@ -165,6 +167,8 @@ class Rationals(_FieldEuclid):
         return str(a)
 
     def parse_coeff(self, num, den):
+        if not den:
+            raise ValueError(f"{num}/{den} has a zero denominator")
         return self.div(num, den)
 
     def __repr__(self):
@@ -225,7 +229,12 @@ class GFPrime(_FieldEuclid):
         return str(a)
 
     def parse_coeff(self, num, den):
-        return self.from_fraction(Fraction(num, den))
+        if not den:
+            raise ValueError(f"{num}/{den} has a zero denominator")
+        q = Fraction(num, den)
+        if not q.denominator % self.p:
+            raise ValueError(f"{num}/{den} has no value in GF({self.p})")
+        return self.from_fraction(q)
 
     def size(self):
         return self.p

@@ -341,6 +341,13 @@ def is_unit(elem):
 
 # --- parsing ------------------------------------------------------------------
 
+# The largest exponent of a variable a parsed polynomial may carry.  Dense
+# one-variable data holds one coefficient per degree, so a text such as
+# d^99999999999 would otherwise allocate without bound, and the prime check
+# of a generator of degree 256 over Q or a small GF(p) already takes
+# seconds; the bundled algebras and the tests use exponents up to 34.
+MAX_EXPONENT = 256
+
 _TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\^|\*|\+|-|/|\(|\))")
 
 
@@ -413,6 +420,9 @@ def _parse_poly(text, ring):
             else:
                 i, k = rest
                 exps[i] += k
+                if exps[i] > MAX_EXPONENT:
+                    raise ValueError(f"exponent {exps[i]} of {ring.varnames[i]} "
+                                     f"exceeds {MAX_EXPONENT}")
             if peek() == "*":
                 take()
                 continue

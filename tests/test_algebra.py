@@ -1,7 +1,7 @@
 """Structure-constant algebras: validation, fibers, restrictions, ideals."""
 
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -105,29 +105,66 @@ def _first_failing_triple(A):
     return None
 
 
-@pytest.mark.parametrize("ring, build", [
+def hecke_s3(R):
+    """The Iwahori-Hecke algebra of S3 over R = Z[q], on the basis T_w of
+    the permutations w: T_s T_w = T_sw when sw is longer than w, and
+    (q - 1) T_w + q T_sw when it is shorter, so products have one to
+    several terms."""
+    q, zero = R.var("q"), R.zero()
+
+    def length(w):
+        return sum(w[a] > w[b] for a in range(3) for b in range(a + 1, 3))
+
+    elems = sorted(permutations(range(3)), key=lambda w: (length(w), w))
+    index = {w: i for i, w in enumerate(elems)}
+    simples = [(1, 0, 2), (0, 2, 1)]
+
+    def left(s, w):
+        return tuple(s[x] for x in w)
+
+    def times_s(s, vec):
+        out = [zero] * 6
+        for w, c in zip(elems, vec):
+            sw = index[left(s, w)]
+            if length(elems[sw]) > length(w):
+                out[sw] += c
+            else:
+                out[index[w]] += c * (q - 1)
+                out[sw] += c * q
+        return out
+
+    def times(w, vec):  # T_w = T_s T_sw for a left descent s of w
+        for s in simples:
+            if length(left(s, w)) < length(w):
+                return times_s(s, times(left(s, w), vec))
+        return vec
+
+    basis = [[R.one() if k == j else zero for k in range(6)] for j in range(6)]
+    sc = tuple(tuple(tuple(times(w, basis[j])) for j in range(6)) for w in elems)
+    return FiniteFreeAlgebra("H3", R, [f"T{i}" for i in range(6)], sc, basis[0])
+
+
+_REFERENCE_TABLES = pytest.mark.parametrize("ring, build", [
     ("Z", lambda R: REGISTRY["ZS3"].algebra()),
     ("Z[d]", lambda R: temperley_lieb(3, R, "TL3")),
     ("Q[d]", lambda R: brauer_algebra(2, R, "B2")),
     ("Q[x,y]", lambda R: temperley_lieb(3, R, "TL3", delta=R.parse("x + y"))),
     ("GF(5)[x,y]", lambda R: brauer_algebra(2, R, "B2", delta=R.parse("x*y + 2"))),
-], ids=["Z", "Z[d]", "Q[d]", "Q[x,y]", "GF(5)[x,y]"])
-def test_load_check_names_the_reference_triple(ring, build):
-    """The associativity check runs on plain coefficient data (values, dense
-    or sparse polynomials by the number of variables); a seeded change of
-    one nonzero constant away from the unit's row and column gets the
-    triple that RingElement arithmetic finds first."""
-    R = parse_ring(ring)
-    A = build(R)
-    u = A.unit.index(R.one())
+    ("Z[q]", hecke_s3),
+], ids=["Z", "Z[d]", "Q[d]", "Q[x,y]", "GF(5)[x,y]", "Hecke_S3-Z[q]"])
+
+
+def _check_names_the_reference_triple(A, change):
+    """Applies change(sc, rng) to copies of A's table six times (seeded) and
+    requires the load check to name the triple that RingElement arithmetic
+    finds first, or to accept a changed table that is still associative;
+    returns how many changed tables were not associative."""
+    R = A.ring
     rng = random.Random(8)
-    others = [i for i in range(A.dim) if i != u]
     failing = 0
     for _ in range(6):
-        i, j = rng.choice(others), rng.choice(others)
-        k = rng.choice(A.terms[i][j])[0] if A.terms[i][j] else rng.randrange(A.dim)
         sc = [[list(r) for r in plane] for plane in A.sc]
-        sc[i][j][k] = sc[i][j][k] + R.from_int(rng.randint(1, 3))
+        change(sc, rng)
         sc = tuple(tuple(tuple(r) for r in plane) for plane in sc)
         triple = _first_failing_triple(
             FiniteFreeAlgebra(A.name, R, A.basis_names, sc, A.unit, validate=False))
@@ -139,7 +176,48 @@ def test_load_check_names_the_reference_triple(ring, build):
         with pytest.raises(NotAssociative,
                            match=rf"^\(b{a} b{b}\) b{c} != b{a} \(b{b} b{c}\) in {A.name}$"):
             FiniteFreeAlgebra(A.name, R, A.basis_names, sc, A.unit)
-    assert failing >= 3
+    return failing
+
+
+@_REFERENCE_TABLES
+def test_load_check_names_the_reference_triple(ring, build):
+    """The associativity check runs on plain coefficient data (values, dense
+    or sparse polynomials by the number of variables); a seeded change of
+    one nonzero constant away from the unit's row and column gets the
+    triple that RingElement arithmetic finds first.  The Hecke algebra's
+    products of several terms take the check's general path, the other
+    tables' one-term products its direct compare."""
+    R = parse_ring(ring)
+    A = build(R)
+    u = A.unit.index(R.one())
+    others = [i for i in range(A.dim) if i != u]
+
+    def change(sc, rng):
+        i, j = rng.choice(others), rng.choice(others)
+        k = rng.choice(A.terms[i][j])[0] if A.terms[i][j] else rng.randrange(A.dim)
+        sc[i][j][k] = sc[i][j][k] + R.from_int(rng.randint(1, 3))
+
+    assert _check_names_the_reference_triple(A, change) >= 3
+
+
+@_REFERENCE_TABLES
+def test_load_check_names_the_reference_triple_of_a_moved_constant(ring, build):
+    """A nonzero constant swapped with another entry of its product keeps
+    the coefficients and changes only where they sit: a check that compared
+    the coefficients of one-term products alone would accept these tables."""
+    R = parse_ring(ring)
+    A = build(R)
+    u = A.unit.index(R.one())
+    pairs = [(i, j) for i in range(A.dim) for j in range(A.dim)
+             if u not in (i, j) and A.terms[i][j]]
+
+    def change(sc, rng):
+        i, j = rng.choice(pairs)
+        k, c = rng.choice(A.terms[i][j])
+        to = rng.choice([m for m in range(A.dim) if m != k])
+        sc[i][j][k], sc[i][j][to] = sc[i][j][to], c
+
+    assert _check_names_the_reference_triple(A, change) >= 3
 
 
 def test_terms_match_the_table(corpus, b3):
@@ -164,6 +242,10 @@ def test_terms_match_the_table(corpus, b3):
     (lambda t: t + "foo 1\n", "line 10: unknown definition line 'foo 1'"),
     (lambda t: t.replace("unit 1, 0", "unit 1, x"), "line 5: unknown variable 'x' in Z"),
     (lambda t: t + "trace 1, 1/2\n", "line 10: 1/2 is not an integer coefficient"),
+    # each distinct text is parsed once; a bad one is still reported at its
+    # first line, also when a later line comes first in index order
+    (lambda t: t.replace("mul 1 1 1 1", "mul 1 1 1 1/0") + "mul 1 1 0 1/0\n",
+     "line 9: 1/0 has a zero denominator"),
 ])
 def test_load_reports_the_bad_line(edit, message):
     text = """

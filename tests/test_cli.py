@@ -9,6 +9,7 @@ import pytest
 
 from cli_sweep import BIV, NIL, SQ
 from decompgen.cli import main
+from decompgen.rings import MAX_EXPONENT
 
 
 @pytest.fixture(scope="module")
@@ -299,3 +300,28 @@ def test_finite_field_calls_import_no_sympy(corpdir, tmp_path):
     # factors: the probe does see sympy when a call loads it
     assert "'sympy'" in _sympy_modules_after(["simples", str(corpdir / "ZS3.alg"),
                                               "--prime", "generic"])
+
+
+_MALFORMED = [
+    ("Z[d]", "1/0", "1/0 has a zero denominator"),
+    ("Q[d]", "0/0", "0/0 has a zero denominator"),
+    ("GF(5)[d]", "1/5", "1/5 has no value in GF(5)"),
+    ("Z[d]", f"d^{10**12}", f"exponent {10**12} of d exceeds {MAX_EXPONENT}"),
+]
+
+
+@pytest.mark.parametrize("ring, coeff, message", _MALFORMED,
+                         ids=["zero-den", "zero-over-zero", "p-in-den", "huge-exponent"])
+def test_malformed_coefficients_are_invalid_input(tmp_path, capsys, ring, coeff, message):
+    """A zero denominator, a denominator divisible by the characteristic and
+    an exponent above rings.MAX_EXPONENT are bad input, in a definition file
+    (named by its line) and in a --prime: exit 2 and one error line."""
+    table = ("algebra idem\nring {}\nbasis e s\nunit 1, 0\n"
+             "mul 0 0 0 1\nmul 0 1 1 1\nmul 1 0 1 1\nmul 1 1 1 {}\n")
+    bad = tmp_path / "bad.alg"
+    bad.write_text(table.format(ring, coeff))
+    rc, out, err = run_cli(["validate", str(bad)], capsys)
+    assert rc == 2 and not out and err == f"error: line 8: {message}\n"
+    good = _write(tmp_path, table.format(ring, 1))
+    rc, out, err = run_cli(["decmat", good, "--prime", f"gen=[d - {coeff}]"], capsys)
+    assert rc == 2 and not out and err == f"error: {message}\n"

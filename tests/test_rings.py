@@ -27,7 +27,7 @@ from decompgen.primes import (
     reduce_scalar,
     ring_quotient,
 )
-from decompgen.rings import is_prime_int, is_unit, parse_ring, ring_gcd
+from decompgen.rings import MAX_EXPONENT, is_prime_int, is_unit, parse_ring, ring_gcd
 
 RINGS = ["Z", "Z[x]", "Q[x]", "Q[x,y]", "GF(2)[x]", "GF(5)[x,y]"]
 
@@ -154,6 +154,17 @@ def test_field_axioms_randomized(F):
         assert F.add(a, F.neg(a)) == F.zero
         if not F.is_zero(a):
             assert F.mul(a, F.inv(a)) == F.one
+
+
+def test_parse_bounds_each_exponent():
+    """The bound holds per variable, after the powers of one term are summed;
+    a larger exponent is refused before any polynomial is built."""
+    R = parse_ring("GF(5)[x,y]")
+    m = MAX_EXPONENT
+    assert R.parse(f"x^{m}*y^{m} + 1").total_degree() == 2 * m
+    for text in (f"x^{m + 1}", f"x^{m}*y*x", f"y^{10**12} - 1"):
+        with pytest.raises(ValueError, match=rf"^exponent \d+ of [xy] exceeds {m}$"):
+            R.parse(text)
 
 
 def test_reduce_examples():
