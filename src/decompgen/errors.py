@@ -3,9 +3,9 @@
 Every error carries an exit-code class so the command line tool can map
 failures uniformly: 2 for validation problems in the input, 3 for requests
 that fall outside the supported scope, and 1 for a plain EngineError (a
-mathematical negative such as NotSplit, a failed internal check or an
-exhausted chop budget), which `cli.main` prints as `error: ...` like the
-others.
+mathematical negative such as NotSplit, a failed internal check such as a
+linalg shape error on a matrix the engine built, or an exhausted chop
+budget), which `cli.main` prints as `error: ...` like the others.
 """
 
 VALIDATION = 2
@@ -48,16 +48,17 @@ class NotReducible(ValidationError):
 
 # linear algebra
 
-class DimensionMismatch(ValidationError):
-    pass
+class DimensionMismatch(EngineError):
+    """Operands of incompatible shapes: linalg only meets matrices the
+    engine built, so this is a failed internal check, not bad input."""
 
 
 class Inconsistent(EngineError):
     pass
 
 
-class NotSquare(ValidationError):
-    pass
+class NotSquare(EngineError):
+    """A square-only operation on a non-square matrix the engine built."""
 
 
 # algebra layer

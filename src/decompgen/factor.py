@@ -3,7 +3,8 @@
 Integers are factored by trial division with an explicit budget (the
 engine's discriminants are tiny).  Univariate polynomials over GF(q) go
 through squarefree decomposition, distinct-degree splitting and seeded
-Cantor-Zassenhaus equal-degree splitting; over Q and over rational function
+Cantor-Zassenhaus equal-degree splitting, and their irreducibility test
+is Ben-Or's, which needs no splitting; over Q and over rational function
 fields Q(vars) the heavy lifting is delegated to sympy and the result is
 renormalized to monic canonical form.  sympy is imported inside those two
 routines, on the first factorization over Q or Q(vars), so a run that stays
@@ -130,23 +131,22 @@ def squarefree_part_safe(F, f):
 # --- finite-field factorization (Cantor-Zassenhaus) ---------------------------
 
 def _ddf(F, f):
-    """Distinct-degree split of a monic squarefree f: [(product, degree)]."""
+    """Distinct-degree split of a monic squarefree f: yields (product,
+    degree) by increasing degree, each part only when it is asked for."""
     q = F.size()
-    out = []
     h = (F.zero, F.one)  # x
     d = 0
     while P.udeg(f) > 0:
         d += 1
         if 2 * d > P.udeg(f):
-            out.append((f, P.udeg(f)))
-            break
+            yield f, P.udeg(f)
+            return
         h = P.upow_mod(F, h, q, f)
         g = P.ugcd(F, P.usub(F, h, (F.zero, F.one)), f)
         if P.udeg(g) > 0:
-            out.append((g, d))
+            yield g, d
             f = P.uexact_div(F, f, g)
             h = P.umod(F, h, f)
-    return out
 
 
 def _random_upoly(F, deg, rng):
@@ -202,11 +202,19 @@ def factor_gf(F, f, seed=1):
     return unit, pairs
 
 
-def is_irreducible_gf(F, f, seed=1):
-    if P.udeg(f) < 1:
+def is_irreducible_gf(F, f):
+    """Ben-Or's test: a squarefree f of degree n is irreducible exactly when
+    it has no factor of degree i <= n/2, that is when the first part of its
+    distinct-degree split has degree n.  Only that part is computed: the
+    split stops at the first i where gcd(x^(q^i) - x, f) is nontrivial."""
+    n = P.udeg(f)
+    if n < 1:
         return False
-    _, pairs = factor_gf(F, f, seed)
-    return len(pairs) == 1 and pairs[0][1] == 1
+    f = P.umonic(F, f)
+    fp = P.uderiv(F, f)
+    if not fp or P.udeg(P.ugcd(F, f, fp)) > 0:
+        return False  # f' = 0 makes f a p-th power, a common factor a square
+    return next(_ddf(F, f))[1] == n
 
 
 # --- rational factorization (via sympy) ----------------------------------------

@@ -21,8 +21,12 @@ structurally, and expose arithmetic on plain-data scalars.
                          against a kernel set chosen per field.  `make`,
                          `from_poly`, `numerator` and `denominator` take and
                          give sparse polynomials in both cases, so callers
-                         never see the representation.  The gcd is skipped
-                         when the denominator is constant (nearly every
+                         never see the representation.  Arithmetic pays
+                         only for the data it changes: a zero operand
+                         returns at once, two polynomial operands (both
+                         denominators one) add and multiply without
+                         canonicalizing, and the gcd is skipped whenever
+                         the denominator is constant (nearly every
                          result): scaling it to one already gives the
                          canonical form
 
@@ -185,13 +189,8 @@ class GFPrime(_FieldEuclid):
     def characteristic(self):
         return self.p
 
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1 % self.p
+    zero = 0
+    one = 1
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -349,6 +348,9 @@ class SparseKernels:
 
     def add(self, a, b):
         return P.padd(self.base, a, b)
+
+    def sub(self, a, b):
+        return P.psub(self.base, a, b)
 
     def neg(self, a):
         return P.pneg(self.base, a)
@@ -523,24 +525,43 @@ class FuncField:
             den = k.scale(den, inv)
         return (num, den)
 
+    # A canonical constant denominator is one, so the sum, difference or
+    # product of two polynomials is already canonical over it: no _canon.
+
     def add(self, a, b):
         (na, da), (nb, db) = a, b
+        if not na:
+            return b
+        if not nb:
+            return a
         k = self._k
-        if k.is_const(da) and k.is_const(db):  # both denominators are 1
-            return self._canon(k.add(na, nb), da)
+        if k.is_const(da) and k.is_const(db):
+            n = k.add(na, nb)
+            return (n, da) if n else self.zero
         return self._canon(k.add(k.mul(na, db), k.mul(nb, da)), k.mul(da, db))
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        (na, da), (nb, db) = a, b
+        k = self._k
+        if not nb:
+            return a
+        if not na:
+            return (k.neg(nb), db)
+        if k.is_const(da) and k.is_const(db):
+            n = k.sub(na, nb)
+            return (n, da) if n else self.zero
+        return self._canon(k.sub(k.mul(na, db), k.mul(nb, da)), k.mul(da, db))
 
     def neg(self, a):
         return (self._k.neg(a[0]), a[1])
 
     def mul(self, a, b):
         (na, da), (nb, db) = a, b
+        if not na or not nb:
+            return self.zero
         k = self._k
-        if k.is_const(da) and k.is_const(db):  # both denominators are 1
-            return self._canon(k.mul(na, nb), da)
+        if k.is_const(da) and k.is_const(db):
+            return (k.mul(na, nb), da)
         return self._canon(k.mul(na, nb), k.mul(da, db))
 
     def inv(self, a):

@@ -373,13 +373,15 @@ def ukey(dom, p):
 
 
 def uadd(dom, a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else dom.zero
-        y = b[i] if i < len(b) else dom.zero
-        out.append(dom.add(x, y))
-    return utrim(dom, out)
+    """a + b with one base addition per coefficient the two share: the rest
+    of the longer operand is kept as is, and only a sum of two equal
+    degrees can cancel its lead."""
+    if len(a) < len(b):
+        a, b = b, a
+    head = tuple(map(dom.add, a, b))
+    if len(a) > len(b):
+        return head + a[len(b):]
+    return utrim(dom, head)
 
 
 def uneg(dom, a):
@@ -387,7 +389,13 @@ def uneg(dom, a):
 
 
 def usub(dom, a, b):
-    return uadd(dom, a, uneg(dom, b))
+    """a - b, costed like uadd."""
+    head = tuple(map(dom.sub, a, b))
+    if len(a) > len(b):
+        return head + a[len(b):]
+    if len(a) < len(b):
+        return head + uneg(dom, b[len(a):])
+    return utrim(dom, head)
 
 
 def uscale(dom, a, c):
@@ -399,6 +407,14 @@ def uscale(dom, a, c):
 def umul(dom, a, b):
     if not a or not b:
         return UZERO
+    # a constant factor c != 0 scales the other one: over an integral domain
+    # c*x is nonzero for every nonzero x, so the lead stays nonzero
+    if len(a) == 1:
+        c, mul = a[0], dom.mul
+        return tuple(mul(c, y) for y in b)
+    if len(b) == 1:
+        c, mul = b[0], dom.mul
+        return tuple(mul(x, c) for x in a)
     out = [dom.zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if dom.is_zero(x):

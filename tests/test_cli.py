@@ -84,12 +84,15 @@ def test_bad_prime_exit_code(corpdir, capsys):
 
 def test_internal_invariants_are_not_invalid_input(corpdir, capsys):
     """Factoring zero and the minimal primes of the zero ideal are broken
-    invariants of the engine, reported with exit 1 as an EngineError; a
-    malformed prime polynomial is bad input and still exits 2."""
-    from decompgen.errors import EngineError
+    invariants of the engine, reported with exit 1 as an EngineError, and so
+    is a linalg shape error, since linalg only meets matrices the engine
+    built; a malformed prime polynomial is bad input and still exits 2."""
+    from decompgen.errors import (
+        DimensionMismatch, EngineError, NotSquare, UnsupportedError, ValidationError)
     from decompgen.factor import (
         factor_gf, factor_integer, factor_qq, factor_univariate, factor_zx_primitive)
-    from decompgen.fields import GFPrime
+    from decompgen.fields import GFPrime, Rationals
+    from decompgen.linalg import Matrix, det, solve
     from decompgen.rings import parse_ring
     from decompgen.strata import minimal_primes
 
@@ -100,6 +103,13 @@ def test_internal_invariants_are_not_invalid_input(corpdir, capsys):
         with pytest.raises(EngineError) as exc:
             call()
         assert type(exc.value) is EngineError and exc.value.exit_code == 1
+    row = Matrix(Rationals(), [[1, 2]])
+    for call, error in ((lambda: det(row), NotSquare), (lambda: row.mul(row), DimensionMismatch),
+                        (lambda: solve(row, [1, 2]), DimensionMismatch)):
+        with pytest.raises(error) as exc:
+            call()
+        assert not isinstance(exc.value, (ValidationError, UnsupportedError))
+        assert exc.value.exit_code == 1
     rc, out, err = run_cli(["trivial", str(corpdir / "B2_Z.alg"), "--prime", "gen=[d^^2 - 2]"],
                            capsys)
     assert rc == 2 and not out and err == "error: expected integer exponent\n"

@@ -82,13 +82,14 @@ def test_no_float_or_integral_fraction_in_registry_fibers(corpus, registry_point
         assert _stray_scalars(F.field, values) == [], (key, p.short_str())
 
 
-# --- one-variable function fields against sparse reference arithmetic ----------
+# --- function fields against sparse reference arithmetic ---------------------
 
-def _ref_canon(base, num, den):
-    """Canonical sparse (num, den): gcd 1 by pgcd_field, monic denominator."""
+def _ref_canon(base, nv, num, den):
+    """Canonical sparse (num, den): gcd 1 by pgcd_field, denominator with
+    leading coefficient one."""
     if not num:
-        return (P.PZERO, P.pone(base, 1))
-    g = P.pgcd_field(base, 1, num, den)
+        return (P.PZERO, P.pone(base, nv))
+    g = P.pgcd_field(base, nv, num, den)
     num, den = P.pexact_div(base, num, g), P.pexact_div(base, den, g)
     inv = base.inv(den[0][1])
     return (P.pscale(base, num, inv), P.pscale(base, den, inv))
@@ -108,43 +109,80 @@ def _ref_str(F, num, den):
     return ns + "/" + ds
 
 
-def _rand_poly(base, rng, nonzero=False):
+def _rand_poly(base, nv, rng, nonzero=False):
     while True:
-        items = [((e,), base.from_int(rng.randint(-3, 3))) for e in range(rng.randrange(4))]
+        items = [(tuple(rng.randrange(3) for _ in range(nv)), base.from_int(rng.randint(-3, 3)))
+                 for _ in range(rng.randrange(4))]
         if isinstance(base, GFExt) and rng.random() < 0.5:
-            items.append(((rng.randrange(3),), base.gen()))
+            items.append(((rng.randrange(3),) * nv, base.gen()))
         p = P.pnorm(base, items)
         if p or not nonzero:
             return p
 
 
-@pytest.mark.parametrize("F", [FuncField(Rationals(), ("d",)), FuncField(GFPrime(5), ("d",)),
-                               FuncField(GFExt(2, 2, (1, 1, 1)), ("d",))],
-                         ids=repr)
-def test_dense_scalars_match_sparse_reference(F):
-    base, mul = F.base, (lambda a, b: P.pmul(F.base, a, b))
-    rng = random.Random(11)
-    pairs = []
+def _reference_results(F, a, b):
+    """Every arithmetic op of F on scalars a and b (and neg, inv on b) next
+    to its sparse reference (num, den)."""
+    base, nv = F.base, F.nv
+    mul = lambda x, y: P.pmul(base, x, y)  # noqa: E731
+    (na, da), (nb, db) = (F.numerator(a), F.denominator(a)), (F.numerator(b), F.denominator(b))
+    got = {"add": F.add(a, b), "sub": F.sub(a, b), "mul": F.mul(a, b), "neg": F.neg(b)}
+    want = {"add": _ref_canon(base, nv, P.padd(base, mul(na, db), mul(nb, da)), mul(da, db)),
+            "sub": _ref_canon(base, nv, P.psub(base, mul(na, db), mul(nb, da)), mul(da, db)),
+            "mul": _ref_canon(base, nv, mul(na, nb), mul(da, db)),
+            "neg": _ref_canon(base, nv, P.pneg(base, nb), db)}
+    if nb:
+        got["div"] = F.div(a, b)
+        want["div"] = _ref_canon(base, nv, mul(na, db), mul(da, nb))
+        got["inv"] = F.inv(b)
+        want["inv"] = _ref_canon(base, nv, db, nb)
+    return [(op, got[op], want[op]) for op in got]
+
+
+def _check_against_reference(F, seed):
+    """Random scalars, a third of them polynomials (the constant-denominator
+    path), together with zero and nonzero constants, which every op meets
+    on both sides.  Each result equals its reference and is the very tuple
+    `make` builds: memo keys hash raw scalars."""
+    base, nv = F.base, F.nv
+    rng = random.Random(seed)
+    one = P.pone(base, nv)
+    consts = [c for c in (base.one, base.from_int(2), base.from_int(-1)) if not base.is_zero(c)]
+    special = [F.zero] + [F.make(P.pconst(base, nv, c), one) for c in consts]
+    values = list(special)
     for _ in range(60):
-        num = _rand_poly(base, rng)
-        # a third of the values are polynomials: the constant-denominator path
-        den = P.pone(base, 1) if rng.random() < 0.34 else _rand_poly(base, rng, nonzero=True)
-        ref = _ref_canon(base, num, den)
+        num = _rand_poly(base, nv, rng)
+        den = one if rng.random() < 0.34 else _rand_poly(base, nv, rng, nonzero=True)
         a = F.make(num, den)
-        assert (F.numerator(a), F.denominator(a)) == ref
-        pairs.append((a, ref))
-    for (a, (na, da)), (b, (nb, db)) in zip(pairs, pairs[1:] + pairs[:1]):
-        got = {"add": F.add(a, b), "mul": F.mul(a, b)}
-        want = {"add": _ref_canon(base, P.padd(base, mul(na, db), mul(nb, da)), mul(da, db)),
-                "mul": _ref_canon(base, mul(na, nb), mul(da, db))}
-        if nb:
-            got["div"] = F.div(a, b)
-            want["div"] = _ref_canon(base, mul(na, db), mul(da, nb))
-            got["inv"] = F.inv(b)
-            want["inv"] = _ref_canon(base, db, nb)
-        for op, r in got.items():
-            num, den = want[op]
+        assert (F.numerator(a), F.denominator(a)) == _ref_canon(base, nv, num, den)
+        values.append(a)
+    # a polynomial and its negative: their sum vanishes
+    poly = F.make(_rand_poly(base, nv, rng, nonzero=True), one)
+    values += [poly, F.neg(poly)]
+    pairs = list(zip(values, values[1:] + values[:1]))
+    pairs += [p for s in special for v in values[::3] for p in ((s, v), (v, s))]
+    pairs += [(v, v) for v in values[::5]]
+    bk = base.sort_key
+    for a, b in pairs:
+        for op, r, (num, den) in _reference_results(F, a, b):
             assert (F.numerator(r), F.denominator(r)) == (num, den), op
-            bk = base.sort_key
+            made = F.make(num, den)
+            assert r == made and repr(r) == repr(made), op
             assert F.sort_key(r) == (P.pkey(bk, num), P.pkey(bk, den)), op
             assert F.to_str(r) == _ref_str(F, num, den), op
+
+
+@pytest.mark.parametrize("F", [FuncField(Rationals(), ("d",)), FuncField(GFPrime(5), ("d",)),
+                               FuncField(GFExt(2, 2, (1, 1, 1)), ("d",)),
+                               FuncField(GFPrime(2), ("d",)), FuncField(GFPrime(3), ("d",))],
+                         ids=repr)
+def test_dense_scalars_match_sparse_reference(F):
+    _check_against_reference(F, 11)
+
+
+@pytest.mark.parametrize("F", [FuncField(Rationals(), ("x", "y")),
+                               FuncField(GFPrime(5), ("x", "y"))], ids=repr)
+def test_two_variable_scalars_match_sparse_reference(F):
+    """The same ops on canonical sparse scalars, where the zero polynomial
+    is () and a constant denominator is the one polynomial."""
+    _check_against_reference(F, 12)

@@ -1,6 +1,8 @@
 """Arithmetic layer: ring/field axioms, reductions, denominators, factoring."""
 
+import itertools
 import random
+import signal
 import time
 from fractions import Fraction
 
@@ -14,6 +16,7 @@ from decompgen.factor import (
     factor_univariate,
     factor_funcfield,
     factor_zx_primitive,
+    is_irreducible_gf,
     squarefree_decomposition,
 )
 from decompgen.fields import FuncField, GFExt, GFPrime, IntegerOps, Rationals
@@ -348,6 +351,61 @@ def test_factor_gfq():
         assert prod == dense
 
 
+def _irreducible_by_factoring(F, f):
+    _, pairs = factor_gf(F, f)
+    return len(pairs) == 1 and pairs[0][1] == 1
+
+
+@pytest.mark.parametrize("F", [GFPrime(2), GFPrime(3)], ids=repr)
+def test_irreducibility_test_matches_factoring_exhaustively(F):
+    """Ben-Or's test against a full factorization on every monic
+    polynomial of degree at most 4."""
+    for deg in range(1, 5):
+        for low in itertools.product(F.elements(), repeat=deg):
+            f = low + (F.one,)
+            assert is_irreducible_gf(F, f) == _irreducible_by_factoring(F, f), f
+
+
+@pytest.mark.parametrize("F", [GFPrime(5), GFExt(2, 2, (1, 1, 1))], ids=repr)
+def test_irreducibility_test_matches_factoring_seeded(F):
+    """The same on seeded polynomials of degree up to 8, squares and
+    products of two irreducibles among them, with leading coefficients
+    other than one."""
+    rng = random.Random(17)
+    elems = list(F.elements())
+    nonzero = [c for c in elems if not F.is_zero(c)]
+
+    def rand(deg):
+        return tuple(rng.choice(elems) for _ in range(deg)) + (rng.choice(nonzero),)
+
+    for _ in range(150):
+        f = rand(rng.randrange(1, 9))
+        if rng.random() < 0.3:
+            g = rand(rng.randrange(1, 4))
+            f = P.umul(F, g, g if rng.random() < 0.5 else rand(rng.randrange(1, 4)))
+        assert is_irreducible_gf(F, f) == _irreducible_by_factoring(F, f), f
+    assert not is_irreducible_gf(F, (F.one,))
+
+
+def test_prime_check_stops_at_the_first_factor_degree():
+    """(1000003, d^256 + d + 2) is not prime, and the check says so within
+    10 s: it stops at the smallest degree of a factor instead of factoring
+    the generator."""
+    Zd = parse_ring("Z[d]")
+
+    def too_slow(signum, frame):
+        raise TimeoutError("prime check ran over 10 s")
+
+    old = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(10)
+    try:
+        with pytest.raises(NotPrime, match="is reducible over GF"):
+            parse_prime("gen=[1000003, d^256 + d + 2]", Zd)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
 def test_squarefree_decomposition_char_p():
     F2 = GFPrime(2)
     # (x+1)^4 has vanishing derivative twice over
@@ -496,6 +554,50 @@ def test_merge_kernels_match_pnorm(dom, nv):
         assert _is_canonical(dom, scaled)
         assert scaled == P.pnorm(dom, [(e, dom.mul(x, c)) for e, x in a])
     assert P.padd(dom, P.PZERO, P.PZERO) == P.PZERO
+
+
+def _ref_dense(dom, op, a, b):
+    """a op b by the schoolbook loop: a zero-filled accumulator, then trim."""
+    if op == "mul":
+        out = [dom.zero] * max(len(a) + len(b) - 1, 0)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = dom.add(out[i + j], dom.mul(x, y))
+    else:
+        n = max(len(a), len(b))
+        pad = lambda p: list(p) + [dom.zero] * (n - len(p))  # noqa: E731
+        f = dom.add if op == "add" else dom.sub
+        out = [f(x, y) for x, y in zip(pad(a), pad(b))]
+    while out and dom.is_zero(out[-1]):
+        out.pop()
+    return tuple(out)
+
+
+@pytest.mark.parametrize("dom", [Rationals(), GFPrime(2), GFExt(2, 2, (1, 1, 1))], ids=repr)
+def test_dense_kernels_match_reference_loop(dom):
+    """uadd, usub and umul on operands of every length from 0 to 4, with
+    constants on either side and sums whose lead cancels."""
+    rng = random.Random(5)
+
+    def rand_dense(n):
+        out = [_kernel_coeff(dom, rng) for _ in range(n)]
+        while n and dom.is_zero(out[-1]):
+            out[-1] = _kernel_coeff(dom, rng)
+        return tuple(out)
+
+    ops = {"add": P.uadd, "sub": P.usub, "mul": P.umul}
+    for _ in range(40):
+        for la in range(5):
+            for lb in range(5):
+                a, b = rand_dense(la), rand_dense(lb)
+                # the lead of a (sub cancels it) and its negative (add does)
+                same = tuple(_kernel_coeff(dom, rng) for _ in a[1:]) + a[-1:]
+                for x, y in ((a, b), (a, same), (a, P.uneg(dom, same))):
+                    for op, fn in ops.items():
+                        r = fn(dom, x, y)
+                        assert r == _ref_dense(dom, op, x, y) and type(r) is tuple, (op, x, y)
+        for a in (rand_dense(1), rand_dense(3)):
+            assert P.uadd(dom, a, P.uneg(dom, a)) == P.usub(dom, a, a) == ()
 
 
 FUNCTION_FIELDS = [
