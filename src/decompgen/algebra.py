@@ -494,7 +494,7 @@ def load_algebra(text, validate=True):
         if c is None:
             try:
                 c = parsed[expr] = ring.parse(expr)
-            except ValueError as e:
+            except ValidationError as e:
                 raise ValidationError(f"line {lineno}: {e}") from None
         return c
 

@@ -23,7 +23,7 @@ from .decomposition import (
     is_trivial,
     split_data,
 )
-from .errors import EngineError, NotSplit
+from .errors import EngineError, NotSplit, ValidationError
 from .fingerprints import fingerprint_of_simple
 from .modules import is_split, radical
 from .primes import parse_prime
@@ -48,8 +48,10 @@ def _emit(report, lines, fmt):
 
 
 def _load(args):
-    A = load_algebra_file(args.algebra)
-    return A
+    try:
+        return load_algebra_file(args.algebra)
+    except (OSError, UnicodeDecodeError) as e:
+        raise ValidationError(str(e)) from None
 
 
 def _prime(args, A):
@@ -303,17 +305,20 @@ def cmd_corpus_build(args):
     entries = dict(REGISTRY)
     entries.update(STRETCH)
     keys = args.keys or sorted(REGISTRY)
-    os.makedirs(args.out, exist_ok=True)
     written = []
-    for key in keys:
-        if key not in entries:
-            print(f"unknown corpus entry {key!r}", file=sys.stderr)
-            return 2
-        A = entries[key].algebra()
-        path = os.path.join(args.out, f"{key}.alg")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(serialize_algebra(A))
-        written.append(path)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        for key in keys:
+            if key not in entries:
+                print(f"unknown corpus entry {key!r}", file=sys.stderr)
+                return 2
+            A = entries[key].algebra()
+            path = os.path.join(args.out, f"{key}.alg")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(serialize_algebra(A))
+            written.append(path)
+    except OSError as e:
+        raise ValidationError(str(e)) from None
     _emit({"written": written}, [f"wrote {p}" for p in written], args.format)
     return 0
 
@@ -475,9 +480,6 @@ def main(argv=None):
     except EngineError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     finally:
         factor.DEFAULT_TRIAL_LIMIT = saved_limit
 

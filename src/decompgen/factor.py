@@ -8,7 +8,8 @@ is Ben-Or's, which needs no splitting; over Q and over rational function
 fields Q(vars) the heavy lifting is delegated to sympy and the result is
 renormalized to monic canonical form.  sympy is imported inside those two
 routines, on the first factorization over Q or Q(vars), so a run that stays
-in finite fields never loads it.
+in finite fields never loads it.  `factor_dense` and `is_irreducible` are
+the one place that picks the routine by the coefficient field.
 
 Dense polynomials here follow the polyops "u" conventions (ascending
 coefficient tuples); the RingElement-level entry points convert at the
@@ -245,13 +246,6 @@ def factor_qq(f):
     return unit, out
 
 
-def is_irreducible_qq(f):
-    if P.udeg(f) < 1:
-        return False
-    _, pairs = factor_qq(f)
-    return len(pairs) == 1 and pairs[0][1] == 1
-
-
 # --- factorization over Q(vars) (via sympy) ------------------------------------
 
 def factor_funcfield(F, f):
@@ -285,6 +279,27 @@ def factor_funcfield(F, f):
     return out
 
 
+# --- one factorizer per field ---------------------------------------------------
+
+def factor_dense(F, f, seed=1):
+    """(unit, [(monic irreducible, mult)]) for a nonzero dense f over Q or
+    GF(q): sympy over Q, Cantor-Zassenhaus with the seed over GF(q)."""
+    if isinstance(F, Rationals):
+        return factor_qq(f)
+    return factor_gf(F, f, seed)
+
+
+def is_irreducible(F, f):
+    """Whether the dense f is irreducible over Q (by factoring) or over
+    GF(q) (by Ben-Or's test)."""
+    if isinstance(F, Rationals):
+        if P.udeg(f) < 1:
+            return False
+        _, pairs = factor_qq(f)
+        return len(pairs) == 1 and pairs[0][1] == 1
+    return is_irreducible_gf(F, f)
+
+
 # --- RingElement-level entry points --------------------------------------------
 
 def factor_univariate(elem, seed=1):
@@ -295,18 +310,12 @@ def factor_univariate(elem, seed=1):
     exactly.
     """
     ring = elem.ring
-    if ring.nv != 1:
-        raise UnsupportedRing("factor_univariate needs a one-variable polynomial ring")
+    if ring.nv != 1 or not ring.coeff.is_field:
+        raise UnsupportedRing(f"no univariate factorization over {ring!r}")
     if elem.is_zero():
         raise EngineError("cannot factor zero")
     coeff = ring.coeff
-    dense = P.p_to_dense(coeff, elem.data)
-    if isinstance(coeff, Rationals):
-        unit, pairs = factor_qq(dense)
-    elif isinstance(coeff, GFPrime):
-        unit, pairs = factor_gf(coeff, dense, seed)
-    else:
-        raise UnsupportedRing(f"no univariate factorization over {ring!r}")
+    unit, pairs = factor_dense(coeff, P.p_to_dense(coeff, elem.data), seed)
     mk = lambda d: RingElement(ring, P.p_from_dense(coeff, d))
     return ring.from_coeff(unit), [(mk(d), m) for d, m in pairs]
 

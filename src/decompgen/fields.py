@@ -42,6 +42,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import polyops as P
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -93,9 +94,9 @@ class IntegerOps:
 
     def parse_coeff(self, num, den):
         if not den:
-            raise ValueError(f"{num}/{den} has a zero denominator")
+            raise ValidationError(f"{num}/{den} has a zero denominator")
         if num % den:
-            raise ValueError(f"{num}/{den} is not an integer coefficient")
+            raise ValidationError(f"{num}/{den} is not an integer coefficient")
         return num // den
 
 
@@ -172,7 +173,7 @@ class Rationals(_FieldEuclid):
 
     def parse_coeff(self, num, den):
         if not den:
-            raise ValueError(f"{num}/{den} has a zero denominator")
+            raise ValidationError(f"{num}/{den} has a zero denominator")
         return self.div(num, den)
 
     def __repr__(self):
@@ -205,7 +206,7 @@ class GFPrime(_FieldEuclid):
         return (-a) % self.p
 
     def inv(self, a):
-        if a % self.p == 0:
+        if a == 0:
             raise ZeroDivisionError("inverse of zero in GF(p)")
         return pow(a, self.p - 2, self.p)
 
@@ -213,7 +214,7 @@ class GFPrime(_FieldEuclid):
         return (a * self.inv(b)) % self.p
 
     def is_zero(self, a):
-        return a % self.p == 0
+        return a == 0
 
     def from_int(self, n):
         return n % self.p
@@ -229,10 +230,10 @@ class GFPrime(_FieldEuclid):
 
     def parse_coeff(self, num, den):
         if not den:
-            raise ValueError(f"{num}/{den} has a zero denominator")
+            raise ValidationError(f"{num}/{den} has a zero denominator")
         q = Fraction(num, den)
         if not q.denominator % self.p:
-            raise ValueError(f"{num}/{den} has no value in GF({self.p})")
+            raise ValidationError(f"{num}/{den} has no value in GF({self.p})")
         return self.from_fraction(q)
 
     def size(self):

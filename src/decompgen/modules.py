@@ -26,8 +26,8 @@ from functools import wraps
 
 from . import polyops as P
 from .errors import ChopBudgetExceeded, EngineError, Inconsistent, RadicalNotNilpotent
-from .factor import factor_funcfield, factor_gf, factor_qq, squarefree_part_safe
-from .fields import GFExt, GFPrime, Rationals
+from .factor import factor_dense, factor_funcfield, squarefree_part_safe
+from .fields import FuncField
 from .linalg import (
     Matrix,
     char_poly,
@@ -214,21 +214,13 @@ def _charpoly_pieces(F, chi, seed):
     otherwise the squarefree part is the one piece, uncertified unless
     linear.
     """
-    if isinstance(F, Rationals):
-        _, pairs = factor_qq(chi)
-        return [(f, True) for f, _ in pairs]
-    if isinstance(F, (GFPrime, GFExt)):
-        _, pairs = factor_gf(F, chi, seed)
-        return [(f, True) for f, _ in pairs]
+    if not isinstance(F, FuncField):
+        return [(f, True) for f, _ in factor_dense(F, chi, seed)[1]]
     base = F.base
     consts = _constant_projection(F, chi)
     if consts is not None:
-        if isinstance(base, Rationals):
-            _, pairs = factor_qq(consts)
-        else:
-            _, pairs = factor_gf(base, consts, seed)
         lift = lambda p: tuple(F.from_poly(P.pconst(base, F.nv, c)) for c in p)
-        return [(lift(f), True) for f, _ in pairs]
+        return [(lift(f), True) for f, _ in factor_dense(base, consts, seed)[1]]
     if F.characteristic == 0:
         return [(f, True) for f, _ in factor_funcfield(F, chi)]
     f = squarefree_part_safe(F, chi)

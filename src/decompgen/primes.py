@@ -7,21 +7,33 @@ through from_int / from_fraction, variables at their stored images), which
 keeps the restrict-then-specialize compatibility bit-exact: composing two
 reductions and reducing in one step evaluate the same data the same way.
 
-Supported shapes: the zero ideal of any ring; (p) in Z; principal (f) with f
-irreducible and a supported residue field; maximal pairs whose first step is
-a supported ring quotient, e.g. (p, g) in Z[x] or (x - a, y - b) in k[x,y].
-Primes whose residue field falls outside {Q, GF(p), GF(p^e), one- or
-two-variable function fields over these} are rejected at construction.
+Supported shapes: the zero ideal of any ring; (p) in Z and Z[x]; principal
+(g) with a residue field of one of two shapes; maximal pairs whose first
+step is a supported ring quotient, e.g. (p, g) in Z[x] or (x - a, y - b) in
+k[x,y].  The two shapes of a principal (g), K the coefficient field (Q for
+Z[x]):
+
+  * g in one variable v_i, irreducible over K: K itself at the root of a
+    linear g, GF(q^e) for K = GF(q), and over Q only a linear g; the other
+    variable, if any, extends it to a function field;
+  * g = a*v_i + b linear in v_i with coprime a, b in the other variable:
+    v_i goes to -b/a in that variable's function field.
+
+Every other prime is rejected at construction.  A ring quotient R/(g) is
+again a supported ring in two cases: reduction of the coefficients at a
+prime p of Z, and g = a*v_i + b with a unit a, where one evaluation sends
+v_i to -b/a.
 """
 
 from dataclasses import dataclass
 
 from . import polyops as P
 from .errors import NotPrime, UnsupportedResidueField, UnsupportedRestriction
-from .factor import _scalar_pow, is_irreducible_gf, is_irreducible_qq
+from .factor import is_irreducible
 from .fields import FuncField, GFExt, GFPrime, IntegerOps, Rationals, scalar_from_coeff
 from .rings import (
     RingDescriptor,
+    RingScalars,
     int_content,
     is_prime_int,
     normalize_generator,
@@ -111,132 +123,75 @@ def prime_spec(ring, generators):
 
 def _principal_prime(ring, g):
     g = normalize_generator(g)
+    if not isinstance(ring.coeff, IntegerOps):
+        if g.is_const():
+            raise NotPrime(f"({g}) is the unit ideal")
+        F, images = _residue_field(ring, g)
+        tag = MAXIMAL if ring.nv == 1 else PRINCIPAL
+    elif g.is_const():
+        p = g.const_value()
+        if not is_prime_int(p):
+            raise NotPrime(f"({p}) is not a prime ideal of {ring!r}")
+        F = FuncField(GFPrime(p), ring.varnames) if ring.nv else GFPrime(p)
+        images = tuple(F.var_scalar(i) for i in range(ring.nv))
+        tag = PRINCIPAL if ring.nv else MAXIMAL
+    else:
+        content, _ = int_content(g)
+        if content != 1:
+            raise NotPrime(f"({g}) is not prime in {ring!r}: content {content}")
+        F, images = _residue_field(ring, g)
+        tag = PRINCIPAL
+    return PrimeSpec(ring, (g,), tag, F, images, (repr(ring), "prin", str(g)))
+
+
+def _residue_field(ring, g):
+    """(residue field, variable images) of R/(g) for a nonconstant g of
+    content 1, in one of the two shapes the module docstring lists."""
     coeff = ring.coeff
-    if isinstance(coeff, IntegerOps) and ring.nv == 0:
-        n = g.const_value()
-        if not is_prime_int(abs(n)):
-            raise NotPrime(f"({n}) is not a prime ideal of Z")
-        p = abs(n)
-        return PrimeSpec(ring, (ring.from_int(p),), MAXIMAL, GFPrime(p), (),
-                         (repr(ring), "prin", str(p)))
-    if g.is_const():
-        if isinstance(coeff, IntegerOps):
-            n = g.const_value()
-            if not is_prime_int(abs(n)):
-                raise NotPrime(f"({n}) is not a prime ideal of {ring!r}")
-            p = abs(n)
-            F = FuncField(GFPrime(p), ring.varnames)
-            return PrimeSpec(ring, (ring.from_int(p),), PRINCIPAL, F,
-                             tuple(F.var_scalar(i) for i in range(ring.nv)),
-                             (repr(ring), "prin", str(p)))
-        raise NotPrime(f"({g}) is the unit ideal")
-    if isinstance(coeff, IntegerOps):
-        return _zx_principal(ring, g)
-    if ring.nv == 1:
-        return _kx_principal(ring, g)
-    return _kxy_principal(ring, g)
-
-
-def _dense(ring, g):
-    return P.p_to_dense(ring.coeff, g.data)
-
-
-def _kx_principal(ring, g):
-    coeff = ring.coeff
-    dense = _dense(ring, g)
-    if isinstance(coeff, Rationals):
-        if not is_irreducible_qq(dense):
-            raise NotPrime(f"({g}) is not prime: {g} is reducible over Q")
-        if len(dense) > 2:
-            raise UnsupportedResidueField(
-                f"residue field of ({g}) is a degree-{len(dense) - 1} number field")
-        root = QQ.div(QQ.neg(dense[0]), dense[1])
-        return PrimeSpec(ring, (g,), MAXIMAL, Rationals(), (root,),
-                         (repr(ring), "prin", str(g)))
-    if not is_irreducible_gf(coeff, dense):
-        raise NotPrime(f"({g}) is not prime: {g} is reducible over {coeff!r}")
-    if len(dense) == 2:
-        root = coeff.div(coeff.neg(dense[0]), dense[1])
-        return PrimeSpec(ring, (g,), MAXIMAL, coeff, (root,),
-                         (repr(ring), "prin", str(g)))
-    F = GFExt(coeff.p, len(dense) - 1, dense)
-    return PrimeSpec(ring, (g,), MAXIMAL, F, (F.gen(),),
-                     (repr(ring), "prin", str(g)))
-
-
-def _zx_principal(ring, g):
-    content, prim = int_content(g)
-    if abs(content) != 1:
-        raise NotPrime(f"({g}) is not prime in {ring!r}: content {content}")
-    dense = _dense(ring, g)
-    if not is_irreducible_qq(dense):
-        raise NotPrime(f"({g}) is not prime: reducible over Q")
-    if len(dense) > 2:
-        raise UnsupportedResidueField(
-            f"residue field of ({g}) is a degree-{len(dense) - 1} number field")
-    root = QQ.div(QQ.neg(dense[0]), dense[1])
-    return PrimeSpec(ring, (g,), PRINCIPAL, Rationals(), (root,),
-                     (repr(ring), "prin", str(g)))
-
-
-def _kxy_principal(ring, g):
-    coeff = ring.coeff
-    deg_in = [P.pdeg_in(g.data, i) for i in range(2)]
-    # univariate generator: k[x,y]/(f(x)) has residue field k'(y)
-    for i in range(2):
-        j = 1 - i
-        if deg_in[j] == 0:
-            uni = RingDescriptor(coeff, (ring.varnames[i],))
-            dense = P.p_to_dense(coeff, tuple(((e[i],), c) for e, c in g.data))
-            if isinstance(coeff, Rationals):
-                if not is_irreducible_qq(dense):
-                    raise NotPrime(f"({g}) is not prime: reducible")
-                if len(dense) > 2:
-                    raise UnsupportedResidueField(
-                        f"residue field of ({g}) is a number-field function field")
-                root = QQ.div(QQ.neg(dense[0]), dense[1])
-                F = FuncField(Rationals(), (ring.varnames[j],))
-                images = [None, None]
-                images[i] = F.from_fraction(root)
-                images[j] = F.var_scalar(0)
+    K = QQ if isinstance(coeff, IntegerOps) else coeff
+    for i in range(ring.nv):
+        others = ring.varnames[:i] + ring.varnames[i + 1:]
+        if all(e[i] == sum(e) for e, _ in g.data):
+            dense = P.p_to_dense(K, tuple(((e[i],), c) for e, c in g.data))
+            if not is_irreducible(K, dense):
+                raise NotPrime(f"({g}) is not prime: {g} is reducible over {K!r}")
+            n = len(dense) - 1
+            if n == 1:
+                base, root = K, K.div(K.neg(dense[0]), dense[1])
+            elif K.characteristic == 0:
+                field = f"a degree-{n} number field"
+                if others:
+                    field = f"a function field in {others[0]} over {field}"
+                raise UnsupportedResidueField(f"residue field of ({g}) is {field}")
             else:
-                if not is_irreducible_gf(coeff, dense):
-                    raise NotPrime(f"({g}) is not prime: reducible")
-                if len(dense) == 2:
-                    base = coeff
-                    rootval = coeff.div(coeff.neg(dense[0]), dense[1])
-                    F = FuncField(base, (ring.varnames[j],))
-                    images = [None, None]
-                    images[i] = F.from_poly(P.pconst(base, 1, rootval))
-                    images[j] = F.var_scalar(0)
-                else:
-                    base = GFExt(coeff.p, len(dense) - 1, dense)
-                    F = FuncField(base, (ring.varnames[j],))
-                    images = [None, None]
-                    images[i] = F.from_poly(P.pconst(base, 1, base.gen()))
-                    images[j] = F.var_scalar(0)
-            return PrimeSpec(ring, (g,), PRINCIPAL, F, tuple(images),
-                             (repr(ring), "prin", str(g)))
-    # generator linear in one variable: substitute a rational function
-    for i in range(2):
-        if deg_in[i] == 1:
-            j = 1 - i
-            # g = a(other) * v_i + b(other)
-            a_terms, b_terms = [], []
-            for e, c in g.data:
-                (a_terms if e[i] == 1 else b_terms).append(((e[j],), c))
-            a = P.pnorm(coeff, a_terms)
-            b = P.pnorm(coeff, b_terms)
+                base = GFExt(K.p, n, dense)
+                root = base.gen()
+            if not others:
+                return base, (root,)
+            F = FuncField(base, others)
+            image = F.from_poly(P.pconst(base, 1, root))
+        elif P.pdeg_in(g.data, i) == 1:
+            a, b = _linear_split(coeff, g.data, i)
             if P.udeg(P.ugcd(coeff, P.p_to_dense(coeff, a), P.p_to_dense(coeff, b))) > 0:
                 raise NotPrime(f"({g}) is not prime: coefficient gcd is nontrivial")
-            F = FuncField(coeff, (ring.varnames[j],))
-            images = [None, None]
-            images[j] = F.var_scalar(0)
-            images[i] = F.make(P.pneg(coeff, b), a)
-            return PrimeSpec(ring, (g,), PRINCIPAL, F, tuple(images),
-                             (repr(ring), "prin", str(g)))
+            F = FuncField(coeff, others)
+            image = F.make(P.pneg(coeff, b), a)
+        else:
+            continue
+        images = [F.var_scalar(0)]
+        images.insert(i, image)
+        return F, tuple(images)
     raise UnsupportedResidueField(
         f"cannot certify ({g}) prime or represent its residue field")
+
+
+def _linear_split(coeff, data, i):
+    """(a, b) with data = a*v_i + b for data of degree one in v_i, a and b
+    polynomials in the other variables."""
+    a, b = [], []
+    for e, c in data:
+        (a if e[i] else b).append((e[:i] + e[i + 1:], c))
+    return P.pnorm(coeff, a), P.pnorm(coeff, b)
 
 
 def _maximal_pair(ring, g1, g2):
@@ -266,78 +221,43 @@ def _maximal_pair(ring, g1, g2):
 
 def ring_quotient(ring, g):
     """(quotient ring, element map) for R/(g) when the quotient is again a
-    supported ring.  Raises UnsupportedRestriction otherwise."""
+    supported ring: coefficients reduced at a prime p of Z, or a variable
+    v_i sent to -b/a for g = a*v_i + b with a unit a.  Raises
+    UnsupportedRestriction otherwise."""
     if g.is_zero():
         return ring, lambda e: e
     coeff = ring.coeff
-    if isinstance(coeff, IntegerOps):
-        if g.is_const():
-            p = abs(g.const_value())
-            if not is_prime_int(p):
-                raise UnsupportedRestriction(f"Z/({p}) is not a domain")
-            newcoeff = GFPrime(p)
-            newring = RingDescriptor(newcoeff, ring.varnames)
-
-            def imap(e, _nr=newring, _p=p):
-                return _nr.element(P.pnorm(_nr.coeff, [(ex, c % _p) for ex, c in e.data]))
-
-            return newring, imap
-        if ring.nv == 1 and g.degree_in(ring.varnames[0]) == 1:
-            dense = _dense(ring, g)
-            if abs(dense[1]) == 1:
-                c = -dense[0] * dense[1]
-                newring = RingDescriptor(IntegerOps(), ())
-
-                def imap(e, _nr=newring, _c=c):
-                    val = sum(coef * _c ** ex[0] for ex, coef in e.data)
-                    return _nr.from_int(val)
-
-                return newring, imap
-            raise UnsupportedRestriction(f"Z[x]/({g}) is not a polynomial ring")
-        raise UnsupportedRestriction(f"Z[x]/({g}) is an order in a number field")
-    # field coefficients
+    integral = isinstance(coeff, IntegerOps)
     if g.is_const():
-        raise UnsupportedRestriction(f"({g}) is the unit ideal")
+        if not integral:
+            raise UnsupportedRestriction(f"({g}) is the unit ideal")
+        p = abs(g.const_value())
+        if not is_prime_int(p):
+            raise UnsupportedRestriction(f"Z/({p}) is not a domain")
+        newring = RingDescriptor(GFPrime(p), ring.varnames)
+
+        def imap(e, _nr=newring, _p=p):
+            return _nr.element(P.pnorm(_nr.coeff, [(ex, c % _p) for ex, c in e.data]))
+
+        return newring, imap
+    for i in range(ring.nv):
+        if P.pdeg_in(g.data, i) != 1:
+            continue
+        a, b = _linear_split(coeff, g.data, i)
+        ainv, one = coeff.unit_normalize(P.pconst_value(coeff, a))
+        if not P.pis_const(a) or one != coeff.one:
+            continue
+        newring = RingDescriptor(coeff, ring.varnames[:i] + ring.varnames[i + 1:])
+        images = [newring.var(v) for v in newring.varnames]
+        images.insert(i, newring.element(P.pscale(coeff, P.pneg(coeff, b), ainv)))
+        S = RingScalars(newring)
+        return newring, lambda e: P.peval(coeff, e.data, S, newring.from_coeff, images)
+    if integral and g.total_degree() == 1:
+        raise UnsupportedRestriction(f"Z[x]/({g}) is not a polynomial ring")
+    if integral:
+        raise UnsupportedRestriction(f"Z[x]/({g}) is an order in a number field")
     if ring.nv == 1:
-        if g.total_degree() == 1:
-            dense = _dense(ring, g)
-            root = coeff.div(coeff.neg(dense[0]), dense[1])
-            newring = RingDescriptor(coeff, ())
-
-            def imap(e, _nr=newring, _r=root):
-                total = coeff.zero
-                for ex, c in e.data:
-                    total = coeff.add(total, coeff.mul(c, _scalar_pow(coeff, _r, ex[0])))
-                return _nr.from_coeff(total)
-
-            return newring, imap
         raise UnsupportedRestriction(f"{ring!r}/({g}) is a field extension, not a supported ring")
-    # two variables: substitution shapes
-    for i in range(2):
-        j = 1 - i
-        if P.pdeg_in(g.data, i) == 1:
-            a_terms, b_terms = [], []
-            for e, c in g.data:
-                (a_terms if e[i] == 1 else b_terms).append(((e[j],), c))
-            a = P.pnorm(coeff, a_terms)
-            b = P.pnorm(coeff, b_terms)
-            if not P.pis_const(a) or P.pis_zero(a):
-                continue
-            ainv = coeff.inv(P.pconst_value(coeff, a))
-            h = P.pscale(coeff, P.pneg(coeff, b), ainv)  # v_i maps to h(v_j)
-            newring = RingDescriptor(coeff, (ring.varnames[j],))
-
-            def imap(e, _nr=newring, _h=h, _i=i, _j=j):
-                dom = _nr.coeff
-                out = P.PZERO
-                for ex, c in e.data:
-                    term = P.pconst(dom, 1, c)
-                    term = P.pmul(dom, term, P.ppow(dom, _h, ex[_i], 1))
-                    term = P.pmul(dom, term, ((( ex[_j],), dom.one),))
-                    out = P.padd(dom, out, term)
-                return _nr.element(out)
-
-            return newring, imap
     raise UnsupportedRestriction(f"{ring!r}/({g}) is not a supported ring")
 
 
@@ -414,11 +334,15 @@ def parse_prime(text, ring):
     text = text.strip()
     if text in ("generic", "0", "(0)"):
         return generic_point(ring)
+    bad = NotPrime(f"cannot parse prime {text!r} (use p=<int>, gen=[...], or generic)")
     if text.startswith("p="):
-        n = int(text[2:])
+        try:
+            n = int(text[2:])
+        except ValueError:
+            raise bad from None
         return prime_spec(ring, [ring.from_int(n)])
     if text.startswith("gen=[") and text.endswith("]"):
         inner = text[5:-1]
         gens = [ring.parse(part) for part in inner.split(",") if part.strip()]
         return prime_spec(ring, gens)
-    raise NotPrime(f"cannot parse prime {text!r} (use p=<int>, gen=[...], or generic)")
+    raise bad

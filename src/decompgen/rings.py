@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import gcd as int_gcd
 
 from . import polyops as P
-from .errors import EngineError, UnsupportedRing
+from .errors import EngineError, UnsupportedRing, ValidationError
 from .fields import DenseKernels, FuncField, GFPrime, IntegerOps, Rationals, SparseKernels
 from .fields import scalar_from_coeff
 
@@ -351,12 +351,21 @@ MAX_EXPONENT = 256
 _TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\^|\*|\+|-|/|\(|\))")
 
 
+def _integer(digits):
+    """The int a digit string spells; one longer than Python converts is bad
+    input."""
+    try:
+        return int(digits)
+    except ValueError as e:
+        raise ValidationError(str(e)) from None
+
+
 def _tokenize(text):
     pos, out = 0, []
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if not m:
-            raise ValueError(f"bad character in polynomial at {text[pos:]!r}")
+            raise ValidationError(f"bad character in polynomial at {text[pos:]!r}")
         out.append(m.group(1))
         pos = m.end()
     return out
@@ -366,7 +375,7 @@ def _parse_poly(text, ring):
     """Parse `3*x^2*y - 1/2` style text into canonical sparse form."""
     toks = _tokenize(text)
     if not toks:
-        raise ValueError("empty polynomial")
+        raise ValidationError("empty polynomial")
     coeff, nv = ring.coeff, ring.nv
     pos = 0
 
@@ -376,7 +385,7 @@ def _parse_poly(text, ring):
     def take():
         nonlocal pos
         if pos == len(toks):
-            raise ValueError(f"polynomial {text!r} ends too early")
+            raise ValidationError(f"polynomial {text!r} ends too early")
         t = toks[pos]
         pos += 1
         return t
@@ -384,27 +393,27 @@ def _parse_poly(text, ring):
     def parse_factor():
         t = take()
         if t.isdigit():
-            num = int(t)
+            num = _integer(t)
             den = 1
             if peek() == "/":
                 take()
                 d = take()
                 if not d.isdigit():
-                    raise ValueError("expected integer denominator")
-                den = int(d)
+                    raise ValidationError("expected integer denominator")
+                den = _integer(d)
             return ("coeff", coeff.parse_coeff(num, den))
         if _NAME_RE.fullmatch(t):
             if t not in ring.varnames:
-                raise ValueError(f"unknown variable {t!r} in {ring!r}")
+                raise ValidationError(f"unknown variable {t!r} in {ring!r}")
             k = 1
             if peek() == "^":
                 take()
                 e = take()
                 if not e.isdigit():
-                    raise ValueError("expected integer exponent")
-                k = int(e)
+                    raise ValidationError("expected integer exponent")
+                k = _integer(e)
             return ("var", ring.varnames.index(t), k)
-        raise ValueError(f"unexpected token {t!r}")
+        raise ValidationError(f"unexpected token {t!r}")
 
     def parse_term():
         sign = 1
@@ -421,8 +430,8 @@ def _parse_poly(text, ring):
                 i, k = rest
                 exps[i] += k
                 if exps[i] > MAX_EXPONENT:
-                    raise ValueError(f"exponent {exps[i]} of {ring.varnames[i]} "
-                                     f"exceeds {MAX_EXPONENT}")
+                    raise ValidationError(f"exponent {exps[i]} of {ring.varnames[i]} "
+                                          f"exceeds {MAX_EXPONENT}")
             if peek() == "*":
                 take()
                 continue
@@ -433,7 +442,7 @@ def _parse_poly(text, ring):
     while peek() in ("+", "-"):
         items.append(parse_term())
     if pos != len(toks):
-        raise ValueError(f"trailing input {toks[pos:]!r}")
+        raise ValidationError(f"trailing input {toks[pos:]!r}")
     return P.pnorm(coeff, items)
 
 
@@ -483,7 +492,7 @@ def parse_ring(text):
     elif head == "Q":
         coeff = Rationals()
     else:
-        p = int(p)
+        p = _integer(p)
         if not is_prime_int(p):
             raise UnsupportedRing(f"{p} is not prime")
         coeff = GFPrime(p)

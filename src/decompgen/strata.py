@@ -29,8 +29,8 @@ from .errors import (
 )
 from .algebra import FiniteFreeAlgebra, restrict, span_subspace, table_on_basis
 from .decomposition import dec_gen_membership, split_data
-from .factor import factor_gf, factor_integer, factor_qq, factor_univariate, factor_zx_primitive
-from .fields import IntegerOps, Rationals
+from .factor import factor_dense, factor_integer, factor_univariate, factor_zx_primitive
+from .fields import IntegerOps
 from .linalg import Matrix, det, inverse, saturate_rows
 from .modules import is_split, radical
 from .primes import (
@@ -305,24 +305,23 @@ def _prime_or_unresolved(ring, elem):
 
 
 def _minimal_primes_bivariate(g, seed):
-    """Irreducible components over k[x,y]: univariate content factors plus
-    squarefree primitive factors certified irreducible where degrees allow."""
+    """Irreducible components over k[x,y]: the factors of the content in
+    each variable (a polynomial free of that variable is its own content),
+    then the squarefree pieces of the primitive rest, each a prime when
+    `prime_spec` certifies it and otherwise split as a quadratic where its
+    discriminant is a square."""
     ring = g.ring
     coeff = ring.coeff
     out = []
     work = g.data
     for main in (1, 0):
-        cont = P._content_in(coeff, work, main) if P.pdeg_in(work, main) > 0 else None
-        if cont and P.pdeg(cont) > 0:
-            uni = RingElement(ring, cont)
-            sub = _univariate_in(ring, uni)
-            if sub is not None:
-                subring, subelem, var_index = sub
-                _, pairs = factor_univariate(subelem, seed)
-                for f, _ in pairs:
-                    out_elem = RingElement(ring, tuple(
-                        (_embed_exp(e[0], var_index), c) for e, c in f.data))
-                    out.append(_prime_or_unresolved(ring, out_elem))
+        cont = P._content_in(coeff, work, main)
+        if P.pdeg(cont) > 0:
+            other = 1 - main
+            _, pairs = factor_dense(coeff, P.p_to_dense(coeff, P.p_rec(cont, main)[0]), seed)
+            for f, _ in pairs:
+                terms = [((k, 0) if other == 0 else (0, k), c) for k, c in enumerate(f)]
+                out.append(_prime_or_unresolved(ring, RingElement(ring, P.pnorm(coeff, terms))))
             work = P.pexact_div(coeff, work, cont)
     if P.pdeg(work) == 0:
         return out
@@ -345,20 +344,12 @@ def _minimal_primes_bivariate(g, seed):
     for piece in pieces:
         if piece.total_degree() < 1:
             continue
-        if _certify_irreducible_bivariate(piece):
-            out.append(_prime_or_unresolved(ring, normalize_generator(piece)))
-            continue
-        split = _split_quadratic_bivariate(piece)
+        item = _prime_or_unresolved(ring, normalize_generator(piece))
+        split = _split_quadratic_bivariate(piece) if isinstance(item, UnresolvedPrime) else None
         if split:
-            for part in split:
-                if _certify_irreducible_bivariate(part):
-                    out.append(_prime_or_unresolved(ring, normalize_generator(part)))
-                else:
-                    out.append(UnresolvedPrime(normalize_generator(part),
-                                               "cannot certify a quadratic factor"))
+            out.extend(_prime_or_unresolved(ring, part) for part in split)
         else:
-            out.append(UnresolvedPrime(normalize_generator(piece),
-                                       "cannot certify irreducibility in two variables"))
+            out.append(item)
     return out
 
 
@@ -418,11 +409,10 @@ def _quadratic_discriminant(coeff, data, main):
     return a, b, disc
 
 
-def _sqrt_gf(F, u):
-    """The smaller square root of u in GF(p), as an integer in [0, p), or
-    None: the roots of x^2 - u off the engine's own factorization."""
-    _, pairs = factor_gf(F, (F.neg(u), 0, 1))
-    roots = [F.neg(f[0]) for f, _ in pairs if P.udeg(f) == 1]
+def _sqrt_scalar(F, u):
+    """The smaller square root of u in Q or GF(p) (an int in [0, p) there),
+    or None: the roots of x^2 - u off the engine's own factorization."""
+    roots = [F.neg(f[0]) for f, _ in factor_dense(F, (F.neg(u), 0, 1))[1] if P.udeg(f) == 1]
     return min(roots) if roots else None
 
 
@@ -434,26 +424,10 @@ def _sqrt_univariate(coeff, data):
     dense = P.p_to_dense(coeff, data)
     if P.udeg(dense) % 2:
         return None
-    if isinstance(coeff, Rationals):
-        import math
-
-        unit, pairs = factor_qq(dense)
-        if unit < 0:
-            return None
-        num_r, den_r = math.isqrt(unit.numerator), math.isqrt(unit.denominator)
-        if num_r * num_r != unit.numerator or den_r * den_r != unit.denominator:
-            return None
-        if any(m % 2 for _, m in pairs):
-            return None
-        root = (coeff.parse_coeff(num_r, den_r),)
-        for f, m in pairs:
-            for _ in range(m // 2):
-                root = P.umul(coeff, root, f)
-        return P.p_from_dense(coeff, root)
-    unit, pairs = factor_gf(coeff, dense)
+    unit, pairs = factor_dense(coeff, dense)
     if any(m % 2 for _, m in pairs):
         return None
-    u_root = _sqrt_gf(coeff, unit)
+    u_root = _sqrt_scalar(coeff, unit)
     if u_root is None:
         return None
     root = (u_root,)
@@ -486,52 +460,6 @@ def _split_coprime(a, b):
         if not placed:
             out.append(f)
     return out
-
-
-def _univariate_in(ring, elem):
-    """(one-variable subring, image, variable index) when elem involves only
-    one of the two variables."""
-    from .rings import RingDescriptor
-
-    for i in (0, 1):
-        j = 1 - i
-        if P.pdeg_in(elem.data, j) <= 0 and P.pdeg_in(elem.data, i) > 0:
-            sub = RingDescriptor(ring.coeff, (ring.varnames[i],))
-            data = tuple(((e[i],), c) for e, c in elem.data)
-            return sub, RingElement(sub, data), i
-    return None
-
-
-def _embed_exp(k, var_index):
-    e = [0, 0]
-    e[var_index] = k
-    return tuple(e)
-
-
-def _certify_irreducible_bivariate(piece):
-    """Primitive squarefree piece: linear in one variable is irreducible;
-    a quadratic in one variable is tested by whether its discriminant is a
-    square (characteristic not 2).  Everything else is declined."""
-    ring = piece.ring
-    coeff = ring.coeff
-    uni = _univariate_in(ring, piece)
-    if uni is not None:
-        _, sub, _ = uni
-        _, pairs = factor_univariate(sub)
-        return len(pairs) == 1 and pairs[0][1] == 1
-    for main in (1, 0):
-        dmain = P.pdeg_in(piece.data, main)
-        if dmain == 1:
-            rec = P.p_rec(piece.data, main)
-            a = rec.get(1, ())
-            b = rec.get(0, ())
-            gd = P.ugcd(coeff, P.p_to_dense(coeff, P.pnorm(coeff, a)),
-                        P.p_to_dense(coeff, P.pnorm(coeff, b)))
-            return P.udeg(gd) == 0
-        if dmain == 2 and coeff.characteristic != 2:
-            _, _, disc = _quadratic_discriminant(coeff, piece.data, main)
-            return _sqrt_univariate(coeff, disc) is None
-    return False
 
 
 # --- the discriminant with exact verification ----------------------------------------

@@ -115,6 +115,43 @@ def test_internal_invariants_are_not_invalid_input(corpdir, capsys):
     assert rc == 2 and not out and err == "error: expected integer exponent\n"
 
 
+def test_unreadable_input_exits_2_and_internal_errors_surface(corpdir, tmp_path, capsys,
+                                                               monkeypatch):
+    """A missing or non-UTF-8 file, a non-integer p= and an unknown variable
+    are bad input: exit 2 with one error line.  main catches only the
+    engine's own errors, so a ValueError from inside the engine is a crash
+    that surfaces, not a silent exit 2."""
+    missing = str(tmp_path / "missing.alg")
+    rc, out, err = run_cli(["validate", missing], capsys)
+    assert rc == 2 and not out
+    assert err == f"error: [Errno 2] No such file or directory: {missing!r}\n"
+    binary = tmp_path / "binary.alg"
+    binary.write_bytes(b"\xffalgebra x\n")
+    rc, out, err = run_cli(["validate", str(binary)], capsys)
+    assert rc == 2 and not out
+    assert err == ("error: 'utf-8' codec can't decode byte 0xff in position 0: "
+                   "invalid start byte\n")
+    alg = str(corpdir / "ZS3.alg")
+    rc, out, err = run_cli(["trivial", alg, "--prime", "p=abc"], capsys)
+    assert rc == 2 and not out
+    assert err == ("error: cannot parse prime 'p=abc' (use p=<int>, gen=[...], "
+                   "or generic)\n")
+    rc, out, err = run_cli(["trivial", str(corpdir / "B2_Z.alg"), "--prime", "gen=[z - 1]"],
+                           capsys)
+    assert rc == 2 and not out and err == "error: unknown variable 'z' in Z[d]\n"
+    # an integer past Python's str-to-int limit is bad input too
+    digits = "9" * 5000
+    for prime in (f"p={digits}", f"gen=[d - {digits}]"):
+        rc, out, err = run_cli(["trivial", str(corpdir / "B2_Z.alg"), "--prime", prime], capsys)
+        assert rc == 2 and not out and err.count("\n") == 1
+    binary.write_text(f"algebra x\nring GF({digits})\nbasis e\nunit 1\nmul 0 0 0 1\n")
+    rc, out, err = run_cli(["validate", str(binary)], capsys)
+    assert rc == 2 and not out and err.count("\n") == 1
+    monkeypatch.setattr("decompgen.cli.cmd_validate", lambda args: int("x"))
+    with pytest.raises(ValueError):
+        main(["validate", alg])
+
+
 @pytest.mark.parametrize("args", [["discriminant"], ["decmat", "--prime", "p=5"]])
 def test_not_split_is_a_negative_not_invalid_input(corpdir, capsys, args):
     """ZC3 is a valid algebra whose generic fiber does not split (x^2 + x + 1

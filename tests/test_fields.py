@@ -44,6 +44,29 @@ def test_division_is_exact_and_normalized():
         QQ.from_fraction(0.5)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 101])
+def test_gf_prime_scalars_stay_reduced(p):
+    # is_zero and inv compare with 0, so every scalar an operation hands back
+    # must be an int in [0, p)
+    F = GFPrime(p)
+    rng = random.Random(p)
+
+    def reduced(x):
+        return type(x) is int and 0 <= x < p
+
+    ints = [-3 * p - 1, -p, -1, p, p + 1, 5 * p + 2, 10**20 + 3]
+    assert all(reduced(F.from_int(n)) for n in ints)
+    for _ in range(200):
+        a, b = rng.randrange(p), rng.randrange(p)
+        assert all(reduced(x) for x in (F.add(a, b), F.sub(a, b), F.mul(a, b), F.neg(a)))
+        if b:
+            assert reduced(F.inv(b)) and reduced(F.div(a, b))
+        num, den = rng.randint(-10 * p, 10 * p), rng.randint(1, 10 * p)
+        if den % p:
+            assert reduced(F.from_fraction(Fraction(num, den)))
+            assert reduced(F.parse_coeff(num, den))
+
+
 @pytest.mark.parametrize("ring_text", ["Q[d]", "Z[d]"])
 def test_linear_prime_roots_are_exact(ring_text):
     R = parse_ring(ring_text)

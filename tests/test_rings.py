@@ -9,7 +9,13 @@ from fractions import Fraction
 import pytest
 
 from decompgen import polyops as P
-from decompgen.errors import FactorBudgetExceeded, NotPrime, UnsupportedResidueField
+from decompgen.errors import (
+    FactorBudgetExceeded,
+    NotPrime,
+    UnsupportedResidueField,
+    UnsupportedRestriction,
+    ValidationError,
+)
 from decompgen.factor import (
     factor_gf,
     factor_integer,
@@ -166,7 +172,7 @@ def test_parse_bounds_each_exponent():
     m = MAX_EXPONENT
     assert R.parse(f"x^{m}*y^{m} + 1").total_degree() == 2 * m
     for text in (f"x^{m + 1}", f"x^{m}*y*x", f"y^{10**12} - 1"):
-        with pytest.raises(ValueError, match=rf"^exponent \d+ of [xy] exceeds {m}$"):
+        with pytest.raises(ValidationError, match=rf"^exponent \d+ of [xy] exceeds {m}$"):
             R.parse(text)
 
 
@@ -486,6 +492,66 @@ def test_ring_quotients_and_gcd():
     Qxy = parse_ring("Q[x,y]")
     rq, imap = ring_quotient(Qxy, Qxy.parse("y - x^2"))
     assert imap(Qxy.parse("x*y")) == rq.parse("x^3")
+
+
+# (ring, generator, tag, residue field, variable images) or (ring, generator,
+# exception): every shape of a principal prime the engine checks
+PRIME_SHAPES = [
+    ("Z", "5", "MaximalPoint", "GF(5)", ()),
+    ("Z[d]", "3", "PrincipalIrreducible", "GF(3)(d)", ("d",)),
+    ("Z[d]", "d + 2", "PrincipalIrreducible", "Q", ("-2",)),
+    ("Z[d]", "2*d - 1", "PrincipalIrreducible", "Q", ("1/2",)),
+    ("Z[d]", "d^2 + 1", UnsupportedResidueField),
+    ("Z[d]", "2*d + 2", NotPrime),
+    ("Q[d]", "d - 1/2", "MaximalPoint", "Q", ("1/2",)),
+    ("Q[d]", "d^2 - 2", UnsupportedResidueField),
+    ("GF(3)[d]", "d + 1", "MaximalPoint", "GF(3)", ("2",)),
+    ("GF(3)[d]", "d^2 + 1", "MaximalPoint", "GF(3^2)", ("a",)),
+    ("GF(3)[d]", "d^2 - 1", NotPrime),
+    ("Q[x,y]", "x - 1", "PrincipalIrreducible", "Q(y)", ("1", "y")),
+    ("Q[x,y]", "x - y^2", "PrincipalIrreducible", "Q(y)", ("y^2", "y")),
+    ("Q[x,y]", "x*y - 1", "PrincipalIrreducible", "Q(y)", ("1/y", "y")),
+    ("Q[x,y]", "x^2 + 1", UnsupportedResidueField),
+    ("Q[x,y]", "x^2 + y^2 - 1", UnsupportedResidueField),
+    ("GF(3)[x,y]", "y^2 + 1", "PrincipalIrreducible", "GF(3^2)(x)", ("x", "a")),
+]
+
+
+@pytest.mark.parametrize("case", PRIME_SHAPES, ids=lambda c: f"{c[0]}/({c[1]})")
+def test_prime_spec_shapes(case):
+    ring = parse_ring(case[0])
+    g = ring.parse(case[1])
+    if len(case) == 3:
+        with pytest.raises(case[2]):
+            prime_spec(ring, [g])
+        return
+    spec = prime_spec(ring, [g])
+    F = spec.residue_field
+    assert (spec.tag, repr(F), tuple(F.to_str(v) for v in spec.var_images)) == case[2:]
+
+
+# (ring, generator, quotient ring, images of the variables) or (ring,
+# generator, exception)
+QUOTIENT_SHAPES = [
+    ("Z[d]", "3", "GF(3)[d]", ("d",)),
+    ("Z[d]", "d + 2", "Z", ("-2",)),
+    ("Z[d]", "2*d - 1", UnsupportedRestriction),
+    ("Q[d]", "d - 1/2", "Q", ("1/2",)),
+    ("Q[x,y]", "x - y^2", "Q[y]", ("y^2", "y")),
+    ("Q[x,y]", "x*y - 1", UnsupportedRestriction),
+]
+
+
+@pytest.mark.parametrize("case", QUOTIENT_SHAPES, ids=lambda c: f"{c[0]}/({c[1]})")
+def test_ring_quotient_shapes(case):
+    ring = parse_ring(case[0])
+    g = ring.parse(case[1])
+    if len(case) == 3:
+        with pytest.raises(case[2]):
+            ring_quotient(ring, g)
+        return
+    qring, qmap = ring_quotient(ring, g)
+    assert (repr(qring), tuple(str(qmap(ring.var(v))) for v in ring.varnames)) == case[2:]
 
 
 def test_poly_parse_format_roundtrip():

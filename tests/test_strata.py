@@ -1,18 +1,19 @@
 """Discriminants, Schur elements, stratification trees and coverage."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from decompgen.corpus import REGISTRY
 from decompgen.decomposition import dec_gen_membership
 from decompgen.errors import NotPrime, NotSemisimpleGeneric, NotSymmetric, UnsupportedError
-from decompgen.fields import GFPrime
+from decompgen.fields import GFPrime, Rationals
 from decompgen.primes import contains, prime_spec
 from decompgen.rings import parse_ring
 from decompgen.strata import (
     UnresolvedPrime,
-    _sqrt_gf,
+    _sqrt_scalar,
     candidate_discriminant,
     dec_ex,
     locate_stratum,
@@ -87,6 +88,42 @@ def test_minimal_primes_bivariate():
     assert [p.short_str() for p in out] == ["(x^2 + 715827882*y^2)?"]
     out = minimal_primes(Fxy.parse("y^2 - 4*x^2"))
     assert [p.short_str() for p in out] == ["(x + 1073741823*y)", "(x + 1073741824*y)"]
+
+
+@pytest.mark.parametrize("ring_text, g, primes", [
+    ("GF(2)[x,y]", "x^2", ["(x)"]),
+    ("GF(2)[x,y]", "x^3 - x", ["(x + 1)", "(x)"]),
+    ("GF(2)[x,y]", "y^2", ["(y)"]),
+    ("Q[x,y]", "x^3 - x", ["(x + 1)", "(x - 1)", "(x)"]),
+])
+def test_minimal_primes_factor_one_variable_parts(ring_text, g, primes):
+    # a generator in one variable is its own content in the other, and is
+    # factored like any content
+    R = parse_ring(ring_text)
+    assert [p.short_str() for p in minimal_primes(R.parse(g))] == primes
+
+
+def test_stratify_at_the_factors_of_a_one_variable_discriminant():
+    # Q[x,y][t]/((t - x)(t - x^3)): the discriminant (x^3 - x)^2 lies in x alone
+    from decompgen.algebra import load_algebra
+
+    A = load_algebra("""
+algebra CUBE
+ring Q[x,y]
+basis one t
+unit 1, 0
+mul 0 0 0 1
+mul 0 1 1 1
+mul 1 0 1 1
+mul 1 1 0 -x^4
+mul 1 1 1 x + x^3
+""")
+    dec = dec_ex(A)
+    assert [pt.short_str() for pt in dec.points] == [
+        "(x + 1) Excluded", "(x - 1) Excluded", "(x) Excluded"]
+    node = stratify(A)
+    assert [(child.kind, repr(child.ring)) for _, child in node.children] == [
+        ("node", "Q[y]")] * 3
 
 
 def test_dec_ex_statuses(corpus):
@@ -486,4 +523,11 @@ def test_sqrt_gf_is_the_smaller_root(p):
     from sympy.ntheory import sqrt_mod
 
     F = GFPrime(p)
-    assert [_sqrt_gf(F, u) for u in range(p)] == [sqrt_mod(u, p) for u in range(p)]
+    assert [_sqrt_scalar(F, u) for u in range(p)] == [sqrt_mod(u, p) for u in range(p)]
+
+
+def test_sqrt_scalar_over_q():
+    # the same rule over Q: the smaller root of x^2 - u, or None off the squares
+    Q = Rationals()
+    assert [_sqrt_scalar(Q, u) for u in (0, 4, Fraction(9, 4), 2, -1)] == [
+        0, -2, Fraction(-3, 2), None, None]
