@@ -14,13 +14,13 @@ cheap test; verification mode computes both and insists they agree.
 
 from dataclasses import dataclass
 
-from .errors import NoIntegerSolution, NotSplit, UnsupportedError
+from .errors import Inconsistent, NoIntegerSolution, NotSplit, UnsupportedError
 from .fields import Rationals
 from .fingerprints import fingerprint_of_simple, reduce_fingerprint
-from .linalg import gcd_free_basis, rref_rows
+from .linalg import Matrix, gcd_free_basis, solve
 from .algebra import restrict, specialize
 from .modules import is_split
-from .primes import contains, prime_spec, quotient_chain
+from .primes import contains, push_prime
 
 
 def split_data(A, seed=1):
@@ -93,45 +93,21 @@ def decomposition_matrix(A, p, seed=1):
     generic_fps = [fingerprint_of_simple(s) for s in wk.simples]
     fiber_fps = [fingerprint_of_simple(s) for s in wf.simples]
     reduced = [reduce_fingerprint(fp, p) for fp in generic_fps]
-    F = p.residue_field
-    n = A.dim
-    pool = []
-    for fp in fiber_fps:
-        pool.extend(fp.polys)
-    for fp in reduced:
-        pool.extend(fp.polys)
-    basis = gcd_free_basis(F, pool)
+    fps = fiber_fps + reduced
+    n = A.dim  # a fingerprint holds one polynomial per basis element
+    basis = gcd_free_basis(p.residue_field, [f for fp in fps for f in fp.polys])
+    # the multiplicity vector of a fingerprint: its polynomials' rows of
+    # basis multiplicities, concatenated
+    vecs = [sum(basis.mults[j * n:(j + 1) * n], ()) for j in range(len(fps))]
     ncols = len(fiber_fps)
-    # multiplicities are aligned with the pool order above
-    t = len(basis.basis)
-    fiber_mults = []
-    for j in range(ncols):
-        fiber_mults.append([basis.mults[j * n + k] for k in range(n)])
-    offset = ncols * n
-    reduced_mults = []
-    for i in range(len(reduced)):
-        reduced_mults.append([basis.mults[offset + i * n + k] for k in range(n)])
-
-    QQ = Rationals()
+    system = Matrix(Rationals(), list(zip(*vecs[:ncols])))
     entries = []
-    for i in range(len(reduced)):
-        mat_rows = []
-        rhs = []
-        for k in range(n):
-            for g in range(t):
-                mat_rows.append([fiber_mults[j][k][g] for j in range(ncols)])
-                rhs.append(reduced_mults[i][k][g])
-        aug = [row + [b] for row, b in zip(mat_rows, rhs)]
-        sol_rows, pivots = rref_rows(QQ, aug)
-        if ncols in pivots:
+    for i, rhs in enumerate(vecs[ncols:]):
+        try:
+            d = solve(system, rhs)
+        except Inconsistent as e:
             raise NoIntegerSolution(
-                f"fingerprint system for simple {i} of {A.name} at {p.short_str()} is inconsistent")
-        if len([pj for pj in pivots if pj < ncols]) != ncols:
-            raise NoIntegerSolution(
-                f"fingerprint system for simple {i} of {A.name} at {p.short_str()} is underdetermined")
-        d = [QQ.zero] * ncols
-        for r, pj in zip(sol_rows, pivots):
-            d[pj] = r[ncols]
+                f"fingerprint system for simple {i} of {A.name} at {p.short_str()}: {e}") from None
         if any(x.denominator != 1 or x < 0 for x in d):
             raise NoIntegerSolution(
                 f"multiplicities {d} are not nonnegative integers")
@@ -208,10 +184,7 @@ def composability_report(A, p, q, seed=1):
     try:
         D_p = decomposition_matrix(A, p, seed=seed)
         D_q = decomposition_matrix(A, q, seed=seed)
-        B = restrict(A, p)
-        _, push = quotient_chain(A.ring, p.generators)
-        qbar = prime_spec(B.ring, [push(g) for g in q.generators])
-        D_rest = decomposition_matrix(B, qbar, seed=seed)
+        D_rest = decomposition_matrix(restrict(A, p), push_prime(A.ring, p, q), seed=seed)
     except (UnsupportedError, NotSplit) as e:  # reported, not raised: unsupported legs happen
         return {"status": f"unsupported: {e}", "holds": None}
     # the restriction's generic fiber is the fiber at p with the same table,

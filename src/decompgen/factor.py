@@ -8,8 +8,13 @@ is Ben-Or's, which needs no splitting; over Q and over rational function
 fields Q(vars) the heavy lifting is delegated to sympy and the result is
 renormalized to monic canonical form.  sympy is imported inside those two
 routines, on the first factorization over Q or Q(vars), so a run that stays
-in finite fields never loads it.  `factor_dense` and `is_irreducible` are
-the one place that picks the routine by the coefficient field.
+in finite fields never loads it.
+
+This is the only module that picks a factorizer: `factor_dense` and
+`is_irreducible` pick it by the coefficient field, `factor_univariate`
+covers Z[x] as well as Q[x] and GF(p)[x] (over Z[x] the primes of the
+content, then the primitive factors by Gauss's lemma), and `factor_pieces`
+gives the chop its factors over every fiber field, k(vars) included.
 
 Dense polynomials here follow the polyops "u" conventions (ascending
 coefficient tuples); the RingElement-level entry points convert at the
@@ -17,12 +22,13 @@ boundary.
 """
 
 import random
-from math import lcm
 
 from . import polyops as P
 from .errors import EngineError, FactorBudgetExceeded, UnsupportedRing
-from .fields import GFPrime, Rationals
-from .rings import IntegerOps, RingElement, int_content, is_prime_int
+from .fields import FuncField, GFPrime, Rationals
+from .rings import RingElement, _rat_clear_denoms, is_prime_int
+
+QQ = Rationals()
 
 DEFAULT_TRIAL_LIMIT = 10**6
 
@@ -300,47 +306,53 @@ def is_irreducible(F, f):
     return is_irreducible_gf(F, f)
 
 
+def factor_pieces(F, chi, seed=1):
+    """Factors of a nonconstant dense chi over a fiber field to take kernels
+    of, each tagged with whether it is certified irreducible.
+
+    Over Q, GF(q) and Q(vars): the irreducible factors.  Over GF(p)(vars):
+    a chi with constant coefficients factors over the constant field;
+    otherwise the squarefree part is the one piece, uncertified unless
+    linear.
+    """
+    if not isinstance(F, FuncField):
+        return [(f, True) for f, _ in factor_dense(F, chi, seed)[1]]
+    base = F.base
+    if all(F.is_polynomial(c) and P.pis_const(F.numerator(c)) for c in chi):
+        consts = tuple(P.pconst_value(base, F.numerator(c)) for c in chi)
+        lift = lambda f: tuple(F.from_poly(P.pconst(base, F.nv, c)) for c in f)
+        return [(lift(f), True) for f, _ in factor_dense(base, consts, seed)[1]]
+    if F.characteristic == 0:
+        return [(f, True) for f, _ in factor_funcfield(F, chi)]
+    f = squarefree_part_safe(F, chi)
+    return [(f, P.udeg(f) == 1)]
+
+
 # --- RingElement-level entry points --------------------------------------------
 
 def factor_univariate(elem, seed=1):
-    """Factor a nonzero univariate polynomial over Q[x] or GF(p)[x].
+    """Factor a nonzero polynomial of Z[x], Q[x] or GF(p)[x].
 
-    Returns (unit, [(factor, multiplicity), ...]) with monic irreducible
-    pairwise-distinct factors; unit times the product reproduces the input
-    exactly.
+    Returns (unit, [(factor, multiplicity), ...]) with pairwise-distinct
+    factors, irreducible in the ring; unit times the product reproduces the
+    input exactly.  Over a field the factors are monic.  Over Z[x] they are
+    the primes of the content, then the factors over Q of the primitive
+    part scaled to primitive positive-leading polynomials, which are its
+    factors in Z[x] (Gauss's lemma); the unit is the sign.
     """
     ring = elem.ring
-    if ring.nv != 1 or not ring.coeff.is_field:
+    if ring.nv != 1:
         raise UnsupportedRing(f"no univariate factorization over {ring!r}")
     if elem.is_zero():
         raise EngineError("cannot factor zero")
     coeff = ring.coeff
-    unit, pairs = factor_dense(coeff, P.p_to_dense(coeff, elem.data), seed)
-    mk = lambda d: RingElement(ring, P.p_from_dense(coeff, d))
-    return ring.from_coeff(unit), [(mk(d), m) for d, m in pairs]
-
-
-def factor_zx_primitive(elem, seed=1):
-    """Factor over Z[x]: (unit, [(factor, mult)]) with integer primes and
-    primitive positive-leading irreducible integer polynomials as factors."""
-    ring = elem.ring
-    if not isinstance(ring.coeff, IntegerOps) or ring.nv != 1:
-        raise UnsupportedRing("expected Z[x]")
-    if elem.is_zero():
-        raise EngineError("cannot factor zero")
-    content, prim = int_content(elem)
-    unit = 1 if content > 0 else -1
-    out = []
-    for p, m in factor_integer(abs(content))[1]:
-        out.append((ring.from_int(p), m))
-    if prim.total_degree() >= 1:
-        dense = P.p_to_dense(Rationals(), prim.data)
-        _, pairs = factor_qq(dense)
-        for fac, m in pairs:
-            den = 1
-            for c in fac:
-                den = lcm(den, c.denominator)
-            zdata = P.p_from_dense(IntegerOps(), tuple(int(c * den) for c in fac))
-            _, zfac = int_content(RingElement(ring, zdata))
-            out.append((zfac, m))
+    if coeff.is_field:
+        unit, pairs = factor_dense(coeff, P.p_to_dense(coeff, elem.data), seed)
+        mk = lambda d: RingElement(ring, P.p_from_dense(coeff, d))
+        return ring.from_coeff(unit), [(mk(d), m) for d, m in pairs]
+    content, prim = _rat_clear_denoms(elem.data)
+    unit, pairs = factor_integer(content)
+    out = [(ring.from_int(p), m) for p, m in pairs]
+    for f, m in factor_qq(P.p_to_dense(QQ, prim))[1]:
+        out.append((ring.element(_rat_clear_denoms(P.p_from_dense(QQ, f))[1]), m))
     return ring.from_int(unit), out

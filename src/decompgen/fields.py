@@ -86,15 +86,10 @@ class IntegerOps:
     def euclid_size(self, a):
         return abs(a)
 
-    def sort_key(self, a):
-        return a
-
     def to_str(self, a):
         return str(a)
 
     def parse_coeff(self, num, den):
-        if not den:
-            raise ValidationError(f"{num}/{den} has a zero denominator")
         if num % den:
             raise ValidationError(f"{num}/{den} is not an integer coefficient")
         return num // den
@@ -172,8 +167,6 @@ class Rationals(_FieldEuclid):
         return str(a)
 
     def parse_coeff(self, num, den):
-        if not den:
-            raise ValidationError(f"{num}/{den} has a zero denominator")
         return self.div(num, den)
 
     def __repr__(self):
@@ -229,8 +222,6 @@ class GFPrime(_FieldEuclid):
         return str(a)
 
     def parse_coeff(self, num, den):
-        if not den:
-            raise ValidationError(f"{num}/{den} has a zero denominator")
         q = Fraction(num, den)
         if not q.denominator % self.p:
             raise ValidationError(f"{num}/{den} has no value in GF({self.p})")

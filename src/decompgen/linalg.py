@@ -1,5 +1,12 @@
 """Exact linear algebra over the engine's fields, plus lattice normal forms
-over Z and k[x] and gcd-free bases of univariate polynomial families.
+over Z and k[x] and coprime bases of polynomial families.
+
+`solve` returns the unique solution of a linear system and raises
+Inconsistent when there is none or more than one.  `coprime_base` is the
+one factor refinement (split two pieces by their gcd until all are
+coprime), run on the data of a kernel set: dense one-variable polynomials
+for `gcd_free_basis`, sparse two-variable ones for the squarefree split of
+the minimal primes.
 
 A `Matrix` keeps dense rows and, for matrix-vector products, a view of the
 nonzero entries of each column: action matrices of monomial tables are
@@ -14,8 +21,8 @@ are the right tool.
 from dataclasses import dataclass
 
 from . import polyops as P
-from .errors import DimensionMismatch, Inconsistent, NotSquare
-from .fields import FuncField
+from .errors import DimensionMismatch, EngineError, Inconsistent, NotSquare
+from .fields import DenseKernels, FuncField
 
 class Matrix:
     """A matrix over a field as a list of dense rows.  The rows must not be
@@ -235,20 +242,18 @@ def kernel_basis(mat):
 
 
 def solve(mat, rhs):
-    """One solution of mat x = rhs; raises Inconsistent when there is none."""
-    F = mat.field
+    """The unique solution of mat x = rhs, read off one reduced echelon form
+    of [mat | rhs]; raises Inconsistent when there is none or more than
+    one."""
     if len(rhs) != mat.nrows:
         raise DimensionMismatch("right-hand side length mismatch")
-    aug = [row + [b] for row, b in zip(mat.rows, rhs)]
-    rows, pivots = rref_rows(F, aug)
     n = mat.ncols
-    for r, pj in zip(rows, pivots):
-        if pj == n:
-            raise Inconsistent("linear system has no solution")
-    x = [F.zero] * n
-    for r, pj in zip(rows, pivots):
-        x[pj] = r[n]
-    return x
+    rows, pivots = rref_rows(mat.field, [row + [b] for row, b in zip(mat.rows, rhs)])
+    if n in pivots:
+        raise Inconsistent("linear system has no solution")
+    if len(pivots) < n:
+        raise Inconsistent("linear system has more than one solution")
+    return [r[n] for r in rows]
 
 
 def inverse(mat):
@@ -484,6 +489,34 @@ def _invert_unimodular(E, U):
 
 # --- gcd-free bases --------------------------------------------------------------
 
+def coprime_base(k, polys):
+    """Pairwise coprime nonconstant pieces such that every nonzero input is
+    a unit times a product of their powers: the factor refinement of Bach,
+    Driscoll and Shallit (J. Algorithms 15, 1993), which replaces two pieces
+    f, g with a nonconstant gcd d by d, g/d and f/d.
+
+    k is a kernel set over a field (fields.DenseKernels or SparseKernels)
+    and the polynomials are its data, refined in the order given."""
+    queue = [f for f in polys if not k.is_const(f)]
+    basis = []
+    guard = 0
+    while queue:
+        guard += 1
+        if guard > 10000:
+            raise EngineError("coprime refinement did not stabilize")
+        f = queue.pop(0)
+        for i, g in enumerate(basis):
+            d = k.gcd(f, g)
+            if not k.is_const(d):
+                del basis[i]
+                queue.extend(part for part in (d, k.exact_div(g, d), k.exact_div(f, d))
+                             if not k.is_const(part))
+                break
+        else:
+            basis.append(f)
+    return basis
+
+
 @dataclass
 class GcdFreeBasis:
     field: object
@@ -502,7 +535,9 @@ class GcdFreeBasis:
 
 def gcd_free_basis(field, polys):
     """Coarsest gcd-free refinement of a family of nonzero univariate
-    polynomials, with squarefree splitting where derivatives allow it."""
+    polynomials, with squarefree splitting where derivatives allow it: the
+    `coprime_base` of their monic forms and squarefree parts, in canonical
+    order, with the multiplicity vector of each input."""
     from .factor import squarefree_part_safe
 
     F = field
@@ -513,31 +548,8 @@ def gcd_free_basis(field, polys):
         s = squarefree_part_safe(F, m)
         if P.udeg(s) >= 1:
             work.add(s)
-    basis = []
-    queue = sorted(work, key=lambda p: P.ukey(F, p))
-    guard = 0
-    while queue:
-        guard += 1
-        if guard > 10000:
-            raise Inconsistent("gcd-free refinement failed to stabilize")
-        f = queue.pop(0)
-        if P.udeg(f) < 1:
-            continue
-        again = False
-        for i, g in enumerate(basis):
-            d = P.ugcd(F, f, g)
-            if P.udeg(d) < 1:
-                continue
-            # split g (and f) by d
-            del basis[i]
-            for part in (d, P.uexact_div(F, g, d), P.uexact_div(F, f, d)):
-                if P.udeg(part) >= 1:
-                    queue.append(part)
-            again = True
-            break
-        if not again:
-            basis.append(f)
-    basis = sorted(set(basis), key=lambda p: P.ukey(F, p))
+    key = lambda p: P.ukey(F, p)
+    basis = sorted(coprime_base(DenseKernels(F), sorted(work, key=key)), key=key)
     mults = []
     for m in monics:
         row = []

@@ -6,10 +6,11 @@ and certify simplicity either by the surjectivity-onto-End criterion (the
 image of the algebra spans the full matrix ring exactly for split simples,
 a pure rank computation that needs no factorization) or by Norton's
 two-sided kernel-spinning test with an irreducible factor of a
-characteristic polynomial.  Factors are certified irreducible over Q, GF(q)
-and Q(vars); over GF(p)(vars) only constant-coefficient polynomials factor,
-so there the rank certificate plus the budget is the engineering answer, and
-running out of budget is an error rather than a wrong answer.
+characteristic polynomial.  The chop asks `factor.factor_pieces` for those
+factors.  They are certified irreducible over Q, GF(q) and Q(vars); over
+GF(p)(vars) only constant-coefficient polynomials factor, so there the rank
+certificate plus the budget is the engineering answer, and running out of
+budget is an error rather than a wrong answer.
 
 Random elements are integer-coefficient combinations of the basis drawn
 from a growing window, so the same seed gives the same run over any field.
@@ -26,8 +27,7 @@ from functools import wraps
 
 from . import polyops as P
 from .errors import ChopBudgetExceeded, EngineError, Inconsistent, RadicalNotNilpotent
-from .factor import factor_dense, factor_funcfield, squarefree_part_safe
-from .fields import FuncField
+from .factor import factor_pieces
 from .linalg import (
     Matrix,
     char_poly,
@@ -205,42 +205,6 @@ def hom_dim(S, T):
     return len(kernel_basis(Matrix(F, rows)))
 
 
-def _charpoly_pieces(F, chi, seed):
-    """Factors of the characteristic polynomial to take kernels of, each
-    tagged with whether it is certified irreducible.
-
-    Over Q, GF(q) and Q(vars): the irreducible factors.  Over GF(p)(vars):
-    constant-coefficient polynomials factor over the constant field;
-    otherwise the squarefree part is the one piece, uncertified unless
-    linear.
-    """
-    if not isinstance(F, FuncField):
-        return [(f, True) for f, _ in factor_dense(F, chi, seed)[1]]
-    base = F.base
-    consts = _constant_projection(F, chi)
-    if consts is not None:
-        lift = lambda p: tuple(F.from_poly(P.pconst(base, F.nv, c)) for c in p)
-        return [(lift(f), True) for f, _ in factor_dense(base, consts, seed)[1]]
-    if F.characteristic == 0:
-        return [(f, True) for f, _ in factor_funcfield(F, chi)]
-    f = squarefree_part_safe(F, chi)
-    return [(f, P.udeg(f) == 1)]
-
-
-def _constant_projection(F, chi):
-    """Dense polynomial over the constant field when every coefficient of
-    chi is constant, else None."""
-    out = []
-    for s in chi:
-        if not F.is_polynomial(s):
-            return None
-        num = F.numerator(s)
-        if not P.pis_const(num):
-            return None
-        out.append(P.pconst_value(F.base, num))
-    return tuple(out)
-
-
 def _split_or_certify(module, rng, attempts):
     """Either ('split', echelon rows of a proper submodule) or ('simple',
     the image rank of the algebra in End(module)); raises
@@ -251,37 +215,35 @@ def _split_or_certify(module, rng, attempts):
         return ("simple", 1)
     n = module.fiber.dim
 
-    def try_vector(v):
-        w = spin(module, [v])
-        if 0 < len(w) < d:
-            return w
+    def split(side, vectors):
+        """Echelon rows of a proper submodule of module, from the first
+        vector whose spin on side (module or its transpose) is proper, or
+        None.  A proper submodule W of the transpose gives its annihilator,
+        a proper submodule of dimension d - dim W."""
+        for v in vectors:
+            w = spin(side, [v])
+            if 0 < len(w) < d:
+                return w if side is module else spin(module, kernel_basis(Matrix(F, w)))
         return None
 
     # standard basis vectors usually find obvious submodules
-    for j in range(d):
-        e = [F.zero] * d
-        e[j] = F.one
-        w = try_vector(e)
-        if w:
-            return ("split", w)
+    units = Matrix.identity(F, d).rows
+    w = split(module, units)
+    if w:
+        return ("split", w)
     rank = algebra_image_rank(module)
     if rank == d * d:
         return ("simple", rank)
     transpose = module.transpose_module()
-    for j in range(d):
-        e = [F.zero] * d
-        e[j] = F.one
-        wt = spin(transpose, [e])
-        if 0 < len(wt) < d:
-            comp = kernel_basis(Matrix(F, wt))
-            if 0 < len(comp) < d:
-                return ("split", spin(module, comp))
+    w = split(transpose, units)
+    if w:
+        return ("split", w)
     for attempt in range(attempts):
         window = 1 + attempt // 4
         coeffs = [F.from_int(rng.randint(-window, window)) for _ in range(n)]
         X = module.act_element(coeffs)
         chi = char_poly(X)
-        pieces = _charpoly_pieces(F, chi, seed=attempt + 1)
+        pieces = factor_pieces(F, chi, seed=attempt + 1)
         pieces.sort(key=lambda t: P.udeg(t[0]))
         for f, is_irred in pieces:
             if not is_irred and P.udeg(f) == P.udeg(chi):
@@ -291,16 +253,9 @@ def _split_or_certify(module, rng, attempts):
             if not ker:
                 continue
             if len(ker) < d:
-                for v in ker:
-                    w = try_vector(v)
-                    if w:
-                        return ("split", w)
-                kert = kernel_basis(N.transpose())
-                for v in kert:
-                    wt = spin(transpose, [v])
-                    if 0 < len(wt) < d:
-                        comp = kernel_basis(Matrix(F, wt))
-                        return ("split", spin(module, comp))
+                w = split(module, ker) or split(transpose, kernel_basis(N.transpose()))
+                if w:
+                    return ("split", w)
             if is_irred and len(ker) == P.udeg(f):
                 # kernel dimension equals deg f and every spin on both sides
                 # filled the module (here or in the opening sweeps): Norton's

@@ -214,6 +214,13 @@ def p_from_dense(dom, coeffs):
     return pnorm(dom, [((i,), c) for i, c in enumerate(coeffs)])
 
 
+def p_embed(p, i):
+    """The one-variable sparse p as a two-variable polynomial in the
+    variable of index i.  Its terms keep their order, which is degree order
+    in both forms."""
+    return tuple(((k, 0) if i == 0 else (0, k), c) for (k,), c in p)
+
+
 def p_rec(p, main):
     """Split a 2-variable polynomial by powers of variable `main`.
 
@@ -268,21 +275,10 @@ def _prem(dom, f, g, main):
 def _content_in(dom, p, main):
     """Content of a 2-variable p w.r.t. `main`: gcd of its coefficient
     polynomials in the other variable, returned as a 2-variable polynomial."""
-    other = 1 - main
-    cont1 = UZERO
+    cont = PZERO
     for part in p_rec(p, main).values():
-        cont1 = _ugcd_sparse1(dom, cont1, part)
-    items = []
-    for e1, c in cont1:
-        e = [0, 0]
-        e[other] = e1[0]
-        items.append((tuple(e), c))
-    return pnorm(dom, items)
-
-
-def _ugcd_sparse1(dom, a, b):
-    da, db = p_to_dense(dom, a), p_to_dense(dom, b)
-    return p_from_dense(dom, ugcd(dom, da, db))
+        cont = pgcd_field(dom, 1, cont, part)
+    return p_embed(cont, 1 - main)
 
 
 def pgcd_field(dom, nv, a, b):

@@ -253,9 +253,9 @@ def ring_quotient(ring, g):
         S = RingScalars(newring)
         return newring, lambda e: P.peval(coeff, e.data, S, newring.from_coeff, images)
     if integral and g.total_degree() == 1:
-        raise UnsupportedRestriction(f"Z[x]/({g}) is not a polynomial ring")
+        raise UnsupportedRestriction(f"{ring!r}/({g}) is not a polynomial ring")
     if integral:
-        raise UnsupportedRestriction(f"Z[x]/({g}) is an order in a number field")
+        raise UnsupportedRestriction(f"{ring!r}/({g}) is an order in a number field")
     if ring.nv == 1:
         raise UnsupportedRestriction(f"{ring!r}/({g}) is a field extension, not a supported ring")
     raise UnsupportedRestriction(f"{ring!r}/({g}) is not a supported ring")
@@ -279,6 +279,12 @@ def quotient_chain(ring, generators):
         ring, m = ring_quotient(ring, g)
         maps.append(m)
     return ring, push
+
+
+def push_prime(ring, xi, p):
+    """The prime p/xi of R/xi, for primes xi and p of R with xi inside p."""
+    qring, push = quotient_chain(ring, xi.generators)
+    return prime_spec(qring, [push(g) for g in p.generators])
 
 
 # --- fraction-field membership ---------------------------------------------------

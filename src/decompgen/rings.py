@@ -13,7 +13,7 @@ objects and hashing/golden serialization are reliable.
 
 import re
 from dataclasses import dataclass
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm
 
 from . import polyops as P
 from .errors import EngineError, UnsupportedRing, ValidationError
@@ -44,10 +44,6 @@ class RingDescriptor:
         return len(self.varnames)
 
     @property
-    def kind(self):
-        return "Integers" if isinstance(self.coeff, IntegerOps) and self.nv == 0 else "PolynomialRing"
-
-    @property
     def is_field_ring(self):
         return self.nv == 0 and not isinstance(self.coeff, IntegerOps)
 
@@ -58,10 +54,6 @@ class RingDescriptor:
         if self.nv == 0:
             return True
         return self.nv == 1 and not isinstance(self.coeff, IntegerOps)
-
-    @property
-    def characteristic(self):
-        return self.coeff.characteristic
 
     def __repr__(self):
         c = {True: "Z"}.get(isinstance(self.coeff, IntegerOps)) or repr(self.coeff)
@@ -189,9 +181,6 @@ class RingElement:
             return o
         return RingElement(self.ring, P.psub(self.ring.coeff, self.data, o.data))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
@@ -222,12 +211,6 @@ class RingElement:
 
     def total_degree(self):
         return P.pdeg(self.data)
-
-    def degree_in(self, name):
-        return P.pdeg_in(self.data, self.ring.varnames.index(name))
-
-    def sort_key(self):
-        return P.pkey(self.ring.coeff.sort_key, self.data)
 
     def __str__(self):
         return P.pformat(self.data, self.ring.varnames, self.ring.coeff.to_str)
@@ -262,24 +245,17 @@ def ring_exact_div(a, b):
 
 
 def int_content(elem):
-    """Content and sign of a polynomial with integer coefficients: returns
-    (c, primitive) with c > 0 unless elem is 0, and primitive having positive
-    leading coefficient times sign absorbed into c."""
-    if elem.is_zero():
-        return 0, elem
-    c = 0
-    for _, v in elem.data:
-        c = int_gcd(c, v)
-    if elem.data[0][1] < 0:
-        c = -c
-    prim = tuple((e, v // c) for e, v in elem.data)
+    """(c, primitive) for a polynomial with integer coefficients: elem =
+    c * primitive with the primitive part's leading coefficient positive,
+    so c carries the sign; (0, zero) for zero."""
+    c, prim = _rat_clear_denoms(elem.data)
     return c, RingElement(elem.ring, prim)
 
 
 def _rat_clear_denoms(data):
-    """Rational-coefficient sparse terms to (fraction, primitive integer-coeff data)."""
-    from math import lcm
-
+    """Rational-coefficient sparse terms to (c, primitive integer-coeff
+    data) with data = c * primitive and the primitive leading coefficient
+    positive; (0, zero) for zero."""
     den = 1
     for _, c in data:
         den = lcm(den, c.denominator)
@@ -324,10 +300,7 @@ def normalize_generator(elem):
         if elem.data[0][1] < 0:
             return -elem
         return elem
-    lc = elem.data[0][1]
-    if ring.coeff.is_zero(ring.coeff.sub(lc, ring.coeff.one)):
-        return elem
-    return ring.element(P.pscale(ring.coeff, elem.data, ring.coeff.inv(lc)))
+    return ring.element(P.pmonic_deglex(ring.coeff, elem.data))
 
 
 def is_unit(elem):
@@ -401,6 +374,8 @@ def _parse_poly(text, ring):
                 if not d.isdigit():
                     raise ValidationError("expected integer denominator")
                 den = _integer(d)
+                if not den:
+                    raise ValidationError(f"{num}/{den} has a zero denominator")
             return ("coeff", coeff.parse_coeff(num, den))
         if _NAME_RE.fullmatch(t):
             if t not in ring.varnames:

@@ -29,17 +29,11 @@ from .errors import (
 )
 from .algebra import FiniteFreeAlgebra, restrict, span_subspace, table_on_basis
 from .decomposition import dec_gen_membership, split_data
-from .factor import factor_dense, factor_integer, factor_univariate, factor_zx_primitive
-from .fields import IntegerOps
-from .linalg import Matrix, det, inverse, saturate_rows
+from .factor import factor_dense, factor_integer, factor_univariate
+from .fields import IntegerOps, SparseKernels
+from .linalg import Matrix, coprime_base, det, inverse, saturate_rows
 from .modules import is_split, radical
-from .primes import (
-    contains,
-    numerator_denominator_in_ring,
-    prime_spec,
-    quotient_chain,
-    reduce_elem,
-)
+from .primes import contains, numerator_denominator_in_ring, prime_spec, push_prime
 from .rings import RingElement, is_unit, normalize_generator, ring_exact_div, ring_gcd
 
 
@@ -274,10 +268,6 @@ def minimal_primes(g, seed=1):
     if isinstance(coeff, IntegerOps) and ring.nv == 0:
         for prime, _ in factor_integer(abs(g.const_value()))[1]:
             out.append(_prime_or_unresolved(ring, ring.from_int(prime)))
-    elif isinstance(coeff, IntegerOps):
-        _, pairs = factor_zx_primitive(g, seed)
-        for f, _ in pairs:
-            out.append(_prime_or_unresolved(ring, f))
     elif ring.nv == 1:
         _, pairs = factor_univariate(g, seed)
         for f, _ in pairs:
@@ -317,33 +307,26 @@ def _minimal_primes_bivariate(g, seed):
     for main in (1, 0):
         cont = P._content_in(coeff, work, main)
         if P.pdeg(cont) > 0:
-            other = 1 - main
             _, pairs = factor_dense(coeff, P.p_to_dense(coeff, P.p_rec(cont, main)[0]), seed)
             for f, _ in pairs:
-                terms = [((k, 0) if other == 0 else (0, k), c) for k, c in enumerate(f)]
-                out.append(_prime_or_unresolved(ring, RingElement(ring, P.pnorm(coeff, terms))))
+                f = P.p_embed(P.p_from_dense(coeff, f), 1 - main)
+                out.append(_prime_or_unresolved(ring, RingElement(ring, f)))
             work = P.pexact_div(coeff, work, cont)
     if P.pdeg(work) == 0:
         return out
-    # squarefree split of the remaining primitive part
-    pieces = []
-    rest = RingElement(ring, work)
+    # squarefree split of the remaining primitive part, refined into
+    # coprime pieces
+    k = SparseKernels(coeff, 2)
+    pieces = [work]
     for i in (0, 1):
-        der = RingElement(ring, P.pderiv(coeff, rest.data, i))
-        if der.is_zero():
-            continue
-        sf = ring_gcd(rest, der)
-        if not is_unit(sf) and sf.total_degree() > 0:
-            q = ring_exact_div(rest, sf)
-            pieces.extend(_split_coprime(q, sf))
-            break
-    else:
-        pieces = [rest]
-    if not pieces:
-        pieces = [rest]
+        der = P.pderiv(coeff, work, i)
+        if der:
+            sf = k.gcd(work, der)
+            if not k.is_const(sf):
+                pieces = coprime_base(k, [k.exact_div(work, sf), sf])
+                break
     for piece in pieces:
-        if piece.total_degree() < 1:
-            continue
+        piece = RingElement(ring, piece)
         item = _prime_or_unresolved(ring, normalize_generator(piece))
         split = _split_quadratic_bivariate(piece) if isinstance(item, UnresolvedPrime) else None
         if split:
@@ -368,22 +351,13 @@ def _split_quadratic_bivariate(piece):
         if s is None:
             continue
         other = 1 - main
-        two_a = P.pscale(coeff, a, coeff.from_int(2))
+        lead = P.pmul(coeff, P.p_embed(P.pscale(coeff, a, coeff.from_int(2)), other),
+                      P.pvar(coeff, 2, main))
         factors = []
         for sign in (1, -1):
             shift = P.padd(coeff, b, P.pscale(coeff, s, coeff.from_int(sign)))
-            # (2a) * v_main + (b +/- s), embedded back into two variables
-            items = []
-            for e1, cv in two_a:
-                e = [0, 0]
-                e[other] = e1[0]
-                e[main] = 1
-                items.append((tuple(e), cv))
-            for e1, cv in shift:
-                e = [0, 0]
-                e[other] = e1[0]
-                items.append((tuple(e), cv))
-            f = RingElement(ring, P.pnorm(coeff, items))
+            # (2a) * v_main + (b +/- s)
+            f = RingElement(ring, P.padd(coeff, lead, P.p_embed(shift, other)))
             # strip the content in the main variable
             cont = P._content_in(coeff, f.data, main) if f.data else None
             if cont and P.pdeg(cont) > 0:
@@ -435,31 +409,6 @@ def _sqrt_univariate(coeff, data):
         for _ in range(m // 2):
             root = P.umul(coeff, root, f)
     return P.p_from_dense(coeff, root)
-
-
-def _split_coprime(a, b):
-    """Refine {a, b} into pairwise coprime factors by repeated gcds."""
-    work = [a, b]
-    out = []
-    guard = 0
-    while work:
-        guard += 1
-        if guard > 500:
-            raise EngineError("coprime refinement did not stabilize")
-        f = work.pop()
-        if f.total_degree() < 1:
-            continue
-        placed = False
-        for i, g in enumerate(out):
-            d = ring_gcd(f, g)
-            if not is_unit(d) and d.total_degree() > 0:
-                del out[i]
-                work.extend([d, ring_exact_div(g, d), ring_exact_div(f, d)])
-                placed = True
-                break
-        if not placed:
-            out.append(f)
-    return out
 
 
 # --- the discriminant with exact verification ----------------------------------------
@@ -589,7 +538,7 @@ class StratumNode:
     ring: object
     kind: str                  # node | point-leaf | unresolved-leaf
     discriminant: object = None
-    children: list = field(default_factory=list)   # (DiscriminantPoint, StratumNode|None)
+    children: list = field(default_factory=list)   # (DiscriminantPoint, StratumNode)
     reason: str = ""
 
     def stratum_description(self):
@@ -597,8 +546,6 @@ class StratumNode:
             return "the single point"
         if self.kind == "unresolved-leaf":
             return f"unresolved: {self.reason}"
-        if self.discriminant is None or self.discriminant.candidate.is_zero():
-            return "unresolved: degenerate certificate"
         excl = [pt.prime.short_str() for pt, _ in self.children]
         if not excl:
             return "all of Spec(R)"
@@ -655,29 +602,13 @@ def locate_stratum(node, A, p, path=()):
         return path + ((node.kind, node.algebra_name),)
     for pt, child in node.children:
         spec = pt.prime
-        if isinstance(spec, UnresolvedPrime):
-            member = contains_gen(p, spec.generator)
-        else:
-            member = all(contains(p, g) for g in spec.generators)
-        if member:
-            if child is None or child.kind != "node":
-                return path + ((child.kind if child else "leaf", node.algebra_name,
-                                spec.short_str()),)
-            B = restrict(A, spec)
-            pushed = _push_prime(A, spec, p)
-            return locate_stratum(child, B, pushed,
+        gens = (spec.generator,) if isinstance(spec, UnresolvedPrime) else spec.generators
+        if all(contains(p, g) for g in gens):
+            if child.kind != "node":
+                return path + ((child.kind, node.algebra_name, spec.short_str()),)
+            return locate_stratum(child, restrict(A, spec), push_prime(A.ring, spec, p),
                                   path + (("descend", spec.short_str()),))
     return path + (("node", node.algebra_name),)
-
-
-def contains_gen(p, gen):
-    return p.residue_field.is_zero(reduce_elem(gen, p))
-
-
-def _push_prime(A, xi, p):
-    """The prime p/xi of the restricted ring, for xi contained in p."""
-    ring, push = quotient_chain(A.ring, xi.generators)
-    return prime_spec(ring, [push(g) for g in p.generators])
 
 
 def tree_lines(node, indent=0):

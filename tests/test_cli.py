@@ -90,7 +90,7 @@ def test_internal_invariants_are_not_invalid_input(corpdir, capsys):
     from decompgen.errors import (
         DimensionMismatch, EngineError, NotSquare, UnsupportedError, ValidationError)
     from decompgen.factor import (
-        factor_gf, factor_integer, factor_qq, factor_univariate, factor_zx_primitive)
+        factor_gf, factor_integer, factor_qq, factor_univariate)
     from decompgen.fields import GFPrime, Rationals
     from decompgen.linalg import Matrix, det, solve
     from decompgen.rings import parse_ring
@@ -99,7 +99,7 @@ def test_internal_invariants_are_not_invalid_input(corpdir, capsys):
     Zd, Qd = parse_ring("Z[d]"), parse_ring("Q[d]")
     for call in (lambda: factor_integer(0), lambda: factor_gf(GFPrime(5), ()),
                  lambda: factor_qq(()), lambda: factor_univariate(Qd.zero()),
-                 lambda: factor_zx_primitive(Zd.zero()), lambda: minimal_primes(Zd.zero())):
+                 lambda: factor_univariate(Zd.zero()), lambda: minimal_primes(Zd.zero())):
         with pytest.raises(EngineError) as exc:
             call()
         assert type(exc.value) is EngineError and exc.value.exit_code == 1

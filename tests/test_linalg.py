@@ -8,12 +8,13 @@ import pytest
 
 from decompgen import polyops as P
 from decompgen.errors import Inconsistent, NotSquare
-from decompgen.fields import FuncField, GFExt, GFPrime, Rationals
+from decompgen.fields import DenseKernels, FuncField, GFExt, GFPrime, Rationals, SparseKernels
 from decompgen.linalg import (
     Matrix,
     char_poly,
     det,
     eval_poly_at_matrix,
+    coprime_base,
     gcd_free_basis,
     hermite_normal_form,
     inverse,
@@ -64,6 +65,8 @@ def test_kernel_and_solve_examples():
     assert solve(Matrix(F3, [[2]]), [1]) == [2]
     with pytest.raises(Inconsistent):
         solve(Matrix(QQ, [[Fraction(1)], [Fraction(1)]]), [Fraction(1), Fraction(2)])
+    with pytest.raises(Inconsistent):  # x + y = 1 has a line of solutions
+        solve(Matrix(QQ, [[1, 1]]), [1])
     with pytest.raises(NotSquare):
         det(Matrix(QQ, [[Fraction(1), Fraction(2)]]))
 
@@ -280,6 +283,60 @@ def test_gcd_free_reconstruction_randomized(F):
         for i, a in enumerate(gb.basis):
             for b in gb.basis[i + 1:]:
                 assert P.udeg(P.ugcd(F, a, b)) == 0
+
+
+def _quotient(k, a, b):
+    """a/b when b divides a, else None."""
+    if isinstance(k, DenseKernels):
+        q, r = P.udivmod(k.base, a, b)
+        return None if r else q
+    return k.exact_div(a, b)
+
+
+def _random_atom(k, rng):
+    """A nonconstant polynomial of degree at most 2 in k's data."""
+    B = k.base
+    while True:
+        if isinstance(k, DenseKernels):
+            f = P.utrim(B, [B.from_int(rng.randint(-3, 3)) for _ in range(rng.randint(2, 3))])
+        else:
+            f = P.pnorm(B, [((rng.randint(0, 1), rng.randint(0, 1)), B.from_int(rng.randint(-3, 3)))
+                            for _ in range(3)])
+        if not k.is_const(f):
+            return f
+
+
+@pytest.mark.parametrize("k", [DenseKernels(QQ), DenseKernels(F3), SparseKernels(GFPrime(5), 2)],
+                         ids=["Q[x]", "GF(3)[x]", "GF(5)[x,y]"])
+def test_coprime_base_refines_products(k):
+    """The pieces are nonconstant and pairwise coprime, and each input is a
+    unit times a product of their powers; for squarefree inputs in one
+    variable they are the pieces of gcd_free_basis, whatever the input
+    order."""
+    rng = random.Random(43)
+    for _ in range(40):
+        atoms = [_random_atom(k, rng) for _ in range(4)]
+        squarefree = rng.random() < 0.5
+        polys = []
+        for _ in range(rng.randint(1, 4)):
+            f = k.one
+            for a in rng.sample(atoms, rng.randint(1, 3)):
+                f = k.mul(f, a if squarefree else k.mul(a, a) if rng.random() < 0.3 else a)
+            polys.append(f)
+        pieces = coprime_base(k, polys)
+        assert all(not k.is_const(f) for f in pieces)
+        for i, f in enumerate(pieces):
+            for g in pieces[i + 1:]:
+                assert k.is_const(k.gcd(f, g))
+        for f in polys:
+            for g in pieces:
+                while (q := _quotient(k, f, g)) is not None:
+                    f = q
+            assert k.is_const(f) and not k.is_zero(f)
+        if isinstance(k, DenseKernels) and all(
+                P.udeg(P.ugcd(k.base, f, P.uderiv(k.base, f))) == 0 for f in polys):
+            monics = [P.umonic(k.base, f) for f in polys]
+            assert set(coprime_base(k, monics)) == set(gcd_free_basis(k.base, polys).basis)
 
 
 # --- the nonzero-column view of Matrix.apply ---------------------------------

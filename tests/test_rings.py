@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import signal
 import time
 from fractions import Fraction
@@ -21,7 +22,6 @@ from decompgen.factor import (
     factor_integer,
     factor_univariate,
     factor_funcfield,
-    factor_zx_primitive,
     is_irreducible_gf,
     squarefree_decomposition,
 )
@@ -334,10 +334,15 @@ def test_factor_reconstructs_input(ring_str, seed):
 
 
 def test_factor_zx():
+    # the primes of the content, then the primitive factors (Gauss's lemma)
     Zx = parse_ring("Z[x]")
-    unit, pairs = factor_zx_primitive(Zx.parse("2*x^2 - 2"))
-    labels = sorted((str(f), m) for f, m in pairs)
-    assert labels == [("2", 1), ("x + 1", 1), ("x - 1", 1)]
+    for text, unit, labels in [
+        ("2*x^2 - 2", "1", [("2", 1), ("x - 1", 1), ("x + 1", 1)]),
+        ("-6*x^3 + 6*x", "-1", [("2", 1), ("3", 1), ("x - 1", 1), ("x", 1), ("x + 1", 1)]),
+        ("4*x^2 + 4*x + 1", "1", [("2*x + 1", 2)]),
+    ]:
+        u, pairs = factor_univariate(Zx.parse(text))
+        assert (str(u), [(str(f), m) for f, m in pairs]) == (unit, labels)
 
 
 def test_factor_gfq():
@@ -531,14 +536,15 @@ def test_prime_spec_shapes(case):
 
 
 # (ring, generator, quotient ring, images of the variables) or (ring,
-# generator, exception)
+# generator, exception, message)
 QUOTIENT_SHAPES = [
     ("Z[d]", "3", "GF(3)[d]", ("d",)),
     ("Z[d]", "d + 2", "Z", ("-2",)),
-    ("Z[d]", "2*d - 1", UnsupportedRestriction),
+    ("Z[d]", "2*d - 1", UnsupportedRestriction, "Z[d]/(2*d - 1) is not a polynomial ring"),
+    ("Z[d]", "d^2 + 1", UnsupportedRestriction, "Z[d]/(d^2 + 1) is an order in a number field"),
     ("Q[d]", "d - 1/2", "Q", ("1/2",)),
     ("Q[x,y]", "x - y^2", "Q[y]", ("y^2", "y")),
-    ("Q[x,y]", "x*y - 1", UnsupportedRestriction),
+    ("Q[x,y]", "x*y - 1", UnsupportedRestriction, "Q[x,y]/(x*y - 1) is not a supported ring"),
 ]
 
 
@@ -546,8 +552,8 @@ QUOTIENT_SHAPES = [
 def test_ring_quotient_shapes(case):
     ring = parse_ring(case[0])
     g = ring.parse(case[1])
-    if len(case) == 3:
-        with pytest.raises(case[2]):
+    if isinstance(case[2], type):
+        with pytest.raises(case[2], match=re.escape(case[3])):
             ring_quotient(ring, g)
         return
     qring, qmap = ring_quotient(ring, g)

@@ -103,6 +103,34 @@ def test_minimal_primes_factor_one_variable_parts(ring_text, g, primes):
     assert [p.short_str() for p in minimal_primes(R.parse(g))] == primes
 
 
+def _product(ring_text, *factors):
+    # the parser takes no parentheses, so products are built by ring arithmetic
+    R = parse_ring(ring_text)
+    g = R.one()
+    for text, m in factors:
+        g = g * R.parse(text) ** m
+    return g
+
+
+@pytest.mark.parametrize("g, primes", [
+    (_product("Q[x,y]", ("x^2 - y", 2), ("x - y", 1)), ["(x - y)", "(x^2 - y)"]),
+    (_product("Q[x,y]", ("x^2 - y^2", 2), ("x*y - 1", 1)), ["(x + y)", "(x - y)", "(x*y - 1)"]),
+    (_product("Q[x,y]", ("x^2 - y^3", 1), ("x^2 - y^3 + 1", 2)),
+     ["(y^3 - x^2)?", "(y^3 - x^2 - 1)?"]),
+    (_product("GF(5)[x,y]", ("x^2 - y", 3), ("x^2 + y^2", 1)),
+     ["(x + 2*y)", "(x + 3*y)", "(x^2 + 4*y)"]),
+    (_product("GF(7)[x,y]", ("x^3 - y^2", 2), ("x^2 - 4*y^2", 1)),
+     ["(x + 2*y)", "(x + 5*y)", "(x^3 + 6*y^2)?"]),
+    # a square in characteristic 2 stays whole: no p-th root is taken
+    (_product("GF(2)[x,y]", ("x^2 + x*y + y^3", 2), ("x + y^2", 1)),
+     ["(y^2 + x)", "(y^6 + x^4 + x^2*y^2)?"]),
+], ids=["Q-square", "Q-two-lines", "Q-unresolved", "GF5-cube", "GF7-square", "GF2-square"])
+def test_minimal_primes_refine_the_squarefree_split(g, primes):
+    # the squarefree split of a two-variable primitive part leaves a
+    # squarefree piece and its cofactor, refined into coprime pieces
+    assert [p.short_str() for p in minimal_primes(g)] == primes
+
+
 def test_stratify_at_the_factors_of_a_one_variable_discriminant():
     # Q[x,y][t]/((t - x)(t - x^3)): the discriminant (x^3 - x)^2 lies in x alone
     from decompgen.algebra import load_algebra
@@ -124,6 +152,25 @@ mul 1 1 1 x + x^3
     node = stratify(A)
     assert [(child.kind, repr(child.ring)) for _, child in node.children] == [
         ("node", "Q[y]")] * 3
+
+
+def test_unresolved_restriction_names_its_ring():
+    # Z[d][t]/(t^2 - (2d - 1)t): Z[d]/(2d - 1) is no polynomial ring
+    from decompgen.algebra import load_algebra
+
+    A = load_algebra("""
+algebra LIN
+ring Z[d]
+basis one t
+unit 1, 0
+mul 0 0 0 1
+mul 0 1 1 1
+mul 1 0 1 1
+mul 1 1 1 2*d - 1
+""")
+    assert tree_lines(stratify(A))[1:] == [
+        "  at (2*d - 1) [Excluded]:",
+        "    unresolved LIN: Z[d]/(2*d - 1) is not a polynomial ring"]
 
 
 def test_dec_ex_statuses(corpus):
