@@ -278,20 +278,34 @@ def _combine(D, scaled):
 def _map_table(A, f, name, base, prime=None, validate=False):
     """A's table with every coefficient (structure constants, unit, trace
     vector) sent through f, as a table over base.  f is a ring homomorphism,
-    so the zero constants all map to f(0), taken once, and only the nonzero
-    constants of A.terms go through f."""
+    so the zero constants all map to f(0); f runs once per distinct
+    coefficient, and the image's terms are A.terms less the constants f
+    sends to zero, so no entry of the image table is scanned."""
+    image = {}
+
+    def g(c):
+        e = image.get(c)
+        if e is None:
+            e = image[c] = f(c)
+        return e
+
     n = A.dim
-    zero = f(A.domain.zero)
+    zero = g(A.domain.zero)
     sc = [[[zero] * n for _ in range(n)] for _ in range(n)]
     for plane, ts_plane in zip(sc, A.terms):
         for row, ts in zip(plane, ts_plane):
             for k, c in ts:
-                row[k] = f(c)
+                row[k] = g(c)
     sc = tuple(tuple(tuple(row) for row in plane) for plane in sc)
-    unit = tuple(f(u) for u in A.unit)
-    tv = tuple(f(t) for t in A.trace_vector) if A.trace_vector is not None else None
-    B = FiniteFreeAlgebra(name, base, A.basis_names, sc, unit, tv, validate=validate,
-                          prime=prime)
+    unit = tuple(g(u) for u in A.unit)
+    tv = tuple(g(t) for t in A.trace_vector) if A.trace_vector is not None else None
+    B = FiniteFreeAlgebra(name, base, A.basis_names, sc, unit, tv, validate=False, prime=prime)
+    is_zero = B.domain.is_zero
+    B.terms = tuple(tuple(tuple((k, row[k]) for k, _ in ts if not is_zero(row[k]))
+                          for row, ts in zip(plane, ts_plane))
+                    for plane, ts_plane in zip(sc, A.terms))
+    if validate:
+        B._validate()
     B.analyses = A.analyses
     return B
 

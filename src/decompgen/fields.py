@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import polyops as P
-from .errors import ValidationError
+from .errors import EngineError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -357,7 +357,10 @@ class SparseKernels:
         return P.pgcd_field(self.base, self.nv, a, b)
 
     def exact_div(self, a, b):
-        return P.pexact_div(self.base, a, b)
+        q = P.pexact_div(self.base, a, b)
+        if q is None:
+            raise EngineError("division not exact")
+        return q
 
     def at(self, a, point):
         return P.peval(self.base, a, self.base, lambda c: c, point)

@@ -290,13 +290,16 @@ def det(mat):
         if sel != j:
             rows[j], rows[sel] = rows[sel], rows[j]
             sign = not sign
-        piv = rows[j][j]
-        d = F.mul(d, piv)
-        inv = F.inv(piv)
-        for i in range(j + 1, n):
-            if not F.is_zero(rows[i][j]):
-                f = F.mul(rows[i][j], inv)
-                rows[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(rows[i], rows[j])]
+        prow = rows[j]
+        d = F.mul(d, prow[j])
+        inv = F.inv(prow[j])
+        # columns up to j are never read again: update right of the pivot only
+        support = [k for k in range(j + 1, n) if not F.is_zero(prow[k])]
+        for row in rows[j + 1:]:
+            if not F.is_zero(row[j]):
+                f = F.mul(row[j], inv)
+                for k in support:
+                    row[k] = F.sub(row[k], F.mul(f, prow[k]))
     return F.neg(d) if sign else d
 
 

@@ -2,6 +2,7 @@
 
 The chop follows the classical randomized recipe: spin up kernel vectors of
 polynomial evaluations of random algebra elements to find proper submodules,
+where the spin of v is the span of v and the b_i·v (A·v is already closed),
 and certify simplicity either by the surjectivity-onto-End criterion (the
 image of the algebra spans the full matrix ring exactly for split simples,
 a pure rank computation that needs no factorization) or by Norton's
@@ -24,6 +25,7 @@ test needs anyway.
 import random
 from dataclasses import dataclass
 from functools import wraps
+from itertools import chain
 
 from . import polyops as P
 from .errors import ChopBudgetExceeded, EngineError, Inconsistent, RadicalNotNilpotent
@@ -96,26 +98,26 @@ def regular_module(fiber):
 # --- spinning ----------------------------------------------------------------------
 
 def spin(module, vectors):
-    """Canonical echelon basis of the submodule generated by the vectors."""
+    """Canonical echelon basis of the submodule generated by the vectors:
+    the span of each v and the b_i·v.  The action matrices are those of a
+    basis of A and 1 lies in A, so that span is A·v, already closed (on a
+    transpose module the ρ(b_i)ᵀ span ρ(A)ᵀ, closed under products too) and
+    no image of an image is taken.  A full span is the identity rows."""
     F = module.fiber.field
     rows = []
     pivots = []
-    queue = [list(v) for v in vectors]
-    while queue:
-        v = echelon_reduce(F, rows, pivots, queue.pop())
-        pj = next((k for k, c in enumerate(v) if not F.is_zero(c)), None)
-        if pj is None:
-            continue
-        inv = F.inv(v[pj])
-        v = [F.mul(inv, c) for c in v]
-        rows.append(v)
-        pivots.append(pj)
-        if len(rows) == module.dim:
-            break
-        for m in module.action:
-            queue.append(m.apply(v))
-    canon, _ = rref_rows(F, rows) if rows else ([], [])
-    return canon
+    for v in vectors:
+        for w in chain([v], (m.apply(v) for m in module.action)):
+            w = echelon_reduce(F, rows, pivots, w)
+            pj = next((k for k, c in enumerate(w) if not F.is_zero(c)), None)
+            if pj is None:
+                continue
+            inv = F.inv(w[pj])
+            rows.append([F.mul(inv, c) for c in w])
+            pivots.append(pj)
+            if len(rows) == module.dim:
+                return Matrix.identity(F, module.dim).rows
+    return rref_rows(F, rows)[0] if rows else []
 
 
 def submodule(module, rows):

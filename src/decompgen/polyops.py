@@ -27,6 +27,8 @@ term lists in one pass instead of re-sorting through `pnorm`.  Build a
 polynomial from arbitrary terms with `pnorm`.
 """
 
+from .errors import EngineError
+
 
 def term_key(exps):
     return (sum(exps), exps)
@@ -474,7 +476,8 @@ def upow_mod(dom, a, n, m):
 
 
 def uexact_div(dom, a, b):
+    """Quotient a/b; a remainder is a failed internal check (EngineError)."""
     q, r = udivmod(dom, a, b)
     if r:
-        raise ArithmeticError("division not exact")
+        raise EngineError("division not exact")
     return q

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from decompgen import polyops as P
-from decompgen.errors import Inconsistent, NotSquare
+from decompgen.errors import EngineError, Inconsistent, NotSquare
 from decompgen.fields import DenseKernels, FuncField, GFExt, GFPrime, Rationals, SparseKernels
 from decompgen.linalg import (
     Matrix,
@@ -287,10 +287,23 @@ def test_gcd_free_reconstruction_randomized(F):
 
 def _quotient(k, a, b):
     """a/b when b divides a, else None."""
-    if isinstance(k, DenseKernels):
-        q, r = P.udivmod(k.base, a, b)
-        return None if r else q
-    return k.exact_div(a, b)
+    try:
+        return k.exact_div(a, b)
+    except EngineError:
+        return None
+
+
+@pytest.mark.parametrize("k, x", [(DenseKernels(QQ), (0, 1)), (DenseKernels(F3), (0, 1)),
+                                  (SparseKernels(GFPrime(5), 2), (((1, 0), 1),))],
+                         ids=["Q[x]", "GF(3)[x]", "GF(5)[x,y]"])
+def test_exact_div_raises_when_not_exact(k, x):
+    """Both kernel sets divide exactly and raise EngineError on a remainder:
+    x^2 - 1 = (x + 1)(x - 1), while x + 1 does not divide x^2 + 1."""
+    one = k.one
+    x1 = k.add(x, one)
+    assert k.exact_div(k.sub(k.mul(x, x), one), x1) == k.sub(x, one)
+    with pytest.raises(EngineError, match="division not exact"):
+        k.exact_div(k.add(k.mul(x, x), one), x1)
 
 
 def _random_atom(k, rng):
@@ -458,3 +471,44 @@ def test_point_rank_skips_poles_and_never_guesses():
     # no function field, no point
     for F in (QQ, F3, F4):
         assert point_rank(Matrix.identity(F, 2)) is None
+
+
+# --- determinants ---------------------------------------------------------------
+
+def _cofactor_det(F, rows):
+    """Laplace expansion along the first row."""
+    if not rows:
+        return F.one
+    out = F.zero
+    for j, c in enumerate(rows[0]):
+        if not F.is_zero(c):
+            term = F.mul(c, _cofactor_det(F, [r[:j] + r[j + 1:] for r in rows[1:]]))
+            out = F.sub(out, term) if j % 2 else F.add(out, term)
+    return out
+
+
+@pytest.mark.parametrize("F", [QQ, GFPrime(5), QD, GF2D], ids=["Q", "GF(5)", "Q(d)", "GF(2)(d)"])
+def test_det_equals_cofactor_expansion(F):
+    """det, which updates only right of each pivot and only over the pivot
+    row's nonzero columns, equals cofactor expansion on seeded matrices up
+    to 5 x 5: dense and sparse ones, ones whose first pivot needs a row
+    swap, and ones with a zero column."""
+    rng = random.Random(53)
+    swapped = 0
+    for n in range(1, 6):
+        for density in (1.0, 0.6, 0.3):
+            for shape in ("plain", "swap", "zero column"):
+                rows = [[_entry(F, rng, density) for _ in range(n)] for _ in range(n)]
+                if shape == "swap" and n > 1:
+                    rows[0][0] = F.zero
+                    rows[1][0] = F.one
+                    swapped += 1
+                elif shape == "zero column":
+                    j = rng.randrange(n)
+                    for r in rows:
+                        r[j] = F.zero
+                expected = _cofactor_det(F, rows)
+                assert det(Matrix(F, rows)) == expected, (n, density, shape)
+                if shape == "zero column":
+                    assert F.is_zero(expected)
+    assert swapped

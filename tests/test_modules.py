@@ -8,7 +8,7 @@ from decompgen.algebra import quotient_algebra, specialize
 from decompgen.corpus import REGISTRY, small_fiber_family
 from decompgen.errors import Inconsistent
 from decompgen.fields import GFPrime
-from decompgen.linalg import Matrix, det, solve
+from decompgen.linalg import Matrix, det, echelon_reduce, rref_rows, solve
 from decompgen import modules
 from decompgen.modules import (
     SimpleModule,
@@ -331,6 +331,101 @@ def test_submodule_of_an_unstable_subspace_raises():
     whole = [fiber.basis_vector(i) for i in range(fiber.dim)]
     assert [m.rows for m in submodule(module, whole).action] == \
         [m.rows for m in module.action]
+
+
+# --- spin and the table map -----------------------------------------------------------
+
+def _spin_by_closure(module, vectors):
+    """The submodule generated by the vectors as a queue closure: every new
+    echelon row is pushed through every action matrix, until the rows fill
+    the module or nothing new appears; then one reduced echelon form."""
+    F = module.fiber.field
+    rows, pivots = [], []
+    queue = [list(v) for v in vectors]
+    while queue:
+        v = echelon_reduce(F, rows, pivots, queue.pop())
+        pj = next((k for k, c in enumerate(v) if not F.is_zero(c)), None)
+        if pj is None:
+            continue
+        inv = F.inv(v[pj])
+        rows.append([F.mul(inv, c) for c in v])
+        pivots.append(pj)
+        if len(rows) == module.dim:
+            break
+        queue.extend(m.apply(rows[-1]) for m in module.action)
+    return rref_rows(F, rows)[0] if rows else []
+
+
+def test_spin_matches_the_closure_reference(monkeypatch):
+    """Every spin the chop makes, on a module and on its transpose, is the
+    submodule the queue closure finds: the chops of the registry's generic
+    fibers and of B3 over Z[d] at the generic point, (2), (3), (3, d) and
+    (d - 1), where the transpose splits and its annihilator is spun."""
+    from decompgen.corpus import brauer_algebra
+    from decompgen.primes import parse_prime
+
+    calls, transposes = [], []
+    real_spin, real_transpose = modules.spin, modules.AlgebraModule.transpose_module
+
+    def recording_spin(module, vectors):
+        vectors = [list(v) for v in vectors]
+        calls.append((module, vectors, real_spin(module, vectors)))
+        return calls[-1][2]
+
+    def recording_transpose(module):
+        transposes.append(real_transpose(module))
+        return transposes[-1]
+
+    monkeypatch.setattr(modules, "spin", recording_spin)
+    monkeypatch.setattr(modules.AlgebraModule, "transpose_module", recording_transpose)
+    B3 = brauer_algebra(3, parse_ring("Z[d]"))
+    fibers = [e.algebra().generic_fiber() for _, e in sorted(REGISTRY.items())]
+    fibers += [specialize(B3, parse_prime(p, B3.ring))
+               for p in ("generic", "p=2", "p=3", "gen=[3, d]", "gen=[d - 1]")]
+    for fiber in fibers:
+        chop(regular_module(fiber))
+    assert any(0 < len(w) < m.dim for m, _, w in calls)  # proper spans
+    assert any(len(vs) > 1 for _, vs, _ in calls)  # the annihilator of a transpose span
+    assert any(any(m is t for t in transposes) for m, _, _ in calls)
+    for module, vectors, got in calls:
+        assert got == _spin_by_closure(module, vectors), module
+
+
+def test_map_table_maps_each_constant_once(corpus, registry_points, monkeypatch):
+    """A fiber's table is A's with every coefficient reduced, f runs once
+    per distinct coefficient, and its terms are those a table built from
+    the same constants finds by scanning them: at the registry points and
+    at B3 over Z[d]'s generic point, (2), (3), (d + 2) and (2, d), where
+    the constants d reduce to 0."""
+    from decompgen import algebra
+    from decompgen.corpus import brauer_algebra
+    from decompgen.primes import parse_prime
+
+    B3 = brauer_algebra(3, parse_ring("Z[d]"))
+    cases = [(A, p) for key, A in sorted(corpus.items()) for p in registry_points(key, A)]
+    cases += [(B3, parse_prime(p, B3.ring))
+              for p in ("generic", "p=2", "p=3", "gen=[d + 2]", "gen=[2, d]")]
+    real, seen = algebra.reduce_elem, []
+
+    def counting(c, p):
+        seen.append(c)
+        return real(c, p)
+
+    monkeypatch.setattr(algebra, "reduce_elem", counting)
+    dropped = 0
+    for A, p in cases:
+        seen.clear()
+        fiber = specialize(A, p)
+        coeffs = [c for plane in A.sc for row in plane for c in row] + list(A.unit)
+        coeffs += list(A.trace_vector or ())
+        assert len(seen) == len(set(seen)) == len(set(coeffs)), (A.name, p.short_str())
+        assert fiber.sc == tuple(tuple(tuple(real(c, p) for c in row) for row in plane)
+                                 for plane in A.sc)
+        scanned = algebra.FiniteFreeAlgebra(A.name, fiber.field, A.basis_names, fiber.sc,
+                                            fiber.unit, validate=False)
+        assert fiber.terms == scanned.terms, (A.name, p.short_str())
+        dropped += sum(map(len, sum(A.terms, ()))) > sum(map(len, sum(fiber.terms, ())))
+    assert dropped
 
 
 # --- full-rank certificates at one point ------------------------------------------------
