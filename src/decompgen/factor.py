@@ -4,11 +4,11 @@ Integers are factored by trial division with an explicit budget (the
 engine's discriminants are tiny).  Univariate polynomials over GF(q) go
 through squarefree decomposition, distinct-degree splitting and seeded
 Cantor-Zassenhaus equal-degree splitting, and their irreducibility test
-is Ben-Or's, which needs no splitting; over Q and over rational function
-fields Q(vars) the heavy lifting is delegated to sympy and the result is
-renormalized to monic canonical form.  sympy is imported inside those two
-routines, on the first factorization over Q or Q(vars), so a run that stays
-in finite fields never loads it.
+is Ben-Or's, which needs no splitting.  Over Q rational roots are found
+first; sympy factors only a root-free cofactor of degree 4 or more, and
+every polynomial over a rational function field Q(vars), and the result is
+renormalized to monic canonical form.  sympy is imported on first use there,
+so a run that needs neither never loads it.
 
 This is the only module that picks a factorizer: `factor_dense` and
 `is_irreducible` pick it by the coefficient field, `factor_univariate`
@@ -22,6 +22,7 @@ boundary.
 """
 
 import random
+from math import gcd
 
 from . import polyops as P
 from .errors import EngineError, FactorBudgetExceeded, UnsupportedRing
@@ -224,32 +225,74 @@ def is_irreducible_gf(F, f):
     return next(_ddf(F, f))[1] == n
 
 
-# --- rational factorization (via sympy) ----------------------------------------
+# --- rational factorization (rational roots, then sympy) -----------------------
+
+# a squarefree part with more rational-root candidates than this goes to sympy
+MAX_ROOT_CANDIDATES = 256
+
+
+def _rational_roots(g):
+    """The rational roots of a squarefree g over Q, from the candidates ±p/q
+    with p | a0 and q | an of its primitive integer form; None past
+    MAX_ROOT_CANDIDATES candidates or the trial-division budget."""
+    a = P.p_to_dense(QQ, _rat_clear_denoms(P.p_from_dense(QQ, g))[1])
+    roots = [0] if a[0] == 0 else []
+    a = a[len(roots):]  # squarefree: x divides it at most once
+    try:
+        nums, dens = (_divisors(abs(c), MAX_ROOT_CANDIDATES) for c in (a[0], a[-1]))
+    except FactorBudgetExceeded:
+        return None
+    if 2 * len(nums) * len(dens) > MAX_ROOT_CANDIDATES:
+        return None
+    for p in nums:
+        for q in dens:
+            for r in (p, -p) if gcd(p, q) == 1 else ():
+                acc, qpow = a[-1], 1  # q^n g(r/q) in integers, by Horner
+                for c in reversed(a[:-1]):
+                    qpow *= q
+                    acc = acc * r + c * qpow
+                if acc == 0:
+                    roots.append(QQ.div(r, q))
+    return roots
+
+
+def _divisors(n, limit):
+    divs = [1]
+    for p, m in factor_integer(n, limit)[1]:
+        divs = [d * p**k for d in divs for k in range(m + 1)]
+    return divs
+
 
 def factor_qq(f):
-    """(unit, [(monic dense, mult)]) for f over Q, scalars as in Rationals."""
+    """(unit, [(monic dense, mult)]) for f over Q, scalars as in Rationals:
+    each squarefree part sheds its rational roots, a root-free cofactor of
+    degree at most 3 is irreducible, and sympy factors the rest."""
     if not f:
         raise EngineError("cannot factor zero")
-    F = Rationals()
-    if P.udeg(f) == 0:
-        return f[0], []
+    out = []
+    for g, mult in squarefree_decomposition(QQ, f):
+        roots = _rational_roots(g)
+        for r in roots or ():
+            g = P.uexact_div(QQ, g, (QQ.neg(r), 1))
+            out.append(((QQ.neg(r), 1), mult))
+        if roots is None or P.udeg(g) > 3:
+            out += [(h, mult) for h in _factor_qq_sympy(g)]
+        elif P.udeg(g) > 0:
+            out.append((g, mult))
+    out.sort(key=lambda t: P.ukey(QQ, t[0]))
+    return f[-1], out
+
+
+def _factor_qq_sympy(g):
+    """The monic irreducible factors of a monic squarefree nonconstant g
+    over Q, by sympy."""
     import sympy
 
-    poly = sympy.Poly(list(reversed([sympy.Rational(c.numerator, c.denominator) for c in f])),
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(g)],
                       sympy.Symbol("x"), domain="QQ")
-    const, flist = poly.factor_list()
-    unit = F.parse_coeff(int(const.p), int(const.q))
-    out = []
-    for fac, mult in flist:
-        coeffs = [F.parse_coeff(int(c.p), int(c.q)) for c in reversed(fac.all_coeffs())]
-        dense = P.utrim(F, tuple(coeffs))
-        lc = dense[-1]
-        if lc != 1:
-            unit = F.mul(unit, lc**mult)
-            dense = P.umonic(F, dense)
-        out.append((dense, mult))
-    out.sort(key=lambda t: P.ukey(F, t[0]))
-    return unit, out
+    return [P.umonic(QQ, tuple(QQ.parse_coeff(int(c.p), int(c.q))
+                               for c in reversed(h.all_coeffs())))
+            for h, _ in poly.factor_list()[1]]
 
 
 # --- factorization over Q(vars) (via sympy) ------------------------------------

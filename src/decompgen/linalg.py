@@ -349,18 +349,20 @@ def char_poly(mat):
 
 
 def eval_poly_at_matrix(field, poly, mat):
-    """poly(mat) for a dense univariate poly; used by tests and the chop."""
+    """poly(mat) for a dense univariate poly; used by tests and the chop.
+    Horner's rule starts at lead·mat and adds each lower coefficient on the
+    diagonal, so a degree-k poly takes k - 1 matrix products."""
     F = field
     n = mat.nrows
-    acc = Matrix.zeros(F, n, n)
-    first = True
-    for c in reversed(poly):
-        if not first:
+    if len(poly) < 2:
+        return Matrix.identity(F, n).scale(poly[0]) if poly else Matrix.zeros(F, n, n)
+    acc = mat.scale(poly[-1])
+    for k, c in enumerate(reversed(poly[:-1])):
+        if k:
             acc = acc.mul(mat)
-        else:
-            first = False
         if not F.is_zero(c):
-            acc = acc.add(Matrix.identity(F, n).scale(c))
+            acc = Matrix(F, [[F.add(a, c) if i == j else a for j, a in enumerate(r)]
+                             for i, r in enumerate(acc.rows)])
     return acc
 
 

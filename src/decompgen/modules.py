@@ -5,13 +5,14 @@ polynomial evaluations of random algebra elements to find proper submodules,
 where the spin of v is the span of v and the b_i·v (A·v is already closed),
 and certify simplicity either by the surjectivity-onto-End criterion (the
 image of the algebra spans the full matrix ring exactly for split simples,
-a pure rank computation that needs no factorization) or by Norton's
-two-sided kernel-spinning test with an irreducible factor of a
-characteristic polynomial.  The chop asks `factor.factor_pieces` for those
-factors.  They are certified irreducible over Q, GF(q) and Q(vars); over
-GF(p)(vars) only constant-coefficient polynomials factor, so there the rank
-certificate plus the budget is the engineering answer, and running out of
-budget is an error rather than a wrong answer.
+a pure rank computation that needs no factorization, taken first when
+d^2 <= dim A and otherwise only for a Norton verdict, since it is at most
+dim A) or by Norton's two-sided kernel-spinning test with an irreducible
+factor of a characteristic polynomial.  The chop asks `factor.factor_pieces`
+for those factors.  They are certified irreducible over Q, GF(q) and
+Q(vars); over GF(p)(vars) only constant-coefficient polynomials factor, so
+there the rank certificate plus the budget is the engineering answer, and
+running out of budget is an error rather than a wrong answer.
 
 Random elements are integer-coefficient combinations of the basis drawn
 from a growing window, so the same seed gives the same run over any field.
@@ -221,21 +222,24 @@ def _split_or_certify(module, rng, attempts):
         """Echelon rows of a proper submodule of module, from the first
         vector whose spin on side (module or its transpose) is proper, or
         None.  A proper submodule W of the transpose gives its annihilator,
-        a proper submodule of dimension d - dim W."""
+        a proper submodule of dimension d - dim W, whose canonical kernel
+        basis is already the echelon rows a spin would return."""
         for v in vectors:
             w = spin(side, [v])
             if 0 < len(w) < d:
-                return w if side is module else spin(module, kernel_basis(Matrix(F, w)))
+                return w if side is module else kernel_basis(Matrix(F, w))
         return None
 
+    # a rank of d^2 makes the module absolutely simple, which no sweep can
+    # split; the rank is at most n, so for d^2 > n only Norton's test needs it
+    rank = algebra_image_rank(module) if d * d <= n else None
+    if rank == d * d:
+        return ("simple", rank)
     # standard basis vectors usually find obvious submodules
     units = Matrix.identity(F, d).rows
     w = split(module, units)
     if w:
         return ("split", w)
-    rank = algebra_image_rank(module)
-    if rank == d * d:
-        return ("simple", rank)
     transpose = module.transpose_module()
     w = split(transpose, units)
     if w:
@@ -262,7 +266,7 @@ def _split_or_certify(module, rng, attempts):
                 # kernel dimension equals deg f and every spin on both sides
                 # filled the module (here or in the opening sweeps): Norton's
                 # criterion certifies irreducibility
-                return ("simple", rank)
+                return ("simple", algebra_image_rank(module) if rank is None else rank)
     raise ChopBudgetExceeded(
         f"could not split or certify a dim-{d} module over {F!r} in {attempts} attempts")
 
@@ -283,15 +287,13 @@ def chop(module, seed=1, attempts=80):
         else:
             stack.append(submodule(m, data))
             stack.append(quotient_module(m, data))
+    # scalars are canonical: equal (dim, char_polys) means equal sort keys
     grouped = {}
     for m, rank in leaves:
-        s = SimpleModule(m, m.char_polys(), rank)
-        key = s.sort_key()
-        if key in grouped:
-            grouped[key] = (grouped[key][0], grouped[key][1] + 1)
-        else:
-            grouped[key] = (s, 1)
-    return [grouped[k] for k in sorted(grouped)]
+        polys = m.char_polys()
+        s, count = grouped.get((m.dim, polys), (SimpleModule(m, polys, rank), 0))
+        grouped[m.dim, polys] = (s, count + 1)
+    return sorted(grouped.values(), key=lambda t: t[0].sort_key())
 
 
 def _per_table(analysis):

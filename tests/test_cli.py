@@ -343,9 +343,13 @@ def test_finite_field_calls_import_no_sympy(corpdir, tmp_path):
     assert _sympy_modules_after(["corpus-build", "--out", str(tmp_path)]) == "[]"
     assert _sympy_modules_after(["decmat", str(corpdir / "Dual_Z.alg"),
                                  "--prime", "p=29"]) == "[]"
-    # the generic point of Z is Q, whose characteristic polynomials sympy
-    # factors: the probe does see sympy when a call loads it
-    assert "'sympy'" in _sympy_modules_after(["simples", str(corpdir / "ZS3.alg"),
+    # the generic point of Z is Q, where the characteristic polynomials
+    # of ZS3 split into rational roots and small root-free cofactors
+    assert _sympy_modules_after(["simples", str(corpdir / "ZS3.alg"),
+                                 "--prime", "generic"]) == "[]"
+    # SQ's generic fiber is over Q(d), where t^2 - d is factored by sympy:
+    # the probe does see sympy when a call loads it
+    assert "'sympy'" in _sympy_modules_after(["simples", _write(tmp_path, SQ),
                                               "--prime", "generic"])
 
 

@@ -404,6 +404,24 @@ def test_apply_matches_row_by_row_reference(F):
     assert Matrix(F, []).apply([]) == []
 
 
+@pytest.mark.parametrize("F", [QQ, GFPrime(5), QD], ids=repr)
+def test_eval_poly_at_matrix_matches_the_power_sum(F):
+    """f(X) is the sum of c_i X^i: the zero polynomial, degrees 0 to 4 with
+    zero and nonzero constant and middle coefficients, and a lead other
+    than one."""
+    rng = random.Random(13)
+    for n in (1, 2, 3):
+        X = Matrix(F, [[_entry(F, rng, 0.7) for _ in range(n)] for _ in range(n)])
+        polys = [()] + [P.utrim(F, tuple(_entry(F, rng, 0.6) for _ in range(deg))
+                                + (_entry(F, rng, 1.0) or F.one,))
+                        for deg in range(5) for _ in range(3)]
+        for f in polys:
+            want, power = Matrix.zeros(F, n, n), Matrix.identity(F, n)
+            for c in f:
+                want, power = want.add(power.scale(c)), power.mul(X)
+            assert eval_poly_at_matrix(F, f, X) == want, (n, f)
+
+
 # --- rank at one point of k^nv ------------------------------------------------------
 
 GF5D = FuncField(GFPrime(5), ("d",))

@@ -6,9 +6,20 @@ import pytest
 
 from decompgen.algebra import quotient_algebra, specialize
 from decompgen.corpus import REGISTRY, small_fiber_family
-from decompgen.errors import Inconsistent
+from decompgen import polyops as P
+from decompgen.errors import ChopBudgetExceeded, Inconsistent
+from decompgen.factor import factor_pieces
 from decompgen.fields import GFPrime
-from decompgen.linalg import Matrix, det, echelon_reduce, rref_rows, solve
+from decompgen.linalg import (
+    Matrix,
+    char_poly,
+    det,
+    echelon_reduce,
+    eval_poly_at_matrix,
+    kernel_basis,
+    rref_rows,
+    solve,
+)
 from decompgen import modules
 from decompgen.modules import (
     SimpleModule,
@@ -19,6 +30,7 @@ from decompgen.modules import (
     is_split,
     radical,
     regular_module,
+    spin,
     submodule,
 )
 from decompgen.primes import prime_spec
@@ -358,14 +370,17 @@ def _spin_by_closure(module, vectors):
 
 def test_spin_matches_the_closure_reference(monkeypatch):
     """Every spin the chop makes, on a module and on its transpose, is the
-    submodule the queue closure finds: the chops of the registry's generic
-    fibers and of B3 over Z[d] at the generic point, (2), (3), (3, d) and
-    (d - 1), where the transpose splits and its annihilator is spun."""
+    submodule the queue closure finds, and so are the rows of every split
+    the transpose side gives, the annihilator of a proper transpose span,
+    which takes no spin: the chops of the registry's generic fibers and of
+    B3 over Z[d] at the generic point, (2), (3), (3, d) and (d - 1), where
+    the transpose splits."""
     from decompgen.corpus import brauer_algebra
     from decompgen.primes import parse_prime
 
-    calls, transposes = [], []
+    calls, transposes, splits = [], [], []
     real_spin, real_transpose = modules.spin, modules.AlgebraModule.transpose_module
+    real_split = modules._split_or_certify
 
     def recording_spin(module, vectors):
         vectors = [list(v) for v in vectors]
@@ -376,8 +391,15 @@ def test_spin_matches_the_closure_reference(monkeypatch):
         transposes.append(real_transpose(module))
         return transposes[-1]
 
+    def recording_split(module, rng, attempts):
+        verdict, data = real_split(module, rng, attempts)
+        if verdict == "split":
+            splits.append((module, data))
+        return verdict, data
+
     monkeypatch.setattr(modules, "spin", recording_spin)
     monkeypatch.setattr(modules.AlgebraModule, "transpose_module", recording_transpose)
+    monkeypatch.setattr(modules, "_split_or_certify", recording_split)
     B3 = brauer_algebra(3, parse_ring("Z[d]"))
     fibers = [e.algebra().generic_fiber() for _, e in sorted(REGISTRY.items())]
     fibers += [specialize(B3, parse_prime(p, B3.ring))
@@ -385,10 +407,117 @@ def test_spin_matches_the_closure_reference(monkeypatch):
     for fiber in fibers:
         chop(regular_module(fiber))
     assert any(0 < len(w) < m.dim for m, _, w in calls)  # proper spans
-    assert any(len(vs) > 1 for _, vs, _ in calls)  # the annihilator of a transpose span
+    assert all(len(vs) == 1 for _, vs, _ in calls)  # an annihilator is not spun
     assert any(any(m is t for t in transposes) for m, _, _ in calls)
     for module, vectors, got in calls:
         assert got == _spin_by_closure(module, vectors), module
+    # a split whose rows no spin of its module returned came from the transpose
+    annihilators = [(module, rows) for module, rows in splits
+                    if not any(m is module and w == rows for m, _, w in calls)]
+    assert annihilators
+    for module, rows in annihilators:
+        assert rows == _spin_by_closure(module, rows), module
+
+
+def _parent_split_or_certify(module, rng, attempts):
+    """The chop's node decision in its earlier order, the reference for
+    `test_chop_decisions_match_the_parent_order`: the unit sweep first, the
+    image rank after it on every node, and the annihilator of a proper
+    transpose span spun."""
+    F = module.fiber.field
+    d = module.dim
+    if d == 1:
+        return ("simple", 1)
+    n = module.fiber.dim
+
+    def split(side, vectors):
+        for v in vectors:
+            w = spin(side, [v])
+            if 0 < len(w) < d:
+                return w if side is module else spin(module, kernel_basis(Matrix(F, w)))
+        return None
+
+    units = Matrix.identity(F, d).rows
+    w = split(module, units)
+    if w:
+        return ("split", w)
+    rank = algebra_image_rank(module)
+    if rank == d * d:
+        return ("simple", rank)
+    transpose = module.transpose_module()
+    w = split(transpose, units)
+    if w:
+        return ("split", w)
+    for attempt in range(attempts):
+        window = 1 + attempt // 4
+        coeffs = [F.from_int(rng.randint(-window, window)) for _ in range(n)]
+        X = module.act_element(coeffs)
+        chi = char_poly(X)
+        pieces = factor_pieces(F, chi, seed=attempt + 1)
+        pieces.sort(key=lambda t: P.udeg(t[0]))
+        for f, is_irred in pieces:
+            if not is_irred and P.udeg(f) == P.udeg(chi):
+                continue
+            N = eval_poly_at_matrix(F, f, X)
+            ker = kernel_basis(N)
+            if not ker:
+                continue
+            if len(ker) < d:
+                w = split(module, ker) or split(transpose, kernel_basis(N.transpose()))
+                if w:
+                    return ("split", w)
+            if is_irred and len(ker) == P.udeg(f):
+                return ("simple", rank)
+    raise ChopBudgetExceeded(f"no verdict for a dim-{d} module in {attempts} attempts")
+
+
+def test_chop_decisions_match_the_parent_order(corpus, registry_points, monkeypatch):
+    """Every node of the chop gets the verdict, the rows or rank and the rng
+    state that the unit-sweep-first order gives, at the registry points and
+    at B3 over Z[d]'s generic point, (2), (3), (3, d) and (d - 1); a node
+    with d^2 <= dim A that the rank certifies takes no spin, and a node with
+    d^2 > dim A that splits takes no image rank."""
+    from decompgen.corpus import brauer_algebra
+    from decompgen.primes import parse_prime
+
+    counts = {}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    real = modules._split_or_certify
+    seen = set()
+
+    def checked(module, rng, attempts):
+        twin = random.Random()
+        twin.setstate(rng.getstate())
+        want = _parent_split_or_certify(module, twin, attempts)
+        counts.update(spin=0, rank=0)
+        got = real(module, rng, attempts)
+        assert got == want and rng.getstate() == twin.getstate(), module
+        d, n = module.dim, module.fiber.dim
+        if got == ("simple", d * d) and 1 < d * d <= n:
+            assert counts["spin"] == 0, module
+            seen.add("certified by the rank")
+        if got[0] == "split" and d * d > n:
+            assert counts["rank"] == 0, module
+            seen.add("split with d^2 > n")
+        return got
+
+    monkeypatch.setattr(modules, "spin", counting("spin", spin))
+    monkeypatch.setattr(modules, "algebra_image_rank", counting("rank", algebra_image_rank))
+    monkeypatch.setattr(modules, "_split_or_certify", checked)
+    B3 = brauer_algebra(3, parse_ring("Z[d]"))
+    fibers = [specialize(A, p) for key, A in sorted(corpus.items())
+              for p in registry_points(key, A)]
+    fibers += [specialize(B3, parse_prime(p, B3.ring))
+               for p in ("generic", "p=2", "p=3", "gen=[3, d]", "gen=[d - 1]")]
+    for fiber in fibers:
+        chop(regular_module(fiber))
+    assert seen == {"certified by the rank", "split with d^2 > n"}
 
 
 def test_map_table_maps_each_constant_once(corpus, registry_points, monkeypatch):
@@ -434,7 +563,6 @@ def _regular_trace_radical(fiber):
     """Kernel of the regular trace form (x, y) -> tr(L_xy), which is the
     Jacobson radical in characteristic 0 (Dickson's criterion)."""
     from decompgen.algebra import span_subspace
-    from decompgen.linalg import kernel_basis
 
     traces = [fiber.left_regular_matrix(fiber.basis_vector(k)).trace()
               for k in range(fiber.dim)]

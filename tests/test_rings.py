@@ -345,6 +345,62 @@ def test_factor_zx():
         assert (str(u), [(str(f), m) for f, m in pairs]) == (unit, labels)
 
 
+QQ = Rationals()
+
+
+def _factor_qq_reference(f):
+    """factor_qq's normal form read off sympy's factor_list: the leading
+    coefficient, then monic factors in ukey order."""
+    import sympy
+
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(f)],
+                      sympy.Symbol("x"), domain="QQ")
+    pairs = [(tuple(QQ.from_fraction(Fraction(int(c.p), int(c.q)))
+                    for c in reversed(g.monic().all_coeffs())), m)
+             for g, m in poly.factor_list()[1]]
+    return f[-1], sorted(pairs, key=lambda t: P.ukey(QQ, t[0]))
+
+
+def _qq_product(*factors):
+    out = (1,)
+    for g in factors:
+        out = P.umul(QQ, out, tuple(QQ.from_fraction(Fraction(c)) for c in g))
+    return out
+
+
+def test_factor_qq_matches_sympy(monkeypatch):
+    """Rational roots ±p/q, root-free cofactors of degree 2 and 3, and the
+    sympy route for the rest give sympy's factorization: seeded non-monic
+    products with repeated factors and large constant terms; an irreducible
+    quartic, two quadratics, a quintic, a constant term past the
+    trial-division budget and one with too many root candidates, which go
+    to sympy; and products of roots and root-free cubics, which do not."""
+    from decompgen import factor
+
+    sympy_calls = []
+    real = factor._factor_qq_sympy
+    monkeypatch.setattr(factor, "_factor_qq_sympy", lambda g: sympy_calls.append(g) or real(g))
+    rng = random.Random(11)
+    for _ in range(60):
+        parts = [(Fraction(rng.randint(1, 7) * rng.choice((-1, 1)), rng.randint(1, 5)),)]
+        for _ in range(rng.randint(1, 4)):
+            g = [rng.randint(-9, 9) for _ in range(rng.choice((1, 1, 2, 3)))]
+            if rng.random() < 0.3:
+                g[0] = rng.choice((-1, 1)) * rng.randint(10**4, 10**6)
+            parts += [g + [rng.choice((1, 2, 3, 5, -4))]] * rng.randint(1, 3)
+        f = _qq_product(*parts)
+        assert factor.factor_qq(f) == _factor_qq_reference(f), f
+    on_sympy = [[(1, 0, 0, 0, 1)], [(1, 0, 1), (2, 0, 1)], [(-1, -1, 0, 0, 0, 1)],
+                [(-1009 * 1013, 1)], [(720720, 0, 1), (3, 1)]]
+    # x^2 + x + 1 and 3x^3 + 2 sit in squarefree parts of their own
+    off_sympy = [[(-1, 3), (2, 1), (0, 1)], [(1, 1, 1), (2, 0, 0, 3), (2, 0, 0, 3), (-5, 4)]]
+    for parts, stays_on_sympy in [(p, True) for p in on_sympy] + [(p, False) for p in off_sympy]:
+        f = _qq_product(*parts)
+        sympy_calls.clear()
+        assert factor.factor_qq(f) == _factor_qq_reference(f), f
+        assert bool(sympy_calls) == stays_on_sympy, f
+
+
 def test_factor_gfq():
     F4 = GFExt(2, 2, (1, 1, 1))
     # x^2 + x + a splits over GF(4)? brute force check by refactoring
