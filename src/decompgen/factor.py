@@ -2,7 +2,7 @@
 
 Integers are factored by trial division with an explicit budget (the
 engine's discriminants are tiny).  Univariate polynomials over GF(q) go
-through squarefree decomposition, distinct-degree splitting and seeded
+through squarefree decomposition, distinct-degree splitting and
 Cantor-Zassenhaus equal-degree splitting, and their irreducibility test
 is Ben-Or's, which needs no splitting.  Over Q rational roots are found
 first; sympy factors only a root-free cofactor of degree 4 or more, and
@@ -194,12 +194,15 @@ def _edf(F, f, d, rng):
     return _edf(F, g, d, rng) + _edf(F, P.uexact_div(F, f, g), d, rng)
 
 
-def factor_gf(F, f, seed=1):
-    """(unit scalar, [(monic irreducible, mult)]) over GF(q), deterministic."""
+def factor_gf(F, f):
+    """(unit scalar, [(monic irreducible, mult)]) over GF(q).  A monic
+    factorization is unique and the pairs are sorted by `ukey`, so the
+    splitting polynomials, drawn from one Random(1) per call, change only
+    the work done."""
     if not f:
         raise EngineError("cannot factor zero")
     unit = f[-1]
-    rng = random.Random(seed)
+    rng = random.Random(1)
     out = {}
     for g, mult in squarefree_decomposition(F, f):
         for part, d in _ddf(F, g):
@@ -330,12 +333,12 @@ def factor_funcfield(F, f):
 
 # --- one factorizer per field ---------------------------------------------------
 
-def factor_dense(F, f, seed=1):
+def factor_dense(F, f):
     """(unit, [(monic irreducible, mult)]) for a nonzero dense f over Q or
-    GF(q): sympy over Q, Cantor-Zassenhaus with the seed over GF(q)."""
+    GF(q): rational roots then sympy over Q, Cantor-Zassenhaus over GF(q)."""
     if isinstance(F, Rationals):
         return factor_qq(f)
-    return factor_gf(F, f, seed)
+    return factor_gf(F, f)
 
 
 def is_irreducible(F, f):
@@ -349,7 +352,7 @@ def is_irreducible(F, f):
     return is_irreducible_gf(F, f)
 
 
-def factor_pieces(F, chi, seed=1):
+def factor_pieces(F, chi):
     """Factors of a nonconstant dense chi over a fiber field to take kernels
     of, each tagged with whether it is certified irreducible.
 
@@ -359,12 +362,12 @@ def factor_pieces(F, chi, seed=1):
     linear.
     """
     if not isinstance(F, FuncField):
-        return [(f, True) for f, _ in factor_dense(F, chi, seed)[1]]
+        return [(f, True) for f, _ in factor_dense(F, chi)[1]]
     base = F.base
     if all(F.is_polynomial(c) and P.pis_const(F.numerator(c)) for c in chi):
         consts = tuple(P.pconst_value(base, F.numerator(c)) for c in chi)
         lift = lambda f: tuple(F.from_poly(P.pconst(base, F.nv, c)) for c in f)
-        return [(lift(f), True) for f, _ in factor_dense(base, consts, seed)[1]]
+        return [(lift(f), True) for f, _ in factor_dense(base, consts)[1]]
     if F.characteristic == 0:
         return [(f, True) for f, _ in factor_funcfield(F, chi)]
     f = squarefree_part_safe(F, chi)
@@ -373,7 +376,7 @@ def factor_pieces(F, chi, seed=1):
 
 # --- RingElement-level entry points --------------------------------------------
 
-def factor_univariate(elem, seed=1):
+def factor_univariate(elem):
     """Factor a nonzero polynomial of Z[x], Q[x] or GF(p)[x].
 
     Returns (unit, [(factor, multiplicity), ...]) with pairwise-distinct
@@ -390,7 +393,7 @@ def factor_univariate(elem, seed=1):
         raise EngineError("cannot factor zero")
     coeff = ring.coeff
     if coeff.is_field:
-        unit, pairs = factor_dense(coeff, P.p_to_dense(coeff, elem.data), seed)
+        unit, pairs = factor_dense(coeff, P.p_to_dense(coeff, elem.data))
         mk = lambda d: RingElement(ring, P.p_from_dense(coeff, d))
         return ring.from_coeff(unit), [(mk(d), m) for d, m in pairs]
     content, prim = _rat_clear_denoms(elem.data)

@@ -371,7 +371,7 @@ def eval_poly_at_matrix(field, poly, mat):
 @dataclass
 class HermiteResult:
     basis: list       # nonzero canonical rows
-    transform: list   # full unimodular transform, or None
+    transform: list   # rows of (U^-1)^T for the unimodular U, or None
 
 
 def hermite_normal_form(E, rows, transform=False):
@@ -382,12 +382,15 @@ def hermite_normal_form(E, rows, transform=False):
     plain data.  Pivots are canonical (positive over Z, monic over k[x], one
     over a field) and entries above a pivot are reduced modulo it, so the
     basis is the unique Hermite basis of the row lattice.  With
-    transform=True the unimodular U with U . rows = [basis; 0] is tracked.
+    transform=True the rows of W = (U^-1)^T are tracked for the unimodular U
+    with U . rows = [basis; 0]: each row operation on U acts on W by its
+    inverse transpose, so a swap of two rows swaps them in W, row_i -= q row_r
+    is W_r += q W_i, and scaling row r by a unit scales W_r by its inverse.
     """
     work = [list(r) for r in rows]
     m = len(work)
     n = len(work[0]) if work else 0
-    U = _identity(E, m) if transform else None
+    W = _identity(E, m) if transform else None
     r = 0
     for j in range(n):
         while True:
@@ -397,8 +400,8 @@ def hermite_normal_form(E, rows, transform=False):
             sel = min(live, key=lambda i: (E.euclid_size(work[i][j]), i))
             if sel != r:
                 work[r], work[sel] = work[sel], work[r]
-                if U:
-                    U[r], U[sel] = U[sel], U[r]
+                if W:
+                    W[r], W[sel] = W[sel], W[r]
             piv = work[r][j]
             done = True
             for i in range(r + 1, m):
@@ -406,8 +409,8 @@ def hermite_normal_form(E, rows, transform=False):
                     continue
                 q, rem = E.divmod(work[i][j], piv)
                 work[i] = [E.sub(a, E.mul(q, b)) for a, b in zip(work[i], work[r])]
-                if U:
-                    U[i] = [E.sub(a, E.mul(q, b)) for a, b in zip(U[i], U[r])]
+                if W:
+                    W[r] = [E.add(a, E.mul(q, b)) for a, b in zip(W[r], W[i])]
                 if not E.is_zero(rem):
                     done = False
             if done:
@@ -416,8 +419,9 @@ def hermite_normal_form(E, rows, transform=False):
             u, _ = E.unit_normalize(work[r][j])
             if not E.is_zero(E.sub(u, E.one)):
                 work[r] = [E.mul(u, a) for a in work[r]]
-                if U:
-                    U[r] = [E.mul(u, a) for a in U[r]]
+                if W:
+                    u_inv = E.unit_normalize(u)[0]
+                    W[r] = [E.mul(u_inv, a) for a in W[r]]
             piv = work[r][j]
             for i in range(r):
                 if E.is_zero(work[i][j]):
@@ -426,34 +430,26 @@ def hermite_normal_form(E, rows, transform=False):
                 if E.is_zero(q):
                     continue
                 work[i] = [E.sub(a, E.mul(q, b)) for a, b in zip(work[i], work[r])]
-                if U:
-                    U[i] = [E.sub(a, E.mul(q, b)) for a, b in zip(U[i], U[r])]
+                if W:
+                    W[r] = [E.add(a, E.mul(q, b)) for a, b in zip(W[r], W[i])]
             r += 1
             if r == m:
                 break
-    return HermiteResult(work[:r], U)
-
-
-def _column_split(E, rows):
-    """(H, V) with U . rows^T = [H; 0] for a unimodular U, H the Hermite
-    basis of rank r, and V = U^-1.  Then rows^T = V[:, :r] H: the first r
-    columns of V span the rows over the fraction field K, and as columns of
-    a unimodular matrix they span L_K meet R^n and extend, by the other
-    columns of V, to a basis of R^n."""
-    res = hermite_normal_form(E, [list(c) for c in zip(*rows)], transform=True)
-    return res.basis, _invert_unimodular(E, res.transform)
+    return HermiteResult(work[:r], W)
 
 
 def saturate_rows(E, rows):
     """(saturation, complement) of the row lattice L in R^n (K the fraction
     field), rows and results in the plain data of E, both read off one
-    `_column_split`: the Hermite basis of the saturation L_K meet R^n (the
-    first rank(L) columns of V, in Hermite form) and the other n - rank(L)
-    columns of V, which complete it to a basis of R^n (representatives of
-    a free complement)."""
-    H, V = _column_split(E, rows)
-    cols = [[row[i] for row in V] for i in range(len(V))]
-    return hermite_normal_form(E, cols[:len(H)]).basis, cols[len(H):]
+    Hermite split U . rows^T = [H; 0] of rank r.  Then rows^T = V[:, :r] H
+    for V = U^-1, so the first r columns of V span L over K, and as columns
+    of a unimodular matrix they span L_K meet R^n and extend, by the other
+    n - r columns of V, to a basis of R^n.  The split tracks those columns
+    as the rows of W = V^T: the saturation is the Hermite basis of W[:r],
+    and W[r:] represent a free complement."""
+    res = hermite_normal_form(E, [list(c) for c in zip(*rows)], transform=True)
+    W = res.transform
+    return hermite_normal_form(E, W[:len(res.basis)]).basis, W[len(res.basis):]
 
 
 def _identity(E, n):
@@ -479,17 +475,6 @@ def lattice_member(E, basis, vec):
     if any(not E.is_zero(a) for a in v):
         return None
     return coeffs
-
-
-def _invert_unimodular(E, U):
-    """U^-1 from the Hermite form of [U | I], which is [I | U^-1] exactly
-    when U is unimodular: every pivot is then a unit, normalized to one,
-    and the entries above it reduce to zero."""
-    n = len(U)
-    rows = hermite_normal_form(E, [row + e for row, e in zip(U, _identity(E, n))]).basis
-    if [row[:n] for row in rows] != _identity(E, n):
-        raise Inconsistent("matrix is not unimodular")
-    return [row[n:] for row in rows]
 
 
 # --- gcd-free bases --------------------------------------------------------------

@@ -61,7 +61,7 @@ class AlgebraModule:
             if not F.is_zero(self.fiber.unit[i]):
                 acc = acc.add(self.action[i].scale(self.fiber.unit[i]))
         if acc != ident:
-            raise RadicalNotNilpotent("unit does not act as the identity")
+            raise Inconsistent("unit does not act as the identity")
         for i in range(n):
             for j in range(n):
                 lhs = self.action[i].mul(self.action[j])
@@ -69,7 +69,7 @@ class AlgebraModule:
                 for k, c in self.fiber.terms[i][j]:
                     rhs = rhs.add(self.action[k].scale(c))
                 if lhs != rhs:
-                    raise RadicalNotNilpotent("action does not respect the table")
+                    raise Inconsistent("action does not respect the table")
         return self
 
     def act_element(self, coeffs):
@@ -249,15 +249,15 @@ def _split_or_certify(module, rng, attempts):
         coeffs = [F.from_int(rng.randint(-window, window)) for _ in range(n)]
         X = module.act_element(coeffs)
         chi = char_poly(X)
-        pieces = factor_pieces(F, chi, seed=attempt + 1)
+        pieces = factor_pieces(F, chi)
         pieces.sort(key=lambda t: P.udeg(t[0]))
         for f, is_irred in pieces:
             if not is_irred and P.udeg(f) == P.udeg(chi):
                 continue  # the whole polynomial: kernel is everything
+            # f shares a root with the minimal polynomial of X, so f(X) is
+            # singular and ker is never empty
             N = eval_poly_at_matrix(F, f, X)
             ker = kernel_basis(N)
-            if not ker:
-                continue
             if len(ker) < d:
                 w = split(module, ker) or split(transpose, kernel_basis(N.transpose()))
                 if w:

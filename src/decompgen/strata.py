@@ -4,16 +4,20 @@ recursive stratification of the base spectrum.
 The discriminant candidate is the trace-Gram certificate: clear the generic
 radical into an integral lattice J, form the quotient algebra B = A/J on a
 complement basis, and take g = det(Gram of B's weighted character form)
-times the gcd of the maximal minors of J's basis matrix.  The form is
+times the denominators the projection onto B carried.  The form is
 sum_S w_S chi_S over the memoized simples of A's generic fiber, with w_S
 the multiplicity of S in B's regular module (1 where that vanishes in K),
 so it is B's regular trace in characteristic 0.  Outside V(g) the reduced
 lattice keeps its dimension and B's fiber is semisimple, so the fiber
-radical equals the reduced lattice and has the generic dimension.  The
-candidate over-approximates: each of its minimal primes is then verified
-exactly by the radical-dimension criterion and recorded as Excluded or
-RecoveredTrivial.  Excluded components seed the recursion on restricted
-algebras; maximal points are singleton strata and stop it.
+radical equals the reduced lattice and has the generic dimension.  No
+minor of J is needed for the first: over Z and k[x] the saturated rows
+extend to a unimodular basis, so their maximal minors generate (1), and
+over Z[d] and k[x,y] the minor of the cleared echelon rows on their pivot
+columns is the product of the rows' denominators, whose primes g already
+carries.  The candidate over-approximates: each of its minimal primes is
+then verified exactly by the radical-dimension criterion and recorded as
+Excluded or RecoveredTrivial.  Excluded components seed the recursion on
+restricted algebras; maximal points are singleton strata and stop it.
 """
 
 from dataclasses import dataclass, field
@@ -43,12 +47,15 @@ class RadicalLattice:
     B = A/J reads from it: `generic` is the memoized generic-radical
     SubLattice (its rows are the reduced echelon form of J over K), and
     `complement` spans a complement of J, as fraction-field vectors.  Over
-    Z and k[x] the complement is the rest of the unimodular V of the
-    saturation's Hermite split, so it completes `rows` to a basis of R^n;
-    otherwise it is the non-pivot unit vectors of `generic`."""
+    Z and k[x] `rows` is the Hermite basis of the saturation and the
+    complement the other columns of V = U^-1 of its one Hermite split, so
+    together they are a basis of R^n.  Otherwise `rows` are the cleared
+    echelon rows, primitive as cleared (a prime of a row's pivot entry, the
+    lcm of its denominators, misses the entry whose denominator carries its
+    full power), and the complement is the non-pivot unit vectors of
+    `generic`."""
     algebra: object
     rows: tuple          # RingElement coordinate vectors spanning J over R
-    saturated: bool
     generic: object
     complement: tuple
 
@@ -83,19 +90,11 @@ def radical_lattice(A, seed=1):
         rows = tuple(tuple(from_plain(c) for c in row) for row in sat)
         complement = tuple(tuple(ring.to_field(from_plain(c), fiber.field) for c in row)
                            for row in comp)
-        lat = RadicalLattice(A, rows, True, rad, complement)
     else:
-        prim = []
-        for row in cleared:
-            g = row[0].ring.zero()
-            for c in row:
-                g = ring_gcd(g, c)
-            if not is_unit(g) and not g.is_zero():
-                row = [ring_exact_div(c, g) for c in row]
-            prim.append(tuple(row))
+        rows = tuple(tuple(row) for row in cleared)
         complement = tuple(tuple(fiber.basis_vector(j))
                            for j in range(A.dim) if j not in rad.pivots)
-        lat = RadicalLattice(A, tuple(prim), not cleared, rad, complement)
+    lat = RadicalLattice(A, rows, rad, complement)
     _assert_lattice(A, lat)
     return lat
 
@@ -109,30 +108,6 @@ def _assert_lattice(A, lat):
     rows_K = [[A.ring.to_field(c, K) for c in row] for row in lat.rows]
     if span_subspace(fiber, rows_K) != lat.generic:
         raise EngineError("integral radical lattice does not span the generic radical")
-
-
-def _minor_gcd(A, lat):
-    """Gcd of the rank-sized minors of the lattice basis matrix; detects the
-    codimension-one locus where the reduced lattice drops dimension."""
-    from itertools import combinations
-
-    ring = A.ring
-    r = lat.rank
-    if r == 0:
-        return ring.one()
-    K = A.ring.fraction_field()
-    acc = ring.zero()
-    cols = range(A.dim)
-    for sel in combinations(cols, r):
-        sub = [[ring.to_field(lat.rows[i][j], K) for j in sel] for i in range(r)]
-        d = det(Matrix(K, sub))
-        elem = ring.from_field_scalar(d, K)
-        if elem is None:
-            raise EngineError("minor of an integral matrix escaped the ring")
-        acc = ring_gcd(acc, elem)
-        if is_unit(acc):
-            break
-    return acc
 
 
 def quotient_over_ring(A, lat):
@@ -153,9 +128,11 @@ def quotient_over_ring(A, lat):
     by the non-pivot unit vectors and the coordinates, like the echelon rows
     of the lattice, can have denominators.  The certificate is only valid
     where the denominators are invertible, so the caller absorbs their
-    product into the discriminant.  Integral scalars never reach
-    `denominator_ideal`: `RingDescriptor.contains` decides them on the
-    scalar itself.
+    product into the discriminant.  That also covers the locus where the
+    cleared rows drop rank: their minor on the pivot columns is the product
+    of their pivot entries, the lcms of each row's denominators.  Integral
+    scalars never reach `denominator_ideal`: `RingDescriptor.contains`
+    decides them on the scalar itself.
     """
     from .primes import denominator_ideal as _den
 
@@ -203,20 +180,21 @@ def candidate_discriminant(A, seed=1):
     it kills the radical of every fiber.  The simples and weights are the
     memoized Wedderburn data of A's generic fiber, read through the
     complement lifts, so B is never chopped; B's integral constants never
-    reach `denominator_ideal`.  Returns the zero element only when t
-    degenerates (a non-split quotient, which the verification stage would
-    reject)."""
-    lat = radical_lattice(A, seed=seed)
+    reach `denominator_ideal`.  g is that determinant times the denominators
+    `quotient_over_ring` absorbed.  A non-split generic fiber raises
+    NotSplit before any of this, so a zero determinant is a failed internal
+    check and raises EngineError."""
+    split_data(A, seed)
     ring = A.ring
-    B, lifts, denoms = quotient_over_ring(A, lat)
+    B, lifts, denoms = quotient_over_ring(A, radical_lattice(A, seed=seed))
     d = det(Matrix(B.field, B.form_gram(_weighted_character_values(A, lifts, seed))))
     if B.field.is_zero(d):
-        return ring.zero()
+        raise EngineError(f"the certificate form of {A.name}/J is degenerate on a split "
+                          "semisimple quotient")
     if ring.is_field_ring:
         return ring.one()
     num, den = numerator_denominator_in_ring(d, ring)
-    g = num * den * denoms * _minor_gcd(A, lat)
-    return normalize_generator(g)
+    return normalize_generator(num * den * denoms)
 
 
 def _weighted_character_values(A, lifts, seed):
@@ -255,7 +233,7 @@ class UnresolvedPrime:
         return f"({self.generator})?"
 
 
-def minimal_primes(g, seed=1):
+def minimal_primes(g):
     """Minimal primes over V(g) as PrimeSpecs, with UnresolvedPrime markers
     for components whose primality or residue field is out of scope."""
     if g.is_zero():
@@ -269,11 +247,11 @@ def minimal_primes(g, seed=1):
         for prime, _ in factor_integer(abs(g.const_value()))[1]:
             out.append(_prime_or_unresolved(ring, ring.from_int(prime)))
     elif ring.nv == 1:
-        _, pairs = factor_univariate(g, seed)
+        _, pairs = factor_univariate(g)
         for f, _ in pairs:
             out.append(_prime_or_unresolved(ring, f))
     else:
-        out.extend(_minimal_primes_bivariate(g, seed))
+        out.extend(_minimal_primes_bivariate(g))
     uniq = []
     seen = set()
     for item in out:
@@ -294,7 +272,7 @@ def _prime_or_unresolved(ring, elem):
         return UnresolvedPrime(elem, str(e))
 
 
-def _minimal_primes_bivariate(g, seed):
+def _minimal_primes_bivariate(g):
     """Irreducible components over k[x,y]: the factors of the content in
     each variable (a polynomial free of that variable is its own content),
     then the squarefree pieces of the primitive rest, each a prime when
@@ -307,7 +285,7 @@ def _minimal_primes_bivariate(g, seed):
     for main in (1, 0):
         cont = P._content_in(coeff, work, main)
         if P.pdeg(cont) > 0:
-            _, pairs = factor_dense(coeff, P.p_to_dense(coeff, P.p_rec(cont, main)[0]), seed)
+            _, pairs = factor_dense(coeff, P.p_to_dense(coeff, P.p_rec(cont, main)[0]))
             for f, _ in pairs:
                 f = P.p_embed(P.p_from_dense(coeff, f), 1 - main)
                 out.append(_prime_or_unresolved(ring, RingElement(ring, f)))
@@ -428,7 +406,7 @@ class DiscriminantPoint:
 @dataclass
 class Discriminant:
     algebra_name: str
-    candidate: object      # RingElement, zero when degenerate
+    candidate: object      # RingElement, never zero
     points: list
 
     @property
@@ -448,13 +426,8 @@ def dec_ex(A, seed=1):
     """Candidate discriminant with every minimal prime verified pointwise by
     the exact radical-dimension criterion."""
     g = candidate_discriminant(A, seed=seed)
-    if g.is_zero():
-        return Discriminant(A.name, g, [DiscriminantPoint(
-            UnresolvedPrime(g, "trace certificate degenerates"), "Unknown",
-            reason="degenerate certificate")])
-    split_data(A, seed)  # a non-split generic fiber ends the node, not one point
     points = []
-    for item in minimal_primes(g, seed=seed):
+    for item in minimal_primes(g):
         if isinstance(item, UnresolvedPrime):
             points.append(DiscriminantPoint(item, "Unknown", reason=item.reason))
             continue
@@ -515,7 +488,7 @@ def schur_discriminant_crosscheck(A, seed=1):
     for c in cs:
         prod = prod * c
     prod = normalize_generator(prod)
-    schur_primes = minimal_primes(prod, seed=seed)
+    schur_primes = minimal_primes(prod)
     dec = dec_ex(A, seed=seed)
     schur_sigs = sorted(p.signature for p in schur_primes if not isinstance(p, UnresolvedPrime))
     excl_sigs = sorted(pt.prime.signature for pt in dec.excluded
@@ -569,10 +542,6 @@ def stratify(A, seed=1, _depth=0):
     except NotSplit as e:
         return StratumNode(A.name, A.ring, "unresolved-leaf", reason=str(e))
     node = StratumNode(A.name, A.ring, "node", dec)
-    if dec.candidate.is_zero():
-        node.kind = "unresolved-leaf"
-        node.reason = "degenerate certificate"
-        return node
     for pt in dec.points:
         if pt.status == "RecoveredTrivial":
             continue

@@ -80,6 +80,17 @@ def test_bad_prime_exit_code(corpdir, capsys):
     rc, out, err = run_cli(["trivial", str(corpdir / "ZS3.alg"), "--prime", "gen=[4]"],
                            capsys)
     assert rc == 2
+    rc, out, err = run_cli(["trivial", str(corpdir / "B2_Z.alg"), "--prime", "gen=[d, d^2]"],
+                           capsys)
+    assert rc == 2 and not out
+    assert err == "error: (d, d^2) is not a maximal point: redundant generators\n"
+
+
+def test_generators_of_a_euclidean_prime_collapse_to_their_gcd(corpdir, capsys):
+    rc, out, err = run_cli(["decmat", str(corpdir / "ZS3.alg"), "--prime", "gen=[6, 10]"],
+                           capsys)
+    assert rc == 0 and not err
+    assert out.splitlines()[0] == "decomposition matrix of ZS3 at (2)"
 
 
 def test_internal_invariants_are_not_invalid_input(corpdir, capsys):
@@ -216,6 +227,19 @@ def test_discriminant_and_stratify(corpdir, capsys):
                           "--format", "structured"], capsys)
     rep = json.loads(out)
     assert len(rep["strata"]) == 2
+
+
+def test_stratify_reports_a_component_it_cannot_verify(corpdir, capsys):
+    """TL4_Q's candidate has the component d^2 - 2, whose residue field is
+    out of scope: the tree keeps it as an unresolved leaf."""
+    rc, out, err = run_cli(["stratify", str(corpdir / "TL4_Q.alg")], capsys)
+    assert rc == 0 and not err
+    lines = out.splitlines()
+    at = lines.index("  at (d^2 - 2)? [Unknown]:")
+    assert lines[at + 1] == ("    unresolved TL4_Q: residue field of (d^2 - 2) "
+                             "is a degree-2 number field")
+    assert ("  4: TL4_Q: unresolved: residue field of (d^2 - 2) is a degree-2 "
+            "number field") in lines
 
 
 def test_reports_are_byte_identical_across_runs(corpdir, capsys):

@@ -229,6 +229,28 @@ def test_hermite_saturation_idempotent_and_rank_preserving():
         assert unsaturated >= 20, ring_text
 
 
+def test_hermite_transform_is_the_inverse_transpose():
+    """The transform W is (U^-1)^T for the unimodular U with
+    U . rows = [H; 0]: so rows = W[:r]^T H, and W has a unit determinant."""
+    rng = random.Random(37)
+    for ring_text in ("Z", "Q", "Q[x]", "GF(5)[x]"):
+        ring = parse_ring(ring_text)
+        E, to_plain, from_plain = ring.plain()
+        K = ring.fraction_field()
+        for _ in range(30):
+            rows = [[to_plain(c) for c in r] for r in _lattice_rows(ring, rng)]
+            res = hermite_normal_form(E, rows, transform=True)
+            W, H = res.transform, res.basis
+            for i, row in enumerate(rows):
+                for j, a in enumerate(row):
+                    b = E.zero
+                    for k in range(len(H)):
+                        b = E.add(b, E.mul(W[k][i], H[k][j]))
+                    assert E.is_zero(E.sub(a, b)), (ring_text, rows)
+            d = det(Matrix(K, [[ring.to_field(from_plain(c), K) for c in r] for r in W]))
+            assert is_unit(ring.from_field_scalar(d, K)), (ring_text, rows)
+
+
 def test_saturation_completes_to_a_unimodular_basis():
     """The saturation and the complement of one split form a matrix of
     determinant +-1, also when the input rows are not saturated."""

@@ -58,6 +58,23 @@ def test_chop_validates_modules(corpus):
     regular_module(F).validate()
 
 
+def test_module_validation_raises_inconsistent(corpus):
+    """A module whose unit is not the identity, or whose action breaks the
+    table, is inconsistent data, not a radical fault."""
+    from decompgen.modules import AlgebraModule
+
+    F = corpus["ZC2"].generic_fiber()
+    K = F.field
+    one, two = Matrix(K, [[K.one]]), Matrix(K, [[K.from_int(2)]])
+    assert F.unit == (K.one, K.zero)
+    with pytest.raises(Inconsistent, match="unit does not act as the identity"):
+        AlgebraModule(F, [two, one]).validate()
+    # g^2 = 1 in the group algebra, but g acts as 2
+    with pytest.raises(Inconsistent, match="action does not respect the table"):
+        AlgebraModule(F, [one, two]).validate()
+    AlgebraModule(F, [one, Matrix(K, [[K.from_int(-1)]])]).validate()
+
+
 def test_chop_multiset_is_seed_independent(corpus):
     fibers = [
         corpus["ZS3"].generic_fiber(),
@@ -453,7 +470,7 @@ def _parent_split_or_certify(module, rng, attempts):
         coeffs = [F.from_int(rng.randint(-window, window)) for _ in range(n)]
         X = module.act_element(coeffs)
         chi = char_poly(X)
-        pieces = factor_pieces(F, chi, seed=attempt + 1)
+        pieces = factor_pieces(F, chi)
         pieces.sort(key=lambda t: P.udeg(t[0]))
         for f, is_irred in pieces:
             if not is_irred and P.udeg(f) == P.udeg(chi):

@@ -9,6 +9,7 @@ from decompgen.corpus import REGISTRY
 from decompgen.decomposition import dec_gen_membership
 from decompgen.errors import NotPrime, NotSemisimpleGeneric, NotSymmetric, UnsupportedError
 from decompgen.fields import GFPrime, Rationals
+from decompgen.linalg import Matrix, det
 from decompgen.primes import contains, prime_spec
 from decompgen.rings import parse_ring
 from decompgen.strata import (
@@ -35,9 +36,15 @@ def test_radical_lattice_examples(corpus):
     assert lat.rank == 0
     lat = radical_lattice(corpus["B2_Q"])
     assert lat.rank == 0
-    lat = radical_lattice(corpus["UT2_Z"])
-    assert lat.rank == 1 and lat.saturated
+    A = corpus["UT2_Z"]
+    lat = radical_lattice(A)
+    assert lat.rank == 1
     assert [[str(c) for c in row] for row in lat.rows] == [["0", "1", "0"]]
+    # over Z the saturation and the complement of its one Hermite split are
+    # a basis of Z^3
+    K = A.generic_fiber().field
+    rows = [[A.ring.to_field(c, K) for c in row] for row in lat.rows]
+    assert abs(det(Matrix(K, rows + [list(v) for v in lat.complement]))) == 1
 
 
 def test_candidate_discriminant_values(corpus):
@@ -171,6 +178,75 @@ mul 1 1 1 2*d - 1
     assert tree_lines(stratify(A))[1:] == [
         "  at (2*d - 1) [Excluded]:",
         "    unresolved LIN: Z[d]/(2*d - 1) is not a polynomial ring"]
+
+
+def test_candidate_discriminant_needs_a_split_generic_fiber(corpus, monkeypatch):
+    """A non-split generic fiber raises NotSplit before the certificate is
+    formed; on a split one a zero Gram determinant is a failed internal
+    check."""
+    from decompgen import strata
+    from decompgen.errors import EngineError, NotSplit
+
+    with pytest.raises(NotSplit, match="the generic fiber of ZC3 does not split"):
+        candidate_discriminant(corpus["ZC3"])
+    monkeypatch.setattr(strata, "det", lambda mat: mat.field.zero)
+    with pytest.raises(EngineError, match="degenerate"):
+        candidate_discriminant(corpus["ZS3"])
+
+
+def test_candidate_absorbs_the_denominators_of_the_echelon_rows():
+    """NIL over Z[y] has the radical line t - y, whose echelon row (1, -1/y)
+    and the unit's coordinates on the complement carry the denominator y:
+    the candidate is the Gram determinant y^2 times that y."""
+    from cli_sweep import NIL
+    from decompgen.algebra import load_algebra
+
+    A = load_algebra(NIL.replace("ring Q[y]", "ring Z[y]"))
+    assert str(candidate_discriminant(A)) == "y^3"
+    assert [pt.short_str() for pt in dec_ex(A).points] == ["(y) RecoveredTrivial"]
+
+
+# E, E - x, y - d E, F for R[x, y]/(x, y)^2 x R: the radical (x, y) has the
+# echelon rows (1, 0, 1/d, 0) and (0, 1, 1/d, 0), which share the
+# denominator d, and the maximal minors of their cleared rows have gcd d
+SHARED = """algebra Rank2
+ring Z[d]
+basis e u v f
+unit 1, 0, 0, 1
+mul 0 0 0 1
+mul 0 1 1 1
+mul 1 0 1 1
+mul 0 2 2 1
+mul 2 0 2 1
+mul 1 1 0 -1
+mul 1 1 1 2
+mul 1 2 0 d
+mul 1 2 1 -d
+mul 1 2 2 1
+mul 2 1 0 d
+mul 2 1 1 -d
+mul 2 1 2 1
+mul 2 2 0 -d^2
+mul 2 2 2 -2*d
+mul 3 3 3 1
+"""
+
+
+@pytest.mark.parametrize("ring, var", [("Z[d]", "d"), ("Q[x,y]", "x")])
+def test_rank_two_radical_with_a_shared_denominator(ring, var):
+    """The one shape where a gcd of J's maximal minors could add to the
+    candidate: it would only raise the exponent of the prime of the shared
+    denominator, which the candidate already carries, so the points stay."""
+    from decompgen.algebra import load_algebra
+
+    A = load_algebra(SHARED.replace("ring Z[d]", f"ring {ring}").replace("d", var))
+    lat = radical_lattice(A)
+    assert [[str(c) for c in row] for row in lat.rows] == [
+        [var, "0", "1", "0"], ["0", var, "1", "0"]]
+    dec = dec_ex(A)
+    assert str(dec.candidate) == f"{var}^3"
+    assert [pt.short_str() for pt in dec.points] == [f"({var}) RecoveredTrivial"]
+    assert [(pt.generic_radical_dim, pt.fiber_radical_dim) for pt in dec.points] == [(2, 2)]
 
 
 def test_dec_ex_statuses(corpus):
@@ -369,8 +445,12 @@ mul 2 2 2 2*d
 def test_two_variable_radical_lattice_with_denominators():
     A = _skewed_radical_algebra()
     lat = radical_lattice(A)
-    assert lat.rank == 1 and not lat.saturated
-    # cleared primitive generator of the radical line (0, -d, 1)
+    assert lat.rank == 1
+    # off a Euclidean ring the complement is the non-pivot unit vectors
+    fiber = A.generic_fiber()
+    assert lat.complement == (tuple(fiber.basis_vector(0)), tuple(fiber.basis_vector(2)))
+    # the cleared generator of the radical line (0, -d, 1) is primitive as
+    # cleared: its pivot entry d misses the entry 1
     coords = [str(c) for c in lat.rows[0]]
     assert coords in (["0", "-d", "1"], ["0", "d", "-1"])
     g = candidate_discriminant(A)
