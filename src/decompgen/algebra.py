@@ -129,12 +129,25 @@ class FiniteFreeAlgebra:
         return out
 
     def one_sided_products(self, v):
-        """("left", b_i v) and ("right", v b_i) for every basis element b_i."""
-        v = list(v)
+        """("left", b_i v) and ("right", v b_i) for every basis element b_i,
+        read off `terms`: b_i v = sum_j v_j sum_k c[i][j][k] b_k and
+        v b_i = sum_j v_j sum_k c[j][i][k] b_k, summed in the order vec_mul
+        sums them, with no product by a coordinate 1."""
+        D = self.domain
+        add, mul, is_zero = D.add, D.mul, D.is_zero
+        vs = [(j, vj) for j, vj in enumerate(v) if not is_zero(vj)]
+        terms = self.terms
+
+        def combine(pairs):
+            out = [D.zero] * self.dim
+            for vj, ts in pairs:
+                for k, c in ts:
+                    out[k] = add(out[k], mul(vj, c))
+            return out
+
         for i in range(self.dim):
-            b = self.basis_vector(i)
-            yield "left", self.vec_mul(b, v)
-            yield "right", self.vec_mul(v, b)
+            yield "left", combine((vj, terms[i][j]) for j, vj in vs)
+            yield "right", combine((vj, terms[j][i]) for j, vj in vs)
 
     def unstable_side(self, vectors, lattice):
         """"left" or "right" for the first b_i v or v b_i (v in vectors) that

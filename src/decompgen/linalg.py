@@ -272,19 +272,26 @@ def inverse(mat):
 
 
 def det(mat):
+    """Determinant by Gaussian elimination with row swaps.
+
+    Over a FuncField the pivot of column j is the entry of shortest
+    numerator plus denominator (dense length in one variable, term count in
+    two), the first such row winning ties; over other fields it is the first
+    nonzero entry.  The determinant does not depend on the pivot order and
+    each swap flips the sign, so the value is the same either way; over k(d)
+    every non-polynomial result costs a gcd, and a short pivot keeps the
+    Schur complements short."""
     F = mat.field
     n = mat.nrows
     if n != mat.ncols:
         raise NotSquare("determinant of a non-square matrix")
+    size = (lambda a: len(a[0]) + len(a[1])) if isinstance(F, FuncField) else (lambda a: 0)
     rows = [list(r) for r in mat.rows]
     sign = False
     d = F.one
     for j in range(n):
-        sel = None
-        for i in range(j, n):
-            if not F.is_zero(rows[i][j]):
-                sel = i
-                break
+        sel = min((i for i in range(j, n) if not F.is_zero(rows[i][j])),
+                  key=lambda i: size(rows[i][j]), default=None)
         if sel is None:
             return F.zero
         if sel != j:

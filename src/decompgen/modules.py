@@ -17,6 +17,11 @@ running out of budget is an error rather than a wrong answer.
 Random elements are integer-coefficient combinations of the basis drawn
 from a growing window, so the same seed gives the same run over any field.
 
+The chop's leaves fall into isomorphism classes.  An absolutely simple leaf
+(image rank d^2) is told apart from every other simple by the traces of the
+basis elements, so the char polys (the fingerprint) are taken once per
+class, for its first leaf.
+
 The Jacobson radical is the intersection of the annihilators of the
 simples in every characteristic: the kernel of the matrix of their
 entries, read off the memoized chop of the regular module that the split
@@ -272,8 +277,11 @@ def _split_or_certify(module, rng, attempts):
 
 
 def chop(module, seed=1, attempts=80):
-    """Composition factors with multiplicities, deduplicated by fingerprint
-    and sorted canonically.  The multiset is seed-independent."""
+    """Composition factors with multiplicities, one per isomorphism class,
+    sorted canonically by fingerprint.  A leaf of image rank d^2 is keyed by
+    its dimension and the traces of the basis elements, any other by its
+    dimension and char polys; the first leaf of a class represents it, and
+    its char polys are taken once.  The multiset is seed-independent."""
     rng = random.Random(seed)
     leaves = []
     stack = [module]
@@ -287,13 +295,19 @@ def chop(module, seed=1, attempts=80):
         else:
             stack.append(submodule(m, data))
             stack.append(quotient_module(m, data))
-    # scalars are canonical: equal (dim, char_polys) means equal sort keys
+    # A leaf of image rank d^2 is absolutely simple: for a simple T not
+    # isomorphic to it, A maps onto End(S) x A/ann T, so some basis element
+    # has different traces on S and T.  Isomorphic leaves have equal char
+    # polys, so with canonical scalars these classes, their first leaves and
+    # counts are those of a (dim, char_polys) key for every leaf.
     grouped = {}
     for m, rank in leaves:
-        polys = m.char_polys()
-        s, count = grouped.get((m.dim, polys), (SimpleModule(m, polys, rank), 0))
-        grouped[m.dim, polys] = (s, count + 1)
-    return sorted(grouped.values(), key=lambda t: t[0].sort_key())
+        absolute = rank == m.dim ** 2
+        data = tuple(a.trace() for a in m.action) if absolute else m.char_polys()
+        grouped.setdefault((m.dim, absolute, data), [m, rank, 0])[2] += 1
+    simples = [(SimpleModule(m, m.char_polys() if absolute else data, rank), count)
+               for (_, absolute, data), (m, rank, count) in grouped.items()]
+    return sorted(simples, key=lambda t: t[0].sort_key())
 
 
 def _per_table(analysis):

@@ -433,6 +433,32 @@ def test_ideal_closure_over_z(corpus):
     assert not lat.over_field
 
 
+def test_one_sided_products_equal_products_with_basis_vectors(corpus):
+    """one_sided_products(v), read off the table's terms, equals
+    vec_mul(b_i, v) and vec_mul(v, b_i) for seeded v: on every registry
+    table over its ring (ideal_closure runs there over Z) and on its
+    generic fiber, and on B3 over Z[d]'s fibers at (2) and (3)."""
+    B3 = brauer_algebra(3, Zd)
+    tables = [t for _, A in sorted(corpus.items()) for t in (A, A.generic_fiber())]
+    tables += [specialize(B3, prime_spec(Zd, [Zd.from_int(p)])) for p in (2, 3)]
+    rng = random.Random(29)
+    for table in tables:
+        if table.field is None:
+            R = table.ring
+            scalars = [R.from_int(k) for k in range(-2, 3)] + [R.var(x) for x in R.varnames]
+        else:
+            F = table.field
+            scalars = [F.from_int(k) for k in range(-2, 3)]
+            scalars += [F.var_scalar(i) for i in range(getattr(F, "nv", 0))]
+        for _ in range(3):
+            v = [rng.choice(scalars) for _ in range(table.dim)]
+            want = []
+            for i in range(table.dim):
+                b = table.basis_vector(i)
+                want += [("left", table.vec_mul(b, v)), ("right", table.vec_mul(v, b))]
+            assert list(table.one_sided_products(v)) == want, table.name
+
+
 def test_quotient_dimension_additivity(corpus):
     S3 = corpus["ZS3"]
     p3 = prime_spec(Z, [Z.from_int(3)])

@@ -527,18 +527,54 @@ def _cofactor_det(F, rows):
     return out
 
 
-@pytest.mark.parametrize("F", [QQ, GFPrime(5), QD, GF2D], ids=["Q", "GF(5)", "Q(d)", "GF(2)(d)"])
-def test_det_equals_cofactor_expansion(F):
+GF3D = FuncField(GFPrime(3), ("d",))
+
+
+def _mixed_entry(F, rng, density):
+    """Zero with probability 1 - density, else a constant, a polynomial or
+    a fraction in every variable: entries of different sizes."""
+    if rng.random() >= density:
+        return F.zero
+    kind = rng.randrange(3)
+    if kind == 0:
+        return F.from_int(rng.randint(1, 4))
+    if kind == 1:
+        v = F.var_scalar(rng.randrange(F.nv))
+        return F.add(F.mul(v, F.sub(v, F.from_int(rng.randint(1, 2)))), F.from_int(rng.randint(0, 2)))
+    return _entry(F, rng, 1.0)
+
+
+def _size(a):
+    """Numerator plus denominator length of a FuncField scalar."""
+    return len(a[0]) + len(a[1])
+
+
+SHAPES = ("plain", "swap", "zero column")
+MIXED = ("mixed",) * 3  # three seeded draws per size and density
+
+
+@pytest.mark.parametrize("F, shapes, largest", [
+    (QQ, SHAPES, 5), (GFPrime(5), SHAPES, 5), (QD, SHAPES + MIXED, 5), (GF2D, SHAPES, 5),
+    (GF3D, MIXED, 5), (QXY, MIXED, 3),
+], ids=["Q", "GF(5)", "Q(d)", "GF(2)(d)", "GF(3)(d)", "Q(x,y)"])
+def test_det_equals_cofactor_expansion(F, shapes, largest, monkeypatch):
     """det, which updates only right of each pivot and only over the pivot
     row's nonzero columns, equals cofactor expansion on seeded matrices up
     to 5 x 5: dense and sparse ones, ones whose first pivot needs a row
-    swap, and ones with a zero column."""
-    rng = random.Random(53)
-    swapped = 0
-    for n in range(1, 6):
+    swap, and ones with a zero column.  The mixed shape mixes constants,
+    polynomials and fractions, so the shortest entry of the first column is
+    often not its first nonzero one, and det must invert that shortest
+    entry (the first of equal length) first.  Q(x,y) stops at 3 x 3:
+    elimination there pays a two-variable gcd per entry."""
+    rng, mixed_rng = random.Random(53), random.Random(59)
+    swapped = reordered = 0
+    for n in range(1, largest + 1):
         for density in (1.0, 0.6, 0.3):
-            for shape in ("plain", "swap", "zero column"):
-                rows = [[_entry(F, rng, density) for _ in range(n)] for _ in range(n)]
+            for shape in shapes:
+                if shape == "mixed":
+                    rows = [[_mixed_entry(F, mixed_rng, density) for _ in range(n)] for _ in range(n)]
+                else:
+                    rows = [[_entry(F, rng, density) for _ in range(n)] for _ in range(n)]
                 if shape == "swap" and n > 1:
                     rows[0][0] = F.zero
                     rows[1][0] = F.one
@@ -548,7 +584,19 @@ def test_det_equals_cofactor_expansion(F):
                     for r in rows:
                         r[j] = F.zero
                 expected = _cofactor_det(F, rows)
-                assert det(Matrix(F, rows)) == expected, (n, density, shape)
+                pivots = []
+                if shape == "mixed":
+                    inv = FuncField.inv
+                    monkeypatch.setattr(FuncField, "inv", lambda K, a: pivots.append(a) or inv(K, a))
+                got = det(Matrix(F, rows))
+                monkeypatch.undo()
+                assert got == expected, (n, density, shape)
                 if shape == "zero column":
                     assert F.is_zero(expected)
-    assert swapped
+                column = [r[0] for r in rows if not F.is_zero(r[0])]
+                if shape == "mixed" and column:
+                    shortest = min(column, key=_size)
+                    assert pivots[0] == shortest, (n, density)
+                    reordered += _size(column[0]) > _size(shortest)
+    assert swapped or "swap" not in shapes
+    assert reordered or "mixed" not in shapes

@@ -537,6 +537,54 @@ def test_chop_decisions_match_the_parent_order(corpus, registry_points, monkeypa
     assert seen == {"certified by the rank", "split with d^2 > n"}
 
 
+def _grouped_by_char_polys(leaves):
+    """The chop's classes keyed by (dim, char_polys) for every leaf: the
+    first leaf of a class represents it, with the count of its leaves."""
+    grouped = {}
+    for m, rank in leaves:
+        polys = m.char_polys()
+        s, count = grouped.get((m.dim, polys), (SimpleModule(m, polys, rank), 0))
+        grouped[m.dim, polys] = (s, count + 1)
+    return sorted(grouped.values(), key=lambda t: t[0].sort_key())
+
+
+def test_chop_classes_match_char_poly_keys(corpus, registry_points, monkeypatch):
+    """chop keys an absolutely simple leaf (image rank d^2) by its traces and
+    any other by its char polys; its classes, counts and representatives
+    (the first leaf, its fingerprints and rank) are those of keying every
+    leaf by its char polys, at the registry points and at B3 over Z[d]'s
+    generic point, (2), (3), (3, d) and (d - 1).  Both key kinds occur:
+    ZC3 over Q has a 2-dim simple with End = Q(omega), of rank 2."""
+    from decompgen.corpus import brauer_algebra
+    from decompgen.primes import parse_prime
+
+    real, leaves = modules._split_or_certify, []
+
+    def recording(module, rng, attempts):
+        verdict = real(module, rng, attempts)
+        if verdict[0] == "simple":
+            leaves.append((module, verdict[1]))
+        return verdict
+
+    monkeypatch.setattr(modules, "_split_or_certify", recording)
+    B3 = brauer_algebra(3, parse_ring("Z[d]"))
+    fibers = [specialize(A, p) for key, A in sorted(corpus.items())
+              for p in registry_points(key, A)]
+    fibers += [specialize(B3, parse_prime(p, B3.ring))
+               for p in ("generic", "p=2", "p=3", "gen=[3, d]", "gen=[d - 1]")]
+    kinds = set()
+    for fiber in fibers:
+        leaves.clear()
+        got = chop(regular_module(fiber))
+        want = _grouped_by_char_polys(leaves)
+        assert [c for _, c in got] == [c for _, c in want], fiber.name
+        for (s, _), (t, _) in zip(got, want):
+            assert s.module is t.module and s.module.action == t.module.action, fiber.name
+            assert (s.fingerprint_polys, s.image_rank) == (t.fingerprint_polys, t.image_rank)
+        kinds.update(rank == m.dim ** 2 for m, rank in leaves)
+    assert kinds == {True, False}
+
+
 def test_map_table_maps_each_constant_once(corpus, registry_points, monkeypatch):
     """A fiber's table is A's with every coefficient reduced, f runs once
     per distinct coefficient, and its terms are those a table built from

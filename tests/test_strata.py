@@ -194,6 +194,48 @@ def test_candidate_discriminant_needs_a_split_generic_fiber(corpus, monkeypatch)
         candidate_discriminant(corpus["ZS3"])
 
 
+def _first_nonzero_pivot_det(mat):
+    """Gaussian elimination that pivots on the first nonzero entry of each
+    column: the pivot rule det used before it took the shortest entry."""
+    F = mat.field
+    rows = [list(r) for r in mat.rows]
+    n = len(rows)
+    d = F.one
+    for j in range(n):
+        sel = next((i for i in range(j, n) if not F.is_zero(rows[i][j])), None)
+        if sel is None:
+            return F.zero
+        if sel != j:
+            rows[j], rows[sel] = rows[sel], rows[j]
+            d = F.neg(d)
+        d = F.mul(d, rows[j][j])
+        inv = F.inv(rows[j][j])
+        for row in rows[j + 1:]:
+            f = F.mul(row[j], inv)
+            row[j:] = [F.sub(a, F.mul(f, b)) for a, b in zip(row[j:], rows[j][j:])]
+    return d
+
+
+def test_b3_gram_determinants_match_first_nonzero_pivoting(monkeypatch):
+    """det of the three large Grams that B3 over Z[d] certifies with (15 x 15
+    over Q(d), 14 x 14 over GF(2)(d), 11 x 11 over GF(3)(d)) equals the
+    determinant of first-nonzero pivoting."""
+    from decompgen import strata
+    from decompgen.algebra import restrict
+    from decompgen.corpus import brauer_algebra
+    from decompgen.primes import parse_prime
+
+    grams = []
+    monkeypatch.setattr(strata, "det", lambda mat: grams.append(mat) or det(mat))
+    B3 = brauer_algebra(3, Zd)
+    for prime in ("generic", "p=2", "p=3"):
+        candidate_discriminant(restrict(B3, parse_prime(prime, Zd)))
+    assert [(repr(m.field), m.nrows) for m in grams] == [
+        ("Q(d)", 15), ("GF(2)(d)", 14), ("GF(3)(d)", 11)]
+    for mat in grams:
+        assert det(mat) == _first_nonzero_pivot_det(mat), repr(mat.field)
+
+
 def test_candidate_absorbs_the_denominators_of_the_echelon_rows():
     """NIL over Z[y] has the radical line t - y, whose echelon row (1, -1/y)
     and the unit's coordinates on the complement carry the denominator y:
