@@ -1,4 +1,4 @@
-"""Finite free algebras by structure constants, their fibers and lattices.
+"""Finite free algebras by structure constants, their fibers and subspaces.
 
 An algebra is a free module D^n with a multiplication table: basis vectors
 b_i, products b_i b_j = sum_k c[i][j][k] b_k, a distinguished unit vector,
@@ -29,7 +29,6 @@ from .linalg import (
     Matrix,
     det,
     echelon_reduce,
-    hermite_normal_form,
     inverse,
     pivot_columns,
     rref_rows,
@@ -343,71 +342,54 @@ def restrict(A, p):
     return _map_table(A, push, f"{A.name}|{p.short_str()}", cur)
 
 
-# --- sublattices and ideals -----------------------------------------------------
+# --- subspaces and ideals of fibers ---------------------------------------------
 
 class SubLattice:
-    """Subspace of a fiber (canonical reduced echelon rows) or sublattice of
-    an algebra over Z / k[x] (canonical Hermite rows of ring elements)."""
+    """Subspace of a fiber, as its canonical reduced echelon rows."""
 
     def __init__(self, ambient, rows):
         self.ambient = ambient
         self.rows = tuple(tuple(r) for r in rows)
-        self.over_field = ambient.over_field
 
     @property
     def dim(self):
         return len(self.rows)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, SubLattice)
-            and self.over_field == other.over_field
-            and self.rows == other.rows
-        )
+        return isinstance(other, SubLattice) and self.rows == other.rows
 
     def __repr__(self):
-        kind = "subspace" if self.over_field else "lattice"
-        return f"<{kind} of dim {self.dim} in dim-{self.ambient.dim} ambient>"
+        return f"<subspace of dim {self.dim} in dim-{self.ambient.dim} ambient>"
 
     @cached_property
     def pivots(self):
-        """Pivot columns of the echelon rows of a subspace, found once."""
+        """Pivot columns of the echelon rows, found once."""
         return pivot_columns(self.ambient.field, self.rows)
 
     def contains_vector(self, vec):
-        if self.over_field:
-            F = self.ambient.field
-            work = echelon_reduce(F, self.rows, self.pivots, vec)
-            return all(F.is_zero(c) for c in work)
-        from .linalg import lattice_member
-
-        E, to_plain, _ = self.ambient.ring.plain()
-        reps = [[to_plain(c) for c in row] for row in self.rows]
-        return lattice_member(E, reps, [to_plain(c) for c in vec]) is not None
+        F = self.ambient.field
+        work = echelon_reduce(F, self.rows, self.pivots, vec)
+        return all(F.is_zero(c) for c in work)
 
 
-def span_subspace(ambient, vectors):
-    """Canonical span of the vectors: reduced echelon rows over a field,
-    Hermite rows over a Euclidean ring."""
-    if ambient.over_field:
-        rows, _ = rref_rows(ambient.field, list(vectors)) if vectors else ([], [])
-        return SubLattice(ambient, rows)
-    E, to_plain, from_plain = ambient.ring.plain()
-    basis = hermite_normal_form(E, [[to_plain(c) for c in v] for v in vectors]).basis
-    return SubLattice(ambient, [[from_plain(c) for c in row] for row in basis])
+def span_subspace(fiber, vectors):
+    """Canonical span of the vectors in a fiber: its reduced echelon rows."""
+    rows, _ = rref_rows(fiber.field, list(vectors)) if vectors else ([], [])
+    return SubLattice(fiber, rows)
 
 
-def ideal_closure(ambient, generators):
-    """Smallest two-sided ideal containing the generators, as a canonical
-    SubLattice; closure by repeated one-sided multiplications to a fixpoint."""
-    if not ambient.over_field and not ambient.ring.is_euclidean:
-        raise UnsupportedRing("ideal closure over a two-variable ring needs the generic fiber")
-    current = span_subspace(ambient, [list(g) for g in generators])
+def ideal_closure(fiber, generators):
+    """Smallest two-sided ideal of a fiber containing the generators, as a
+    canonical SubLattice; closure by repeated one-sided multiplications to a
+    fixpoint.  A table over a ring raises UnsupportedRing."""
+    if not fiber.over_field:
+        raise UnsupportedRing("ideal closure runs on a fiber, such as the generic fiber")
+    current = span_subspace(fiber, [list(g) for g in generators])
     while True:
         new_rows = list(current.rows)
         for v in current.rows:
-            new_rows.extend(w for _, w in ambient.one_sided_products(v))
-        nxt = span_subspace(ambient, new_rows)
+            new_rows.extend(w for _, w in fiber.one_sided_products(v))
+        nxt = span_subspace(fiber, new_rows)
         if nxt == current:
             return nxt
         current = nxt
@@ -543,15 +525,9 @@ def load_algebra_file(path, validate=True):
         return load_algebra(fh.read(), validate=validate)
 
 
-def nilpotency_index(ambient, lattice):
-    """Smallest N with lattice^N = 0, or None when the powers stabilize at a
-    nonzero subspace.  Ring lattices are checked in the generic fiber, which
-    is equivalent for torsion-free lattices."""
-    if not ambient.over_field:
-        fiber = ambient.generic_fiber()
-        rows = [[ambient.ring.to_field(c) for c in row] for row in lattice.rows]
-        lattice = span_subspace(fiber, rows)
-        ambient = fiber
+def nilpotency_index(fiber, lattice):
+    """Smallest N with lattice^N = 0 for a subspace of a fiber, or None when
+    the powers stabilize at a nonzero subspace."""
     if lattice.dim == 0:
         return 1
     power = lattice
@@ -560,8 +536,8 @@ def nilpotency_index(ambient, lattice):
         prods = []
         for x in power.rows:
             for y in lattice.rows:
-                prods.append(ambient.vec_mul(list(x), list(y)))
-        nxt = span_subspace(ambient, prods)
+                prods.append(fiber.vec_mul(list(x), list(y)))
+        nxt = span_subspace(fiber, prods)
         n += 1
         if nxt.dim == 0:
             return n

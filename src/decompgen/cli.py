@@ -231,12 +231,13 @@ def _discriminant_report(dec):
         rec = {"status": pt.status}
         if isinstance(pt.prime, UnresolvedPrime):
             rec["generator"] = str(pt.prime.generator)
-            rec["reason"] = pt.prime.reason
         else:
             rec["prime"] = pt.prime.short_str()
-            if pt.fiber_radical_dim is not None:
-                rec["fiber_radical_dim"] = pt.fiber_radical_dim
-                rec["generic_radical_dim"] = pt.generic_radical_dim
+        if pt.status == "Unknown":
+            rec["reason"] = pt.reason
+        else:
+            rec["fiber_radical_dim"] = pt.fiber_radical_dim
+            rec["generic_radical_dim"] = pt.generic_radical_dim
         pts.append(rec)
     return {"algebra": dec.algebra_name, "candidate": str(dec.candidate), "points": pts}
 
@@ -247,11 +248,11 @@ def cmd_discriminant(args):
     report = _discriminant_report(dec)
     lines = [f"candidate discriminant of {A.name}: ({dec.candidate})"]
     for pt in dec.points:
-        if isinstance(pt.prime, UnresolvedPrime):
-            lines.append(f"  ({pt.prime.generator}): {pt.status} ({pt.prime.reason})")
-        else:
-            lines.append(f"  {pt.prime.short_str()}: {pt.status} "
-                         f"(radical {pt.generic_radical_dim} -> {pt.fiber_radical_dim})")
+        where = (f"({pt.prime.generator})" if isinstance(pt.prime, UnresolvedPrime)
+                 else pt.prime.short_str())
+        detail = (pt.reason if pt.status == "Unknown"
+                  else f"radical {pt.generic_radical_dim} -> {pt.fiber_radical_dim}")
+        lines.append(f"  {where}: {pt.status} ({detail})")
     _emit(report, lines, args.format)
     return 0
 

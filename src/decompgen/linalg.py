@@ -378,26 +378,30 @@ def eval_poly_at_matrix(field, poly, mat):
 @dataclass
 class HermiteResult:
     basis: list       # nonzero canonical rows
-    transform: list   # rows of (U^-1)^T for the unimodular U, or None
+    transform: list   # rows of the unimodular W with rows = W[:r]^T G (see below)
 
 
-def hermite_normal_form(E, rows, transform=False):
+def hermite_normal_form(E, rows):
     """Row Hermite normal form over a Euclidean ring, on its plain data.
 
     E is the `ops` of `RingDescriptor.plain` for Z, a field or k[x]
     (IntegerOps, the field itself, DenseKernels) and rows are lists of that
     plain data.  Pivots are canonical (positive over Z, monic over k[x], one
     over a field) and entries above a pivot are reduced modulo it, so the
-    basis is the unique Hermite basis of the row lattice.  With
-    transform=True the rows of W = (U^-1)^T are tracked for the unimodular U
-    with U . rows = [basis; 0]: each row operation on U acts on W by its
-    inverse transpose, so a swap of two rows swaps them in W, row_i -= q row_r
-    is W_r += q W_i, and scaling row r by a unit scales W_r by its inverse.
+    basis is the unique Hermite basis of the row lattice.
+
+    The transform W is unimodular with rows = W[:r]^T G, for r the rank and
+    G the echelon form before the pivots are normalized and the entries
+    above them reduced.  W tracks the inverse transpose of the swaps and of
+    the eliminations below each pivot: a swap of two rows swaps them in W,
+    and row_i -= q row_r is W_r += q W_i.  The normalization and the
+    reduction above the pivots only mix the first r rows, so they change
+    neither the span of W[:r] nor the rows W[r:], and W skips them.
     """
     work = [list(r) for r in rows]
     m = len(work)
     n = len(work[0]) if work else 0
-    W = _identity(E, m) if transform else None
+    W = [[E.one if j == i else E.zero for j in range(m)] for i in range(m)]
     r = 0
     for j in range(n):
         while True:
@@ -407,8 +411,7 @@ def hermite_normal_form(E, rows, transform=False):
             sel = min(live, key=lambda i: (E.euclid_size(work[i][j]), i))
             if sel != r:
                 work[r], work[sel] = work[sel], work[r]
-                if W:
-                    W[r], W[sel] = W[sel], W[r]
+                W[r], W[sel] = W[sel], W[r]
             piv = work[r][j]
             done = True
             for i in range(r + 1, m):
@@ -416,8 +419,7 @@ def hermite_normal_form(E, rows, transform=False):
                     continue
                 q, rem = E.divmod(work[i][j], piv)
                 work[i] = [E.sub(a, E.mul(q, b)) for a, b in zip(work[i], work[r])]
-                if W:
-                    W[r] = [E.add(a, E.mul(q, b)) for a, b in zip(W[r], W[i])]
+                W[r] = [E.add(a, E.mul(q, b)) for a, b in zip(W[r], W[i])]
                 if not E.is_zero(rem):
                     done = False
             if done:
@@ -426,9 +428,6 @@ def hermite_normal_form(E, rows, transform=False):
             u, _ = E.unit_normalize(work[r][j])
             if not E.is_zero(E.sub(u, E.one)):
                 work[r] = [E.mul(u, a) for a in work[r]]
-                if W:
-                    u_inv = E.unit_normalize(u)[0]
-                    W[r] = [E.mul(u_inv, a) for a in W[r]]
             piv = work[r][j]
             for i in range(r):
                 if E.is_zero(work[i][j]):
@@ -437,8 +436,6 @@ def hermite_normal_form(E, rows, transform=False):
                 if E.is_zero(q):
                     continue
                 work[i] = [E.sub(a, E.mul(q, b)) for a, b in zip(work[i], work[r])]
-                if W:
-                    W[r] = [E.add(a, E.mul(q, b)) for a, b in zip(W[r], W[i])]
             r += 1
             if r == m:
                 break
@@ -448,40 +445,14 @@ def hermite_normal_form(E, rows, transform=False):
 def saturate_rows(E, rows):
     """(saturation, complement) of the row lattice L in R^n (K the fraction
     field), rows and results in the plain data of E, both read off one
-    Hermite split U . rows^T = [H; 0] of rank r.  Then rows^T = V[:, :r] H
-    for V = U^-1, so the first r columns of V span L over K, and as columns
-    of a unimodular matrix they span L_K meet R^n and extend, by the other
-    n - r columns of V, to a basis of R^n.  The split tracks those columns
-    as the rows of W = V^T: the saturation is the Hermite basis of W[:r],
-    and W[r:] represent a free complement."""
-    res = hermite_normal_form(E, [list(c) for c in zip(*rows)], transform=True)
-    W = res.transform
-    return hermite_normal_form(E, W[:len(res.basis)]).basis, W[len(res.basis):]
-
-
-def _identity(E, n):
-    return [[E.one if j == i else E.zero for j in range(n)] for i in range(n)]
-
-
-def lattice_member(E, basis, vec):
-    """Solve vec = sum q_i basis_i over R against a Hermite basis; returns
-    the coefficient list or None."""
-    v = list(vec)
-    n = len(v)
-    coeffs = []
-    for row in basis:
-        j = next((k for k in range(n) if not E.is_zero(row[k])), None)
-        if j is None:
-            coeffs.append(E.zero)
-            continue
-        q, rem = E.divmod(v[j], row[j])
-        if not E.is_zero(rem):
-            return None
-        coeffs.append(q)
-        v = [E.sub(a, E.mul(q, b)) for a, b in zip(v, row)]
-    if any(not E.is_zero(a) for a in v):
-        return None
-    return coeffs
+    Hermite split of rows^T of rank r.  Its transform W is unimodular with
+    rows^T = W[:r]^T G for a G of rank r, so the rows of W[:r] span L over
+    K; as rows of a unimodular matrix they span L_K meet R^n and extend, by
+    W[r:], to a basis of R^n.  So the saturation is the Hermite basis of
+    W[:r], and W[r:] represent a free complement."""
+    res = hermite_normal_form(E, [list(c) for c in zip(*rows)])
+    r = len(res.basis)
+    return hermite_normal_form(E, res.transform[:r]).basis, res.transform[r:]
 
 
 # --- gcd-free bases --------------------------------------------------------------

@@ -48,13 +48,12 @@ class RadicalLattice:
     SubLattice (its rows are the reduced echelon form of J over K), and
     `complement` spans a complement of J, as fraction-field vectors.  Over
     Z and k[x] `rows` is the Hermite basis of the saturation and the
-    complement the other columns of V = U^-1 of its one Hermite split, so
-    together they are a basis of R^n.  Otherwise `rows` are the cleared
-    echelon rows, primitive as cleared (a prime of a row's pivot entry, the
-    lcm of its denominators, misses the entry whose denominator carries its
-    full power), and the complement is the non-pivot unit vectors of
-    `generic`."""
-    algebra: object
+    complement the rows W[r:] (r the rank) of the transform of its one
+    Hermite split, so together they are a basis of R^n.  Otherwise `rows`
+    are the cleared echelon rows, primitive as cleared (a prime of a row's
+    pivot entry, the lcm of its denominators, misses the entry whose
+    denominator carries its full power), and the complement is the
+    non-pivot unit vectors of `generic`."""
     rows: tuple          # RingElement coordinate vectors spanning J over R
     generic: object
     complement: tuple
@@ -94,7 +93,7 @@ def radical_lattice(A, seed=1):
         rows = tuple(tuple(row) for row in cleared)
         complement = tuple(tuple(fiber.basis_vector(j))
                            for j in range(A.dim) if j not in rad.pivots)
-    lat = RadicalLattice(A, rows, rad, complement)
+    lat = RadicalLattice(rows, rad, complement)
     _assert_lattice(A, lat)
     return lat
 

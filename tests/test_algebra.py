@@ -22,6 +22,7 @@ from decompgen.errors import (
     NotAssociative,
     UnitInIdeal,
     UnsupportedRestriction,
+    UnsupportedRing,
     ValidationError,
 )
 from decompgen.corpus import REGISTRY, brauer_algebra, dual_numbers, temperley_lieb
@@ -391,13 +392,12 @@ def test_left_regular_matrices(corpus):
 def test_unstable_side_names_the_failing_multiplication(corpus):
     # UT2: e01 spans a two-sided ideal; e00 e01 = e01 and e01 e11 = e01 leave
     # the spans of e00 and e11 on the right and on the left
-    A = corpus["UT2_Z"]
-    for table in (A, A.generic_fiber()):
-        got = []
-        for i in range(3):
-            lat = span_subspace(table, [table.basis_vector(i)])
-            got.append(table.unstable_side(lat.rows, lat))
-        assert got == ["right", None, "left"]
+    fiber = corpus["UT2_Z"].generic_fiber()
+    got = []
+    for i in range(3):
+        lat = span_subspace(fiber, [fiber.basis_vector(i)])
+        got.append(fiber.unstable_side(lat.rows, lat))
+    assert got == ["right", None, "left"]
 
 
 def test_ideal_closure_and_quotient(corpus):
@@ -426,18 +426,22 @@ def test_ideal_closure_and_quotient(corpus):
 
 def test_ideal_closure_over_z(corpus):
     UT = corpus["UT2_Z"]
-    # the strict upper triangular unit spans a two-sided ideal over Z
-    e01 = UT.basis_vector(1)  # basis order: e00, e01, e11
-    lat = ideal_closure(UT, [e01])
+    # ideal closure runs on a fiber: over Z it is refused, and in the
+    # generic fiber the strict upper triangular unit spans a two-sided ideal
+    with pytest.raises(UnsupportedRing, match="runs on a fiber"):
+        ideal_closure(UT, [UT.basis_vector(1)])
+    fiber = UT.generic_fiber()
+    e01 = fiber.basis_vector(1)  # basis order: e00, e01, e11
+    lat = ideal_closure(fiber, [e01])
     assert lat.dim == 1
-    assert not lat.over_field
+    assert lat == span_subspace(fiber, [e01])
 
 
 def test_one_sided_products_equal_products_with_basis_vectors(corpus):
     """one_sided_products(v), read off the table's terms, equals
     vec_mul(b_i, v) and vec_mul(v, b_i) for seeded v: on every registry
-    table over its ring (ideal_closure runs there over Z) and on its
-    generic fiber, and on B3 over Z[d]'s fibers at (2) and (3)."""
+    table over its ring and on its generic fiber, and on B3 over Z[d]'s
+    fibers at (2) and (3)."""
     B3 = brauer_algebra(3, Zd)
     tables = [t for _, A in sorted(corpus.items()) for t in (A, A.generic_fiber())]
     tables += [specialize(B3, prime_spec(Zd, [Zd.from_int(p)])) for p in (2, 3)]

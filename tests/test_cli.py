@@ -341,6 +341,62 @@ def test_discriminant_and_stratify_over_a_euclidean_ring(tmp_path, capsys):
     assert rc == 0 and not err and "NIL: all of Spec(R)" in out
 
 
+# the order Z 1 + Z i + 3 Mat2(Z), i = E12 - E21, on the basis (1, i, 3 E11, 3 E12)
+LAMI = """algebra LamI
+ring Z
+basis one i p11 p12
+unit 1, 0, 0, 0
+mul 0 0 0 1
+mul 0 1 1 1
+mul 0 2 2 1
+mul 0 3 3 1
+mul 1 0 1 1
+mul 1 1 0 -1
+mul 1 2 1 3
+mul 1 2 3 -1
+mul 1 3 0 -3
+mul 1 3 2 1
+mul 2 0 2 1
+mul 2 1 3 1
+mul 2 2 2 3
+mul 2 3 3 3
+mul 3 0 3 1
+mul 3 1 2 -1
+"""
+
+
+def test_an_unknown_point_at_a_certified_prime_prints_its_reason(tmp_path, capsys):
+    """LamI's generic fiber is Mat2(Q), but its fiber at (3) does not split:
+    the discriminant keeps (3) as Unknown and reports why, in both formats."""
+    lam = _write(tmp_path, LAMI)
+    rc, out, err = run_cli(["discriminant", lam], capsys)
+    assert rc == 0 and not err
+    assert out.splitlines() == ["candidate discriminant of LamI: (1296)",
+                                "  (2): RecoveredTrivial (radical 0 -> 0)",
+                                "  (3): Unknown (the fiber of LamI at (3) does not split)"]
+    rc, out, err = run_cli(["discriminant", lam, "--format", "structured"], capsys)
+    assert rc == 0 and not err
+    assert json.loads(out)["points"][1] == {
+        "prime": "(3)", "status": "Unknown",
+        "reason": "the fiber of LamI at (3) does not split"}
+
+
+def test_malformed_primes_and_trace_forms_are_invalid_input(corpdir, tmp_path, capsys):
+    """A --prime of no known shape, a trace form that is not symmetric and
+    one that is degenerate over the fraction field exit 2 on one error line."""
+    for prime in ("q=3", "gen=d"):
+        rc, out, err = run_cli(["decmat", str(corpdir / "ZC2.alg"), "--prime", prime], capsys)
+        assert rc == 2 and not out and err.startswith(f"error: cannot parse prime '{prime}'")
+    table = ("algebra NS\nring Z\nbasis a b c\nunit 1, 0, 1\ntrace 0, 1, 0\n"
+             "mul 0 0 0 1\nmul 0 1 1 1\nmul 1 2 1 1\nmul 2 2 2 1\n")
+    rc, out, err = run_cli(["validate", _write(tmp_path, table)], capsys)
+    assert rc == 2 and not out and err == "error: trace form is not symmetric\n"
+    zc2 = (corpdir / "ZC2.alg").read_text().replace("trace 1, 0", "trace 0, 0")
+    rc, out, err = run_cli(["validate", _write(tmp_path, zc2)], capsys)
+    assert rc == 2 and not out
+    assert err == "error: trace form is degenerate over the fraction field\n"
+
+
 def _sympy_modules_after(argv):
     """The sympy modules a fresh interpreter holds after importing the CLI
     and, when argv is given, running cli.main(argv) in it.  The suite itself

@@ -19,7 +19,6 @@ from decompgen.linalg import (
     hermite_normal_form,
     inverse,
     kernel_basis,
-    lattice_member,
     point_rank,
     rank,
     saturate_rows,
@@ -201,6 +200,19 @@ def _lattice_rows(ring, rng):
     return rows
 
 
+def _in_lattice(E, basis, vec):
+    """Whether vec is an R-combination of the rows of a Hermite basis: each
+    row clears its pivot entry from what is left of vec, by exact division."""
+    v = list(vec)
+    for row in basis:
+        j = next(k for k, a in enumerate(row) if not E.is_zero(a))
+        q, rem = E.divmod(v[j], row[j])
+        if not E.is_zero(rem):
+            return False
+        v = [E.sub(a, E.mul(q, b)) for a, b in zip(v, row)]
+    return all(E.is_zero(a) for a in v)
+
+
 def test_hermite_saturation_idempotent_and_rank_preserving():
     """The saturation contains every input row, has the rank over K of the
     input, is its own saturation, and completes with the complement of the
@@ -219,7 +231,7 @@ def test_hermite_saturation_idempotent_and_rank_preserving():
             assert saturate_rows(E, sat)[0] == sat
             assert len(sat) == rank(Matrix(K, [[ring.to_field(c, K) for c in r] for r in rows]))
             for r in reps:
-                assert lattice_member(E, sat, r) is not None
+                assert _in_lattice(E, sat, r)
             unsaturated += hermite_normal_form(E, reps).basis != sat
             if not sat:
                 continue
@@ -229,26 +241,25 @@ def test_hermite_saturation_idempotent_and_rank_preserving():
         assert unsaturated >= 20, ring_text
 
 
-def test_hermite_transform_is_the_inverse_transpose():
-    """The transform W is (U^-1)^T for the unimodular U with
-    U . rows = [H; 0]: so rows = W[:r]^T H, and W has a unit determinant."""
+def test_hermite_transform_is_unimodular_and_spans_the_columns():
+    """The transform W has a unit determinant, and its first r rows (r the
+    rank) span over K the columns of the input: rows = W[:r]^T G for the
+    echelon form G, which is all that saturate_rows reads of W."""
     rng = random.Random(37)
     for ring_text in ("Z", "Q", "Q[x]", "GF(5)[x]"):
         ring = parse_ring(ring_text)
         E, to_plain, from_plain = ring.plain()
         K = ring.fraction_field()
+        to_K = lambda rows: Matrix(K, [[ring.to_field(from_plain(c), K) for c in r]
+                                       for r in rows])
         for _ in range(30):
             rows = [[to_plain(c) for c in r] for r in _lattice_rows(ring, rng)]
-            res = hermite_normal_form(E, rows, transform=True)
-            W, H = res.transform, res.basis
-            for i, row in enumerate(rows):
-                for j, a in enumerate(row):
-                    b = E.zero
-                    for k in range(len(H)):
-                        b = E.add(b, E.mul(W[k][i], H[k][j]))
-                    assert E.is_zero(E.sub(a, b)), (ring_text, rows)
-            d = det(Matrix(K, [[ring.to_field(from_plain(c), K) for c in r] for r in W]))
-            assert is_unit(ring.from_field_scalar(d, K)), (ring_text, rows)
+            res = hermite_normal_form(E, rows)
+            W, r = res.transform, len(res.basis)
+            assert r == rank(to_K(rows)), (ring_text, rows)
+            assert rank(to_K(W[:r])) == r, (ring_text, rows)
+            assert rank(to_K(W[:r] + [list(c) for c in zip(*rows)])) == r, (ring_text, rows)
+            assert is_unit(ring.from_field_scalar(det(to_K(W)), K)), (ring_text, rows)
 
 
 def test_saturation_completes_to_a_unimodular_basis():
