@@ -148,15 +148,6 @@ class FiniteFreeAlgebra:
             yield "left", combine((vj, terms[i][j]) for j, vj in vs)
             yield "right", combine((vj, terms[j][i]) for j, vj in vs)
 
-    def unstable_side(self, vectors, lattice):
-        """"left" or "right" for the first b_i v or v b_i (v in vectors) that
-        leaves the lattice, None when both multiplications keep it inside."""
-        for v in vectors:
-            for side, w in self.one_sided_products(v):
-                if not lattice.contains_vector(w):
-                    return side
-        return None
-
     def left_regular_matrix(self, x):
         F = self.field
         n = self.dim
@@ -527,17 +518,16 @@ def load_algebra_file(path, validate=True):
 
 def nilpotency_index(fiber, lattice):
     """Smallest N with lattice^N = 0 for a subspace of a fiber, or None when
-    the powers stabilize at a nonzero subspace."""
+    the powers stabilize at a nonzero subspace.  lattice^(k+1) is the span
+    of the y·x, one `apply` of the left regular matrix of a lattice row y to
+    a row x of lattice^k: by associativity, of all (k+1)-fold products."""
     if lattice.dim == 0:
         return 1
+    lefts = [fiber.left_regular_matrix(y) for y in lattice.rows]
     power = lattice
     n = 1
     while True:
-        prods = []
-        for x in power.rows:
-            for y in lattice.rows:
-                prods.append(fiber.vec_mul(list(x), list(y)))
-        nxt = span_subspace(fiber, prods)
+        nxt = span_subspace(fiber, [L.apply(x) for x in power.rows for L in lefts])
         n += 1
         if nxt.dim == 0:
             return n

@@ -5,14 +5,15 @@ polynomial evaluations of random algebra elements to find proper submodules,
 where the spin of v is the span of v and the b_i·v (A·v is already closed),
 and certify simplicity either by the surjectivity-onto-End criterion (the
 image of the algebra spans the full matrix ring exactly for split simples,
-a pure rank computation that needs no factorization, taken first when
-d^2 <= dim A and otherwise only for a Norton verdict, since it is at most
-dim A) or by Norton's two-sided kernel-spinning test with an irreducible
-factor of a characteristic polynomial.  The chop asks `factor.factor_pieces`
-for those factors.  They are certified irreducible over Q, GF(q) and
-Q(vars); over GF(p)(vars) only constant-coefficient polynomials factor, so
-there the rank certificate plus the budget is the engineering answer, and
-running out of budget is an error rather than a wrong answer.
+a pure rank computation that needs no factorization, asked first when
+d^2 <= dim A, where it stops at the first column without a pivot, and
+otherwise only for a Norton verdict) or by Norton's two-sided
+kernel-spinning test with an irreducible factor of a characteristic
+polynomial.  The chop asks `factor.factor_pieces` for those factors.  They
+are certified irreducible over Q, GF(q) and Q(vars); over GF(p)(vars) only
+constant-coefficient polynomials factor, so there the rank certificate plus
+the budget is the engineering answer, and running out of budget is an error
+rather than a wrong answer.
 
 Random elements are integer-coefficient combinations of the basis drawn
 from a growing window, so the same seed gives the same run over any field.
@@ -25,7 +26,8 @@ class, for its first leaf.
 The Jacobson radical is the intersection of the annihilators of the
 simples in every characteristic: the kernel of the matrix of their
 entries, read off the memoized chop of the regular module that the split
-test needs anyway.
+test needs anyway.  It is a two-sided ideal by construction, so only its
+nilpotency is checked.
 """
 
 import random
@@ -46,7 +48,7 @@ from .linalg import (
     point_rank,
     rref_rows,
 )
-from .algebra import span_subspace
+from .algebra import nilpotency_index, span_subspace
 
 
 class AlgebraModule:
@@ -178,16 +180,36 @@ class SimpleModule:
         return f"<simple of dim {self.dim}>"
 
 
-def algebra_image_rank(module):
-    """Dimension of the image of the algebra in End(module).  Over k(vars)
-    a point rank (linalg.point_rank, a lower bound) of d^2, the most there
-    can be, is the answer; any smaller one falls back to elimination."""
+def _image_pivots(module):
+    """Per column of the n x d^2 matrix whose row i is ρ(b_i) read row by
+    row, whether forward elimination finds a pivot there; a caller that
+    stops at the first False stops the elimination.  Over k(vars) a point
+    rank (linalg.point_rank, a lower bound) of d^2 flags every column."""
     F = module.fiber.field
     flat = [[c for row in m.rows for c in row] for m in module.action]
     full = module.dim ** 2
     if point_rank(Matrix(F, flat)) == full:
-        return full
-    return len(rref_rows(F, flat)[0])
+        yield from [True] * full
+        return
+    for j in range(full):
+        i = next((i for i, row in enumerate(flat) if not F.is_zero(row[j])), None)
+        yield i is not None
+        if i is None:
+            continue
+        prow = flat.pop(i)
+        inv = F.inv(prow[j])
+        support = [k for k in range(j + 1, full) if not F.is_zero(prow[k])]
+        for k in support:
+            prow[k] = F.mul(inv, prow[k])
+        for row in flat:
+            if not F.is_zero(row[j]):
+                for k in support:
+                    row[k] = F.sub(row[k], F.mul(row[j], prow[k]))
+
+
+def algebra_image_rank(module):
+    """Dimension of the image of the algebra in End(module)."""
+    return sum(_image_pivots(module))
 
 
 def hom_dim(S, T):
@@ -236,10 +258,10 @@ def _split_or_certify(module, rng, attempts):
         return None
 
     # a rank of d^2 makes the module absolutely simple, which no sweep can
-    # split; the rank is at most n, so for d^2 > n only Norton's test needs it
-    rank = algebra_image_rank(module) if d * d <= n else None
-    if rank == d * d:
-        return ("simple", rank)
+    # split; whether it is d^2 is decided at the first column without a
+    # pivot, and the rank is at most n, so only a Norton verdict needs more
+    if d * d <= n and all(_image_pivots(module)):
+        return ("simple", d * d)
     # standard basis vectors usually find obvious submodules
     units = Matrix.identity(F, d).rows
     w = split(module, units)
@@ -271,7 +293,7 @@ def _split_or_certify(module, rng, attempts):
                 # kernel dimension equals deg f and every spin on both sides
                 # filled the module (here or in the opening sweeps): Norton's
                 # criterion certifies irreducibility
-                return ("simple", algebra_image_rank(module) if rank is None else rank)
+                return ("simple", algebra_image_rank(module))
     raise ChopBudgetExceeded(
         f"could not split or certify a dim-{d} module over {F!r} in {attempts} attempts")
 
@@ -353,7 +375,8 @@ def radical(fiber, seed=1):
     memoized chop of the regular module, in every characteristic.  Over
     k(vars) the radical is 0 without elimination when the matrix of simple
     entries has point rank dim A (linalg.point_rank, a lower bound on its
-    rank).  The result is verified to be a nilpotent two-sided ideal.
+    rank).  Each ρ_S is an algebra homomorphism, so the result is a
+    two-sided ideal by construction; only its nilpotency is verified.
     """
     F = fiber.field
     cols = []
@@ -373,11 +396,13 @@ def radical(fiber, seed=1):
 
 
 def _assert_radical(fiber, lattice):
-    from .algebra import nilpotency_index
-
-    side = fiber.unstable_side(lattice.rows, lattice)
-    if side:
-        raise RadicalNotNilpotent(f"radical candidate is not a {side} ideal")
+    """Raise RadicalNotNilpotent unless the candidate I = ∩_S ker ρ_S is
+    nilpotent.  That I is a two-sided ideal needs no check: the load-time
+    check proves the table associative, and fibers and restrictions stay
+    associative; each ρ_S is a subquotient of the left regular
+    representation, whose rows `submodule` checks stable, so each ρ_S is an
+    algebra homomorphism and each ker ρ_S a two-sided ideal, and so is I.
+    Nilpotency is what checks that the list of simples is complete."""
     if nilpotency_index(fiber, lattice) is None:
         raise RadicalNotNilpotent("radical candidate is not nilpotent")
 

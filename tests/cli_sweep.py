@@ -163,6 +163,12 @@ def run_sweep(workdir, texts, calls):
     return records
 
 
+def format_records(records):
+    """The records as the script prints them, one block per call."""
+    return "".join(f"$ {argv}\nexit {rc}\n{out}--- stderr\n{err}\n"
+                   for argv, rc, out, err in records)
+
+
 def _main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=1)
@@ -170,9 +176,8 @@ def _main():
     args = ap.parse_args()
     texts = base_texts()
     with tempfile.TemporaryDirectory() as workdir:
-        for argv, rc, out, err in run_sweep(workdir, texts, sweep_calls(texts, args.seed,
-                                                                        args.count)):
-            sys.stdout.write(f"$ {argv}\nexit {rc}\n{out}--- stderr\n{err}\n")
+        sys.stdout.write(format_records(run_sweep(workdir, texts,
+                                                  sweep_calls(texts, args.seed, args.count))))
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ from decompgen.errors import (
 from decompgen.corpus import REGISTRY, brauer_algebra, dual_numbers, temperley_lieb
 from decompgen.decomposition import split_data
 from decompgen.fields import GFPrime
-from decompgen.modules import is_split
+from decompgen.modules import is_split, radical
 from decompgen.primes import generic_point, prime_spec, quotient_chain, reduce_elem
 from decompgen.rings import parse_ring
 
@@ -389,17 +389,6 @@ def test_left_regular_matrices(corpus):
         B2.left_regular_matrix(B2.vec_mul(x, y))
 
 
-def test_unstable_side_names_the_failing_multiplication(corpus):
-    # UT2: e01 spans a two-sided ideal; e00 e01 = e01 and e01 e11 = e01 leave
-    # the spans of e00 and e11 on the right and on the left
-    fiber = corpus["UT2_Z"].generic_fiber()
-    got = []
-    for i in range(3):
-        lat = span_subspace(fiber, [fiber.basis_vector(i)])
-        got.append(fiber.unstable_side(lat.rows, lat))
-    assert got == ["right", None, "left"]
-
-
 def test_ideal_closure_and_quotient(corpus):
     B2 = corpus["B2_Q"]
     pd = prime_spec(Qd, [Qd.parse("d")])
@@ -480,3 +469,83 @@ def test_dual_numbers_nilpotency():
     eps = F.basis_vector(1)
     lat = ideal_closure(F, [eps])
     assert nilpotency_index(F, lat) == 2
+
+
+def _product_nilpotency_index(fiber, lattice):
+    """nilpotency_index by products with vec_mul, the reference for
+    `test_nilpotency_index_matches_the_product_reference`: lattice^(k+1) is
+    the span of the x·y with x a row of lattice^k and y one of the lattice."""
+    if lattice.dim == 0:
+        return 1
+    power, n = lattice, 1
+    while True:
+        nxt = span_subspace(fiber, [fiber.vec_mul(list(x), list(y))
+                                    for x in power.rows for y in lattice.rows])
+        n += 1
+        if nxt.dim == 0:
+            return n
+        if nxt.dim == power.dim:
+            return None
+        power = nxt
+
+
+# Z[d][t]/((t - d)^2): each fiber over (0) and (p) has the radical spanned
+# by t - d
+NIL_D = """algebra NIL_D
+ring Z[d]
+basis one t
+unit 1, 0
+mul 0 0 0 1
+mul 0 1 1 1
+mul 1 0 1 1
+mul 1 1 0 -d^2
+mul 1 1 1 2*d
+"""
+
+
+def test_nilpotency_index_matches_the_product_reference(corpus):
+    """nilpotency_index, which applies the left regular matrix of each
+    lattice row, equals the vec_mul reference on seeded subspaces, on
+    seeded subspaces of the radical and on the ideal closures of seeded
+    elements and of seeded radical elements, over Q, GF(7), GF(4), Q(d) and
+    GF(3)(d); over each, some answer is None and some is an N > 1."""
+    nil, p3 = load_algebra(NIL_D), prime_spec(Zd, [Zd.from_int(3)])
+    cases = {
+        "Q": [corpus["UT2_Z"].generic_fiber(), corpus["ZS3"].generic_fiber()],
+        "GF(7)": [specialize(corpus[k], prime_spec(Z, [Z.from_int(7)]))
+                  for k in ("UT2_Z", "Dual_Z")],
+        "GF(2^2)": [specialize(corpus["B2_Z"], prime_spec(Zd, [Zd.from_int(2),
+                                                          Zd.parse("d^2 + d + 1")]))],
+        "Q(d)": [corpus["B2_Z"].generic_fiber(), nil.generic_fiber()],
+        "GF(3)(d)": [specialize(corpus["B2_Z"], p3), specialize(nil, p3)],
+    }
+    rng = random.Random(26)
+    for name, fibers in cases.items():
+        answers = set()
+        for fiber in fibers:
+            F = fiber.field
+            assert repr(F) == name
+            rad = radical(fiber)
+
+            def element(rows):
+                v = [F.zero] * fiber.dim
+                for r in rows:
+                    c = F.from_int(rng.randint(-2, 2))
+                    v = [F.add(a, F.mul(c, b)) for a, b in zip(v, r)]
+                return v
+
+            basis = [fiber.basis_vector(i) for i in range(fiber.dim)]
+            lattices = []
+            for _ in range(4):
+                k = rng.randint(1, fiber.dim)
+                lattices.append(span_subspace(fiber, [element(basis) for _ in range(k)]))
+                lattices.append(ideal_closure(fiber, [element(basis)]))
+                if rad.dim:
+                    k = rng.randint(1, rad.dim)
+                    lattices.append(span_subspace(fiber, [element(rad.rows) for _ in range(k)]))
+                    lattices.append(ideal_closure(fiber, [element(rad.rows)]))
+            for lat in lattices:
+                got = nilpotency_index(fiber, lat)
+                assert got == _product_nilpotency_index(fiber, lat), (fiber, lat.rows)
+                answers.add(got)
+        assert None in answers and any(a and a > 1 for a in answers), name

@@ -140,6 +140,32 @@ def test_radical_is_idempotent(corpus):
         assert radical(quot).dim == 0
 
 
+def test_radical_is_a_two_sided_ideal(corpus, registry_points):
+    """The radical is a two-sided ideal by construction, so the engine checks
+    only that it is nilpotent (modules._assert_radical): b_i·v and v·b_i lie
+    in it for every basis element b_i and radical row v, at the registry
+    points and at B3 over Z[d]'s generic point, (2), (3), (3, d) and
+    (d - 1)."""
+    from decompgen.corpus import brauer_algebra
+    from decompgen.primes import parse_prime
+
+    B3 = brauer_algebra(3, parse_ring("Z[d]"))
+    fibers = [specialize(A, p) for key, A in sorted(corpus.items())
+              for p in registry_points(key, A)]
+    fibers += [specialize(B3, parse_prime(p, B3.ring))
+               for p in ("generic", "p=2", "p=3", "gen=[3, d]", "gen=[d - 1]")]
+    nonzero = 0
+    for fiber in fibers:
+        rad = radical(fiber)
+        nonzero += rad.dim > 0
+        for v in rad.rows:
+            for i in range(fiber.dim):
+                b = fiber.basis_vector(i)
+                assert rad.contains_vector(fiber.vec_mul(b, list(v))), (fiber, v, i)
+                assert rad.contains_vector(fiber.vec_mul(list(v), b)), (fiber, v, i)
+    assert nonzero >= 10
+
+
 def test_split_checks(corpus):
     ok, wd = is_split(specialize(corpus["ZC2"], prime_spec(Z, [Z.from_int(2)])))
     assert ok and wd.endo_dims == [1]
@@ -436,11 +462,18 @@ def test_spin_matches_the_closure_reference(monkeypatch):
         assert rows == _spin_by_closure(module, rows), module
 
 
+def _rref_image_rank(module):
+    """The image rank as the length of one reduced echelon form of the
+    flattened action matrices."""
+    F = module.fiber.field
+    return len(rref_rows(F, [[c for row in m.rows for c in row] for m in module.action])[0])
+
+
 def _parent_split_or_certify(module, rng, attempts):
     """The chop's node decision in its earlier order, the reference for
     `test_chop_decisions_match_the_parent_order`: the unit sweep first, the
-    image rank after it on every node, and the annihilator of a proper
-    transpose span spun."""
+    image rank after it on every node, taken by a reduced echelon form, and
+    the annihilator of a proper transpose span spun."""
     F = module.fiber.field
     d = module.dim
     if d == 1:
@@ -458,7 +491,7 @@ def _parent_split_or_certify(module, rng, attempts):
     w = split(module, units)
     if w:
         return ("split", w)
-    rank = algebra_image_rank(module)
+    rank = _rref_image_rank(module)
     if rank == d * d:
         return ("simple", rank)
     transpose = module.transpose_module()
@@ -526,6 +559,7 @@ def test_chop_decisions_match_the_parent_order(corpus, registry_points, monkeypa
 
     monkeypatch.setattr(modules, "spin", counting("spin", spin))
     monkeypatch.setattr(modules, "algebra_image_rank", counting("rank", algebra_image_rank))
+    monkeypatch.setattr(modules, "_image_pivots", counting("rank", modules._image_pivots))
     monkeypatch.setattr(modules, "_split_or_certify", checked)
     B3 = brauer_algebra(3, parse_ring("Z[d]"))
     fibers = [specialize(A, p) for key, A in sorted(corpus.items())

@@ -1,7 +1,18 @@
 """The seeded command-line sweep of cli_sweep.py: every call answers with a
-documented exit code, and a second run repeats every answer byte for byte."""
+documented exit code, the answers are those of the committed oracle
+tests/golden/cli_sweep_300.txt, and a second run repeats every answer byte
+for byte.
 
-from cli_sweep import base_texts, run_sweep, sweep_calls
+A change meant to alter some answer regenerates the oracle and says so:
+
+    PYTHONPATH=src python tests/cli_sweep.py > tests/golden/cli_sweep_300.txt
+"""
+
+import os
+
+from cli_sweep import base_texts, format_records, run_sweep, sweep_calls
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "cli_sweep_300.txt")
 
 
 def test_cli_sweep_exits_cleanly_and_repeats(tmp_path):
@@ -13,4 +24,6 @@ def test_cli_sweep_exits_cleanly_and_repeats(tmp_path):
     assert not bad, bad
     # the schur calls on Mat2 over GF(2) answer: dim S = 2 is zero there
     assert all(rc == 0 for argv, rc, _, _ in first if "schur <dir>/Mat2_Z_GF_2_" in argv)
+    with open(GOLDEN, encoding="utf-8") as fh:
+        assert format_records(first) == fh.read()
     assert run_sweep(str(tmp_path), texts, calls) == first
