@@ -16,41 +16,28 @@ from . import corpus
 from .algebra import (
     FiniteFreeAlgebra,
     SubLattice,
-    ideal_closure,
     load_algebra,
     load_algebra_file,
     nilpotency_index,
-    quotient_algebra,
     restrict,
     serialize_algebra,
     specialize,
 )
 from .decomposition import (
     DecompositionMatrix,
-    GrothendieckVector,
-    composability_report,
     dec_gen_membership,
     decomposition_matrix,
     is_trivial,
-    triviality_by_radical,
 )
 from .factor import factor_integer, factor_univariate
 from .fields import FuncField, GFExt, GFPrime, Rationals
-from .fingerprints import (
-    AttractorGenerators,
-    Fingerprint,
-    attractor_generators,
-    fingerprint,
-    gen_locus,
-    reduce_fingerprint,
-)
+from .fingerprints import Fingerprint, reduce_fingerprint
 from .linalg import Matrix, char_poly, det, gcd_free_basis, kernel_basis, solve
 from .modules import (
     AlgebraModule,
     SimpleModule,
     WedderburnData,
     chop,
-    is_isomorphic,
     is_split,
     radical,
     regular_module,
@@ -59,7 +46,6 @@ from .primes import (
     PrimeSpec,
     denominator_ideal,
     generic_point,
-    is_in_localization,
     parse_prime,
     prime_spec,
     reduce_elem,

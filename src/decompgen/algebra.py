@@ -21,14 +21,12 @@ from .errors import (
     BadTraceForm,
     NoUnit,
     NotAssociative,
-    UnitInIdeal,
     UnsupportedRing,
     ValidationError,
 )
 from .linalg import (
     Matrix,
     det,
-    echelon_reduce,
     inverse,
     pivot_columns,
     rref_rows,
@@ -126,27 +124,6 @@ class FiniteFreeAlgebra:
                     for k, c in ts:
                         out[k] = add(out[k], mul(coef, c))
         return out
-
-    def one_sided_products(self, v):
-        """("left", b_i v) and ("right", v b_i) for every basis element b_i,
-        read off `terms`: b_i v = sum_j v_j sum_k c[i][j][k] b_k and
-        v b_i = sum_j v_j sum_k c[j][i][k] b_k, summed in the order vec_mul
-        sums them, with no product by a coordinate 1."""
-        D = self.domain
-        add, mul, is_zero = D.add, D.mul, D.is_zero
-        vs = [(j, vj) for j, vj in enumerate(v) if not is_zero(vj)]
-        terms = self.terms
-
-        def combine(pairs):
-            out = [D.zero] * self.dim
-            for vj, ts in pairs:
-                for k, c in ts:
-                    out[k] = add(out[k], mul(vj, c))
-            return out
-
-        for i in range(self.dim):
-            yield "left", combine((vj, terms[i][j]) for j, vj in vs)
-            yield "right", combine((vj, terms[j][i]) for j, vj in vs)
 
     def left_regular_matrix(self, x):
         F = self.field
@@ -333,7 +310,7 @@ def restrict(A, p):
     return _map_table(A, push, f"{A.name}|{p.short_str()}", cur)
 
 
-# --- subspaces and ideals of fibers ---------------------------------------------
+# --- subspaces of fibers -------------------------------------------------------
 
 class SubLattice:
     """Subspace of a fiber, as its canonical reduced echelon rows."""
@@ -357,33 +334,11 @@ class SubLattice:
         """Pivot columns of the echelon rows, found once."""
         return pivot_columns(self.ambient.field, self.rows)
 
-    def contains_vector(self, vec):
-        F = self.ambient.field
-        work = echelon_reduce(F, self.rows, self.pivots, vec)
-        return all(F.is_zero(c) for c in work)
-
 
 def span_subspace(fiber, vectors):
     """Canonical span of the vectors in a fiber: its reduced echelon rows."""
     rows, _ = rref_rows(fiber.field, list(vectors)) if vectors else ([], [])
     return SubLattice(fiber, rows)
-
-
-def ideal_closure(fiber, generators):
-    """Smallest two-sided ideal of a fiber containing the generators, as a
-    canonical SubLattice; closure by repeated one-sided multiplications to a
-    fixpoint.  A table over a ring raises UnsupportedRing."""
-    if not fiber.over_field:
-        raise UnsupportedRing("ideal closure runs on a fiber, such as the generic fiber")
-    current = span_subspace(fiber, [list(g) for g in generators])
-    while True:
-        new_rows = list(current.rows)
-        for v in current.rows:
-            new_rows.extend(w for _, w in fiber.one_sided_products(v))
-        nxt = span_subspace(fiber, new_rows)
-        if nxt == current:
-            return nxt
-        current = nxt
 
 
 def table_on_basis(fiber, basis, m):
@@ -397,22 +352,6 @@ def table_on_basis(fiber, basis, m):
     vecs = [list(v) for v in basis[:m]]
     sc = tuple(tuple(tuple(coords.apply(fiber.vec_mul(a, b))) for b in vecs) for a in vecs)
     return sc, tuple(coords.apply(list(fiber.unit)))
-
-
-def quotient_algebra(fiber, ideal):
-    """Fiber modulo a closure-stable ideal, on the complement basis of the
-    non-pivot coordinates."""
-    F = fiber.field
-    keep = [j for j in range(fiber.dim) if j not in ideal.pivots]
-    if not keep:
-        raise UnitInIdeal("quotient by the whole algebra")
-    basis = [fiber.basis_vector(j) for j in keep] + [list(r) for r in ideal.rows]
-    sc, unit = table_on_basis(fiber, basis, len(keep))
-    if all(F.is_zero(c) for c in unit):
-        raise UnitInIdeal("the unit lies in the ideal")
-    names = [fiber.basis_names[j] for j in keep]
-    return FiniteFreeAlgebra(f"{fiber.name}/ideal", F, names, sc, unit, validate=False,
-                             prime=fiber.prime)
 
 
 # --- definition files -------------------------------------------------------------

@@ -5,8 +5,8 @@ say "no", like `trivial` or `split-check`, or a command that needs a split
 fiber run on one that does not split), 2 validation error in the input,
 3 request outside the supported scope.  Until failures get codes of their
 own, 1 also covers a failed internal check and an exhausted chop budget.
-Reports are deterministic for a fixed seed; `--format structured` emits
-JSON with stable keys.
+Reports are deterministic; `--format structured` emits JSON with stable
+keys.  `--seed` is accepted for compatibility and has no effect.
 """
 
 import argparse
@@ -35,8 +35,6 @@ from .strata import (
     stratify,
     tree_lines,
 )
-
-DEFAULT_SEED = 1
 
 
 def _emit(report, lines, fmt):
@@ -98,7 +96,7 @@ def cmd_radical(args):
     A = _load(args)
     p = _prime(args, A)
     F = specialize(A, p)
-    lat = radical(F, seed=args.seed)
+    lat = radical(F)
     rows = [[F.field.to_str(c) for c in row] for row in lat.rows]
     report = {"algebra": A.name, "prime": p.short_str(), "dim": lat.dim, "basis": rows}
     lines = [f"radical of {A.name} at {p.short_str()}: dim {lat.dim}"]
@@ -124,7 +122,7 @@ def _wedderburn_report(A, p, wd):
 def cmd_simples(args):
     A = _load(args)
     p = _prime(args, A)
-    ok, wd = is_split(specialize(A, p), seed=args.seed)
+    ok, wd = is_split(specialize(A, p))
     report = _wedderburn_report(A, p, wd)
     lines = [f"{A.name} at {p.short_str()}: {len(wd.simples)} simples, "
              f"radical dim {wd.radical_dim}, {'split' if ok else 'not split'}"]
@@ -138,7 +136,7 @@ def cmd_simples(args):
 def cmd_split_check(args):
     A = _load(args)
     p = _prime(args, A)
-    ok, wd = is_split(specialize(A, p), seed=args.seed)
+    ok, wd = is_split(specialize(A, p))
     report = _wedderburn_report(A, p, wd)
     lines = [f"{A.name} at {p.short_str()}: {'split' if ok else 'NOT split'} "
              f"(endo dims {wd.endo_dims})"]
@@ -149,7 +147,7 @@ def cmd_split_check(args):
 def cmd_fingerprint(args):
     A = _load(args)
     p = _prime(args, A)
-    ok, wd = is_split(specialize(A, p), seed=args.seed)
+    ok, wd = is_split(specialize(A, p))
     fps = []
     for s in wd.simples:
         fp = fingerprint_of_simple(s)
@@ -177,7 +175,7 @@ def _matrix_lines(D):
 def cmd_decmat(args):
     A = _load(args)
     p = _prime(args, A)
-    D = decomposition_matrix(A, p, seed=args.seed)
+    D = decomposition_matrix(A, p)
     report = {
         "algebra": A.name,
         "prime": p.short_str(),
@@ -193,7 +191,7 @@ def cmd_decmat(args):
 def cmd_trivial(args):
     A = _load(args)
     p = _prime(args, A)
-    ev = dec_gen_membership(A, p, seed=args.seed, verify=args.verify)
+    ev = dec_gen_membership(A, p, verify=args.verify)
     report = {
         "algebra": A.name,
         "prime": p.short_str(),
@@ -213,11 +211,11 @@ def cmd_trivial(args):
 
 def cmd_schur(args):
     A = _load(args)
-    cs = schur_elements(A, seed=args.seed)
+    cs = schur_elements(A)
     report = {"algebra": A.name, "schur_elements": [str(c) for c in cs]}
     lines = [f"Schur elements of {A.name}: " + ", ".join(str(c) for c in cs)]
     if args.verify:
-        rep = schur_discriminant_crosscheck(A, seed=args.seed)
+        rep = schur_discriminant_crosscheck(A)
         report["product"] = str(rep["product"])
         report["matches_discriminant"] = rep["match"]
         lines.append(f"product {rep['product']}; matches verified discriminant: {rep['match']}")
@@ -244,7 +242,7 @@ def _discriminant_report(dec):
 
 def cmd_discriminant(args):
     A = _load(args)
-    dec = dec_ex(A, seed=args.seed)
+    dec = dec_ex(A)
     report = _discriminant_report(dec)
     lines = [f"candidate discriminant of {A.name}: ({dec.candidate})"]
     for pt in dec.points:
@@ -290,7 +288,7 @@ def _flat_strata(node, out=None):
 
 def cmd_stratify(args):
     A = _load(args)
-    tree = stratify(A, seed=args.seed)
+    tree = stratify(A)
     report = {"tree": _tree_report(tree), "strata": _flat_strata(tree)}
     lines = tree_lines(tree)
     lines.append("strata:")
@@ -328,36 +326,36 @@ def cmd_corpus_build(args):
 
 def _verify_job(job, A):
     """One corpus verification job on A, the job's registry algebra: (ok, detail)."""
-    kind, key, prime_str, seed = job
+    kind, key, prime_str = job
     entry = REGISTRY[key]
     try:
         if kind == "notsplit":
             try:
-                split_data(A, seed)
+                split_data(A)
                 return False, "expected a non-split generic fiber"
             except NotSplit:
                 return True, "generic fiber is not split, as expected"
         if kind == "discriminant":
-            dec = dec_ex(A, seed=seed)
+            dec = dec_ex(A)
             got = sorted(str(pt.prime.generators[0]) for pt in dec.excluded)
             want = sorted(entry.facts["excluded"])
             ok = got == want and not dec.unknown
             return ok, f"excluded {got}, expected {want}"
         if kind == "schur":
-            rep = schur_discriminant_crosscheck(A, seed=seed)
+            rep = schur_discriminant_crosscheck(A)
             want = entry.facts["schur"]
             got = [str(c) for c in rep["schur_elements"]]
             ok = rep["match"] and got == want
             return ok, f"schur {got} (expected {want}), match {rep['match']}"
         if kind == "trivial":
             p = parse_prime(prime_str, A.ring)
-            ev = dec_gen_membership(A, p, seed=seed, verify=True)
+            ev = dec_gen_membership(A, p, verify=True)
             want = entry.facts["trivial"][prime_str]
             ok = ev.trivial == want and ev.matrix_agrees
             return ok, f"trivial={ev.trivial} (expected {want}), matrix agrees"
         if kind == "decmat":
             p = parse_prime(prime_str, A.ring)
-            D = decomposition_matrix(A, p, seed=seed)
+            D = decomposition_matrix(A, p)
             want = tuple(tuple(r) for r in entry.facts["decmat"][prime_str])
             ok = D.entries == want
             return ok, f"matrix {D.entries} (expected {want})"
@@ -366,23 +364,23 @@ def _verify_job(job, A):
         return False, f"{type(e).__name__}: {e}"
 
 
-def _verify_jobs(seed):
+def _verify_jobs():
     jobs = []
     for key in sorted(REGISTRY):
         entry = REGISTRY[key]
         facts = entry.facts
         if not facts.get("generic_split", False):
             if facts.get("generic_split") is False:
-                jobs.append(("notsplit", key, None, seed))
+                jobs.append(("notsplit", key, None))
             continue
         if "excluded" in facts:
-            jobs.append(("discriminant", key, None, seed))
+            jobs.append(("discriminant", key, None))
         if "schur" in facts:
-            jobs.append(("schur", key, None, seed))
+            jobs.append(("schur", key, None))
         for prime_str in facts.get("trivial", {}):
-            jobs.append(("trivial", key, prime_str, seed))
+            jobs.append(("trivial", key, prime_str))
         for prime_str in facts.get("decmat", {}):
-            jobs.append(("decmat", key, prime_str, seed))
+            jobs.append(("decmat", key, prime_str))
     return jobs
 
 
@@ -391,8 +389,8 @@ def cmd_verify_all(args):
     lines = []
     # one algebra per registry key, so its checks share the fiber analyses
     algebras = {}
-    for job in _verify_jobs(args.seed):
-        kind, key, prime_str, _ = job
+    for job in _verify_jobs():
+        kind, key, prime_str = job
         if key not in algebras:
             algebras[key] = REGISTRY[key].algebra()
         ok, msg = _verify_job(job, algebras[key])
@@ -424,7 +422,9 @@ def build_parser():
         if needs_prime:
             p.add_argument("--prime", default="generic",
                            help="p=<int> | gen=[<poly>,...] | generic")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument("--seed", type=int,
+                       help="accepted for compatibility; has no effect, since "
+                            "reports are deterministic")
         p.add_argument("--format", choices=("table", "structured"), default="table")
         p.add_argument("--max-degree", type=_positive_int, default=None,
                        help="factorization budget (trial division limit)")

@@ -11,13 +11,10 @@ bottom records expected facts consumed by the verification suite, each
 tagged with how it was obtained.
 """
 
-import random
 from dataclasses import dataclass, field
 
-from .algebra import FiniteFreeAlgebra, table_on_basis
+from .algebra import FiniteFreeAlgebra
 from .errors import NotAGroup, UnsupportedRing
-from .fields import GFPrime
-from .linalg import Matrix, det
 from .rings import parse_ring
 
 
@@ -71,11 +68,6 @@ def group_algebra(table, ring, name, element_names=None):
 
 def cyclic_table(n):
     return [[(i + j) % n for j in range(n)] for i in range(n)]
-
-
-def klein_table():
-    # Z/2 x Z/2 by xor of indices
-    return [[i ^ j for j in range(4)] for i in range(4)]
 
 
 _S3_PERMS = [
@@ -274,78 +266,6 @@ def dual_numbers(ring, name=None):
     sc = (((one, zero), (zero, one)), ((zero, one), (zero, zero)))
     return FiniteFreeAlgebra(name or f"Dual_{ring!r}", ring, ("one", "eps"),
                              sc, [one, zero], None)
-
-
-def direct_sum(A, B, name=None):
-    if A.ring != B.ring:
-        raise UnsupportedRing("direct sum needs a common base ring")
-    ring = A.ring
-    n, m = A.dim, B.dim
-    zero = ring.zero()
-    names = tuple(f"l_{s}" for s in A.basis_names) + tuple(f"r_{s}" for s in B.basis_names)
-    sc = [[[zero] * (n + m) for _ in range(n + m)] for _ in range(n + m)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                sc[i][j][k] = A.sc[i][j][k]
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                sc[n + i][n + j][n + k] = B.sc[i][j][k]
-    unit = list(A.unit) + list(B.unit)
-    trace = None
-    if A.trace_vector is not None and B.trace_vector is not None:
-        trace = list(A.trace_vector) + list(B.trace_vector)
-    sc = tuple(tuple(tuple(r) for r in plane) for plane in sc)
-    return FiniteFreeAlgebra(name or f"{A.name}+{B.name}", ring, names, sc, unit, trace)
-
-
-# --- small-fiber family for the radical oracle ------------------------------------
-
-def conjugate_fiber(fiber, S):
-    """Transport the table through the invertible matrix S (basis change):
-    the new basis vectors are the rows of S in the old basis.  Raises
-    Inconsistent when S is singular."""
-    sc, unit = table_on_basis(fiber, S, len(S))
-    return FiniteFreeAlgebra(fiber.name + "~conj", fiber.field, fiber.basis_names, sc, unit,
-                             prime=fiber.prime)
-
-
-def small_fiber_family(p, count, seed=0):
-    """Validated fibers of dimension <= 4 over GF(p), produced from known
-    associative tables and random basis changes; oracle targets for the
-    radical."""
-    from .primes import generic_point, prime_spec
-    from .algebra import specialize
-
-    Fp = GFPrime(p)
-    ring = parse_ring(f"GF({p})")
-    gp = generic_point(ring)
-    base = []
-    base.append(specialize(group_algebra(cyclic_table(2), ring, f"F{p}C2"), gp))
-    base.append(specialize(group_algebra(cyclic_table(3), ring, f"F{p}C3"), gp))
-    base.append(specialize(group_algebra(cyclic_table(4), ring, f"F{p}C4"), gp))
-    base.append(specialize(group_algebra(klein_table(), ring, f"F{p}V4"), gp))
-    base.append(specialize(matrix_algebra(2, ring), gp))
-    base.append(specialize(upper_triangular(2, ring), gp))
-    base.append(specialize(dual_numbers(ring), gp))
-    dual = dual_numbers(ring)
-    base.append(specialize(direct_sum(dual, dual), gp))
-    ringd = parse_ring(f"GF({p})[d]")
-    for c in range(p):
-        spec = prime_spec(ringd, [ringd.parse(f"d - {c}")])
-        base.append(specialize(temperley_lieb(2, ringd), spec))
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        fiber = base[rng.randrange(len(base))]
-        n = fiber.dim
-        for _ in range(50):
-            S = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
-            if not Fp.is_zero(det(Matrix(Fp, S))):
-                break
-        out.append(conjugate_fiber(fiber, S))
-    return out
 
 
 # --- registry ----------------------------------------------------------------------

@@ -14,45 +14,27 @@ cheap test; verification mode computes both and insists they agree.
 
 from dataclasses import dataclass
 
-from .errors import Inconsistent, NoIntegerSolution, NotSplit, UnsupportedError
+from .errors import Inconsistent, NoIntegerSolution, NotSplit
 from .fields import Rationals
 from .fingerprints import fingerprint_of_simple, reduce_fingerprint
 from .linalg import Matrix, gcd_free_basis, solve
-from .algebra import restrict, specialize
+from .algebra import specialize
 from .modules import is_split
-from .primes import contains, push_prime
 
 
-def split_data(A, seed=1):
+def split_data(A):
     """Wedderburn data of the generic fiber; NotSplit if it fails."""
-    ok, wd = is_split(A.generic_fiber(), seed=seed)
+    ok, wd = is_split(A.generic_fiber())
     if not ok:
         raise NotSplit(f"the generic fiber of {A.name} does not split")
     return wd
 
 
-def fiber_split_data(A, p, seed=1):
-    ok, wd = is_split(specialize(A, p), seed=seed)
+def fiber_split_data(A, p):
+    ok, wd = is_split(specialize(A, p))
     if not ok:
         raise NotSplit(f"the fiber of {A.name} at {p.short_str()} does not split")
     return wd
-
-
-@dataclass(frozen=True)
-class GrothendieckVector:
-    """Integer coordinates in the basis of simple-module classes of a fiber.
-
-    An honest (non-virtual) module class has nonnegative coordinates."""
-
-    fiber_fingerprints: tuple  # identifies the simple basis
-    coords: tuple
-
-    @property
-    def is_effective(self):
-        return all(c >= 0 for c in self.coords)
-
-    def total_dim(self):
-        return sum(c * fp.module_dim for c, fp in zip(self.coords, self.fiber_fingerprints))
 
 
 @dataclass
@@ -62,8 +44,6 @@ class DecompositionMatrix:
     entries: tuple             # rows: generic simples, cols: fiber simples
     row_dims: tuple
     col_dims: tuple
-    generic_fingerprints: tuple
-    fiber_fingerprints: tuple
 
     @property
     def nrows(self):
@@ -73,23 +53,16 @@ class DecompositionMatrix:
     def ncols(self):
         return len(self.entries[0]) if self.entries else 0
 
-    def column_is_zero(self, j):
-        return all(row[j] == 0 for row in self.entries)
-
-    def row_class(self, i):
-        """The image of the i-th generic simple as a Grothendieck vector."""
-        return GrothendieckVector(self.fiber_fingerprints, self.entries[i])
-
     def __repr__(self):
         body = "; ".join(" ".join(str(c) for c in r) for r in self.entries)
         return f"[{body}] at {self.prime.short_str()}"
 
 
-def decomposition_matrix(A, p, seed=1):
+def decomposition_matrix(A, p):
     """Multiplicities of the fiber simples in the reductions of the generic
     simples, solved from the fingerprint multiplicity system."""
-    wk = split_data(A, seed)
-    wf = fiber_split_data(A, p, seed)
+    wk = split_data(A)
+    wf = fiber_split_data(A, p)
     generic_fps = [fingerprint_of_simple(s) for s in wk.simples]
     fiber_fps = [fingerprint_of_simple(s) for s in wf.simples]
     reduced = [reduce_fingerprint(fp, p) for fp in generic_fps]
@@ -124,8 +97,7 @@ def decomposition_matrix(A, p, seed=1):
                 f"regular-module multiplicities fail in column {j} at {p.short_str()}")
     return DecompositionMatrix(
         A.name, p, tuple(entries),
-        tuple(s.dim for s in wk.simples), tuple(s.dim for s in wf.simples),
-        tuple(generic_fps), tuple(fiber_fps))
+        tuple(s.dim for s in wk.simples), tuple(s.dim for s in wf.simples))
 
 
 def is_trivial(D):
@@ -142,11 +114,6 @@ def is_trivial(D):
     return True
 
 
-def triviality_by_radical(A, p, seed=1):
-    """dim Jac(generic fiber) == dim Jac(fiber at p), both sides split."""
-    return dec_gen_membership(A, p, seed).trivial
-
-
 @dataclass
 class TrivialityEvidence:
     trivial: bool
@@ -156,15 +123,15 @@ class TrivialityEvidence:
     matrix_agrees: bool = None
 
 
-def dec_gen_membership(A, p, seed=1, verify=False):
+def dec_gen_membership(A, p, verify=False):
     """Triviality of the decomposition map at p via the radical criterion;
     with verify=True the matrix is computed as well and must agree."""
-    wk = split_data(A, seed)
-    wf = fiber_split_data(A, p, seed)
+    wk = split_data(A)
+    wf = fiber_split_data(A, p)
     trivial = wk.radical_dim == wf.radical_dim
     ev = TrivialityEvidence(trivial, wk.radical_dim, wf.radical_dim)
     if verify:
-        D = decomposition_matrix(A, p, seed=seed)
+        D = decomposition_matrix(A, p)
         ev.matrix = D
         ev.matrix_agrees = is_trivial(D) == trivial
         if not ev.matrix_agrees:
@@ -172,34 +139,3 @@ def dec_gen_membership(A, p, seed=1, verify=False):
                 f"radical criterion and matrix disagree for {A.name} at {p.short_str()}")
     return ev
 
-
-def composability_report(A, p, q, seed=1):
-    """Whether the map at q factors as (map of the restriction at q/p) after
-    (map at p).  Reported, never asserted: the factorization is not a
-    theorem.  Returns a dict with a status and, when computable, the verdict.
-    """
-    for g in p.generators:
-        if not contains(q, g):
-            return {"status": "not-a-chain", "holds": None}
-    try:
-        D_p = decomposition_matrix(A, p, seed=seed)
-        D_q = decomposition_matrix(A, q, seed=seed)
-        D_rest = decomposition_matrix(restrict(A, p), push_prime(A.ring, p, q), seed=seed)
-    except (UnsupportedError, NotSplit) as e:  # reported, not raised: unsupported legs happen
-        return {"status": f"unsupported: {e}", "holds": None}
-    # the restriction's generic fiber is the fiber at p with the same table,
-    # so the simple orders agree exactly when the fingerprints agree
-    mid_match = tuple(fp.polys for fp in D_p.fiber_fingerprints) == tuple(
-        fp.polys for fp in D_rest.generic_fingerprints)
-    end_match = tuple(fp.polys for fp in D_q.fiber_fingerprints) == tuple(
-        fp.polys for fp in D_rest.fiber_fingerprints)
-    if not (mid_match and end_match):
-        return {"status": "incomparable-bases", "holds": None}
-    prod = []
-    for i in range(len(D_p.entries)):
-        prod.append(tuple(
-            sum(D_p.entries[i][j] * D_rest.entries[j][k] for j in range(len(D_rest.entries)))
-            for k in range(len(D_rest.entries[0]))))
-    holds = tuple(prod) == D_q.entries
-    return {"status": "computed", "holds": holds,
-            "D_p": D_p, "D_q": D_q, "D_rest": D_rest}

@@ -75,10 +75,6 @@ class BadTraceForm(ValidationError):
     pass
 
 
-class UnitInIdeal(ValidationError):
-    pass
-
-
 class UnsupportedRestriction(UnsupportedError):
     pass
 
@@ -95,10 +91,6 @@ class ChopBudgetExceeded(EngineError):
 
 class RadicalNotNilpotent(EngineError):
     """Internal consistency failure: the computed radical must be nilpotent."""
-
-
-class AttractorEscapesBase(EngineError):
-    """A fingerprint coefficient of a generic simple fell outside the base ring."""
 
 
 class NotSplit(EngineError):

@@ -230,9 +230,6 @@ class GFPrime(_FieldEuclid):
     def size(self):
         return self.p
 
-    def elements(self):
-        return range(self.p)
-
     def __repr__(self):
         return f"GF({self.p})"
 
@@ -316,12 +313,6 @@ class GFExt:
 
     def size(self):
         return self.p ** self.e
-
-    def elements(self):
-        from itertools import product
-
-        for tup in product(range(self.p), repeat=self.e):
-            yield tup
 
     def __repr__(self):
         return f"GF({self.p}^{self.e})"

@@ -109,10 +109,6 @@ class Matrix:
                     out[i] = add(out[i], mul(a, b))
         return out
 
-    def is_zero_matrix(self):
-        F = self.field
-        return all(F.is_zero(c) for r in self.rows for c in r)
-
     def trace(self):
         F = self.field
         if self.nrows != self.ncols:
@@ -491,14 +487,6 @@ class GcdFreeBasis:
     basis: tuple      # pairwise coprime nonconstant monic dense polynomials
     units: tuple      # leading coefficients of the inputs
     mults: tuple      # one multiplicity vector per input, aligned with basis
-
-    def reconstruct(self, i):
-        F = self.field
-        out = (self.units[i],)
-        for g, m in zip(self.basis, self.mults[i]):
-            for _ in range(m):
-                out = P.umul(F, out, g)
-        return out
 
 
 def gcd_free_basis(field, polys):

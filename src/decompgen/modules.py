@@ -16,7 +16,8 @@ the budget is the engineering answer, and running out of budget is an error
 rather than a wrong answer.
 
 Random elements are integer-coefficient combinations of the basis drawn
-from a growing window, so the same seed gives the same run over any field.
+from a growing window by one generator, `random.Random(1)`, so every run
+is the same over any field and reports are deterministic.
 
 The chop's leaves fall into isomorphism classes.  An absolutely simple leaf
 (image rank d^2) is told apart from every other simple by the traces of the
@@ -36,7 +37,7 @@ from functools import wraps
 from itertools import chain
 
 from . import polyops as P
-from .errors import ChopBudgetExceeded, EngineError, Inconsistent, RadicalNotNilpotent
+from .errors import ChopBudgetExceeded, Inconsistent, RadicalNotNilpotent
 from .factor import factor_pieces
 from .linalg import (
     Matrix,
@@ -48,7 +49,11 @@ from .linalg import (
     point_rank,
     rref_rows,
 )
-from .algebra import nilpotency_index, span_subspace
+from .algebra import SubLattice, nilpotency_index
+
+# random elements the chop tries on one module before it gives up with
+# ChopBudgetExceeded
+CHOP_ATTEMPTS = 80
 
 
 class AlgebraModule:
@@ -58,26 +63,6 @@ class AlgebraModule:
         self.fiber = fiber
         self.action = action  # list of Matrix
         self.dim = action[0].nrows if action else 0
-
-    def validate(self):
-        F = self.fiber.field
-        n = self.fiber.dim
-        ident = Matrix.identity(F, self.dim)
-        acc = Matrix.zeros(F, self.dim, self.dim)
-        for i in range(n):
-            if not F.is_zero(self.fiber.unit[i]):
-                acc = acc.add(self.action[i].scale(self.fiber.unit[i]))
-        if acc != ident:
-            raise Inconsistent("unit does not act as the identity")
-        for i in range(n):
-            for j in range(n):
-                lhs = self.action[i].mul(self.action[j])
-                rhs = Matrix.zeros(F, self.dim, self.dim)
-                for k, c in self.fiber.terms[i][j]:
-                    rhs = rhs.add(self.action[k].scale(c))
-                if lhs != rhs:
-                    raise Inconsistent("action does not respect the table")
-        return self
 
     def act_element(self, coeffs):
         """Matrix of sum_i coeffs[i] b_i acting on the module."""
@@ -235,7 +220,7 @@ def hom_dim(S, T):
     return len(kernel_basis(Matrix(F, rows)))
 
 
-def _split_or_certify(module, rng, attempts):
+def _split_or_certify(module, rng):
     """Either ('split', echelon rows of a proper submodule) or ('simple',
     the image rank of the algebra in End(module)); raises
     ChopBudgetExceeded when nothing certifies."""
@@ -271,7 +256,7 @@ def _split_or_certify(module, rng, attempts):
     w = split(transpose, units)
     if w:
         return ("split", w)
-    for attempt in range(attempts):
+    for attempt in range(CHOP_ATTEMPTS):
         window = 1 + attempt // 4
         coeffs = [F.from_int(rng.randint(-window, window)) for _ in range(n)]
         X = module.act_element(coeffs)
@@ -295,23 +280,24 @@ def _split_or_certify(module, rng, attempts):
                 # criterion certifies irreducibility
                 return ("simple", algebra_image_rank(module))
     raise ChopBudgetExceeded(
-        f"could not split or certify a dim-{d} module over {F!r} in {attempts} attempts")
+        f"could not split or certify a dim-{d} module over {F!r} in {CHOP_ATTEMPTS} attempts")
 
 
-def chop(module, seed=1, attempts=80):
+def chop(module):
     """Composition factors with multiplicities, one per isomorphism class,
     sorted canonically by fingerprint.  A leaf of image rank d^2 is keyed by
     its dimension and the traces of the basis elements, any other by its
     dimension and char polys; the first leaf of a class represents it, and
-    its char polys are taken once.  The multiset is seed-independent."""
-    rng = random.Random(seed)
+    its char polys are taken once.  The multiset does not depend on the
+    random draws, only the route to it does."""
+    rng = random.Random(1)
     leaves = []
     stack = [module]
     while stack:
         m = stack.pop()
         if m.dim == 0:
             continue
-        verdict, data = _split_or_certify(m, rng, attempts)
+        verdict, data = _split_or_certify(m, rng)
         if verdict == "simple":
             leaves.append((m, data))
         else:
@@ -333,64 +319,54 @@ def chop(module, seed=1, attempts=80):
 
 
 def _per_table(analysis):
-    """Memoize analysis(fiber, seed) per distinct table in the fiber's algebra
+    """Memoize analysis(fiber) per distinct table in the fiber's algebra
     family: the `analyses` dict of the loaded algebra, shared by its
     specializations and restrictions and keyed by table content (the fiber's
     `table_key`, hashed once per fiber), so the fiber at p and the generic
     fiber of the restriction to V(p) share one result.  Every caller gets the
     same result object and must not mutate it."""
     @wraps(analysis)
-    def memoized(fiber, seed=1):
-        key = (analysis.__name__, fiber.table_key, seed)
+    def memoized(fiber):
+        key = (analysis.__name__, fiber.table_key)
         if key not in fiber.analyses:
-            fiber.analyses[key] = analysis(fiber, seed)
+            fiber.analyses[key] = analysis(fiber)
         return fiber.analyses[key]
     return memoized
 
 
 @_per_table
-def regular_factors(fiber, seed=1):
+def regular_factors(fiber):
     """chop of the fiber's regular module."""
-    return chop(regular_module(fiber), seed=seed)
-
-
-def is_isomorphic(S, T, cross_validate=False):
-    """Fingerprint comparison; complete for certified simples over one fiber."""
-    if S.module.fiber.field != T.module.fiber.field:
-        return False
-    same = S.dim == T.dim and S.fingerprint_polys == T.fingerprint_polys
-    if cross_validate:
-        hd = hom_dim(S.module, T.module)
-        if (hd > 0) != same:
-            raise EngineError("fingerprint equality disagrees with Hom")
-    return same
+    return chop(regular_module(fiber))
 
 
 # --- radical and splitting -----------------------------------------------------------
 
 @_per_table
-def radical(fiber, seed=1):
+def radical(fiber):
     """Basis of the Jacobson radical as a canonical SubLattice: the
     intersection of the annihilators of the simple modules, read off the
     memoized chop of the regular module, in every characteristic.  Over
     k(vars) the radical is 0 without elimination when the matrix of simple
     entries has point rank dim A (linalg.point_rank, a lower bound on its
-    rank).  Each ρ_S is an algebra homomorphism, so the result is a
+    rank).  The kernel basis, the identity rows and [] are canonical
+    reduced echelon rows already, so they are the SubLattice as they
+    stand.  Each ρ_S is an algebra homomorphism, so the result is a
     two-sided ideal by construction; only its nilpotency is verified.
     """
     F = fiber.field
     cols = []
-    for s, _ in regular_factors(fiber, seed):
+    for s, _ in regular_factors(fiber):
         mats = s.module.action
         for a in range(s.dim):
             for b in range(s.dim):
                 cols.append([mats[i].rows[a][b] for i in range(fiber.dim)])
     if not cols:
-        ker = [list(v) for v in Matrix.identity(F, fiber.dim).rows]
+        ker = Matrix.identity(F, fiber.dim).rows
     else:
         entries = Matrix(F, cols)
         ker = [] if point_rank(entries) == fiber.dim else kernel_basis(entries)
-    lattice = span_subspace(fiber, ker)
+    lattice = SubLattice(fiber, ker)
     _assert_radical(fiber, lattice)
     return lattice
 
@@ -427,14 +403,14 @@ class WedderburnData:
 
 
 @_per_table
-def is_split(fiber, seed=1):
+def is_split(fiber):
     """(split?, WedderburnData) for a fiber algebra.
 
     The stored multiplicity of a simple is its multiplicity on top of the
     radical, dim S / dim End(S); only then does the Artin-Wedderburn count
     radical_dim + sum(mult * dim) = dim A close up.
     """
-    factors = regular_factors(fiber, seed)
+    factors = regular_factors(fiber)
     simples = [s for s, _ in factors]
     jh_mults = [m for _, m in factors]
     endo = []
@@ -447,7 +423,7 @@ def is_split(fiber, seed=1):
                 f"image rank {r} is not d^2 / dim End for a simple of dimension d = {s.dim}")
         endo.append(s.dim ** 2 // r)
     mults = [s.dim // e for s, e in zip(simples, endo)]
-    rad = radical(fiber, seed=seed)
+    rad = radical(fiber)
     data = WedderburnData(fiber, simples, mults, jh_mults, endo, rad.dim)
     if not data.bookkeeping_ok():
         raise RadicalNotNilpotent(

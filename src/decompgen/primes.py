@@ -82,11 +82,6 @@ def reduce_elem(elem, spec):
     return P.peval(elem.ring.coeff, elem.data, F, lambda c: scalar_from_coeff(F, c), spec.var_images)
 
 
-def contains(spec, elem):
-    """Ideal membership for the supported shapes: elem lies in the prime."""
-    return spec.residue_field.is_zero(reduce_elem(elem, spec))
-
-
 # --- construction --------------------------------------------------------------
 
 def generic_point(ring):
@@ -220,12 +215,10 @@ def _maximal_pair(ring, g1, g2):
 # --- principal ring quotients (shared with algebra restriction) -----------------
 
 def ring_quotient(ring, g):
-    """(quotient ring, element map) for R/(g) when the quotient is again a
-    supported ring: coefficients reduced at a prime p of Z, or a variable
-    v_i sent to -b/a for g = a*v_i + b with a unit a.  Raises
+    """(quotient ring, element map) for R/(g), g nonzero, when the quotient
+    is again a supported ring: coefficients reduced at a prime p of Z, or a
+    variable v_i sent to -b/a for g = a*v_i + b with a unit a.  Raises
     UnsupportedRestriction otherwise."""
-    if g.is_zero():
-        return ring, lambda e: e
     coeff = ring.coeff
     integral = isinstance(coeff, IntegerOps)
     if g.is_const():
@@ -281,22 +274,11 @@ def quotient_chain(ring, generators):
     return ring, push
 
 
-def push_prime(ring, xi, p):
-    """The prime p/xi of R/xi, for primes xi and p of R with xi inside p."""
-    qring, push = quotient_chain(ring, xi.generators)
-    return prime_spec(qring, [push(g) for g in p.generators])
-
-
 # --- fraction-field membership ---------------------------------------------------
 
 def denominator_ideal(alpha, ring):
     """Canonical generator of {r in R : r*alpha in R} for alpha in Frac(R)."""
     return normalize_generator(numerator_denominator_in_ring(alpha, ring)[1])
-
-
-def is_in_localization(alpha, spec):
-    gen = denominator_ideal(alpha, spec.ring)
-    return not contains(spec, gen)
 
 
 def numerator_denominator_in_ring(alpha, ring):

@@ -16,7 +16,7 @@ over Z[d] and k[x,y] the minor of the cleared echelon rows on their pivot
 columns is the product of the rows' denominators, whose primes g already
 carries.  The candidate over-approximates: each of its minimal primes is
 then verified exactly by the radical-dimension criterion and recorded as
-Excluded or RecoveredTrivial.  Excluded components seed the recursion on
+Excluded or RecoveredTrivial.  Excluded components start the recursion on
 restricted algebras; maximal points are singleton strata and stop it.
 """
 
@@ -37,7 +37,7 @@ from .factor import factor_dense, factor_integer, factor_univariate
 from .fields import IntegerOps, SparseKernels
 from .linalg import Matrix, coprime_base, det, inverse, saturate_rows
 from .modules import is_split, radical
-from .primes import contains, numerator_denominator_in_ring, prime_spec, push_prime
+from .primes import numerator_denominator_in_ring, prime_spec
 from .rings import RingElement, is_unit, normalize_generator, ring_exact_div, ring_gcd
 
 
@@ -75,12 +75,12 @@ def _clear_row(ring, row):
     return [nu * ring_exact_div(acc, de) for nu, de in out_nd]
 
 
-def radical_lattice(A, seed=1):
+def radical_lattice(A):
     """Integral form of the generic radical: denominators cleared, and over
     Z and k[x] Hermite-saturated so the quotient is torsion free.  The one
     Hermite split of the saturation also gives the complement."""
     fiber = A.generic_fiber()
-    rad = radical(fiber, seed=seed)
+    rad = radical(fiber)
     ring = A.ring
     cleared = [_clear_row(ring, list(row)) for row in rad.rows]
     if ring.is_euclidean and cleared:
@@ -164,7 +164,7 @@ def quotient_over_ring(A, lat):
     return B, comp_K, denoms
 
 
-def candidate_discriminant(A, seed=1):
+def candidate_discriminant(A):
     """Ring element g with: outside V(g) the fiber radical dimension equals
     the generic one.
 
@@ -183,10 +183,10 @@ def candidate_discriminant(A, seed=1):
     `quotient_over_ring` absorbed.  A non-split generic fiber raises
     NotSplit before any of this, so a zero determinant is a failed internal
     check and raises EngineError."""
-    split_data(A, seed)
+    split_data(A)
     ring = A.ring
-    B, lifts, denoms = quotient_over_ring(A, radical_lattice(A, seed=seed))
-    d = det(Matrix(B.field, B.form_gram(_weighted_character_values(A, lifts, seed))))
+    B, lifts, denoms = quotient_over_ring(A, radical_lattice(A))
+    d = det(Matrix(B.field, B.form_gram(_weighted_character_values(A, lifts))))
     if B.field.is_zero(d):
         raise EngineError(f"the certificate form of {A.name}/J is degenerate on a split "
                           "semisimple quotient")
@@ -196,14 +196,14 @@ def candidate_discriminant(A, seed=1):
     return normalize_generator(num * den * denoms)
 
 
-def _weighted_character_values(A, lifts, seed):
+def _weighted_character_values(A, lifts):
     """t(q_k) = sum over the simples S of w_S chi_S(c_k) for each
     complement lift c_k: J acts as zero on every simple of A's generic
     fiber, so chi_S(q_k) is the trace of c_k acting on S, whatever basis S
     has."""
     fiber = A.generic_fiber()
     K = fiber.field
-    _, data = is_split(fiber, seed=seed)
+    _, data = is_split(fiber)
     chi = [K.zero] * fiber.dim
     for s, m in zip(data.simples, data.multiplicities):
         w = K.from_int(m)
@@ -421,17 +421,17 @@ class Discriminant:
         return [pt for pt in self.points if pt.status == "Unknown"]
 
 
-def dec_ex(A, seed=1):
+def dec_ex(A):
     """Candidate discriminant with every minimal prime verified pointwise by
     the exact radical-dimension criterion."""
-    g = candidate_discriminant(A, seed=seed)
+    g = candidate_discriminant(A)
     points = []
     for item in minimal_primes(g):
         if isinstance(item, UnresolvedPrime):
             points.append(DiscriminantPoint(item, "Unknown", reason=item.reason))
             continue
         try:
-            ev = dec_gen_membership(A, item, seed=seed)
+            ev = dec_gen_membership(A, item)
         except NotSplit as e:
             points.append(DiscriminantPoint(item, "Unknown", reason=str(e)))
             continue
@@ -442,7 +442,7 @@ def dec_ex(A, seed=1):
 
 # --- Schur elements -------------------------------------------------------------------
 
-def schur_elements(A, seed=1):
+def schur_elements(A):
     """Schur elements of the generic simples of a symmetric algebra with
     split semisimple generic fiber, via the dual basis of the trace form.
     Validated nonzero and integral over the base ring.
@@ -454,7 +454,7 @@ def schur_elements(A, seed=1):
     if A.trace_vector is None:
         raise NotSymmetric(f"{A.name} carries no symmetrizing trace")
     gram_ring = A.trace_gram_ring()
-    wd = split_data(A, seed)
+    wd = split_data(A)
     if wd.radical_dim != 0:
         raise NotSemisimpleGeneric(f"the generic fiber of {A.name} is not semisimple")
     fiber = A.generic_fiber()
@@ -479,16 +479,16 @@ def schur_elements(A, seed=1):
     return out
 
 
-def schur_discriminant_crosscheck(A, seed=1):
+def schur_discriminant_crosscheck(A):
     """V(product of Schur elements) against the Excluded components of the
     verified discriminant, compared as canonical prime lists."""
-    cs = schur_elements(A, seed=seed)
+    cs = schur_elements(A)
     prod = A.ring.one()
     for c in cs:
         prod = prod * c
     prod = normalize_generator(prod)
     schur_primes = minimal_primes(prod)
-    dec = dec_ex(A, seed=seed)
+    dec = dec_ex(A)
     schur_sigs = sorted(p.signature for p in schur_primes if not isinstance(p, UnresolvedPrime))
     excl_sigs = sorted(pt.prime.signature for pt in dec.excluded
                        if not isinstance(pt.prime, UnresolvedPrime))
@@ -524,7 +524,7 @@ class StratumNode:
         return "Spec(R) minus " + " and ".join(f"V{g}" for g in excl)
 
 
-def stratify(A, seed=1, _depth=0):
+def stratify(A, _depth=0):
     """Tree of restricted algebras whose trivial loci cover the spectrum.
 
     Children sit at the verified Excluded components; maximal points become
@@ -537,7 +537,7 @@ def stratify(A, seed=1, _depth=0):
     if A.ring.is_field_ring:
         return StratumNode(A.name, A.ring, "point-leaf")
     try:
-        dec = dec_ex(A, seed=seed)
+        dec = dec_ex(A)
     except NotSplit as e:
         return StratumNode(A.name, A.ring, "unresolved-leaf", reason=str(e))
     node = StratumNode(A.name, A.ring, "node", dec)
@@ -559,24 +559,8 @@ def stratify(A, seed=1, _depth=0):
             node.children.append(
                 (pt, StratumNode(A.name, A.ring, "unresolved-leaf", reason=str(e))))
             continue
-        node.children.append((pt, stratify(B, seed=seed, _depth=_depth + 1)))
+        node.children.append((pt, stratify(B, _depth=_depth + 1)))
     return node
-
-
-def locate_stratum(node, A, p, path=()):
-    """Deterministic stratum assignment of a prime: descend into the first
-    child whose component contains it, else stay in the node stratum."""
-    if node.kind != "node":
-        return path + ((node.kind, node.algebra_name),)
-    for pt, child in node.children:
-        spec = pt.prime
-        gens = (spec.generator,) if isinstance(spec, UnresolvedPrime) else spec.generators
-        if all(contains(p, g) for g in gens):
-            if child.kind != "node":
-                return path + ((child.kind, node.algebra_name, spec.short_str()),)
-            return locate_stratum(child, restrict(A, spec), push_prime(A.ring, spec, p),
-                                  path + (("descend", spec.short_str()),))
-    return path + (("node", node.algebra_name),)
 
 
 def tree_lines(node, indent=0):

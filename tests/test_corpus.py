@@ -7,15 +7,11 @@ from decompgen.corpus import (
     brauer_algebra,
     brauer_diagrams,
     compose_diagrams,
-    conjugate_fiber,
     cyclic_table,
-    direct_sum,
     dual_numbers,
     group_algebra,
-    klein_table,
     matrix_algebra,
     s3_table,
-    small_fiber_family,
     temperley_lieb,
     tl_diagrams,
     upper_triangular,
@@ -23,6 +19,7 @@ from decompgen.corpus import (
 )
 from decompgen.errors import Inconsistent, NotAGroup
 from decompgen.rings import parse_ring
+from oracles import conjugate_fiber, direct_sum, klein_table, small_fiber_family
 
 Z = parse_ring("Z")
 Zd = parse_ring("Z[d]")

@@ -3,12 +3,10 @@
 import pytest
 
 from decompgen.decomposition import (
-    composability_report,
     dec_gen_membership,
     decomposition_matrix,
     is_trivial,
     split_data,
-    triviality_by_radical,
 )
 from decompgen.errors import NoIntegerSolution, NotSplit
 from decompgen.primes import parse_prime, prime_spec
@@ -16,7 +14,6 @@ from decompgen.rings import parse_ring
 
 Z = parse_ring("Z")
 Qd = parse_ring("Q[d]")
-Zd = parse_ring("Z[d]")
 
 
 def test_decmat_examples(corpus):
@@ -52,7 +49,7 @@ def test_is_trivial_shapes():
         return DecompositionMatrix("x", prime_spec(Z, [Z.from_int(2)]),
                                    tuple(tuple(r) for r in entries),
                                    (1,) * len(entries),
-                                   (1,) * len(entries[0]), (), ())
+                                   (1,) * len(entries[0]))
 
     assert is_trivial(fake([[1, 0], [0, 1]]))
     assert not is_trivial(fake([[1], [1]]))
@@ -62,15 +59,15 @@ def test_is_trivial_shapes():
 
 
 def test_triviality_by_radical_examples(corpus):
-    assert not triviality_by_radical(corpus["ZC2"], prime_spec(Z, [Z.from_int(2)]))
-    assert triviality_by_radical(corpus["ZC2"], prime_spec(Z, [Z.from_int(5)]))
-    assert triviality_by_radical(corpus["B2_Q"], prime_spec(Qd, [Qd.parse("d - 1")]))
-    assert not triviality_by_radical(corpus["B2_Q"], prime_spec(Qd, [Qd.parse("d")]))
+    assert not dec_gen_membership(corpus["ZC2"], prime_spec(Z, [Z.from_int(2)])).trivial
+    assert dec_gen_membership(corpus["ZC2"], prime_spec(Z, [Z.from_int(5)])).trivial
+    assert dec_gen_membership(corpus["B2_Q"], prime_spec(Qd, [Qd.parse("d - 1")])).trivial
+    assert not dec_gen_membership(corpus["B2_Q"], prime_spec(Qd, [Qd.parse("d")])).trivial
 
 
 def test_not_split_raises(corpus):
     with pytest.raises(NotSplit):
-        triviality_by_radical(corpus["ZC3"], prime_spec(Z, [Z.from_int(5)]))
+        dec_gen_membership(corpus["ZC3"], prime_spec(Z, [Z.from_int(5)]))
 
 
 VERIFICATION_PRIMES = {
@@ -95,7 +92,7 @@ def test_triviality_equivalence_on_corpus(corpus):
         for ps in prime_strs:
             p = parse_prime(ps, A.ring)
             D = decomposition_matrix(A, p)
-            assert is_trivial(D) == triviality_by_radical(A, p), (key, ps)
+            assert is_trivial(D) == dec_gen_membership(A, p).trivial, (key, ps)
             checked += 1
     assert checked >= 30
 
@@ -120,7 +117,7 @@ def test_no_zero_rows_or_columns(corpus):
             for row in D.entries:
                 assert any(c > 0 for c in row)
             for j in range(D.ncols):
-                assert not D.column_is_zero(j)
+                assert any(row[j] > 0 for row in D.entries)
 
 
 def test_row_dimension_bookkeeping(corpus):
@@ -133,55 +130,9 @@ def test_row_dimension_bookkeeping(corpus):
                 assert D.row_dims[i] == sum(m * d for m, d in zip(row, D.col_dims))
 
 
-def test_row_classes_are_effective(corpus):
-    D = decomposition_matrix(corpus["ZS3"], prime_spec(Z, [Z.from_int(3)]))
-    for i in range(D.nrows):
-        cls = D.row_class(i)
-        assert cls.is_effective
-        assert cls.total_dim() == D.row_dims[i]
-
-
 def test_verify_mode_agreement(corpus):
     for key, ps in (("ZC2", "p=2"), ("ZS3", "p=3"), ("B2_Q", "gen=[d]")):
         A = corpus[key]
         ev = dec_gen_membership(A, parse_prime(ps, A.ring), verify=True)
         assert ev.matrix_agrees
 
-
-def test_composability_reports(corpus):
-    B2Z = corpus["B2_Z"]
-    chains = [
-        ([Zd.from_int(2)], [Zd.from_int(2), Zd.parse("d")]),
-        ([Zd.parse("d")], [Zd.from_int(2), Zd.parse("d")]),
-        ([Zd.parse("d")], [Zd.from_int(3), Zd.parse("d")]),
-        ([Zd.from_int(3)], [Zd.from_int(3), Zd.parse("d - 1")]),
-    ]
-    for p_gens, q_gens in chains:
-        p = prime_spec(Zd, p_gens)
-        q = prime_spec(Zd, q_gens)
-        rep = composability_report(B2Z, p, q)
-        assert rep["status"] == "computed", rep
-        assert rep["holds"] is True
-    # not a chain
-    for p_gens, q_gens in (([Zd.from_int(2)], [Zd.parse("d")]),
-                           ([Zd.from_int(2)], [Zd.from_int(3)])):
-        rep = composability_report(B2Z, prime_spec(Zd, p_gens), prime_spec(Zd, q_gens))
-        assert rep["status"] == "not-a-chain"
-
-
-def test_composability_reports_unsupported_legs_only(corpus, monkeypatch):
-    import decompgen.decomposition as dm
-
-    ZC3 = corpus["ZC3"]
-    p = prime_spec(Z, [])
-    q = prime_spec(Z, [Z.from_int(3)])
-    rep = composability_report(ZC3, p, q)
-    assert rep == {"status": "unsupported: the generic fiber of ZC3 does not split",
-                   "holds": None}
-
-    def broken(*args, **kwargs):
-        raise ZeroDivisionError("bug")
-
-    monkeypatch.setattr(dm, "decomposition_matrix", broken)
-    with pytest.raises(ZeroDivisionError):
-        composability_report(ZC3, p, q)

@@ -1,11 +1,12 @@
 """MeatAxe-style chopping, radicals, splitting tests."""
 
 import random
+import types
 
 import pytest
 
-from decompgen.algebra import quotient_algebra, specialize
-from decompgen.corpus import REGISTRY, small_fiber_family
+from decompgen.algebra import specialize
+from decompgen.corpus import REGISTRY
 from decompgen import polyops as P
 from decompgen.errors import ChopBudgetExceeded, Inconsistent
 from decompgen.factor import factor_pieces
@@ -26,7 +27,6 @@ from decompgen.modules import (
     algebra_image_rank,
     chop,
     hom_dim,
-    is_isomorphic,
     is_split,
     radical,
     regular_module,
@@ -35,13 +35,20 @@ from decompgen.modules import (
 )
 from decompgen.primes import prime_spec
 from decompgen.rings import parse_ring
+from oracles import (
+    contains_vector,
+    is_isomorphic,
+    quotient_algebra,
+    small_fiber_family,
+    validate_module,
+)
 
 Z = parse_ring("Z")
 Qd = parse_ring("Q[d]")
 
 
-def factors_profile(fiber, seed=1):
-    return [(s.dim, m) for s, m in chop(regular_module(fiber), seed=seed)]
+def factors_profile(fiber):
+    return [(s.dim, m) for s, m in chop(regular_module(fiber))]
 
 
 def test_chop_examples(corpus):
@@ -55,7 +62,7 @@ def test_chop_examples(corpus):
 
 def test_chop_validates_modules(corpus):
     F = corpus["ZC2"].generic_fiber()
-    regular_module(F).validate()
+    validate_module(regular_module(F))
 
 
 def test_module_validation_raises_inconsistent(corpus):
@@ -68,14 +75,17 @@ def test_module_validation_raises_inconsistent(corpus):
     one, two = Matrix(K, [[K.one]]), Matrix(K, [[K.from_int(2)]])
     assert F.unit == (K.one, K.zero)
     with pytest.raises(Inconsistent, match="unit does not act as the identity"):
-        AlgebraModule(F, [two, one]).validate()
+        validate_module(AlgebraModule(F, [two, one]))
     # g^2 = 1 in the group algebra, but g acts as 2
     with pytest.raises(Inconsistent, match="action does not respect the table"):
-        AlgebraModule(F, [one, two]).validate()
-    AlgebraModule(F, [one, Matrix(K, [[K.from_int(-1)]])]).validate()
+        validate_module(AlgebraModule(F, [one, two]))
+    validate_module(AlgebraModule(F, [one, Matrix(K, [[K.from_int(-1)]])]))
 
 
-def test_chop_multiset_is_seed_independent(corpus):
+def test_chop_multiset_is_seed_independent(corpus, monkeypatch):
+    """chop draws its random elements from one fixed generator; with that
+    generator seeded with s = 1, ..., 5 instead, the multiset of simples is
+    the same."""
     fibers = [
         corpus["ZS3"].generic_fiber(),
         specialize(corpus["ZS3"], prime_spec(Z, [Z.from_int(2)])),
@@ -85,7 +95,11 @@ def test_chop_multiset_is_seed_independent(corpus):
         corpus["TL3_Q"].generic_fiber(),
     ]
     for fiber in fibers:
-        profiles = {tuple(factors_profile(fiber, seed=s)) for s in range(1, 6)}
+        profiles = set()
+        for s in range(1, 6):
+            monkeypatch.setattr(modules, "random",
+                                types.SimpleNamespace(Random=lambda _, s=s: random.Random(s)))
+            profiles.add(tuple(factors_profile(fiber)))
         assert len(profiles) == 1
 
 
@@ -161,9 +175,31 @@ def test_radical_is_a_two_sided_ideal(corpus, registry_points):
         for v in rad.rows:
             for i in range(fiber.dim):
                 b = fiber.basis_vector(i)
-                assert rad.contains_vector(fiber.vec_mul(b, list(v))), (fiber, v, i)
-                assert rad.contains_vector(fiber.vec_mul(list(v), b)), (fiber, v, i)
+                assert contains_vector(rad, fiber.vec_mul(b, list(v))), (fiber, v, i)
+                assert contains_vector(rad, fiber.vec_mul(list(v), b)), (fiber, v, i)
     assert nonzero >= 10
+
+
+def test_radical_rows_are_canonical(corpus, registry_points):
+    """radical takes the kernel basis as its SubLattice with no second
+    echelon form, so its rows must already be their own reduced echelon
+    form: at the registry points and at B3 over Z[d]'s generic point, (2),
+    (3), (3, d) and (d - 1)."""
+    from decompgen.algebra import span_subspace
+    from decompgen.corpus import brauer_algebra
+    from decompgen.primes import parse_prime
+
+    B3 = brauer_algebra(3, parse_ring("Z[d]"))
+    fibers = [specialize(A, p) for key, A in sorted(corpus.items())
+              for p in registry_points(key, A)]
+    fibers += [specialize(B3, parse_prime(p, B3.ring))
+               for p in ("generic", "p=2", "p=3", "gen=[3, d]", "gen=[d - 1]")]
+    dims = set()
+    for fiber in fibers:
+        rad = radical(fiber)
+        dims.add(0 < rad.dim < fiber.dim)
+        assert rad.rows == span_subspace(fiber, rad.rows).rows, fiber
+    assert dims == {False, True}
 
 
 def test_split_checks(corpus):
@@ -254,8 +290,8 @@ def brute_force_radical(fiber):
         for v in lat.rows:
             for i in range(n):
                 b = fiber.basis_vector(i)
-                if not lat.contains_vector(fiber.vec_mul(b, list(v))) or \
-                   not lat.contains_vector(fiber.vec_mul(list(v), b)):
+                if not contains_vector(lat, fiber.vec_mul(b, list(v))) or \
+                   not contains_vector(lat, fiber.vec_mul(list(v), b)):
                     stable = False
                     break
             if not stable:
@@ -434,8 +470,8 @@ def test_spin_matches_the_closure_reference(monkeypatch):
         transposes.append(real_transpose(module))
         return transposes[-1]
 
-    def recording_split(module, rng, attempts):
-        verdict, data = real_split(module, rng, attempts)
+    def recording_split(module, rng):
+        verdict, data = real_split(module, rng)
         if verdict == "split":
             splits.append((module, data))
         return verdict, data
@@ -469,7 +505,7 @@ def _rref_image_rank(module):
     return len(rref_rows(F, [[c for row in m.rows for c in row] for m in module.action])[0])
 
 
-def _parent_split_or_certify(module, rng, attempts):
+def _parent_split_or_certify(module, rng):
     """The chop's node decision in its earlier order, the reference for
     `test_chop_decisions_match_the_parent_order`: the unit sweep first, the
     image rank after it on every node, taken by a reduced echelon form, and
@@ -498,7 +534,7 @@ def _parent_split_or_certify(module, rng, attempts):
     w = split(transpose, units)
     if w:
         return ("split", w)
-    for attempt in range(attempts):
+    for attempt in range(modules.CHOP_ATTEMPTS):
         window = 1 + attempt // 4
         coeffs = [F.from_int(rng.randint(-window, window)) for _ in range(n)]
         X = module.act_element(coeffs)
@@ -518,7 +554,7 @@ def _parent_split_or_certify(module, rng, attempts):
                     return ("split", w)
             if is_irred and len(ker) == P.udeg(f):
                 return ("simple", rank)
-    raise ChopBudgetExceeded(f"no verdict for a dim-{d} module in {attempts} attempts")
+    raise ChopBudgetExceeded(f"no verdict for a dim-{d} module")
 
 
 def test_chop_decisions_match_the_parent_order(corpus, registry_points, monkeypatch):
@@ -541,12 +577,12 @@ def test_chop_decisions_match_the_parent_order(corpus, registry_points, monkeypa
     real = modules._split_or_certify
     seen = set()
 
-    def checked(module, rng, attempts):
+    def checked(module, rng):
         twin = random.Random()
         twin.setstate(rng.getstate())
-        want = _parent_split_or_certify(module, twin, attempts)
+        want = _parent_split_or_certify(module, twin)
         counts.update(spin=0, rank=0)
-        got = real(module, rng, attempts)
+        got = real(module, rng)
         assert got == want and rng.getstate() == twin.getstate(), module
         d, n = module.dim, module.fiber.dim
         if got == ("simple", d * d) and 1 < d * d <= n:
@@ -594,8 +630,8 @@ def test_chop_classes_match_char_poly_keys(corpus, registry_points, monkeypatch)
 
     real, leaves = modules._split_or_certify, []
 
-    def recording(module, rng, attempts):
-        verdict = real(module, rng, attempts)
+    def recording(module, rng):
+        verdict = real(module, rng)
         if verdict[0] == "simple":
             leaves.append((module, verdict[1]))
         return verdict
@@ -779,8 +815,8 @@ def test_hom_dim_and_image_rank_where_the_first_point_is_unlucky():
     # agree at d = 3 only
     sc = (((o, z), (z, o)), ((z, o), (K.neg(K.mul(k(3), d)), K.add(d, k(3)))))
     A = FiniteFreeAlgebra("two-roots", K, ("one", "x"), sc, (o, z))
-    S = AlgebraModule(A, [Matrix(K, [[o]]), Matrix(K, [[d]])]).validate()
-    T = AlgebraModule(A, [Matrix(K, [[o]]), Matrix(K, [[k(3)]])]).validate()
+    S = validate_module(AlgebraModule(A, [Matrix(K, [[o]]), Matrix(K, [[d]])]))
+    T = validate_module(AlgebraModule(A, [Matrix(K, [[o]]), Matrix(K, [[k(3)]])]))
     assert [hom_dim(S, T), hom_dim(T, S), hom_dim(S, S), hom_dim(T, T)] == [0, 0, 1, 1]
     # Mat_2(Q(d)) on the basis E11, (d - 3) E12, (d - 3) E21, E22: at d = 3
     # only the diagonal acts on the column space, whose commutant is 2-dim
@@ -793,7 +829,7 @@ def test_hom_dim_and_image_rank_where_the_first_point_is_unlucky():
     M2 = FiniteFreeAlgebra("mat2", K, ("e11", "e12", "e21", "e22"), sc, (o, z, z, o))
     acts = [Matrix(K, rows) for rows in ([[o, z], [z, z]], [[z, t], [z, z]],
                                          [[z, z], [t, z]], [[z, z], [z, o]])]
-    V = AlgebraModule(M2, acts).validate()
+    V = validate_module(AlgebraModule(M2, acts))
     flat = Matrix(K, [[c for row in m.rows for c in row] for m in acts])
     assert point_rank(flat) == 2
     assert algebra_image_rank(V) == 4 and hom_dim(V, V) == 1

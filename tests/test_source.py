@@ -57,3 +57,21 @@ def test_no_module_level_sympy_import():
             if any(name.partition(".")[0] == "sympy" for name in names):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"module-level sympy import in engine code: {found}"
+
+
+def test_no_engine_function_takes_a_seed():
+    # reports are deterministic: the chop draws from one fixed generator, so
+    # no engine function takes a seed or a budget of attempts; the corpus
+    # builders are exempt
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "corpus.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+                if {"seed", "attempts"} & set(names):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"engine functions that take a seed or attempts: {found}"
