@@ -27,8 +27,8 @@ from .errors import (
 from .linalg import (
     Matrix,
     det,
+    echelon_tails,
     inverse,
-    pivot_columns,
     rref_rows,
 )
 from .primes import generic_point, quotient_chain, reduce_elem
@@ -332,7 +332,7 @@ class SubLattice:
     @cached_property
     def pivots(self):
         """Pivot columns of the echelon rows, found once."""
-        return pivot_columns(self.ambient.field, self.rows)
+        return [pj for pj, _ in echelon_tails(self.ambient.field, self.rows)]
 
 
 def span_subspace(fiber, vectors):

@@ -28,7 +28,12 @@ structurally, and expose arithmetic on plain-data scalars.
                          canonicalizing, and the gcd is skipped whenever
                          the denominator is constant (nearly every
                          result): scaling it to one already gives the
-                         canonical form
+                         canonical form; in one variable the product of
+                         two constants is one base-field product
+
+Every operation hands back canonical scalars, so a scalar is zero exactly
+when it equals `F.zero` (0, the zero tuple of GF(p^e), or ((), one) in a
+function field): hot loops test `c != zero` instead of calling `is_zero`.
 
 Keeping scalars as plain data (rather than wrapper objects) keeps the dense
 linear algebra loops cheap; all operations go through the owning field.
@@ -547,6 +552,8 @@ class FuncField:
             return self.zero
         k = self._k
         if k.is_const(da) and k.is_const(db):
+            if len(na) == len(nb) == 1 and self.nv == 1:
+                return ((self.base.mul(na[0], nb[0]),), da)
             return (k.mul(na, nb), da)
         return self._canon(k.mul(na, nb), k.mul(da, db))
 

@@ -8,9 +8,10 @@ coprime), run on the data of a kernel set: dense one-variable polynomials
 for `gcd_free_basis`, sparse two-variable ones for the squarefree split of
 the minimal primes.
 
-A `Matrix` keeps dense rows and, for matrix-vector products, a view of the
-nonzero entries of each column: action matrices of monomial tables are
-mostly zero.  The rows of a `Matrix` are never mutated after construction.
+A `Matrix` keeps dense rows and a cached public view of the nonzero entries
+of each column (`columns`), which products and column reads walk: action
+matrices of monomial tables are mostly zero.  Rows are never mutated after
+construction.  Scalars are canonical: an entry is zero iff it == F.zero.
 
 Everything is deterministic: no randomized pivoting, row echelon forms pick
 the first usable pivot, so repeated runs produce identical output.  Matrices
@@ -26,15 +27,15 @@ from .fields import DenseKernels, FuncField
 
 class Matrix:
     """A matrix over a field as a list of dense rows.  The rows must not be
-    mutated after construction: the column view `apply` builds on first use
-    is never invalidated."""
+    mutated after construction: the column view `columns` builds on first
+    use is never invalidated."""
 
     __slots__ = ("field", "rows", "_cols")
 
     def __init__(self, field, rows):
         self.field = field
         self.rows = [list(r) for r in rows]
-        self._cols = None  # per column j, the nonzero (i, a_ij); see apply
+        self._cols = None  # see columns
 
     @classmethod
     def identity(cls, field, n):
@@ -77,34 +78,47 @@ class Matrix:
         if self.ncols != other.nrows:
             raise DimensionMismatch("matrix product shape mismatch")
         bt = list(zip(*other.rows))
+        zero = F.zero
         out = []
         for r in self.rows:
             row = []
             for c in bt:
                 acc = F.zero
                 for a, b in zip(r, c):
-                    if not F.is_zero(a) and not F.is_zero(b):
+                    if a != zero and b != zero:
                         acc = F.add(acc, F.mul(a, b))
                 row.append(acc)
             out.append(row)
         return Matrix(F, out)
 
+    def columns(self):
+        """Per column j, its nonzero (i, a_ij) in increasing i; cached."""
+        cols = self._cols
+        if cols is None:
+            zero = self.field.zero
+            cols = [[] for _ in range(self.ncols)]
+            for i, r in enumerate(self.rows):
+                for col, a in zip(cols, r):
+                    if a != zero:
+                        col.append((i, a))
+            self._cols = cols
+        return cols
+
+    def column(self, j):
+        """Column j as a dense vector, filled from its nonzero entries."""
+        out = [self.field.zero] * len(self.rows)
+        for i, a in self.columns()[j]:
+            out[i] = a
+        return out
+
     def apply(self, vec):
         """self * vec over the nonzero entries of vec and of each column;
         each out[i] still adds its terms in increasing column order."""
         F = self.field
-        add, mul, is_zero = F.add, F.mul, F.is_zero
-        cols = self._cols
-        if cols is None:
-            cols = [[] for _ in range(self.ncols)]
-            for i, r in enumerate(self.rows):
-                for col, a in zip(cols, r):
-                    if not is_zero(a):
-                        col.append((i, a))
-            self._cols = cols
-        out = [F.zero] * len(self.rows)
-        for col, b in zip(cols, vec):
-            if not is_zero(b):
+        add, mul, zero = F.add, F.mul, F.zero
+        out = [zero] * len(self.rows)
+        for col, b in zip(self.columns(), vec):
+            if b != zero:
                 for i, a in col:
                     out[i] = add(out[i], mul(a, b))
         return out
@@ -125,33 +139,29 @@ def rref_rows(field, rows):
     Returns (rows, pivots): nonzero canonical rows and their pivot columns.
     The input list is not modified.
     """
-    F = field
+    zero, sub, mul = field.zero, field.sub, field.mul
     rows = [list(r) for r in rows]
     m = len(rows)
     n = len(rows[0]) if rows else 0
     pivots = []
     r = 0
     for j in range(n):
-        sel = None
-        for i in range(r, m):
-            if not F.is_zero(rows[i][j]):
-                sel = i
-                break
+        sel = next((i for i in range(r, m) if rows[i][j] != zero), None)
         if sel is None:
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
-        inv = F.inv(rows[r][j])
+        inv = field.inv(rows[r][j])
         prow = rows[r]
         # the pivot row is zero left of j; only its nonzero columns move others
-        support = [k for k in range(j, n) if not F.is_zero(prow[k])]
+        support = [k for k in range(j, n) if prow[k] != zero]
         for k in support:
-            prow[k] = F.mul(inv, prow[k])
+            prow[k] = mul(inv, prow[k])
         for i in range(m):
-            if i != r and not F.is_zero(rows[i][j]):
+            if i != r and rows[i][j] != zero:
                 row = rows[i]
                 f = row[j]
                 for k in support:
-                    row[k] = F.sub(row[k], F.mul(f, prow[k]))
+                    row[k] = sub(row[k], mul(f, prow[k]))
         pivots.append(j)
         r += 1
         if r == m:
@@ -159,22 +169,27 @@ def rref_rows(field, rows):
     return rows[:r], pivots
 
 
-def pivot_columns(field, rows):
-    """Column of the first nonzero entry of each echelon row."""
-    return [next(k for k, c in enumerate(row) if not field.is_zero(c)) for row in rows]
+def echelon_tails(field, rows):
+    """(pivot, tail) of each echelon row: the column of its first nonzero
+    entry and the nonzero (k, c) right of it, all `echelon_reduce` reads."""
+    zero = field.zero
+    pivots = (next(k for k, c in enumerate(row) if c != zero) for row in rows)
+    return [(pj, [(k, c) for k, c in enumerate(row[pj + 1:], pj + 1) if c != zero])
+            for pj, row in zip(pivots, rows)]
 
 
-def echelon_reduce(field, rows, pivots, vec):
+def echelon_reduce(field, tails, vec):
     """vec minus its components along echelon rows whose pivot entries are
-    one: the canonical representative of vec modulo their span."""
-    F = field
+    one, given by their `echelon_tails`: the canonical representative of
+    vec modulo their span."""
+    zero, sub, mul = field.zero, field.sub, field.mul
     work = list(vec)
-    for row, pj in zip(rows, pivots):
+    for pj, tail in tails:
         f = work[pj]
-        if not F.is_zero(f):
-            for k in range(pj, len(row)):  # an echelon row is zero left of its pivot
-                if not F.is_zero(row[k]):
-                    work[k] = F.sub(work[k], F.mul(f, row[k]))
+        if f != zero:
+            work[pj] = zero
+            for k, c in tail:
+                work[k] = sub(work[k], mul(f, c))
     return work
 
 
@@ -319,12 +334,12 @@ def char_poly(mat):
     if mat.nrows != mat.ncols:
         raise NotSquare("characteristic polynomial of a non-square matrix")
     A = mat.rows
-    add, mul, neg, is_zero = F.add, F.mul, F.neg, F.is_zero
+    add, mul, neg, zero = F.add, F.mul, F.neg, F.zero
 
     def dot(r, v):  # r is cut to len(v)
-        acc = F.zero
+        acc = zero
         for a, b in zip(r, v):
-            if not is_zero(a) and not is_zero(b):
+            if a != zero and b != zero:
                 acc = add(acc, mul(a, b))
         return acc
 
@@ -342,9 +357,9 @@ def char_poly(mat):
                 v = [dot(r, v) for r in rows]
         new = []
         for i in range(k + 2):
-            acc = F.zero
+            acc = zero
             for j in range(min(i, k) + 1):
-                if not is_zero(t[i - j]) and not is_zero(p[j]):
+                if t[i - j] != zero and p[j] != zero:
                     acc = add(acc, mul(t[i - j], p[j]))
             new.append(acc)
         p = new

@@ -2,8 +2,10 @@
 
 The chop follows the classical randomized recipe: spin up kernel vectors of
 polynomial evaluations of random algebra elements to find proper submodules,
-where the spin of v is the span of v and the b_i·v (A·v is already closed),
-and certify simplicity either by the surjectivity-onto-End criterion (the
+where the spin of v is the span of v and the b_i·v (A·v is already closed;
+the opening sweeps read the spin of e_j off column j of each ρ(b_i), or off
+row j on the transpose side, and subquotients reduce over the nonzero tails
+of echelon rows), and certify simplicity either by the surjectivity-onto-End criterion (the
 image of the algebra spans the full matrix ring exactly for split simples,
 a pure rank computation that needs no factorization, asked first when
 d^2 <= dim A, where it stops at the first column without a pivot, and
@@ -43,9 +45,9 @@ from .linalg import (
     Matrix,
     char_poly,
     echelon_reduce,
+    echelon_tails,
     eval_poly_at_matrix,
     kernel_basis,
-    pivot_columns,
     point_rank,
     rref_rows,
 )
@@ -65,13 +67,16 @@ class AlgebraModule:
         self.dim = action[0].nrows if action else 0
 
     def act_element(self, coeffs):
-        """Matrix of sum_i coeffs[i] b_i acting on the module."""
+        """Matrix of sum_i coeffs[i] b_i, summed over nonzero entries."""
         F = self.fiber.field
-        out = Matrix.zeros(F, self.dim, self.dim)
-        for i, c in enumerate(coeffs):
-            if not F.is_zero(c):
-                out = out.add(self.action[i].scale(c))
-        return out
+        zero, add, mul = F.zero, F.add, F.mul
+        out = [[zero] * self.dim for _ in range(self.dim)]
+        for c, m in zip(coeffs, self.action):
+            if c != zero:
+                for j, col in enumerate(m.columns()):
+                    for i, a in col:
+                        out[i][j] = add(out[i][j], mul(c, a))
+        return Matrix(F, out)
 
     def char_polys(self):
         return tuple(char_poly(m) for m in self.action)
@@ -90,27 +95,42 @@ def regular_module(fiber):
 
 # --- spinning ----------------------------------------------------------------------
 
+def _span(F, d, vectors):
+    """Canonical echelon basis of the span of vectors in F^d, each reduced
+    modulo the rows so far; a full span stops and is the identity rows."""
+    zero, mul = F.zero, F.mul
+    rows, tails = [], []
+    for w in vectors:
+        w = echelon_reduce(F, tails, w)
+        pj = next((k for k, c in enumerate(w) if c != zero), None)
+        if pj is None:
+            continue
+        inv = F.inv(w[pj])
+        rows.append([zero] * pj + [F.one] + [mul(inv, c) if c != zero else zero
+                                             for c in w[pj + 1:]])
+        tails += echelon_tails(F, rows[-1:])
+        if len(rows) == d:
+            return Matrix.identity(F, d).rows
+    return rref_rows(F, rows)[0] if rows else []
+
+
 def spin(module, vectors):
     """Canonical echelon basis of the submodule generated by the vectors:
     the span of each v and the b_i·v.  The action matrices are those of a
     basis of A and 1 lies in A, so that span is A·v, already closed (on a
     transpose module the ρ(b_i)ᵀ span ρ(A)ᵀ, closed under products too) and
     no image of an image is taken.  A full span is the identity rows."""
-    F = module.fiber.field
-    rows = []
-    pivots = []
-    for v in vectors:
-        for w in chain([v], (m.apply(v) for m in module.action)):
-            w = echelon_reduce(F, rows, pivots, w)
-            pj = next((k for k, c in enumerate(w) if not F.is_zero(c)), None)
-            if pj is None:
-                continue
-            inv = F.inv(w[pj])
-            rows.append([F.mul(inv, c) for c in w])
-            pivots.append(pj)
-            if len(rows) == module.dim:
-                return Matrix.identity(F, module.dim).rows
-    return rref_rows(F, rows)[0] if rows else []
+    return _span(module.fiber.field, module.dim, chain.from_iterable(
+        chain([v], (m.apply(v) for m in module.action)) for v in vectors))
+
+
+def unit_spins(module, transpose):
+    """Lazily, the spin of each e_j on the module or its transpose, read off
+    the action: b_i·e_j is column j of ρ(b_i), and ρ(b_i)ᵀ·e_j its row j."""
+    F, d = module.fiber.field, module.dim
+    for j, e in enumerate(Matrix.identity(F, d).rows):
+        images = (m.rows[j] if transpose else m.column(j) for m in module.action)
+        yield _span(F, d, chain([e], images))
 
 
 def submodule(module, rows):
@@ -119,28 +139,30 @@ def submodule(module, rows):
     are its entries at the pivot columns.  Raises Inconsistent when the
     subspace is not stable under the action."""
     F = module.fiber.field
-    pivots = pivot_columns(F, rows)
+    zero = F.zero
+    tails = echelon_tails(F, rows)
     acts = []
     for m in module.action:
         cols = []
         for row in rows:
             w = m.apply(row)
-            if not all(F.is_zero(c) for c in echelon_reduce(F, rows, pivots, w)):
+            if any(c != zero for c in echelon_reduce(F, tails, w)):
                 raise Inconsistent("the subspace is not stable under the action")
-            cols.append([w[p] for p in pivots])
+            cols.append([w[p] for p, _ in tails])
         acts.append(Matrix(F, zip(*cols)))
     return AlgebraModule(module.fiber, acts)
 
 
 def quotient_module(module, rows):
-    """Action on the quotient by the subspace spanned by echelon rows."""
+    """Action on the quotient by the subspace spanned by echelon rows: the
+    image of e_j, column j of ρ(b), reduced modulo their tails."""
     F = module.fiber.field
-    pivots = pivot_columns(F, rows)
+    tails = echelon_tails(F, rows)
+    pivots = {p for p, _ in tails}
     free = [j for j in range(module.dim) if j not in pivots]
     acts = []
     for m in module.action:
-        # column j of m is the image of the unit vector e_j
-        cols = [echelon_reduce(F, rows, pivots, [r[j] for r in m.rows]) for j in free]
+        cols = [echelon_reduce(F, tails, m.column(j)) for j in free]
         acts.append(Matrix(F, [[col[a] for col in cols] for a in free]))
     return AlgebraModule(module.fiber, acts)
 
@@ -171,23 +193,24 @@ def _image_pivots(module):
     stops at the first False stops the elimination.  Over k(vars) a point
     rank (linalg.point_rank, a lower bound) of d^2 flags every column."""
     F = module.fiber.field
+    zero = F.zero
     flat = [[c for row in m.rows for c in row] for m in module.action]
     full = module.dim ** 2
     if point_rank(Matrix(F, flat)) == full:
         yield from [True] * full
         return
     for j in range(full):
-        i = next((i for i, row in enumerate(flat) if not F.is_zero(row[j])), None)
+        i = next((i for i, row in enumerate(flat) if row[j] != zero), None)
         yield i is not None
         if i is None:
             continue
         prow = flat.pop(i)
         inv = F.inv(prow[j])
-        support = [k for k in range(j + 1, full) if not F.is_zero(prow[k])]
+        support = [k for k in range(j + 1, full) if prow[k] != zero]
         for k in support:
             prow[k] = F.mul(inv, prow[k])
         for row in flat:
-            if not F.is_zero(row[j]):
+            if row[j] != zero:
                 for k in support:
                     row[k] = F.sub(row[k], F.mul(row[j], prow[k]))
 
@@ -230,16 +253,14 @@ def _split_or_certify(module, rng):
         return ("simple", 1)
     n = module.fiber.dim
 
-    def split(side, vectors):
-        """Echelon rows of a proper submodule of module, from the first
-        vector whose spin on side (module or its transpose) is proper, or
-        None.  A proper submodule W of the transpose gives its annihilator,
-        a proper submodule of dimension d - dim W, whose canonical kernel
-        basis is already the echelon rows a spin would return."""
-        for v in vectors:
-            w = spin(side, [v])
+    def split(spans, transpose):
+        """Echelon rows of a proper submodule from the first proper span
+        among spans (on the module or its transpose), or None.  A proper W
+        of the transpose gives its annihilator, of dimension d - dim W, whose
+        canonical kernel basis is already the echelon rows a spin returns."""
+        for w in spans:
             if 0 < len(w) < d:
-                return w if side is module else kernel_basis(Matrix(F, w))
+                return kernel_basis(Matrix(F, w)) if transpose else w
         return None
 
     # a rank of d^2 makes the module absolutely simple, which no sweep can
@@ -247,15 +268,11 @@ def _split_or_certify(module, rng):
     # pivot, and the rank is at most n, so only a Norton verdict needs more
     if d * d <= n and all(_image_pivots(module)):
         return ("simple", d * d)
-    # standard basis vectors usually find obvious submodules
-    units = Matrix.identity(F, d).rows
-    w = split(module, units)
+    # unit vectors usually find obvious submodules; their spins read the action
+    w = split(unit_spins(module, False), False) or split(unit_spins(module, True), True)
     if w:
         return ("split", w)
     transpose = module.transpose_module()
-    w = split(transpose, units)
-    if w:
-        return ("split", w)
     for attempt in range(CHOP_ATTEMPTS):
         window = 1 + attempt // 4
         coeffs = [F.from_int(rng.randint(-window, window)) for _ in range(n)]
@@ -271,7 +288,8 @@ def _split_or_certify(module, rng):
             N = eval_poly_at_matrix(F, f, X)
             ker = kernel_basis(N)
             if len(ker) < d:
-                w = split(module, ker) or split(transpose, kernel_basis(N.transpose()))
+                w = (split((spin(module, [v]) for v in ker), False)
+                     or split((spin(transpose, [v]) for v in kernel_basis(N.transpose())), True))
                 if w:
                     return ("split", w)
             if is_irred and len(ker) == P.udeg(f):

@@ -35,7 +35,7 @@ from decompgen.errors import (
     ValidationError,
 )
 from decompgen.fields import GFExt, GFPrime
-from decompgen.linalg import Matrix, det, echelon_reduce
+from decompgen.linalg import Matrix, det, echelon_reduce, echelon_tails
 from decompgen.modules import hom_dim
 from decompgen.primes import generic_point, prime_spec, quotient_chain, reduce_elem
 from decompgen.rings import parse_ring
@@ -186,7 +186,7 @@ def reconstruct(gb, i):
 
 def contains_vector(lattice, vec):
     F = lattice.ambient.field
-    work = echelon_reduce(F, lattice.rows, lattice.pivots, vec)
+    work = echelon_reduce(F, echelon_tails(F, lattice.rows), vec)
     return all(F.is_zero(c) for c in work)
 
 

@@ -58,13 +58,38 @@ def test_gf_prime_scalars_stay_reduced(p):
     assert all(reduced(F.from_int(n)) for n in ints)
     for _ in range(200):
         a, b = rng.randrange(p), rng.randrange(p)
-        assert all(reduced(x) for x in (F.add(a, b), F.sub(a, b), F.mul(a, b), F.neg(a)))
+        results = (F.add(a, b), F.sub(a, b), F.mul(a, b), F.neg(a), F.add(a, F.neg(a)),
+                   F.sub(b, b))
+        assert all(reduced(x) for x in results)
+        # the kernels test for zero by comparing with F.zero
+        assert all(F.is_zero(x) == (x == F.zero) for x in results)
         if b:
             assert reduced(F.inv(b)) and reduced(F.div(a, b))
         num, den = rng.randint(-10 * p, 10 * p), rng.randint(1, 10 * p)
         if den % p:
             assert reduced(F.from_fraction(Fraction(num, den)))
             assert reduced(F.parse_coeff(num, den))
+
+
+@pytest.mark.parametrize("F", [QQ, GFExt(2, 2, (1, 1, 1)), GFExt(3, 2, (1, 0, 1))], ids=repr)
+def test_zero_is_canonical(F):
+    """A result is zero exactly when it equals F.zero, which the linear
+    algebra kernels compare with instead of calling is_zero: sums and
+    differences that cancel, and products, included."""
+    rng = random.Random(5)
+    if isinstance(F, GFExt):
+        values = [F.add(F.mul(F.from_int(rng.randrange(F.p)), F.gen()),
+                        F.from_int(rng.randrange(F.p))) for _ in range(20)]
+    else:
+        values = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(20)]
+        values = [F.from_fraction(q) for q in values]
+    for a, b in zip(values, values[1:] + values[:1]):
+        results = [F.add(a, b), F.sub(a, b), F.mul(a, b), F.neg(a), F.add(a, F.neg(a)),
+                   F.sub(a, a), F.add(F.mul(a, b), F.neg(F.mul(b, a)))]
+        if not F.is_zero(b):
+            results += [F.div(a, b), F.sub(F.div(a, b), F.mul(a, F.inv(b)))]
+        assert all(F.is_zero(r) == (r == F.zero) for r in results), (a, b)
+        assert any(F.is_zero(r) for r in results)
 
 
 @pytest.mark.parametrize("ring_text", ["Q[d]", "Z[d]"])
@@ -188,6 +213,7 @@ def _check_against_reference(F, seed):
     bk = base.sort_key
     for a, b in pairs:
         for op, r, (num, den) in _reference_results(F, a, b):
+            assert F.is_zero(r) == (r == F.zero), op  # zero is canonical
             assert (F.numerator(r), F.denominator(r)) == (num, den), op
             made = F.make(num, den)
             assert r == made and repr(r) == repr(made), op

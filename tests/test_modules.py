@@ -15,7 +15,6 @@ from decompgen.linalg import (
     Matrix,
     char_poly,
     det,
-    echelon_reduce,
     eval_poly_at_matrix,
     kernel_basis,
     rref_rows,
@@ -387,12 +386,37 @@ def _quotient_by_solve(module, rows):
     return acts
 
 
-@pytest.mark.parametrize("key", sorted(k for k, e in REGISTRY.items()
-                                       if e.facts["generic_split"]))
+def _act_element_by_scale_add(module, coeffs):
+    """sum_i coeffs[i] ρ(b_i) by whole-matrix scales and sums."""
+    F = module.fiber.field
+    out = Matrix.zeros(F, module.dim, module.dim)
+    for c, m in zip(coeffs, module.action):
+        out = out.add(m.scale(c))
+    return out.rows
+
+
+# B3 over Z[d] at points whose fibers run over Q(d), GF(p)(d), GF(3) and Q
+_B3_POINTS = ("generic", "p=2", "p=3", "gen=[3, d]", "gen=[d - 1]")
+
+
+@pytest.mark.parametrize("key", sorted(k for k, e in REGISTRY.items() if e.facts["generic_split"])
+                         + [f"B3@{p}" for p in _B3_POINTS])
 def test_chop_subquotients_match_solve_references(corpus, key, monkeypatch):
-    """Every submodule and quotient the chop of a split generic fiber's
-    regular module builds equals the one found by solving linear systems."""
-    seen = []
+    """Every submodule and quotient the chop of a regular module builds
+    equals the one found by solving linear systems, and every random
+    element it draws acts as the sum of scaled action matrices: the split
+    generic fibers of the registry, and B3 over Z[d] at the generic point,
+    (2), (3), (3, d) and (d - 1)."""
+    from decompgen.corpus import brauer_algebra
+    from decompgen.primes import parse_prime
+
+    seen, elements = [], []
+    real_act = modules.AlgebraModule.act_element
+
+    def recording_act(module, coeffs):
+        out = real_act(module, coeffs)
+        elements.append((out.rows, _act_element_by_scale_add(module, coeffs)))
+        return out
 
     def recording(build, reference):
         def wrapper(module, rows):
@@ -405,10 +429,18 @@ def test_chop_subquotients_match_solve_references(corpus, key, monkeypatch):
                         recording(modules.submodule, _submodule_by_solve))
     monkeypatch.setattr(modules, "quotient_module",
                         recording(modules.quotient_module, _quotient_by_solve))
-    chop(regular_module(corpus[key].generic_fiber()))
+    monkeypatch.setattr(modules.AlgebraModule, "act_element", recording_act)
+    if key in corpus:
+        fiber = corpus[key].generic_fiber()
+    else:
+        B3 = brauer_algebra(3, parse_ring("Z[d]"))
+        fiber = specialize(B3, parse_prime(key.split("@")[1], B3.ring))
+    chop(regular_module(fiber))
     assert seen
-    for got, want in seen:
+    for got, want in seen + elements:
         assert got == want
+    if key not in corpus:
+        assert elements  # every B3 point reaches the random attempts
 
 
 def test_submodule_of_an_unstable_subspace_raises():
@@ -427,44 +459,52 @@ def test_submodule_of_an_unstable_subspace_raises():
 # --- spin and the table map -----------------------------------------------------------
 
 def _spin_by_closure(module, vectors):
-    """The submodule generated by the vectors as a queue closure: every new
-    echelon row is pushed through every action matrix, until the rows fill
-    the module or nothing new appears; then one reduced echelon form."""
+    """The submodule generated by the vectors as a queue closure: every
+    vector that raises the rank of the rows so far is kept and pushed
+    through every action matrix by a matrix product, until the rows fill
+    the module or nothing new appears; then one reduced echelon form.  It
+    shares no reduction with `spin`."""
     F = module.fiber.field
-    rows, pivots = [], []
+    rows = []
     queue = [list(v) for v in vectors]
-    while queue:
-        v = echelon_reduce(F, rows, pivots, queue.pop())
-        pj = next((k for k, c in enumerate(v) if not F.is_zero(c)), None)
-        if pj is None:
-            continue
-        inv = F.inv(v[pj])
-        rows.append([F.mul(inv, c) for c in v])
-        pivots.append(pj)
-        if len(rows) == module.dim:
-            break
-        queue.extend(m.apply(rows[-1]) for m in module.action)
+    while queue and len(rows) < module.dim:
+        v = queue.pop()
+        if len(rref_rows(F, rows + [v])[0]) > len(rows):
+            rows.append(v)
+            queue.extend([r[0] for r in m.mul(Matrix(F, [[c] for c in v])).rows]
+                         for m in module.action)
     return rref_rows(F, rows)[0] if rows else []
 
 
 def test_spin_matches_the_closure_reference(monkeypatch):
     """Every spin the chop makes, on a module and on its transpose, is the
-    submodule the queue closure finds, and so are the rows of every split
-    the transpose side gives, the annihilator of a proper transpose span,
-    which takes no spin: the chops of the registry's generic fibers and of
-    B3 over Z[d] at the generic point, (2), (3), (3, d) and (d - 1), where
-    the transpose splits."""
+    submodule the queue closure finds, and so is every span of a unit
+    vector that the two unit sweeps read off the action, and so are the
+    rows of every split the transpose side gives, the annihilator of a
+    proper transpose span, which takes no spin: the chops of the registry's
+    generic fibers and of B3 over Z[d] at the generic point, (2), (3),
+    (3, d) and (d - 1), where the transpose splits."""
     from decompgen.corpus import brauer_algebra
     from decompgen.primes import parse_prime
 
-    calls, transposes, splits = [], [], []
+    calls, transposes, splits, units = [], [], [], []
     real_spin, real_transpose = modules.spin, modules.AlgebraModule.transpose_module
-    real_split = modules._split_or_certify
+    real_split, real_units = modules._split_or_certify, modules.unit_spins
 
     def recording_spin(module, vectors):
         vectors = [list(v) for v in vectors]
         calls.append((module, vectors, real_spin(module, vectors)))
         return calls[-1][2]
+
+    def recording_units(module, transpose):
+        # the reference spins e_j on a transpose built here: the sweeps build none
+        side = real_transpose(module) if transpose else module
+        F = module.fiber.field
+        for j, w in enumerate(real_units(module, transpose)):
+            e = [F.one if k == j else F.zero for k in range(module.dim)]
+            calls.append((side, [e], w))
+            units.append((transpose, 0 < len(w) < module.dim))
+            yield w
 
     def recording_transpose(module):
         transposes.append(real_transpose(module))
@@ -477,6 +517,7 @@ def test_spin_matches_the_closure_reference(monkeypatch):
         return verdict, data
 
     monkeypatch.setattr(modules, "spin", recording_spin)
+    monkeypatch.setattr(modules, "unit_spins", recording_units)
     monkeypatch.setattr(modules.AlgebraModule, "transpose_module", recording_transpose)
     monkeypatch.setattr(modules, "_split_or_certify", recording_split)
     B3 = brauer_algebra(3, parse_ring("Z[d]"))
@@ -486,6 +527,7 @@ def test_spin_matches_the_closure_reference(monkeypatch):
     for fiber in fibers:
         chop(regular_module(fiber))
     assert any(0 < len(w) < m.dim for m, _, w in calls)  # proper spans
+    assert {(False, True), (True, True)} <= set(units)  # both unit sweeps split
     assert all(len(vs) == 1 for _, vs, _ in calls)  # an annihilator is not spun
     assert any(any(m is t for t in transposes) for m, _, _ in calls)
     for module, vectors, got in calls:
