@@ -9,7 +9,10 @@ structurally, and expose arithmetic on plain-data scalars.
     GFExt(p, e, modulus) scalars are length-e tuples of ints (coordinates of
                          the representative polynomial, constant term first);
                          modulus is a monic irreducible dense polynomial over
-                         GF(p) of degree e
+                         GF(p) of degree e; zero, one and the base field are
+                         built once per field, and a product is the
+                         schoolbook product of the tuples in plain ints,
+                         reduced by the modulus from the top
     FuncField(base, varnames)
                          rational function field over one of the above in one
                          or two variables; scalars are (num, den) pairs with
@@ -251,15 +254,15 @@ class GFExt:
     def characteristic(self):
         return self.p
 
-    @property
+    @cached_property
     def base(self):
         return GFPrime(self.p)
 
-    @property
+    @cached_property
     def zero(self):
         return (0,) * self.e
 
-    @property
+    @cached_property
     def one(self):
         return (1,) + (0,) * (self.e - 1)
 
@@ -279,12 +282,23 @@ class GFExt:
         return tuple((-x) % p for x in a)
 
     def mul(self, a, b):
-        gf = self.base
-        prod = P.umul(gf, P.utrim(gf, a), P.utrim(gf, b))
-        return self._pad(P.umod(gf, prod, self.modulus))
+        """The schoolbook product in plain ints, reduced by the monic
+        modulus from the top, with one `% p` per coefficient."""
+        p, e, mod = self.p, self.e, self.modulus
+        prod = [0] * (2 * e - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    prod[j] += x * y
+        for k in range(2 * e - 2, e - 1, -1):
+            c = prod[k] % p
+            if c:
+                for i in range(e):
+                    prod[k - e + i] -= c * mod[i]
+        return tuple(c % p for c in prod[:e])
 
     def is_zero(self, a):
-        return all(x == 0 for x in a)
+        return not any(a)
 
     def inv(self, a):
         gf = self.base

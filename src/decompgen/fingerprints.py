@@ -9,10 +9,13 @@ last fact is checked, not assumed: a coefficient outside the localization
 at a prime aborts its reduction there.
 
 Reducing a fingerprint coefficientwise along a prime is how decomposition
-matrices are computed without ever constructing valuation rings.
+matrices are computed without ever constructing valuation rings.  The
+polynomials of one fingerprint share most of their coefficients, so each
+distinct coefficient is reduced once per fingerprint.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .primes import reduce_scalar
 
@@ -33,12 +36,10 @@ def fingerprint_of_simple(simple):
 def reduce_fingerprint(fp, spec):
     """Coefficientwise reduction into the residue field; degrees preserved.
 
-    Raises NotReducible when a coefficient sits outside the localization,
+    Raises NotReducible at the first coefficient outside the localization,
     which cannot happen for fingerprints of generic simples over the
     supported (normal) rings.
     """
-    F = spec.residue_field
-    out = []
-    for poly in fp.polys:
-        out.append(tuple(reduce_scalar(c, spec) for c in poly))
-    return Fingerprint(F, tuple(out))
+    images = {c: reduce_scalar(c, spec) for c in dict.fromkeys(chain.from_iterable(fp.polys))}
+    return Fingerprint(spec.residue_field,
+                       tuple(tuple(images[c] for c in poly) for poly in fp.polys))

@@ -508,7 +508,8 @@ def gcd_free_basis(field, polys):
     """Coarsest gcd-free refinement of a family of nonzero univariate
     polynomials, with squarefree splitting where derivatives allow it: the
     `coprime_base` of their monic forms and squarefree parts, in canonical
-    order, with the multiplicity vector of each input."""
+    order, with the multiplicity vector of each input (an input repeated,
+    or repeated up to a unit, shares the row of its monic form)."""
     from .factor import squarefree_part_safe
 
     F = field
@@ -521,8 +522,8 @@ def gcd_free_basis(field, polys):
             work.add(s)
     key = lambda p: P.ukey(F, p)
     basis = sorted(coprime_base(DenseKernels(F), sorted(work, key=key)), key=key)
-    mults = []
-    for m in monics:
+    rows = {}
+    for m in dict.fromkeys(monics):
         row = []
         rem = m
         for g in basis:
@@ -536,5 +537,5 @@ def gcd_free_basis(field, polys):
             row.append(k)
         if P.udeg(rem) != 0:
             raise Inconsistent("gcd-free basis does not reconstruct an input")
-        mults.append(tuple(row))
-    return GcdFreeBasis(F, tuple(basis), units, tuple(mults))
+        rows[m] = tuple(row)
+    return GcdFreeBasis(F, tuple(basis), units, tuple(rows[m] for m in monics))

@@ -4,8 +4,11 @@ The chop follows the classical randomized recipe: spin up kernel vectors of
 polynomial evaluations of random algebra elements to find proper submodules,
 where the spin of v is the span of v and the b_i·v (A·v is already closed;
 the opening sweeps read the spin of e_j off column j of each ρ(b_i), or off
-row j on the transpose side, and subquotients reduce over the nonzero tails
-of echelon rows), and certify simplicity either by the surjectivity-onto-End criterion (the
+row j on the transpose side, and skip each e_j whose spin the parent node
+proved full: a quotient inherits the module side at its free columns, a
+submodule the transpose side at its pivots; subquotients reduce over the
+nonzero tails of echelon rows, and a transpose is built at its first spin),
+and certify simplicity either by the surjectivity-onto-End criterion (the
 image of the algebra spans the full matrix ring exactly for split simples,
 a pure rank computation that needs no factorization, asked first when
 d^2 <= dim A, where it stops at the first column without a pivot, and
@@ -35,7 +38,7 @@ nilpotency is checked.
 
 import random
 from dataclasses import dataclass
-from functools import wraps
+from functools import cache, wraps
 from itertools import chain
 
 from . import polyops as P
@@ -65,6 +68,8 @@ class AlgebraModule:
         self.fiber = fiber
         self.action = action  # list of Matrix
         self.dim = action[0].nrows if action else 0
+        # the j whose unit spin is known to fill, on the module and the transpose side
+        self.unit_fills = (set(), set())
 
     def act_element(self, coeffs):
         """Matrix of sum_i coeffs[i] b_i, summed over nonzero entries."""
@@ -126,18 +131,28 @@ def spin(module, vectors):
 
 def unit_spins(module, transpose):
     """Lazily, the spin of each e_j on the module or its transpose, read off
-    the action: b_i·e_j is column j of ρ(b_i), and ρ(b_i)ᵀ·e_j its row j."""
+    the action: b_i·e_j is column j of ρ(b_i), and ρ(b_i)ᵀ·e_j its row j.
+    A j in that side's `unit_fills` is skipped, and a j whose spin fills
+    the module joins it."""
     F, d = module.fiber.field, module.dim
+    fills = module.unit_fills[transpose]
     for j, e in enumerate(Matrix.identity(F, d).rows):
+        if j in fills:
+            continue
         images = (m.rows[j] if transpose else m.column(j) for m in module.action)
-        yield _span(F, d, chain([e], images))
+        w = _span(F, d, chain([e], images))
+        if len(w) == d:
+            fills.add(j)
+        yield w
 
 
 def submodule(module, rows):
     """Restriction of the action to the subspace spanned by reduced echelon
     rows, as `spin` returns them: the coordinates of a vector of that span
     are its entries at the pivot columns.  Raises Inconsistent when the
-    subspace is not stable under the action."""
+    subspace is not stable under the action.  Coordinate a is read at pivot
+    p_a, so e_a* is the restriction of e_{p_a}*, and if the transpose spin
+    of e_{p_a} fills the module that of e_a fills the submodule."""
     F = module.fiber.field
     zero = F.zero
     tails = echelon_tails(F, rows)
@@ -150,12 +165,16 @@ def submodule(module, rows):
                 raise Inconsistent("the subspace is not stable under the action")
             cols.append([w[p] for p, _ in tails])
         acts.append(Matrix(F, zip(*cols)))
-    return AlgebraModule(module.fiber, acts)
+    sub = AlgebraModule(module.fiber, acts)
+    sub.unit_fills[1].update(a for a, (p, _) in enumerate(tails) if p in module.unit_fills[1])
+    return sub
 
 
 def quotient_module(module, rows):
     """Action on the quotient by the subspace spanned by echelon rows: the
-    image of e_j, column j of ρ(b), reduced modulo their tails."""
+    image of e_j, column j of ρ(b), reduced modulo their tails.  Basis
+    vector a is the class of the a-th free e_j, so if the spin of that e_j
+    fills the module, that of e_a fills the quotient."""
     F = module.fiber.field
     tails = echelon_tails(F, rows)
     pivots = {p for p, _ in tails}
@@ -164,7 +183,9 @@ def quotient_module(module, rows):
     for m in module.action:
         cols = [echelon_reduce(F, tails, m.column(j)) for j in free]
         acts.append(Matrix(F, [[col[a] for col in cols] for a in free]))
-    return AlgebraModule(module.fiber, acts)
+    quo = AlgebraModule(module.fiber, acts)
+    quo.unit_fills[0].update(a for a, j in enumerate(free) if j in module.unit_fills[0])
+    return quo
 
 
 # --- simplicity and the chop ---------------------------------------------------------
@@ -272,7 +293,7 @@ def _split_or_certify(module, rng):
     w = split(unit_spins(module, False), False) or split(unit_spins(module, True), True)
     if w:
         return ("split", w)
-    transpose = module.transpose_module()
+    transpose = cache(module.transpose_module)  # built at its first spin
     for attempt in range(CHOP_ATTEMPTS):
         window = 1 + attempt // 4
         coeffs = [F.from_int(rng.randint(-window, window)) for _ in range(n)]
@@ -289,13 +310,14 @@ def _split_or_certify(module, rng):
             ker = kernel_basis(N)
             if len(ker) < d:
                 w = (split((spin(module, [v]) for v in ker), False)
-                     or split((spin(transpose, [v]) for v in kernel_basis(N.transpose())), True))
+                     or split((spin(transpose(), [v]) for v in kernel_basis(N.transpose())), True))
                 if w:
                     return ("split", w)
             if is_irred and len(ker) == P.udeg(f):
-                # kernel dimension equals deg f and every spin on both sides
-                # filled the module (here or in the opening sweeps): Norton's
-                # criterion certifies irreducibility
+                # kernel dimension equals deg f and the spins of the kernel
+                # vectors on both sides fill the module (a kernel of dimension
+                # d holds the e_j, whose spins the sweeps or the parent node
+                # proved full): Norton's criterion certifies irreducibility
                 return ("simple", algebra_image_rank(module))
     raise ChopBudgetExceeded(
         f"could not split or certify a dim-{d} module over {F!r} in {CHOP_ATTEMPTS} attempts")

@@ -100,8 +100,9 @@ def radical_lattice(A):
 
 def _assert_lattice(A, lat):
     """The cleared lattice spans the generic radical.  Its fraction-field
-    span is then closed under both one-sided multiplications, because
-    `radical` verified exactly that of the generic radical."""
+    span is then a two-sided ideal by construction: the intersection of
+    the kernels of the algebra homomorphisms ρ_S (see
+    `modules._assert_radical`), whose nilpotency `radical` checked."""
     fiber = A.generic_fiber()
     K = fiber.field
     rows_K = [[A.ring.to_field(c, K) for c in row] for row in lat.rows]

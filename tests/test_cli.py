@@ -280,6 +280,28 @@ def test_max_degree_applies_to_one_call_only(corpdir, capsys, monkeypatch):
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("bad", ["0", "two"])
+def test_max_degree_must_be_a_positive_integer(corpdir, capsys, bad):
+    """A --max-degree that is not a positive integer is a usage error: exit
+    2 with one error line and no traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", str(corpdir / "ZS3.alg"), "--max-degree", bad])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"decompgen validate: error: argument --max-degree: must be a positive "
+        f"integer, got {bad!r}"]
+    assert "Traceback" not in err
+
+
+def test_max_degree_is_restored_after_a_valid_call(corpdir, capsys):
+    from decompgen import factor
+
+    before = factor.DEFAULT_TRIAL_LIMIT
+    rc, _, _ = run_cli(["validate", str(corpdir / "ZS3.alg"), "--max-degree", "5"], capsys)
+    assert rc == 0 and factor.DEFAULT_TRIAL_LIMIT == before
+
+
 def test_a_handler_replaced_after_the_first_call_is_the_one_called(corpdir, capsys,
                                                                   monkeypatch):
     # the parser is built once per process; the handler is looked up when

@@ -5,6 +5,7 @@ dense one-variable k(d) scalars agree with sparse reference arithmetic.
 inexact; these tests pin the places where a Q scalar is divided and scan
 every registry fiber for stray types."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -90,6 +91,44 @@ def test_zero_is_canonical(F):
             results += [F.div(a, b), F.sub(F.div(a, b), F.mul(a, F.inv(b)))]
         assert all(F.is_zero(r) == (r == F.zero) for r in results), (a, b)
         assert any(F.is_zero(r) for r in results)
+
+
+def _reference_product(F, a, b):
+    """a * b in GF(p^e) as the dense product over GF(p) reduced by `umod`."""
+    gf = GFPrime(F.p)
+    rem = P.umod(gf, P.umul(gf, P.utrim(gf, a), P.utrim(gf, b)), F.modulus)
+    return tuple(rem) + (0,) * (F.e - len(rem))
+
+
+@pytest.mark.parametrize("F, sample", [(GFExt(2, 2, (1, 1, 1)), None),
+                                       (GFExt(2, 3, (1, 1, 0, 1)), None),
+                                       (GFExt(3, 2, (1, 0, 1)), None),
+                                       (GFExt(31, 2, (1, 0, 1)), 40)], ids=repr)
+def test_extension_field_arithmetic_matches_reference(F, sample):
+    """Every pair of elements of GF(4), GF(8) and GF(9), and of a seeded
+    sample of GF(31^2): a product is the reference product, a quotient times
+    its divisor is the dividend and an element times its inverse is one, and
+    every result is canonical (e ints in [0, p)).  Zero and one are built
+    once per field."""
+    elements = list(itertools.product(range(F.p), repeat=F.e))
+    if sample:
+        elements = random.Random(31).sample(elements, sample)
+    assert F.zero is F.zero and F.one is F.one
+
+    def canonical(x):
+        return type(x) is tuple and len(x) == F.e and all(
+            type(c) is int and 0 <= c < F.p for c in x)
+
+    for a in elements:
+        for b in elements:
+            r = F.mul(a, b)
+            assert canonical(r) and r == _reference_product(F, a, b), (a, b)
+            if b != F.zero:
+                q = F.div(a, b)
+                assert canonical(q) and _reference_product(F, q, b) == a, (a, b)
+        if a != F.zero:
+            inv = F.inv(a)
+            assert canonical(inv) and _reference_product(F, a, inv) == F.one, a
 
 
 @pytest.mark.parametrize("ring_text", ["Q[d]", "Z[d]"])

@@ -293,6 +293,14 @@ def test_gcd_free_basis_examples():
     sq = (Fraction(1), Fraction(2), Fraction(1))
     gb = gcd_free_basis(QQ, [x2m1, sq])
     assert gb.mults == ((1, 1), (0, 2))
+    # repeats, and repeats up to a unit: each input keeps its own unit, and
+    # every copy gets the row of its monic form
+    x2m1_3 = tuple(QQ.mul(3, c) for c in x2m1)
+    xm1_half = tuple(QQ.mul(Fraction(-1, 2), c) for c in xm1)
+    gb = gcd_free_basis(QQ, [x2m1, xm1, x2m1, x2m1_3, xm1_half, sq, xm1])
+    assert gb.basis == (xm1, xp1)
+    assert gb.units == (1, 1, 1, 3, Fraction(-1, 2), 1, 1)
+    assert gb.mults == ((1, 1), (1, 0), (1, 1), (1, 1), (1, 0), (0, 2), (1, 0))
 
 
 @pytest.mark.parametrize("F", [QQ, F3, F4], ids=lambda f: repr(f))

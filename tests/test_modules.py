@@ -497,10 +497,13 @@ def test_spin_matches_the_closure_reference(monkeypatch):
         return calls[-1][2]
 
     def recording_units(module, transpose):
-        # the reference spins e_j on a transpose built here: the sweeps build none
+        # the reference spins e_j on a transpose built here: the sweeps build
+        # none; they skip each j whose spin the parent node proved full
         side = real_transpose(module) if transpose else module
         F = module.fiber.field
-        for j, w in enumerate(real_units(module, transpose)):
+        known = set(module.unit_fills[transpose])
+        swept = (j for j in range(module.dim) if j not in known)
+        for j, w in zip(swept, real_units(module, transpose)):
             e = [F.one if k == j else F.zero for k in range(module.dim)]
             calls.append((side, [e], w))
             units.append((transpose, 0 < len(w) < module.dim))
@@ -538,6 +541,61 @@ def test_spin_matches_the_closure_reference(monkeypatch):
     assert annihilators
     for module, rows in annihilators:
         assert rows == _spin_by_closure(module, rows), module
+
+
+def test_unit_sweeps_skip_only_spins_known_to_fill(monkeypatch):
+    """Every unit index a chop node's sweep skips, on the module side (a
+    quotient inherits it at a free column) or on the transpose side (a
+    submodule inherits it at a pivot), spans that side whole by the queue
+    closure, and both sides skip some index; a child inherits by those two
+    rules and nothing else: the chops of the registry's generic fibers and
+    of B3 over Z[d] at the generic point, (2), (3), (3, d) and (d - 1)."""
+    from decompgen.corpus import brauer_algebra
+    from decompgen.primes import parse_prime
+
+    sweeps, real_units = [], modules.unit_spins
+
+    def inheriting(real, transpose):
+        def child_of(module, rows):
+            child = real(module, rows)
+            zero = module.fiber.field.zero
+            pivots = [next(k for k, c in enumerate(r) if c != zero) for r in rows]
+            basis = pivots if transpose else [j for j in range(module.dim) if j not in pivots]
+            known = {a for a, j in enumerate(basis) if j in module.unit_fills[transpose]}
+            assert child.unit_fills == ((set(), known) if transpose else (known, set()))
+            return child
+        return child_of
+
+    def recording_units(module, transpose):
+        spans = []
+        sweeps.append((module, transpose, set(module.unit_fills[transpose]), spans))
+        for w in real_units(module, transpose):
+            spans.append(w)
+            yield w
+        spans.append(None)  # the sweep ran to its end
+
+    monkeypatch.setattr(modules, "unit_spins", recording_units)
+    monkeypatch.setattr(modules, "submodule", inheriting(modules.submodule, True))
+    monkeypatch.setattr(modules, "quotient_module", inheriting(modules.quotient_module, False))
+    B3 = brauer_algebra(3, parse_ring("Z[d]"))
+    fibers = [e.algebra().generic_fiber() for _, e in sorted(REGISTRY.items())]
+    fibers += [specialize(B3, parse_prime(p, B3.ring))
+               for p in ("generic", "p=2", "p=3", "gen=[3, d]", "gen=[d - 1]")]
+    for fiber in fibers:
+        chop(regular_module(fiber))
+    skipped = {False: 0, True: 0}
+    for module, transpose, known, spans in sweeps:
+        d, F = module.dim, module.fiber.field
+        swept = [j for j in range(d) if j not in known]
+        # the sweep stopped at its first proper span, or ran to its end
+        reached = d if spans[-1] is None else swept[len(spans) - 1]
+        side = module.transpose_module() if transpose else module
+        for j in known:
+            if j < reached:
+                e = [F.one if k == j else F.zero for k in range(d)]
+                assert len(_spin_by_closure(side, [e])) == d, (module, transpose, j)
+                skipped[transpose] += 1
+    assert skipped[False] and skipped[True], skipped
 
 
 def _rref_image_rank(module):
