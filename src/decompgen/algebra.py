@@ -6,7 +6,9 @@ and optionally a symmetrizing trace vector.  One table type serves both
 scalar domains the engine meets: the base ring R (scalars are RingElements,
 arithmetic through a RingScalars view) and a field (scalars are the field's
 plain data).  The fiber A(p) = k(p) (x) A is the same table with reduced
-coefficients over the residue field k(p).
+coefficients over the residue field k(p).  A table is read through its
+nonzero constants (`terms`): a fiber or a restriction is mapped from them
+and carries only them, and its dense `sc` is built from them on first use.
 
 Associativity and the unit law are verified eagerly at load time; silent
 non-associativity would poison every computation downstream.  Because
@@ -36,16 +38,16 @@ from .rings import RingDescriptor, RingScalars
 
 
 class TableKey:
-    """Content key of one structure-constant table (field, sc, unit).
-
-    The hash of the whole table is taken once, when the key is built;
-    equality still compares the content, so two tables whose hashes collide
-    never share a memo entry."""
+    """Content key of one structure-constant table, (field, dim, terms,
+    unit): scalars are canonical and a zero constant has no term, so two
+    keys are equal exactly when the dense tables are.  The hash is taken
+    once, when the key is built; equality still compares the content, so
+    two tables whose hashes collide never share a memo entry."""
 
     __slots__ = ("content", "_hash")
 
-    def __init__(self, field, sc, unit):
-        self.content = (field, sc, unit)
+    def __init__(self, field, dim, terms, unit):
+        self.content = (field, dim, terms, unit)
         self._hash = hash(self.content)
 
     def __hash__(self):
@@ -74,7 +76,8 @@ class FiniteFreeAlgebra:
         self.prime = prime  # PrimeSpec or None: the point a fiber lies over
         self.basis_names = tuple(basis_names)
         self.dim = len(self.basis_names)
-        self.sc = sc  # sc[i][j][k]: scalar of the domain
+        if sc is not None:  # None: the caller sets terms
+            self.sc = sc
         self.unit = tuple(unit)
         self.trace_vector = tuple(trace_vector) if trace_vector is not None else None
         self.analyses = {}  # the modules._per_table memo, shared through _map_table
@@ -89,7 +92,15 @@ class FiniteFreeAlgebra:
     @cached_property
     def table_key(self):
         """The TableKey of this table, built on first use and kept."""
-        return TableKey(self.field, self.sc, self.unit)
+        return TableKey(self.field, self.dim, self.terms, self.unit)
+
+    @cached_property
+    def sc(self):
+        """sc[i][j][k]: scalar of the domain, built from `terms` on first
+        use for a table that carries only them."""
+        zero, n = self.domain.zero, self.dim
+        return tuple(tuple(tuple(dict(ts).get(k, zero) for k in range(n)) for ts in plane)
+                     for plane in self.terms)
 
     @cached_property
     def terms(self):
@@ -101,11 +112,8 @@ class FiniteFreeAlgebra:
 
     # vector arithmetic over the scalar domain
 
-    def vec_zero(self):
-        return [self.domain.zero] * self.dim
-
     def basis_vector(self, i):
-        v = self.vec_zero()
+        v = [self.domain.zero] * self.dim
         v[i] = self.domain.one
         return v
 
@@ -258,9 +266,9 @@ def _combine(D, scaled):
 def _map_table(A, f, name, base, prime=None, validate=False):
     """A's table with every coefficient (structure constants, unit, trace
     vector) sent through f, as a table over base.  f is a ring homomorphism,
-    so the zero constants all map to f(0); f runs once per distinct
-    coefficient, and the image's terms are A.terms less the constants f
-    sends to zero, so no entry of the image table is scanned."""
+    so a zero constant maps to zero and is never mapped; f runs once per
+    distinct coefficient, and the image carries only its terms: A.terms
+    less the constants f sends to zero."""
     image = {}
 
     def g(c):
@@ -269,21 +277,12 @@ def _map_table(A, f, name, base, prime=None, validate=False):
             e = image[c] = f(c)
         return e
 
-    n = A.dim
-    zero = g(A.domain.zero)
-    sc = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for plane, ts_plane in zip(sc, A.terms):
-        for row, ts in zip(plane, ts_plane):
-            for k, c in ts:
-                row[k] = g(c)
-    sc = tuple(tuple(tuple(row) for row in plane) for plane in sc)
     unit = tuple(g(u) for u in A.unit)
     tv = tuple(g(t) for t in A.trace_vector) if A.trace_vector is not None else None
-    B = FiniteFreeAlgebra(name, base, A.basis_names, sc, unit, tv, validate=False, prime=prime)
+    B = FiniteFreeAlgebra(name, base, A.basis_names, None, unit, tv, validate=False, prime=prime)
     is_zero = B.domain.is_zero
-    B.terms = tuple(tuple(tuple((k, row[k]) for k, _ in ts if not is_zero(row[k]))
-                          for row, ts in zip(plane, ts_plane))
-                    for plane, ts_plane in zip(sc, A.terms))
+    B.terms = tuple(tuple(tuple((k, e) for k, c in ts for e in (g(c),) if not is_zero(e))
+                          for ts in plane) for plane in A.terms)
     if validate:
         B._validate()
     B.analyses = A.analyses

@@ -58,11 +58,13 @@ class DecompositionMatrix:
         return f"[{body}] at {self.prime.short_str()}"
 
 
-def decomposition_matrix(A, p):
+def decomposition_matrix(A, p, wf=None):
     """Multiplicities of the fiber simples in the reductions of the generic
-    simples, solved from the fingerprint multiplicity system."""
+    simples, solved from the fingerprint multiplicity system; wf is the
+    fiber's Wedderburn data when the caller has it already."""
     wk = split_data(A)
-    wf = fiber_split_data(A, p)
+    if wf is None:
+        wf = fiber_split_data(A, p)
     generic_fps = [fingerprint_of_simple(s) for s in wk.simples]
     fiber_fps = [fingerprint_of_simple(s) for s in wf.simples]
     reduced = [reduce_fingerprint(fp, p) for fp in generic_fps]
@@ -131,7 +133,7 @@ def dec_gen_membership(A, p, verify=False):
     trivial = wk.radical_dim == wf.radical_dim
     ev = TrivialityEvidence(trivial, wk.radical_dim, wf.radical_dim)
     if verify:
-        D = decomposition_matrix(A, p)
+        D = decomposition_matrix(A, p, wf)
         ev.matrix = D
         ev.matrix_agrees = is_trivial(D) == trivial
         if not ev.matrix_agrees:

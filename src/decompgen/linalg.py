@@ -8,10 +8,12 @@ coprime), run on the data of a kernel set: dense one-variable polynomials
 for `gcd_free_basis`, sparse two-variable ones for the squarefree split of
 the minimal primes.
 
-A `Matrix` keeps dense rows and a cached public view of the nonzero entries
-of each column (`columns`), which products and column reads walk: action
-matrices of monomial tables are mostly zero.  Rows are never mutated after
-construction.  Scalars are canonical: an entry is zero iff it == F.zero.
+A `Matrix` is built from dense rows or from the nonzero entries of its
+columns and keeps both views, each built from the other on first use and
+never mutated: products walk the columns, as action matrices of monomial
+tables are mostly zero, and eliminations walk `rows`.  Scalars are
+canonical: an entry is zero iff it == F.zero, so `echelon_reduce` can work
+on a vector's nonzero entries alone.
 
 Everything is deterministic: no randomized pivoting, row echelon forms pick
 the first usable pivot, so repeated runs produce identical output.  Matrices
@@ -26,16 +28,27 @@ from .errors import DimensionMismatch, EngineError, Inconsistent, NotSquare
 from .fields import DenseKernels, FuncField
 
 class Matrix:
-    """A matrix over a field as a list of dense rows.  The rows must not be
-    mutated after construction: the column view `columns` builds on first
-    use is never invalidated."""
+    """A matrix over a field, built from dense rows or, by `from_columns`,
+    from the nonzero entries of its columns.  Neither view may be mutated
+    after construction: the view built from the other on first use is never
+    invalidated."""
 
-    __slots__ = ("field", "rows", "_cols")
+    __slots__ = ("field", "nrows", "ncols", "_rows", "_cols")
 
     def __init__(self, field, rows):
         self.field = field
-        self.rows = [list(r) for r in rows]
+        self._rows = [list(r) for r in rows]
+        self.nrows = len(self._rows)
+        self.ncols = len(self._rows[0]) if self._rows else 0
         self._cols = None  # see columns
+
+    @classmethod
+    def from_columns(cls, field, nrows, cols):
+        """The nrows x len(cols) matrix whose column j has the nonzero
+        entries cols[j], as (i, a_ij) pairs in increasing i."""
+        m = cls.__new__(cls)
+        m.field, m.nrows, m.ncols, m._rows, m._cols = field, nrows, len(cols), None, cols
+        return m
 
     @classmethod
     def identity(cls, field, n):
@@ -46,12 +59,16 @@ class Matrix:
         return cls(field, [[field.zero] * n for _ in range(m)])
 
     @property
-    def nrows(self):
-        return len(self.rows)
-
-    @property
-    def ncols(self):
-        return len(self.rows[0]) if self.rows else 0
+    def rows(self):
+        """The dense rows; built from the columns on first use."""
+        rows = self._rows
+        if rows is None:
+            rows = [[self.field.zero] * self.ncols for _ in range(self.nrows)]
+            for j, col in enumerate(self._cols):
+                for i, a in col:
+                    rows[i][j] = a
+            self._rows = rows
+        return rows
 
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.field == other.field and self.rows == other.rows
@@ -61,7 +78,7 @@ class Matrix:
         return f"[{body}]"
 
     def transpose(self):
-        return Matrix(self.field, [list(c) for c in zip(*self.rows)] if self.rows else [])
+        return Matrix(self.field, [self.column(j) for j in range(self.ncols)])
 
     def add(self, other):
         F = self.field
@@ -92,12 +109,13 @@ class Matrix:
         return Matrix(F, out)
 
     def columns(self):
-        """Per column j, its nonzero (i, a_ij) in increasing i; cached."""
+        """Per column j, its nonzero (i, a_ij) in increasing i; built from
+        the rows on first use."""
         cols = self._cols
         if cols is None:
             zero = self.field.zero
             cols = [[] for _ in range(self.ncols)]
-            for i, r in enumerate(self.rows):
+            for i, r in enumerate(self._rows):
                 for col, a in zip(cols, r):
                     if a != zero:
                         col.append((i, a))
@@ -106,7 +124,7 @@ class Matrix:
 
     def column(self, j):
         """Column j as a dense vector, filled from its nonzero entries."""
-        out = [self.field.zero] * len(self.rows)
+        out = [self.field.zero] * self.nrows
         for i, a in self.columns()[j]:
             out[i] = a
         return out
@@ -116,7 +134,7 @@ class Matrix:
         each out[i] still adds its terms in increasing column order."""
         F = self.field
         add, mul, zero = F.add, F.mul, F.zero
-        out = [zero] * len(self.rows)
+        out = [zero] * self.nrows
         for col, b in zip(self.columns(), vec):
             if b != zero:
                 for i, a in col:
@@ -128,8 +146,8 @@ class Matrix:
         if self.nrows != self.ncols:
             raise NotSquare("trace of a non-square matrix")
         t = F.zero
-        for i in range(self.nrows):
-            t = F.add(t, self.rows[i][i])
+        for j, col in enumerate(self.columns()):
+            t = F.add(t, next((a for i, a in col if i == j), F.zero))
         return t
 
 
@@ -179,18 +197,19 @@ def echelon_tails(field, rows):
 
 
 def echelon_reduce(field, tails, vec):
-    """vec minus its components along echelon rows whose pivot entries are
-    one, given by their `echelon_tails`: the canonical representative of
-    vec modulo their span."""
+    """The nonzero entries {k: c} of vec minus its components along echelon
+    rows whose pivot entries are one, given by their `echelon_tails`: the
+    canonical representative of vec modulo their span.  vec is given by its
+    nonzero entries too, as a dict or as (k, c) pairs; a zero result is {},
+    and no entry that cancels is kept."""
     zero, sub, mul = field.zero, field.sub, field.mul
-    work = list(vec)
+    work = dict(vec)
     for pj, tail in tails:
-        f = work[pj]
+        f = work.pop(pj, zero)
         if f != zero:
-            work[pj] = zero
             for k, c in tail:
-                work[k] = sub(work[k], mul(f, c))
-    return work
+                work[k] = sub(work.get(k, zero), mul(f, c))
+    return {k: c for k, c in work.items() if c != zero}
 
 
 def rank(mat):

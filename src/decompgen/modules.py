@@ -6,8 +6,10 @@ where the spin of v is the span of v and the b_i·v (A·v is already closed;
 the opening sweeps read the spin of e_j off column j of each ρ(b_i), or off
 row j on the transpose side, and skip each e_j whose spin the parent node
 proved full: a quotient inherits the module side at its free columns, a
-submodule the transpose side at its pivots; subquotients reduce over the
-nonzero tails of echelon rows, and a transpose is built at its first spin),
+submodule the transpose side at its pivots; the regular module is read
+off the table's terms, subquotients are built from nonzero columns reduced
+over the nonzero tails of echelon rows, and a transpose is built at its
+first spin),
 and certify simplicity either by the surjectivity-onto-End criterion (the
 image of the algebra spans the full matrix ring exactly for split simples,
 a pure rank computation that needs no factorization, asked first when
@@ -94,29 +96,42 @@ class AlgebraModule:
 
 
 def regular_module(fiber):
-    mats = [fiber.left_regular_matrix(fiber.basis_vector(i)) for i in range(fiber.dim)]
-    return AlgebraModule(fiber, mats)
+    """ρ(b_i) read off the table: its column j, b_i·b_j, is terms[i][j]."""
+    F, n = fiber.field, fiber.dim
+    return AlgebraModule(fiber, [Matrix.from_columns(F, n, plane) for plane in fiber.terms])
 
 
 # --- spinning ----------------------------------------------------------------------
 
 def _span(F, d, vectors):
-    """Canonical echelon basis of the span of vectors in F^d, each reduced
-    modulo the rows so far; a full span stops and is the identity rows."""
+    """Canonical echelon basis of the span of vectors in F^d, each given by
+    its nonzero entries and reduced modulo the rows so far; a full span
+    stops and is the identity rows."""
     zero, mul = F.zero, F.mul
     rows, tails = [], []
     for w in vectors:
         w = echelon_reduce(F, tails, w)
-        pj = next((k for k, c in enumerate(w) if c != zero), None)
-        if pj is None:
-            continue
-        inv = F.inv(w[pj])
-        rows.append([zero] * pj + [F.one] + [mul(inv, c) if c != zero else zero
-                                             for c in w[pj + 1:]])
-        tails += echelon_tails(F, rows[-1:])
-        if len(rows) == d:
-            return Matrix.identity(F, d).rows
+        if w:
+            pj = min(w)
+            inv = F.inv(w.pop(pj))
+            tail = {k: mul(inv, c) for k, c in w.items()}
+            tails.append((pj, tail.items()))
+            rows.append([F.one if k == pj else tail.get(k, zero) for k in range(d)])
+            if len(rows) == d:
+                return Matrix.identity(F, d).rows
     return rref_rows(F, rows)[0] if rows else []
+
+
+def _image(F, m, v):
+    """The nonzero entries {i: c} of m·v for v given by its nonzero (j, b):
+    the columns of m at those j, summed."""
+    zero, add, mul = F.zero, F.add, F.mul
+    cols = m.columns()
+    w = {}
+    for j, b in v:
+        for i, a in cols[j]:
+            w[i] = add(w[i], mul(a, b)) if i in w else mul(a, b)
+    return {i: c for i, c in w.items() if c != zero}
 
 
 def spin(module, vectors):
@@ -125,8 +140,10 @@ def spin(module, vectors):
     basis of A and 1 lies in A, so that span is A·v, already closed (on a
     transpose module the ρ(b_i)ᵀ span ρ(A)ᵀ, closed under products too) and
     no image of an image is taken.  A full span is the identity rows."""
-    return _span(module.fiber.field, module.dim, chain.from_iterable(
-        chain([v], (m.apply(v) for m in module.action)) for v in vectors))
+    F = module.fiber.field
+    vectors = [[(k, c) for k, c in enumerate(v) if c != F.zero] for v in vectors]
+    return _span(F, module.dim, chain.from_iterable(
+        chain([v], (_image(F, m, v) for m in module.action)) for v in vectors))
 
 
 def unit_spins(module, transpose):
@@ -136,11 +153,12 @@ def unit_spins(module, transpose):
     the module joins it."""
     F, d = module.fiber.field, module.dim
     fills = module.unit_fills[transpose]
-    for j, e in enumerate(Matrix.identity(F, d).rows):
+    for j in range(d):
         if j in fills:
             continue
-        images = (m.rows[j] if transpose else m.column(j) for m in module.action)
-        w = _span(F, d, chain([e], images))
+        images = ([(k, c) for k, c in enumerate(m.rows[j]) if c != F.zero] if transpose
+                  else m.columns()[j] for m in module.action)
+        w = _span(F, d, chain([[(j, F.one)]], images))
         if len(w) == d:
             fills.add(j)
         yield w
@@ -154,17 +172,17 @@ def submodule(module, rows):
     p_a, so e_a* is the restriction of e_{p_a}*, and if the transpose spin
     of e_{p_a} fills the module that of e_a fills the submodule."""
     F = module.fiber.field
-    zero = F.zero
     tails = echelon_tails(F, rows)
+    vecs = [[(p, F.one)] + tail for p, tail in tails]
     acts = []
     for m in module.action:
         cols = []
-        for row in rows:
-            w = m.apply(row)
-            if any(c != zero for c in echelon_reduce(F, tails, w)):
+        for v in vecs:
+            w = _image(F, m, v)
+            if echelon_reduce(F, tails, w):
                 raise Inconsistent("the subspace is not stable under the action")
-            cols.append([w[p] for p, _ in tails])
-        acts.append(Matrix(F, zip(*cols)))
+            cols.append([(a, w[p]) for a, (p, _) in enumerate(tails) if p in w])
+        acts.append(Matrix.from_columns(F, len(tails), cols))
     sub = AlgebraModule(module.fiber, acts)
     sub.unit_fills[1].update(a for a, (p, _) in enumerate(tails) if p in module.unit_fills[1])
     return sub
@@ -172,17 +190,21 @@ def submodule(module, rows):
 
 def quotient_module(module, rows):
     """Action on the quotient by the subspace spanned by echelon rows: the
-    image of e_j, column j of ρ(b), reduced modulo their tails.  Basis
-    vector a is the class of the a-th free e_j, so if the spin of that e_j
-    fills the module, that of e_a fills the quotient."""
+    image of e_j, column j of ρ(b), reduced modulo their tails, at the free
+    columns.  Basis vector a is the class of the a-th free e_j, so if the
+    spin of that e_j fills the module, that of e_a fills the quotient."""
     F = module.fiber.field
     tails = echelon_tails(F, rows)
     pivots = {p for p, _ in tails}
     free = [j for j in range(module.dim) if j not in pivots]
     acts = []
     for m in module.action:
-        cols = [echelon_reduce(F, tails, m.column(j)) for j in free]
-        acts.append(Matrix(F, [[col[a] for col in cols] for a in free]))
+        cols = []
+        for j in free:
+            col = m.columns()[j]
+            w = echelon_reduce(F, tails, col) if col else {}
+            cols.append([(a, w[i]) for a, i in enumerate(free) if i in w])
+        acts.append(Matrix.from_columns(F, len(free), cols))
     quo = AlgebraModule(module.fiber, acts)
     quo.unit_fills[0].update(a for a, j in enumerate(free) if j in module.unit_fills[0])
     return quo

@@ -186,8 +186,9 @@ def reconstruct(gb, i):
 
 def contains_vector(lattice, vec):
     F = lattice.ambient.field
-    work = echelon_reduce(F, echelon_tails(F, lattice.rows), vec)
-    return all(F.is_zero(c) for c in work)
+    nonzero = {k: c for k, c in enumerate(vec) if not F.is_zero(c)}
+    work = echelon_reduce(F, echelon_tails(F, lattice.rows), nonzero)
+    return all(F.is_zero(c) for c in work.values())
 
 
 def one_sided_products(fiber, v):

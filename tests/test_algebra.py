@@ -300,11 +300,13 @@ def test_restrict_examples(corpus):
         restrict(B2, prime_spec(Zd, [Zd.parse("2*d - 1")]))
 
 
-def _entrywise(A, f, field=None):
+def _entrywise(A, f, base):
     """(sc, table key) of A with each of its n^3 structure constants and its
-    unit sent through f one by one."""
+    unit sent through f one by one; the key is that of the dense table built
+    over base, as the engine builds the key of any table."""
     sc = tuple(tuple(tuple(f(c) for c in row) for row in plane) for plane in A.sc)
-    return sc, TableKey(field, sc, tuple(f(u) for u in A.unit))
+    unit = tuple(f(u) for u in A.unit)
+    return sc, FiniteFreeAlgebra(A.name, base, A.basis_names, sc, unit, validate=False).table_key
 
 
 @pytest.mark.parametrize("key", sorted(REGISTRY))
@@ -322,10 +324,58 @@ def test_specialize_and_restrict_map_every_constant(corpus, registry_points, key
             continue
         R = restrict(A, p)
         _, push = quotient_chain(A.ring, p.generators)
-        sc, table_key = _entrywise(A, push)
+        sc, table_key = _entrywise(A, push, R.ring)
         assert R.sc == sc and R.table_key == table_key, p.short_str()
         assert R.trace_vector == (None if A.trace_vector is None
                                   else tuple(push(t) for t in A.trace_vector))
+
+
+def _with_constant(table, ijk, c):
+    """table's dense sc with the constant at ijk replaced by c."""
+    sc = [[list(r) for r in plane] for plane in table.sc]
+    i, j, k = ijk
+    sc[i][j][k] = c
+    return tuple(tuple(tuple(r) for r in plane) for plane in sc)
+
+
+@pytest.mark.parametrize("key, prime", [("ZS3", 3), ("B2_Z", 2), ("TL3_Q", None), ("ZC2", 5)])
+def test_table_keys_are_equal_exactly_when_the_dense_tables_are(corpus, key, prime):
+    """A mapped fiber carries only its terms and keys them; a table built
+    from its dense constants has an equal key with an equal hash, and
+    changing any one constant, the unit, the field, or any one part of the
+    key changes the key."""
+    A = corpus[key]
+    p = generic_point(A.ring) if prime is None else prime_spec(A.ring, [A.ring.from_int(prime)])
+    F = specialize(A, p)
+    K, n = F.field, F.dim
+    key_F = F.table_key
+    assert "sc" not in vars(F)  # no dense table is built to key a fiber
+    same = FiniteFreeAlgebra(A.name, K, A.basis_names, F.sc, F.unit, validate=False)
+    assert same.table_key == key_F and hash(same.table_key) == hash(key_F)
+    rng = random.Random(3)
+    nonzero = [(i, j, k) for i in range(n) for j in range(n) for k, _ in F.terms[i][j]]
+    zero = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)
+            if K.is_zero(F.sc[i][j][k])]
+    for ijk in rng.sample(nonzero, 3) + rng.sample(zero, 3):
+        c = F.sc[ijk[0]][ijk[1]][ijk[2]]
+        for new in {K.add(c, K.one), K.zero} - {c}:
+            changed = FiniteFreeAlgebra(A.name, K, A.basis_names, _with_constant(F, ijk, new),
+                                        F.unit, validate=False)
+            assert changed.table_key != key_F, ijk
+    unit = list(F.unit)
+    unit[0] = K.add(unit[0], K.one)
+    assert FiniteFreeAlgebra(A.name, K, A.basis_names, F.sc, unit,
+                             validate=False).table_key != key_F
+    other = GFPrime(7) if K != GFPrime(7) else GFPrime(11)
+    if all(isinstance(c, int) for plane in F.sc for r in plane for c in r):
+        assert FiniteFreeAlgebra(A.name, other, A.basis_names, F.sc, F.unit,
+                                 validate=False).table_key != key_F
+    parts = (K, n, F.terms, F.unit)
+    assert TableKey(*parts) == key_F
+    terms = FiniteFreeAlgebra(A.name, K, A.basis_names, _with_constant(F, zero[0], K.one),
+                              F.unit, validate=False).terms
+    for at, part in enumerate((other, n + 1, terms, tuple(unit))):
+        assert TableKey(*parts[:at], part, *parts[at + 1:]) != key_F, at
 
 
 def test_restrict_specialize_compatibility(corpus):

@@ -13,6 +13,8 @@ from decompgen.linalg import (
     Matrix,
     char_poly,
     det,
+    echelon_reduce,
+    echelon_tails,
     eval_poly_at_matrix,
     coprime_base,
     gcd_free_basis,
@@ -21,6 +23,7 @@ from decompgen.linalg import (
     kernel_basis,
     point_rank,
     rank,
+    rref_rows,
     saturate_rows,
     solve,
 )
@@ -444,6 +447,108 @@ def test_apply_matches_row_by_row_reference(F):
             for vec in vecs:  # the first call builds the view, later ones reuse it
                 assert M.apply(vec) == _apply_reference(M, vec), (m, n, density)
     assert Matrix(F, []).apply([]) == []
+
+
+# --- matrices built from their nonzero columns, and the sparse reduction ----------------
+
+GF9 = GFExt(3, 2, (1, 0, 1))
+SPARSE_FIELDS = [QQ, GFPrime(5), GF9, QD]
+
+
+def _sparse_rows(F, rng, m, n, density):
+    """Random m x n rows, with a zero row and a zero column when sparse."""
+    rows = [[_entry(F, rng, density) for _ in range(n)] for _ in range(m)]
+    if density < 1.0:
+        rows[rng.randrange(m)] = [F.zero] * n
+        j = rng.randrange(n)
+        for r in rows:
+            r[j] = F.zero
+    return rows
+
+
+@pytest.mark.parametrize("F", SPARSE_FIELDS, ids=repr)
+def test_column_built_matrix_agrees_with_the_row_built_one(F):
+    """Matrix.from_columns on the nonzero entries of each column gives the
+    matrix Matrix(F, rows) gives: the same rows, columns, products,
+    transpose and trace, and the two compare equal."""
+    rng = random.Random(5)
+    for m, n in ((1, 1), (4, 4), (5, 3), (3, 6), (6, 6)):
+        for density in (1.0, 0.5, 0.2):
+            rows = _sparse_rows(F, rng, m, n, density)
+            cols = [[(i, r[j]) for i, r in enumerate(rows) if r[j] != F.zero] for j in range(n)]
+            R = Matrix(F, rows)
+            C = Matrix.from_columns(F, m, cols)
+            assert (C.nrows, C.ncols) == (R.nrows, R.ncols) == (m, n)
+            assert R.columns() == C.columns() == cols, (m, n, density)
+            assert C.rows == R.rows == rows
+            for j in range(n):
+                assert C.column(j) == R.column(j) == [r[j] for r in rows]
+            for vec in ([F.zero] * n, [_entry(F, rng, 0.5) for _ in range(n)]):
+                assert C.apply(vec) == R.apply(vec) == _apply_reference(R, vec)
+            assert C.transpose() == R.transpose()
+            assert C.transpose().rows == [list(c) for c in zip(*rows)]
+            if m == n:
+                assert C.trace() == R.trace() == _trace_reference(F, rows)
+            assert C == R and R == C
+            changed = [list(r) for r in rows]
+            i, j = rng.randrange(m), rng.randrange(n)
+            changed[i][j] = F.add(changed[i][j], F.one)
+            assert C != Matrix(F, changed)
+
+
+def _trace_reference(F, rows):
+    t = F.zero
+    for i, r in enumerate(rows):
+        t = F.add(t, r[i])
+    return t
+
+
+def _reduce_dense(F, rows, vec):
+    """vec minus its components along echelon rows with unit pivots, taken
+    in order, over every entry of dense vectors."""
+    work = list(vec)
+    for row in rows:
+        pj = next(k for k, c in enumerate(row) if c != F.zero)
+        f = work[pj]
+        work = [F.sub(w, F.mul(f, c)) for w, c in zip(work, row)]
+    return work
+
+
+@pytest.mark.parametrize("F", SPARSE_FIELDS, ids=repr)
+def test_echelon_reduce_matches_the_dense_reference(F):
+    """echelon_reduce on a vector's nonzero entries gives the nonzero
+    entries of the dense reduction, with no explicit zero, for reduced
+    echelon rows and for echelon rows whose tails reach later pivots (the
+    spin's rows, reduced in order); a vector of their span reduces to {}."""
+    rng = random.Random(8)
+    for n, density in ((3, 1.0), (6, 0.5), (8, 0.3), (8, 0.6)):
+        for _ in range(4):
+            reduced, _ = rref_rows(F, _sparse_rows(F, rng, rng.randint(1, n - 1), n, density))
+            # add later rows to earlier ones: still echelon with unit pivots
+            unreduced = [list(r) for r in reduced]
+            for a in range(len(unreduced)):
+                for b in range(a + 1, len(unreduced)):
+                    c = _entry(F, rng, 0.5)
+                    unreduced[a] = [F.add(x, F.mul(c, y))
+                                    for x, y in zip(unreduced[a], unreduced[b])]
+            for rows in (reduced, unreduced):
+                tails = echelon_tails(F, rows)
+                span = [F.zero] * n
+                for r in rows:
+                    c = _entry(F, rng, 1.0)
+                    span = [F.add(x, F.mul(c, y)) for x, y in zip(span, r)]
+                vecs = [span, [F.zero] * n] + [[_entry(F, rng, density) for _ in range(n)]
+                                              for _ in range(4)]
+                for vec in vecs:
+                    nonzero = {k: c for k, c in enumerate(vec) if c != F.zero}
+                    want = {k: c for k, c in enumerate(_reduce_dense(F, rows, vec))
+                            if c != F.zero}
+                    got = echelon_reduce(F, tails, nonzero)
+                    assert got == want == echelon_reduce(F, tails, sorted(nonzero.items()))
+                    assert all(c != F.zero for c in got.values())
+                    assert nonzero == {k: c for k, c in enumerate(vec) if c != F.zero}
+                assert echelon_reduce(F, tails, {k: c for k, c in enumerate(span)
+                                                 if c != F.zero}) == {}
 
 
 @pytest.mark.parametrize("F", [QQ, GFPrime(5), QD], ids=repr)

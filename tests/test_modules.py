@@ -443,6 +443,24 @@ def test_chop_subquotients_match_solve_references(corpus, key, monkeypatch):
         assert elements  # every B3 point reaches the random attempts
 
 
+@pytest.mark.parametrize("key", sorted(REGISTRY))
+def test_regular_module_is_read_off_the_terms(corpus, registry_points, key):
+    """ρ(b_i), read off the table's terms column by column, is the left
+    regular matrix of b_i: at the generic point and at the first registry
+    prime, where the registry names one, of every registry algebra."""
+    A = corpus[key]
+    points = list(registry_points(key, A))
+    assert points[0].is_generic
+    for p in points[:2]:
+        fiber = specialize(A, p)
+        action = regular_module(fiber).action
+        assert len(action) == fiber.dim
+        for i, m in enumerate(action):
+            want = fiber.left_regular_matrix(fiber.basis_vector(i))
+            assert m == want, (key, p.short_str(), i)
+            assert [list(col) for col in m.columns()] == want.columns()
+
+
 def test_submodule_of_an_unstable_subspace_raises():
     """The span of one group element of Q S3 is no submodule: left
     multiplication by any other element moves it out."""
