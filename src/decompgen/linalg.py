@@ -54,10 +54,6 @@ class Matrix:
     def identity(cls, field, n):
         return cls(field, [[field.one if i == j else field.zero for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, field, m, n):
-        return cls(field, [[field.zero] * n for _ in range(m)])
-
     @property
     def rows(self):
         """The dense rows; built from the columns on first use."""
@@ -79,12 +75,6 @@ class Matrix:
 
     def transpose(self):
         return Matrix(self.field, [self.column(j) for j in range(self.ncols)])
-
-    def add(self, other):
-        F = self.field
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimensionMismatch("matrix addition shape mismatch")
-        return Matrix(F, [[F.add(a, b) for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)])
 
     def scale(self, c):
         F = self.field
@@ -392,7 +382,7 @@ def eval_poly_at_matrix(field, poly, mat):
     F = field
     n = mat.nrows
     if len(poly) < 2:
-        return Matrix.identity(F, n).scale(poly[0]) if poly else Matrix.zeros(F, n, n)
+        return Matrix.identity(F, n).scale(poly[0] if poly else F.zero)
     acc = mat.scale(poly[-1])
     for k, c in enumerate(reversed(poly[:-1])):
         if k:

@@ -7,7 +7,12 @@ complement basis, and take g = det(Gram of B's weighted character form)
 times the denominators the projection onto B carried.  The form is
 sum_S w_S chi_S over the memoized simples of A's generic fiber, with w_S
 the multiplicity of S in B's regular module (1 where that vanishes in K),
-so it is B's regular trace in characteristic 0.  Outside V(g) the reduced
+so it is B's regular trace in characteristic 0.  The Gram matrix is never
+formed: B = ⊕ End(S), and with M the square matrix of the simples' entries
+rho_S(c_k)[a][b] of the complement lifts c_k, Gram = M^T D M for the
+matrix D that pairs entry (a, b) of block S with (b, a), weighted w_S, so
+det Gram = (-1)^(sum_S d_S (d_S - 1) / 2) prod_S w_S^(d_S^2) det(M)^2
+(proof at `candidate_discriminant`).  Outside V(g) the reduced
 lattice keeps its dimension and B's fiber is semisimple, so the fiber
 radical equals the reduced lattice and has the generic dimension.  No
 minor of J is needed for the first: over Z and k[x] the saturated rows
@@ -172,54 +177,63 @@ def candidate_discriminant(A):
     The certificate is the Gram determinant of t = sum_S w_S chi_S on
     B = A/J, with w_S = dim S / dim End(S), the multiplicity of S in B's
     regular module, replaced by 1 where it vanishes in K.  B is semisimple,
-    so t is B's regular trace unless a weight was replaced.  B splits into
-    one block per simple, so other nonzero weights change the determinant
-    only by a nonzero prime-field constant, which `normalize_generator`
-    removes.  On a split semisimple algebra t is a nonzero multiple of the
-    matrix trace on each block, so its Gram determinant is never zero, and
-    it kills the radical of every fiber.  The simples and weights are the
-    memoized Wedderburn data of A's generic fiber, read through the
-    complement lifts, so B is never chopped; B's integral constants never
-    reach `denominator_ideal`.  g is that determinant times the denominators
-    `quotient_over_ring` absorbed.  A non-split generic fiber raises
+    so t is B's regular trace unless a weight was replaced.  On a split
+    semisimple algebra t is a nonzero multiple of the matrix trace on each
+    block, so its Gram determinant is never zero, and it kills the radical
+    of every fiber.  g is that determinant times the denominators
+    `quotient_over_ring` absorbed.
+
+    The Gram matrix is never formed.  J acts as zero on every simple, so
+    t(xy) = sum_S w_S tr(rho_S(x) rho_S(y)) for x, y in A, and
+    tr(XY) = sum_{a,b} X[a][b] Y[b][a].  With M the square matrix of rows
+    (S, a, b) and columns k, M[(S, a, b)][k] = rho_S(c_k)[a][b] for the
+    complement lifts c_k (square since B = ⊕ End(S) has dimension
+    sum_S d_S^2), this is Gram = M^T D M, where D pairs row (S, a, b) with
+    (S, b, a), weighted w_S.  So
+
+        det Gram = (-1)^(sum_S d_S (d_S - 1) / 2) prod_S w_S^(d_S^2) det(M)^2,
+
+    the sign being that of the d_S (d_S - 1) / 2 swaps (a, b) <-> (b, a).
+    A change of basis P of S maps rho_S(x) to P rho_S(x) P^-1, which acts
+    on the rows of block S as P ⊗ P^-T, of determinant 1, so det(M) does
+    not depend on the basis the chop chose.  The simples and weights are
+    the memoized Wedderburn data of A's generic fiber, read through the
+    lifts, so B is never chopped.  A non-split generic fiber raises
     NotSplit before any of this, so a zero determinant is a failed internal
     check and raises EngineError."""
     split_data(A)
+    _, lifts, denoms = quotient_over_ring(A, radical_lattice(A))
+    d = _gram_determinant(A, lifts)
     ring = A.ring
-    B, lifts, denoms = quotient_over_ring(A, radical_lattice(A))
-    d = det(Matrix(B.field, B.form_gram(_weighted_character_values(A, lifts))))
-    if B.field.is_zero(d):
-        raise EngineError(f"the certificate form of {A.name}/J is degenerate on a split "
-                          "semisimple quotient")
     if ring.is_field_ring:
         return ring.one()
     num, den = numerator_denominator_in_ring(d, ring)
     return normalize_generator(num * den * denoms)
 
 
-def _weighted_character_values(A, lifts):
-    """t(q_k) = sum over the simples S of w_S chi_S(c_k) for each
-    complement lift c_k: J acts as zero on every simple of A's generic
-    fiber, so chi_S(q_k) is the trace of c_k acting on S, whatever basis S
-    has."""
+def _gram_determinant(A, lifts):
+    """det Gram of t on B in the basis of the lifts' classes, from one
+    determinant of M (see `candidate_discriminant`).  M is built from the
+    nonzero entries of the rho_S(b_j): over Z[d] and k[x,y] each lift is a
+    unit vector e_j, whose column is those entries as they stand."""
     fiber = A.generic_fiber()
     K = fiber.field
     _, data = is_split(fiber)
-    chi = [K.zero] * fiber.dim
+    # column j of E: the entries of every rho_S(b_j), (a, b) of block S in row n_S + b d_S + a
+    cols, n, const = [[] for _ in range(fiber.dim)], 0, 1
     for s, m in zip(data.simples, data.multiplicities):
-        w = K.from_int(m)
-        if K.is_zero(w):
-            w = K.one
-        for k, act in enumerate(s.module.action):
-            chi[k] = K.add(chi[k], K.mul(w, act.trace()))
-    values = []
-    for lift in lifts:
-        t = K.zero
-        for c, x in zip(lift, chi):
-            if not K.is_zero(c) and not K.is_zero(x):
-                t = K.add(t, K.mul(c, x))
-        values.append(t)
-    return values
+        w = 1 if K.is_zero(K.from_int(m)) else m
+        const *= (-1) ** (s.dim * (s.dim - 1) // 2) * w ** (s.dim ** 2)
+        for col, act in zip(cols, s.module.action):
+            col += [(n + b * s.dim + a, x) for b, e in enumerate(act.columns()) for a, x in e]
+        n += s.dim ** 2
+    E = Matrix.from_columns(K, n, cols)
+    cols = [[(i, x) for i, x in enumerate(E.apply(lift)) if x != K.zero] for lift in lifts]
+    dm = det(Matrix.from_columns(K, n, cols))
+    if K.is_zero(dm):
+        raise EngineError(f"the certificate form of {A.name}/J is degenerate on a split "
+                          "semisimple quotient")
+    return K.mul(K.from_int(const), K.mul(dm, dm))
 
 
 # --- minimal primes -----------------------------------------------------------------

@@ -4,7 +4,8 @@ builders of their inputs.
 No command of decompgen runs any of these.  The oracles compute what the
 engine computes by a slower or more naive route: module validation against
 the table, isomorphism by Hom, the closure of an ideal under one-sided
-products, subspace and prime-ideal membership, the stratum of a prime by
+products, subspace and prime-ideal membership, the certificate's Gram
+determinant from B = A/J's formed Gram matrix, the stratum of a prime by
 descending the tree.  The builders give small fibers under random basis
 changes, direct sums and the Klein four-group.
 """
@@ -29,6 +30,7 @@ from decompgen.corpus import (
     upper_triangular,
 )
 from decompgen.errors import (
+    DimensionMismatch,
     EngineError,
     Inconsistent,
     UnsupportedRing,
@@ -36,10 +38,10 @@ from decompgen.errors import (
 )
 from decompgen.fields import GFExt, GFPrime
 from decompgen.linalg import Matrix, det, echelon_reduce, echelon_tails
-from decompgen.modules import hom_dim
+from decompgen.modules import hom_dim, is_split
 from decompgen.primes import generic_point, prime_spec, quotient_chain, reduce_elem
 from decompgen.rings import parse_ring
-from decompgen.strata import UnresolvedPrime
+from decompgen.strata import UnresolvedPrime, quotient_over_ring, radical_lattice
 
 
 class UnitInIdeal(ValidationError):
@@ -127,6 +129,19 @@ def elements(F):
     return range(F.p)
 
 
+# --- matrices ---------------------------------------------------------------------
+
+def zeros(F, m, n):
+    return Matrix(F, [[F.zero] * n for _ in range(m)])
+
+
+def matrix_add(x, y):
+    F = x.field
+    if (x.nrows, x.ncols) != (y.nrows, y.ncols):
+        raise DimensionMismatch("matrix addition shape mismatch")
+    return Matrix(F, [[F.add(a, b) for a, b in zip(r, s)] for r, s in zip(x.rows, y.rows)])
+
+
 # --- modules ----------------------------------------------------------------------
 
 def validate_module(module):
@@ -136,18 +151,18 @@ def validate_module(module):
     F = fiber.field
     n = fiber.dim
     ident = Matrix.identity(F, module.dim)
-    acc = Matrix.zeros(F, module.dim, module.dim)
+    acc = zeros(F, module.dim, module.dim)
     for i in range(n):
         if not F.is_zero(fiber.unit[i]):
-            acc = acc.add(module.action[i].scale(fiber.unit[i]))
+            acc = matrix_add(acc, module.action[i].scale(fiber.unit[i]))
     if acc != ident:
         raise Inconsistent("unit does not act as the identity")
     for i in range(n):
         for j in range(n):
             lhs = module.action[i].mul(module.action[j])
-            rhs = Matrix.zeros(F, module.dim, module.dim)
+            rhs = zeros(F, module.dim, module.dim)
             for k, c in fiber.terms[i][j]:
-                rhs = rhs.add(module.action[k].scale(c))
+                rhs = matrix_add(rhs, module.action[k].scale(c))
             if lhs != rhs:
                 raise Inconsistent("action does not respect the table")
     return module
@@ -251,6 +266,41 @@ def quotient_algebra(fiber, ideal):
 def contains(spec, elem):
     """Ideal membership for the supported shapes: elem lies in the prime."""
     return spec.residue_field.is_zero(reduce_elem(elem, spec))
+
+
+# --- discriminant -----------------------------------------------------------------
+
+def weighted_character_values(A, lifts):
+    """t(q_k) = sum over the simples S of w_S chi_S(c_k) for each
+    complement lift c_k: J acts as zero on every simple of A's generic
+    fiber, so chi_S(q_k) is the trace of c_k acting on S, whatever basis S
+    has."""
+    fiber = A.generic_fiber()
+    K = fiber.field
+    _, data = is_split(fiber)
+    chi = [K.zero] * fiber.dim
+    for s, m in zip(data.simples, data.multiplicities):
+        w = K.from_int(m)
+        if K.is_zero(w):
+            w = K.one
+        for k, act in enumerate(s.module.action):
+            chi[k] = K.add(chi[k], K.mul(w, act.trace()))
+    values = []
+    for lift in lifts:
+        t = K.zero
+        for c, x in zip(lift, chi):
+            if not K.is_zero(c) and not K.is_zero(x):
+                t = K.add(t, K.mul(c, x))
+        values.append(t)
+    return values
+
+
+def gram_route_determinant(A):
+    """The certificate's determinant by the Gram route: B = A/J's Gram
+    matrix of t = sum_S w_S chi_S, formed from B's table on the complement
+    lifts, and its determinant; returns it with the lifts."""
+    B, lifts, _ = quotient_over_ring(A, radical_lattice(A))
+    return det(Matrix(B.field, B.form_gram(weighted_character_values(A, lifts)))), lifts
 
 
 def push_prime(ring, xi, p):

@@ -28,7 +28,7 @@ from decompgen.linalg import (
     solve,
 )
 from decompgen.rings import is_unit, parse_ring
-from oracles import is_zero_matrix, reconstruct
+from oracles import is_zero_matrix, matrix_add, reconstruct, zeros
 
 QQ = Rationals()
 F3 = GFPrime(3)
@@ -96,7 +96,7 @@ def test_inverse(F):
 
 
 def test_char_poly_examples():
-    assert char_poly(Matrix.zeros(QQ, 2, 2)) == (Fraction(0), Fraction(0), Fraction(1))
+    assert char_poly(zeros(QQ, 2, 2)) == (Fraction(0), Fraction(0), Fraction(1))
     assert char_poly(Matrix.identity(QQ, 2)) == (Fraction(1), Fraction(-2), Fraction(1))
     swap = Matrix(QQ, [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]])
     assert char_poly(swap) == (Fraction(-1), Fraction(0), Fraction(1))
@@ -563,9 +563,9 @@ def test_eval_poly_at_matrix_matches_the_power_sum(F):
                                 + (_entry(F, rng, 1.0) or F.one,))
                         for deg in range(5) for _ in range(3)]
         for f in polys:
-            want, power = Matrix.zeros(F, n, n), Matrix.identity(F, n)
+            want, power = zeros(F, n, n), Matrix.identity(F, n)
             for c in f:
-                want, power = want.add(power.scale(c)), power.mul(X)
+                want, power = matrix_add(want, power.scale(c)), power.mul(X)
             assert eval_poly_at_matrix(F, f, X) == want, (n, f)
 
 

@@ -37,9 +37,11 @@ from decompgen.rings import parse_ring
 from oracles import (
     contains_vector,
     is_isomorphic,
+    matrix_add,
     quotient_algebra,
     small_fiber_family,
     validate_module,
+    zeros,
 )
 
 Z = parse_ring("Z")
@@ -389,9 +391,9 @@ def _quotient_by_solve(module, rows):
 def _act_element_by_scale_add(module, coeffs):
     """sum_i coeffs[i] ρ(b_i) by whole-matrix scales and sums."""
     F = module.fiber.field
-    out = Matrix.zeros(F, module.dim, module.dim)
+    out = zeros(F, module.dim, module.dim)
     for c, m in zip(coeffs, module.action):
-        out = out.add(m.scale(c))
+        out = matrix_add(out, m.scale(c))
     return out.rows
 
 
@@ -775,18 +777,23 @@ def test_chop_classes_match_char_poly_keys(corpus, registry_points, monkeypatch)
 
 def test_map_table_maps_each_constant_once(corpus, registry_points, monkeypatch):
     """A fiber's table is A's with every coefficient reduced, f runs once
-    per distinct coefficient, and its terms are those a table built from
-    the same constants finds by scanning them: at the registry points and
-    at B3 over Z[d]'s generic point, (2), (3), (d + 2) and (2, d), where
-    the constants d reduce to 0."""
+    per distinct coefficient of A's terms, unit and trace vector (a zero
+    structure constant has no term and is never mapped), and its terms are
+    those a table built from the same constants finds by scanning them: at
+    the registry points, at B3 over Z[d]'s generic point, (2), (3),
+    (d + 2) and (2, d), where the constants d reduce to 0, and at Q x Q on
+    its two idempotents, whose unit holds no zero."""
     from decompgen import algebra
     from decompgen.corpus import brauer_algebra
-    from decompgen.primes import parse_prime
+    from decompgen.primes import generic_point, parse_prime
 
     B3 = brauer_algebra(3, parse_ring("Z[d]"))
+    QxQ = algebra.load_algebra("algebra QxQ\nring Q\nbasis e f\nunit 1, 1\n"
+                               "mul 0 0 0 1\nmul 1 1 1 1\n")
     cases = [(A, p) for key, A in sorted(corpus.items()) for p in registry_points(key, A)]
     cases += [(B3, parse_prime(p, B3.ring))
               for p in ("generic", "p=2", "p=3", "gen=[d + 2]", "gen=[2, d]")]
+    cases.append((QxQ, generic_point(QxQ.ring)))
     real, seen = algebra.reduce_elem, []
 
     def counting(c, p):
@@ -798,7 +805,7 @@ def test_map_table_maps_each_constant_once(corpus, registry_points, monkeypatch)
     for A, p in cases:
         seen.clear()
         fiber = specialize(A, p)
-        coeffs = [c for plane in A.sc for row in plane for c in row] + list(A.unit)
+        coeffs = [c for plane in A.terms for ts in plane for _, c in ts] + list(A.unit)
         coeffs += list(A.trace_vector or ())
         assert len(seen) == len(set(seen)) == len(set(coeffs)), (A.name, p.short_str())
         assert fiber.sc == tuple(tuple(tuple(real(c, p) for c in row) for row in plane)

@@ -24,7 +24,7 @@ from decompgen.strata import (
     stratify,
     tree_lines,
 )
-from oracles import contains, locate_stratum
+from oracles import contains, gram_route_determinant, locate_stratum, weighted_character_values
 
 Z = parse_ring("Z")
 Qd = parse_ring("Q[d]")
@@ -217,9 +217,9 @@ def _first_nonzero_pivot_det(mat):
 
 
 def test_b3_gram_determinants_match_first_nonzero_pivoting(monkeypatch):
-    """det of the three large Grams that B3 over Z[d] certifies with (15 x 15
-    over Q(d), 14 x 14 over GF(2)(d), 11 x 11 over GF(3)(d)) equals the
-    determinant of first-nonzero pivoting."""
+    """det of the three large matrices of the simples' entries that B3 over
+    Z[d] certifies with (15 x 15 over Q(d), 14 x 14 over GF(2)(d), 11 x 11
+    over GF(3)(d)) equals the determinant of first-nonzero pivoting."""
     from decompgen import strata
     from decompgen.algebra import restrict
     from decompgen.corpus import brauer_algebra
@@ -234,6 +234,40 @@ def test_b3_gram_determinants_match_first_nonzero_pivoting(monkeypatch):
         ("Q(d)", 15), ("GF(2)(d)", 14), ("GF(3)(d)", 11)]
     for mat in grams:
         assert det(mat) == _first_nonzero_pivot_det(mat), repr(mat.field)
+
+
+def test_entry_matrix_determinant_equals_the_gram_route(corpus, registry_points):
+    """The certificate's determinant, the sign and weight product times
+    det(M)^2 for the matrix M of the simples' entries, is the determinant
+    of B = A/J's formed Gram matrix of sum_S w_S chi_S exactly, not up to a
+    constant: at every registry algebra's generic point and registry
+    points, and at B3 over Z[d]'s nodes generic, (2), (3), (d + 2) and
+    (d - 1).  Both routes read the same complement lifts; ZC3 over Q,
+    whose generic fiber does not split, is the one point without a
+    candidate."""
+    from decompgen.algebra import restrict
+    from decompgen.corpus import brauer_algebra
+    from decompgen.decomposition import split_data
+    from decompgen.errors import NotSplit
+    from decompgen.primes import parse_prime
+    from decompgen.strata import _gram_determinant
+
+    B3 = brauer_algebra(3, Zd)
+    cases = [(A, p) for key, A in sorted(corpus.items()) for p in registry_points(key, A)]
+    cases += [(B3, parse_prime(p, Zd))
+              for p in ("generic", "p=2", "p=3", "gen=[d + 2]", "gen=[d - 1]")]
+    compared, not_split = 0, []
+    for A, p in cases:
+        R = restrict(A, p)
+        try:
+            split_data(R)
+        except NotSplit:
+            not_split.append((A.name, p.short_str()))
+            continue
+        want, lifts = gram_route_determinant(R)
+        assert _gram_determinant(R, lifts) == want, (A.name, p.short_str())
+        compared += 1
+    assert (compared, not_split) == (34, [("ZC3", "(0)")])
 
 
 def test_candidate_absorbs_the_denominators_of_the_echelon_rows():
@@ -620,13 +654,13 @@ def test_character_gram_matches_traces_of_products(corpus, key, prime):
     from decompgen.linalg import Matrix, det
     from decompgen.modules import is_split, regular_factors
     from decompgen.primes import parse_prime
-    from decompgen.strata import _weighted_character_values, quotient_over_ring
+    from decompgen.strata import quotient_over_ring
 
     A = brauer_algebra(3, Zd) if key == "B3_Zd" else corpus[key]
     R = restrict(A, parse_prime(prime, A.ring))
     B, lifts, _ = quotient_over_ring(R, radical_lattice(R))
     K = B.field
-    d = det(Matrix(K, B.form_gram(_weighted_character_values(R, lifts))))
+    d = det(Matrix(K, B.form_gram(weighted_character_values(R, lifts))))
     L = [B.left_regular_matrix(B.basis_vector(i)) for i in range(B.dim)]
     regular = det(Matrix(K, [[X.mul(Y).trace() for Y in L] for X in L]))
     _, data = is_split(R.generic_fiber())
