@@ -30,7 +30,6 @@ from .linalg import (
     Matrix,
     det,
     echelon_tails,
-    inverse,
     rref_rows,
 )
 from .primes import generic_point, quotient_chain, reduce_elem
@@ -338,19 +337,6 @@ def span_subspace(fiber, vectors):
     """Canonical span of the vectors in a fiber: its reduced echelon rows."""
     rows, _ = rref_rows(fiber.field, list(vectors)) if vectors else ([], [])
     return SubLattice(fiber, rows)
-
-
-def table_on_basis(fiber, basis, m):
-    """(sc, unit) of the fiber's table on the first m of the basis vectors,
-    modulo the span of the rest.  The coordinates of a vector on the whole
-    basis are one product with the inverse of the matrix whose columns are
-    the basis vectors, so the table reads off one `inverse`; raises
-    Inconsistent when the vectors are not a basis."""
-    F = fiber.field
-    coords = Matrix(F, inverse(Matrix(F, basis).transpose()).rows[:m])
-    vecs = [list(v) for v in basis[:m]]
-    sc = tuple(tuple(tuple(coords.apply(fiber.vec_mul(a, b))) for b in vecs) for a in vecs)
-    return sc, tuple(coords.apply(list(fiber.unit)))
 
 
 # --- definition files -------------------------------------------------------------

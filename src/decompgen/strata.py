@@ -2,15 +2,18 @@
 recursive stratification of the base spectrum.
 
 The discriminant candidate is the trace-Gram certificate: clear the generic
-radical into an integral lattice J, form the quotient algebra B = A/J on a
-complement basis, and take g = det(Gram of B's weighted character form)
-times the denominators the projection onto B carried.  The form is
-sum_S w_S chi_S over the memoized simples of A's generic fiber, with w_S
-the multiplicity of S in B's regular module (1 where that vanishes in K),
-so it is B's regular trace in characteristic 0.  The Gram matrix is never
-formed: B = ⊕ End(S), and with M the square matrix of the simples' entries
-rho_S(c_k)[a][b] of the complement lifts c_k, Gram = M^T D M for the
-matrix D that pairs entry (a, b) of block S with (b, a), weighted w_S, so
+radical into an integral lattice J with a complement, and take g = det(Gram
+of the weighted character form of B = A/J on the complement) times the
+denominators of B's constants and of J's echelon rows, read off reductions
+modulo those rows, so B's table is never built; over Z and k[x] J and the
+complement are a basis of R^n, checked by one determinant, and nothing is
+absorbed (`_absorbed_denominators`).  The form is sum_S w_S chi_S over the
+memoized simples of A's generic fiber, with w_S the multiplicity of S in
+B's regular module (1 where that vanishes in K), so it is B's regular
+trace in characteristic 0.  The Gram matrix is never formed: B = ⊕ End(S),
+and with M the square matrix of the simples' entries rho_S(c_k)[a][b] of
+the complement lifts c_k, Gram = M^T D M for the matrix D that pairs entry
+(a, b) of block S with (b, a), weighted w_S, so
 det Gram = (-1)^(sum_S d_S (d_S - 1) / 2) prod_S w_S^(d_S^2) det(M)^2
 (proof at `candidate_discriminant`).  Outside V(g) the reduced
 lattice keeps its dimension and B's fiber is semisimple, so the fiber
@@ -36,20 +39,28 @@ from .errors import (
     UnsupportedError,
     UnsupportedRestriction,
 )
-from .algebra import FiniteFreeAlgebra, restrict, span_subspace, table_on_basis
+from .algebra import restrict, span_subspace
 from .decomposition import dec_gen_membership, split_data
 from .factor import factor_dense, factor_integer, factor_univariate
 from .fields import IntegerOps, SparseKernels
-from .linalg import Matrix, coprime_base, det, inverse, saturate_rows
+from .linalg import (
+    Matrix,
+    coprime_base,
+    det,
+    echelon_reduce,
+    echelon_tails,
+    inverse,
+    saturate_rows,
+)
 from .modules import is_split, radical
-from .primes import numerator_denominator_in_ring, prime_spec
+from .primes import denominator_ideal, numerator_denominator_in_ring, prime_spec
 from .rings import RingElement, is_unit, normalize_generator, ring_exact_div, ring_gcd
 
 
 @dataclass
 class RadicalLattice:
-    """Integral form of the generic radical, with the facts the quotient
-    B = A/J reads from it: `generic` is the memoized generic-radical
+    """Integral form of the generic radical, with the facts the candidate
+    reads from it: `generic` is the memoized generic-radical
     SubLattice (its rows are the reduced echelon form of J over K), and
     `complement` spans a complement of J, as fraction-field vectors.  Over
     Z and k[x] `rows` is the Hermite basis of the saturation and the
@@ -107,67 +118,56 @@ def _assert_lattice(A, lat):
     """The cleared lattice spans the generic radical.  Its fraction-field
     span is then a two-sided ideal by construction: the intersection of
     the kernels of the algebra homomorphisms ρ_S (see
-    `modules._assert_radical`), whose nilpotency `radical` checked."""
+    `modules._assert_radical`), whose nilpotency `radical` checked.
+
+    Over Z, k[x] and fields the rows and the complement must also be a
+    basis of R^n: their determinant is a unit of R.  Then every constant of
+    B = A/J on the complement is integral, since the product of two
+    complement vectors lies in R^n, and so do its coordinates on a basis of
+    R^n; integral constants alone would not make the basis unimodular."""
     fiber = A.generic_fiber()
     K = fiber.field
     rows_K = [[A.ring.to_field(c, K) for c in row] for row in lat.rows]
     if span_subspace(fiber, rows_K) != lat.generic:
         raise EngineError("integral radical lattice does not span the generic radical")
+    if A.ring.is_euclidean and rows_K:
+        u = A.ring.from_field_scalar(det(Matrix(K, rows_K + [list(v) for v in lat.complement])), K)
+        if u is None or not is_unit(u):
+            raise EngineError("the radical lattice and its complement are not a basis of "
+                              f"{A.ring!r}^{A.dim}")
 
 
-def quotient_over_ring(A, lat):
-    """Structure constants of B = A/J on the lattice's complement basis, as
-    a fiber over the fraction field; the complement lifts c_i in A's
-    generic fiber, whose classes q_i are B's basis (the certificate reads
-    A's memoized simples through them); and the product of every
-    denominator that entered the projection.  The complement and the
-    echelon rows of J come from `lat`, and B's table is read off one
-    inverse of the basis of complement lifts and lattice rows
-    (`table_on_basis`), so no Hermite or echelon form of the lattice rows
-    runs here.
-
-    Over Euclidean rings the complement completes a saturated lattice to a
-    unimodular basis, so B's constants and unit coordinates are integral and
-    nothing is absorbed: a non-integral one is a broken invariant and raises
-    EngineError.  Over Z[d] and two-variable rings the complement is spanned
-    by the non-pivot unit vectors and the coordinates, like the echelon rows
-    of the lattice, can have denominators.  The certificate is only valid
-    where the denominators are invertible, so the caller absorbs their
-    product into the discriminant.  That also covers the locus where the
-    cleared rows drop rank: their minor on the pivot columns is the product
-    of their pivot entries, the lcms of each row's denominators.  Integral
-    scalars never reach `denominator_ideal`: `RingDescriptor.contains`
-    decides them on the scalar itself.
-    """
-    from .primes import denominator_ideal as _den
-
-    fiber = A.generic_fiber()
-    K = fiber.field
+def _absorbed_denominators(A, lat):
+    """The product of the distinct denominators the certificate is invalid
+    at: one over Z, k[x] and fields, where `_assert_lattice` proved B's
+    constants integral.  Over Z[d] and k[x,y] the complement is the
+    non-pivot unit vectors e_j, and a vector's coordinates on them are the
+    entries of its reduction modulo J's echelon rows, so B's constants and
+    unit are the reductions of the products e_i e_j of free basis vectors
+    and of A's unit.  The rows' own denominators cover the locus where the
+    cleared rows drop rank: their minor on the pivot columns is the
+    product of their pivot entries, the lcms of each row's denominators."""
     ring = A.ring
     denoms = ring.one()
-    if lat.rank == 0:
-        return fiber, lat.complement, denoms
-    comp_K, span_rows = lat.complement, lat.generic.rows
-    sc, unit = table_on_basis(fiber, comp_K + span_rows, len(comp_K))
-    scalars = [c for plane in sc for row in plane for c in row] + list(unit)
-    if not ring.is_euclidean:
-        scalars += [c for row in span_rows for c in row]
+    if ring.is_euclidean or lat.rank == 0:
+        return denoms
+    fiber = A.generic_fiber()
+    K = fiber.field
+    rows = lat.generic.rows
+    tails = echelon_tails(K, rows)
+    free = [j for j in range(A.dim) if j not in lat.generic.pivots]
+    unit = [(k, c) for k, c in enumerate(fiber.unit) if c != K.zero]
+    reduced = [echelon_reduce(K, tails, fiber.terms[i][j]) for i in free for j in free]
+    reduced.append(echelon_reduce(K, tails, unit))
     seen = set()
-    for c in scalars:
+    for c in [c for v in reduced for c in v.values()] + [c for row in rows for c in row]:
         if ring.contains(c, K):
             continue
-        d = _den(c, ring)
-        if is_unit(d):
-            continue
-        if ring.is_euclidean:
-            raise EngineError(f"constant {K.to_str(c)} of {A.name}/J is not integral "
-                              "on the unimodular complement")
-        if str(d) not in seen:
+        d = denominator_ideal(c, ring)
+        if not is_unit(d) and str(d) not in seen:
             seen.add(str(d))
             denoms = denoms * d
-    names = tuple(f"q{i}" for i in range(len(comp_K)))
-    B = FiniteFreeAlgebra(A.name + "/J", K, names, sc, unit, validate=False)
-    return B, comp_K, denoms
+    return denoms
 
 
 def candidate_discriminant(A):
@@ -180,8 +180,9 @@ def candidate_discriminant(A):
     so t is B's regular trace unless a weight was replaced.  On a split
     semisimple algebra t is a nonzero multiple of the matrix trace on each
     block, so its Gram determinant is never zero, and it kills the radical
-    of every fiber.  g is that determinant times the denominators
-    `quotient_over_ring` absorbed.
+    of every fiber.  g is that determinant times the denominators of B's
+    constants and of J's echelon rows (`_absorbed_denominators`), read off
+    reductions modulo J's rows; B's table is never built.
 
     The Gram matrix is never formed.  J acts as zero on every simple, so
     t(xy) = sum_S w_S tr(rho_S(x) rho_S(y)) for x, y in A, and
@@ -202,13 +203,13 @@ def candidate_discriminant(A):
     NotSplit before any of this, so a zero determinant is a failed internal
     check and raises EngineError."""
     split_data(A)
-    _, lifts, denoms = quotient_over_ring(A, radical_lattice(A))
-    d = _gram_determinant(A, lifts)
+    lat = radical_lattice(A)
+    d = _gram_determinant(A, lat.complement)
     ring = A.ring
     if ring.is_field_ring:
         return ring.one()
     num, den = numerator_denominator_in_ring(d, ring)
-    return normalize_generator(num * den * denoms)
+    return normalize_generator(num * den * _absorbed_denominators(A, lat))
 
 
 def _gram_determinant(A, lifts):

@@ -10,6 +10,11 @@ code.  Run as a script, the sweep prints every record, so two runs (under
 different PYTHONHASHSEED values, say) compare with cmp:
 
     PYTHONPATH=src python tests/cli_sweep.py [--seed N] [--count N] > sweep.out
+
+With --universe it runs every call of `universe(texts)` once, in order, in
+place of a draw; tests/golden/cli_universe.txt.gz holds that output:
+
+    PYTHONPATH=src python tests/cli_sweep.py --universe | gzip -n > universe.txt.gz
 """
 
 import argparse
@@ -174,11 +179,13 @@ def _main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--count", type=int, default=300)
+    ap.add_argument("--universe", action="store_true",
+                    help="run every call of the universe once, in order, not a draw")
     args = ap.parse_args()
     texts = base_texts()
+    calls = universe(texts) if args.universe else sweep_calls(texts, args.seed, args.count)
     with tempfile.TemporaryDirectory() as workdir:
-        sys.stdout.write(format_records(run_sweep(workdir, texts,
-                                                  sweep_calls(texts, args.seed, args.count))))
+        sys.stdout.write(format_records(run_sweep(workdir, texts, calls)))
 
 
 if __name__ == "__main__":

@@ -4,10 +4,11 @@ builders of their inputs.
 No command of decompgen runs any of these.  The oracles compute what the
 engine computes by a slower or more naive route: module validation against
 the table, isomorphism by Hom, the closure of an ideal under one-sided
-products, subspace and prime-ideal membership, the certificate's Gram
-determinant from B = A/J's formed Gram matrix, the stratum of a prime by
-descending the tree.  The builders give small fibers under random basis
-changes, direct sums and the Klein four-group.
+products, subspace and prime-ideal membership, B = A/J's whole table and
+the denominators it carries, the certificate's Gram determinant from B's
+formed Gram matrix, the stratum of a prime by descending the tree.  The
+builders give small fibers under random basis changes, direct sums and the
+Klein four-group.
 """
 
 import random
@@ -19,7 +20,6 @@ from decompgen.algebra import (
     restrict,
     span_subspace,
     specialize,
-    table_on_basis,
 )
 from decompgen.corpus import (
     cyclic_table,
@@ -37,11 +37,17 @@ from decompgen.errors import (
     ValidationError,
 )
 from decompgen.fields import GFExt, GFPrime
-from decompgen.linalg import Matrix, det, echelon_reduce, echelon_tails
+from decompgen.linalg import Matrix, det, echelon_reduce, echelon_tails, inverse
 from decompgen.modules import hom_dim, is_split
-from decompgen.primes import generic_point, prime_spec, quotient_chain, reduce_elem
-from decompgen.rings import parse_ring
-from decompgen.strata import UnresolvedPrime, quotient_over_ring, radical_lattice
+from decompgen.primes import (
+    denominator_ideal,
+    generic_point,
+    prime_spec,
+    quotient_chain,
+    reduce_elem,
+)
+from decompgen.rings import is_unit, parse_ring
+from decompgen.strata import UnresolvedPrime, radical_lattice
 
 
 class UnitInIdeal(ValidationError):
@@ -79,6 +85,19 @@ def direct_sum(A, B, name=None):
     return FiniteFreeAlgebra(name or f"{A.name}+{B.name}", ring, names, sc, unit, trace)
 
 
+def table_on_basis(fiber, basis, m):
+    """(sc, unit) of the fiber's table on the first m of the basis vectors,
+    modulo the span of the rest.  The coordinates of a vector on the whole
+    basis are one product with the inverse of the matrix whose columns are
+    the basis vectors, so the table reads off one `inverse`; raises
+    Inconsistent when the vectors are not a basis."""
+    F = fiber.field
+    coords = Matrix(F, inverse(Matrix(F, basis).transpose()).rows[:m])
+    vecs = [list(v) for v in basis[:m]]
+    sc = tuple(tuple(tuple(coords.apply(fiber.vec_mul(a, b))) for b in vecs) for a in vecs)
+    return sc, tuple(coords.apply(list(fiber.unit)))
+
+
 def conjugate_fiber(fiber, S):
     """Transport the table through the invertible matrix S (basis change):
     the new basis vectors are the rows of S in the old basis.  Raises
@@ -86,6 +105,38 @@ def conjugate_fiber(fiber, S):
     sc, unit = table_on_basis(fiber, S, len(S))
     return FiniteFreeAlgebra(fiber.name + "~conj", fiber.field, fiber.basis_names, sc, unit,
                              prime=fiber.prime)
+
+
+def conjugate_algebra(A, ops):
+    """A on the basis whose vectors are the rows of the unimodular matrix
+    S = (I + r_1 e_{a_1 b_1}) ... (I + r_m e_{a_m b_m}) over A's ring, for
+    ops the (a, b, r) with a != b and r a RingElement: the constants are
+    c'[i][j] = (S_i S_j) S^-1, read off A's table through its terms."""
+    ring = A.ring
+    n = A.dim
+    S = [[ring.one() if i == j else ring.zero() for j in range(n)] for i in range(n)]
+    T = [list(row) for row in S]  # S^-1
+    for a, b, r in reversed(ops):
+        S[a] = [x + r * y for x, y in zip(S[a], S[b])]
+        for row in T:
+            row[b] = row[b] - r * row[a]
+
+    def new_coords(v):
+        return [sum((v[m] * T[m][k] for m in range(n)), ring.zero()) for k in range(n)]
+
+    sc = []
+    for i in range(n):
+        plane = []
+        for j in range(n):
+            v = [ring.zero()] * n
+            for k, x in enumerate(S[i]):
+                for l, y in enumerate(S[j]):
+                    for m, c in A.terms[k][l]:
+                        v[m] = v[m] + x * y * c
+            plane.append(tuple(new_coords(v)))
+        sc.append(tuple(plane))
+    return FiniteFreeAlgebra(f"{A.name}~conj", ring, A.basis_names, tuple(sc),
+                             new_coords(list(A.unit)))
 
 
 def small_fiber_family(p, count, seed=0):
@@ -295,12 +346,50 @@ def weighted_character_values(A, lifts):
     return values
 
 
+def quotient_over_ring(A, lat):
+    """The B route: B = A/J's whole table on the lattice's complement, as
+    a fiber over the fraction field (`table_on_basis`), the complement
+    lifts, and the product of the distinct denominators of B's constants,
+    its unit's coordinates and, over Z[d] and k[x,y], J's echelon rows.
+    Over Z and k[x] a non-integral constant raises EngineError, since the
+    complement completes the saturated lattice to a basis of R^n."""
+    fiber = A.generic_fiber()
+    K = fiber.field
+    ring = A.ring
+    denoms = ring.one()
+    if lat.rank == 0:
+        return fiber, lat.complement, denoms
+    comp_K, span_rows = lat.complement, lat.generic.rows
+    sc, unit = table_on_basis(fiber, comp_K + span_rows, len(comp_K))
+    scalars = [c for plane in sc for row in plane for c in row] + list(unit)
+    if not ring.is_euclidean:
+        scalars += [c for row in span_rows for c in row]
+    seen = set()
+    for c in scalars:
+        if ring.contains(c, K):
+            continue
+        d = denominator_ideal(c, ring)
+        if is_unit(d):
+            continue
+        if ring.is_euclidean:
+            raise EngineError(f"constant {K.to_str(c)} of {A.name}/J is not integral "
+                              "on the unimodular complement")
+        if str(d) not in seen:
+            seen.add(str(d))
+            denoms = denoms * d
+    names = tuple(f"q{i}" for i in range(len(comp_K)))
+    B = FiniteFreeAlgebra(A.name + "/J", K, names, sc, unit, validate=False)
+    return B, comp_K, denoms
+
+
 def gram_route_determinant(A):
     """The certificate's determinant by the Gram route: B = A/J's Gram
     matrix of t = sum_S w_S chi_S, formed from B's table on the complement
-    lifts, and its determinant; returns it with the lifts."""
-    B, lifts, _ = quotient_over_ring(A, radical_lattice(A))
-    return det(Matrix(B.field, B.form_gram(weighted_character_values(A, lifts)))), lifts
+    lifts, and its determinant; returns it with the lifts and the
+    denominators the B route absorbs."""
+    B, lifts, denoms = quotient_over_ring(A, radical_lattice(A))
+    gram = B.form_gram(weighted_character_values(A, lifts))
+    return det(Matrix(B.field, gram)), lifts, denoms
 
 
 def push_prime(ring, xi, p):

@@ -1,6 +1,8 @@
 """Discriminants, Schur elements, stratification trees and coverage."""
 
 import random
+import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,8 @@ from decompgen.primes import prime_spec
 from decompgen.rings import parse_ring
 from decompgen.strata import (
     UnresolvedPrime,
+    _absorbed_denominators,
+    _assert_lattice,
     _sqrt_scalar,
     candidate_discriminant,
     dec_ex,
@@ -226,7 +230,14 @@ def test_b3_gram_determinants_match_first_nonzero_pivoting(monkeypatch):
     from decompgen.primes import parse_prime
 
     grams = []
-    monkeypatch.setattr(strata, "det", lambda mat: grams.append(mat) or det(mat))
+
+    def recording_det(mat):
+        # the unimodularity checks of the radical lattices take det too
+        if sys._getframe(1).f_code is strata._gram_determinant.__code__:
+            grams.append(mat)
+        return det(mat)
+
+    monkeypatch.setattr(strata, "det", recording_det)
     B3 = brauer_algebra(3, Zd)
     for prime in ("generic", "p=2", "p=3"):
         candidate_discriminant(restrict(B3, parse_prime(prime, Zd)))
@@ -264,7 +275,7 @@ def test_entry_matrix_determinant_equals_the_gram_route(corpus, registry_points)
         except NotSplit:
             not_split.append((A.name, p.short_str()))
             continue
-        want, lifts = gram_route_determinant(R)
+        want, lifts, _ = gram_route_determinant(R)
         assert _gram_determinant(R, lifts) == want, (A.name, p.short_str())
         compared += 1
     assert (compared, not_split) == (34, [("ZC3", "(0)")])
@@ -280,6 +291,87 @@ def test_candidate_absorbs_the_denominators_of_the_echelon_rows():
     A = load_algebra(NIL.replace("ring Q[y]", "ring Z[y]"))
     assert str(candidate_discriminant(A)) == "y^3"
     assert [pt.short_str() for pt in dec_ex(A).points] == ["(y) RecoveredTrivial"]
+
+
+def _row_denominators(A, lat):
+    """The product of the distinct denominators of J's echelon rows alone."""
+    from decompgen.primes import denominator_ideal
+
+    ring, K = A.ring, A.generic_fiber().field
+    dens = {str(d): d for row in lat.generic.rows for c in row if not ring.contains(c, K)
+            for d in [denominator_ideal(c, ring)]}
+    out = ring.one()
+    for d in dens.values():
+        out = out * d
+    return out
+
+
+def test_absorbed_denominators_match_the_b_route_under_conjugation():
+    """UT2, UT3 and the dual numbers over Z[d], Q[x,y] and GF(3)[x,y],
+    conjugated by seeded products of elementary matrices I + r e_ab: the
+    candidate and `_absorbed_denominators` equal what the oracle's B route
+    (B = A/J's whole table and the denominators it carries) gives.  J's
+    echelon rows alone give other exponents on some of them: UT2 over Z[d]
+    under (I + 2d e_10)(I + (d + 1) e_20) absorbs 4d by the B route and 2d
+    from the rows, so a rows-only shortcut fails here.  An
+    algebra whose generic chop exceeds its budget is skipped: the chop's
+    known failure on some split fibers over GF(p)(x,y)."""
+    from decompgen.corpus import dual_numbers, upper_triangular
+    from decompgen.errors import ChopBudgetExceeded
+    from decompgen.primes import numerator_denominator_in_ring
+    from decompgen.rings import normalize_generator
+    from oracles import conjugate_algebra
+
+    multipliers = {"Z[d]": ("d", "d + 1", "2", "-d", "2*d - 1"),
+                   "Q[x,y]": ("x", "y", "x + y", "x - 1", "2*y"),
+                   "GF(3)[x,y]": ("x", "y", "x + y", "x - 1", "y + 1")}
+    rng = random.Random(5)
+    cases = [(upper_triangular(2, Zd), [(1, 0, Zd.parse("2*d")), (2, 0, Zd.parse("d + 1"))])]
+    for ring_text, rs in multipliers.items():
+        ring = parse_ring(ring_text)
+        for A in (upper_triangular(2, ring), upper_triangular(3, ring), dual_numbers(ring)):
+            for _ in range(2):
+                cases.append((A, [(*rng.sample(range(A.dim), 2), ring.parse(rng.choice(rs)))
+                                  for _ in range(3)]))
+    compared, skipped = 0, []
+    for A, ops in cases:
+        C = conjugate_algebra(A, ops)
+        try:
+            g = candidate_discriminant(C)
+        except ChopBudgetExceeded:
+            skipped.append(A.name)
+            continue
+        lat = radical_lattice(C)
+        gram, _, want = gram_route_determinant(C)
+        num, den = numerator_denominator_in_ring(gram, C.ring)
+        assert _absorbed_denominators(C, lat) == want, (A.name, ops)
+        assert g == normalize_generator(num * den * want), (A.name, ops)
+        if compared == 0:
+            assert (str(g), str(want), str(_row_denominators(C, lat))) == (
+                "16*d^3", "4*d", "2*d")
+        compared += 1
+    assert compared >= 15 and all(name.endswith("GF(3)[x,y]") for name in skipped)
+
+
+@pytest.mark.parametrize("key, scale", [("UT2_Z", "2"), ("Dual_Z", "2"), ("UT2_GF3d", "d")])
+def test_lattice_and_complement_must_be_a_basis(corpus, key, scale):
+    """The lattices of UT2_Z, Dual_Z and UT2 over GF(3)[d] pass
+    `_assert_lattice` as built.  With one complement row scaled by 2 (by d
+    over GF(3)[d], where 2 is a unit) the rows still span the generic
+    radical, but their determinant with the complement is no unit of R, so
+    the check raises EngineError."""
+    from decompgen.corpus import upper_triangular
+    from decompgen.errors import EngineError
+
+    A = upper_triangular(2, parse_ring("GF(3)[d]")) if key == "UT2_GF3d" else corpus[key]
+    lat = radical_lattice(A)
+    assert lat.rank == 1
+    _assert_lattice(A, lat)
+    K = A.generic_fiber().field
+    s = A.ring.to_field(A.ring.parse(scale), K)
+    scaled = (tuple(K.mul(s, c) for c in lat.complement[0]),) + lat.complement[1:]
+    with pytest.raises(EngineError, match="not a basis"):
+        _assert_lattice(A, replace(lat, complement=scaled))
 
 
 # E, E - x, y - d E, F for R[x, y]/(x, y)^2 x R: the radical (x, y) has the
@@ -550,7 +642,7 @@ def test_quotient_over_euclidean_ring_off_the_pivot_complement():
     quotient must still be the one-dimensional field with integral
     constants."""
     from decompgen.algebra import load_algebra
-    from decompgen.strata import quotient_over_ring
+    from oracles import quotient_over_ring
 
     A = load_algebra("""
 algebra NIL
@@ -563,13 +655,14 @@ mul 1 0 1 1
 mul 1 1 0 -y^2
 mul 1 1 1 2*y
 """)
-    B, lifts, denoms = quotient_over_ring(A, radical_lattice(A))
+    lat = radical_lattice(A)
+    B, lifts, denoms = quotient_over_ring(A, lat)
     K = B.field
     assert B.dim == 1 and B.unit == (K.one,) and B.sc == (((K.one,),),)
     assert len(lifts) == 1
     # the constants are integral on the unimodular complement, and the
     # echelon row (1, -1/y) of the lattice is not absorbed
-    assert denoms == 1
+    assert denoms == 1 and _absorbed_denominators(A, lat) == 1
     dec = dec_ex(A)
     assert str(dec.candidate) == "1" and dec.points == []
     tree = stratify(A)
@@ -654,7 +747,7 @@ def test_character_gram_matches_traces_of_products(corpus, key, prime):
     from decompgen.linalg import Matrix, det
     from decompgen.modules import is_split, regular_factors
     from decompgen.primes import parse_prime
-    from decompgen.strata import quotient_over_ring
+    from oracles import quotient_over_ring
 
     A = brauer_algebra(3, Zd) if key == "B3_Zd" else corpus[key]
     R = restrict(A, parse_prime(prime, A.ring))
