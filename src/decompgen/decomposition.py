@@ -7,19 +7,39 @@ system lives over a gcd-free basis of all involved polynomials, so no
 factorization over the residue field is ever needed, and injectivity of the
 fingerprint map makes the solution unique.
 
+The fiber's simples come from the generic ones as well.  Let ρ_S(b_i) be
+the matrices of a composition factor S of the generic regular module in the
+basis its chop chose.  When every entry lies in the localization R_p, the
+lattice R_p^(d_S) is stable under A_{R_p}, and reducing the entries gives
+an A(p)-module L̄_S.  For a in A_{R_p}, the characteristic polynomial of a
+on A_K is the product of those on the S, each taken jh(S) times; all of
+them have coefficients in R_p, and they reduce to the characteristic
+polynomials of ā on A(p) and on the L̄_S.  Every element of A(p) is such an
+ā, so by Brauer–Nesbitt (Curtis–Reiner, Methods of Representation Theory I,
+30.16) [A(p)] = Σ_S jh(S)·[L̄_S]: the composition factors of A(p) are those
+of the L̄_S, a factor of L̄_S counted jh(S) times.  The argument uses only
+the ring homomorphism R_p -> k(p), not normality or a valuation ring, so it
+holds at the localization at any prime.  `fiber_split_data` therefore
+chops the modules L̄_S of dimension d_S, not the regular module of
+dimension n, and chops the regular module only when an entry lies outside
+R_p.  The radical's nilpotency check still certifies the list of simples
+complete, whichever route found them.
+
 Triviality (the matrix being a permutation matrix) is equivalent to the
 radical dimension staying constant from the generic fiber, which gives the
 cheap test; verification mode computes both and insists they agree.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
-from .errors import Inconsistent, NoIntegerSolution, NotSplit
+from .errors import Inconsistent, NoIntegerSolution, NotReducible, NotSplit
 from .fields import Rationals
 from .fingerprints import fingerprint_of_simple, reduce_fingerprint
 from .linalg import Matrix, gcd_free_basis, solve
 from .algebra import specialize
-from .modules import is_split
+from .modules import AlgebraModule, is_split, regular_factors
+from .primes import reduce_scalar
 
 
 def split_data(A):
@@ -31,10 +51,33 @@ def split_data(A):
 
 
 def fiber_split_data(A, p):
-    ok, wd = is_split(specialize(A, p))
+    """Wedderburn data of the fiber at p; NotSplit if it fails.  A fiber
+    table met for the first time takes its composition factors from the
+    reduced generic simples (`reduced_generic_simples`), or from the chop
+    of its regular module when an entry lies outside R_p."""
+    fiber = specialize(A, p)
+    regular_factors(fiber, lambda: reduced_generic_simples(A, fiber))
+    ok, wd = is_split(fiber)
     if not ok:
         raise NotSplit(f"the fiber of {A.name} at {p.short_str()} does not split")
     return wd
+
+
+def reduced_generic_simples(A, fiber):
+    """(L̄_S, jh(S)) for every composition factor S of the generic regular
+    module: ρ_S(b_i) with each distinct entry reduced once into the residue
+    field of fiber.prime, or None when an entry lies outside R_p."""
+    F, p = fiber.field, fiber.prime
+    image = cache(lambda c: reduce_scalar(c, p))
+    try:
+        return [(AlgebraModule(fiber, [
+                    Matrix.from_columns(F, s.dim, [
+                        [(i, e) for i, c in col for e in (image(c),) if not F.is_zero(e)]
+                        for col in m.columns()])
+                    for m in s.module.action]), jh)
+                for s, jh in regular_factors(A.generic_fiber())]
+    except NotReducible:
+        return None
 
 
 @dataclass

@@ -9,9 +9,12 @@ last fact is checked, not assumed: a coefficient outside the localization
 at a prime aborts its reduction there.
 
 Reducing a fingerprint coefficientwise along a prime is how decomposition
-matrices are computed without ever constructing valuation rings.  The
-polynomials of one fingerprint share most of their coefficients, so each
-distinct coefficient is reduced once per fingerprint.
+matrices are computed without ever constructing valuation rings; the fiber
+simples read off the reduced generic simples
+(`decomposition.reduced_generic_simples`) likewise reduce elements of the
+localization R_p and build none.  The polynomials of one fingerprint share
+most of their coefficients, so each distinct coefficient is reduced once
+per fingerprint.
 """
 
 from dataclasses import dataclass

@@ -31,11 +31,20 @@ The chop's leaves fall into isomorphism classes.  An absolutely simple leaf
 basis elements, so the char polys (the fingerprint) are taken once per
 class, for its first leaf.
 
+The composition factors of a fiber's regular module are memoized per
+table (`regular_factors`).  They are the chop of the regular module, or,
+when `decomposition.fiber_split_data` hands in the reductions L̄_S of the
+generic simples with their Jordan-Hoelder counts, the classes of the
+leaves of their chops (`composition_factors`), a leaf of L̄_S counted
+jh(S) times; modules of dimension d_S are chopped, not one of dimension
+dim A.  Either way the counts times the dimensions must add up to dim A.
+
 The Jacobson radical is the intersection of the annihilators of the
 simples in every characteristic: the kernel of the matrix of their
-entries, read off the memoized chop of the regular module that the split
+entries, read off those memoized composition factors, which the split
 test needs anyway.  It is a two-sided ideal by construction, so only its
-nilpotency is checked.
+nilpotency is checked, and that check also certifies the list of simples
+complete.
 """
 
 import random
@@ -44,7 +53,7 @@ from functools import cache, wraps
 from itertools import chain
 
 from . import polyops as P
-from .errors import ChopBudgetExceeded, Inconsistent, RadicalNotNilpotent
+from .errors import ChopBudgetExceeded, EngineError, Inconsistent, RadicalNotNilpotent
 from .factor import factor_pieces
 from .linalg import (
     Matrix,
@@ -347,34 +356,44 @@ def _split_or_certify(module, rng):
 
 def chop(module):
     """Composition factors with multiplicities, one per isomorphism class,
-    sorted canonically by fingerprint.  A leaf of image rank d^2 is keyed by
-    its dimension and the traces of the basis elements, any other by its
+    sorted canonically by fingerprint (`composition_factors` of the module
+    alone)."""
+    return composition_factors([(module, 1)])
+
+
+def composition_factors(weighted):
+    """The composition factors of sum_M count·[M] over the (module, count)
+    pairs of weighted, modules over one fiber: every leaf of M's chop
+    counted count times, one entry per isomorphism class, sorted
+    canonically by fingerprint.  A leaf of image rank d^2 is keyed by its
+    dimension and the traces of the basis elements, any other by its
     dimension and char polys; the first leaf of a class represents it, and
     its char polys are taken once.  The multiset does not depend on the
     random draws, only the route to it does."""
     rng = random.Random(1)
     leaves = []
-    stack = [module]
-    while stack:
-        m = stack.pop()
-        if m.dim == 0:
-            continue
-        verdict, data = _split_or_certify(m, rng)
-        if verdict == "simple":
-            leaves.append((m, data))
-        else:
-            stack.append(submodule(m, data))
-            stack.append(quotient_module(m, data))
+    for module, count in weighted:
+        stack = [module]
+        while stack:
+            m = stack.pop()
+            if m.dim == 0:
+                continue
+            verdict, data = _split_or_certify(m, rng)
+            if verdict == "simple":
+                leaves.append((m, data, count))
+            else:
+                stack.append(submodule(m, data))
+                stack.append(quotient_module(m, data))
     # A leaf of image rank d^2 is absolutely simple: for a simple T not
     # isomorphic to it, A maps onto End(S) x A/ann T, so some basis element
     # has different traces on S and T.  Isomorphic leaves have equal char
     # polys, so with canonical scalars these classes, their first leaves and
     # counts are those of a (dim, char_polys) key for every leaf.
     grouped = {}
-    for m, rank in leaves:
+    for m, rank, count in leaves:
         absolute = rank == m.dim ** 2
         data = tuple(a.trace() for a in m.action) if absolute else m.char_polys()
-        grouped.setdefault((m.dim, absolute, data), [m, rank, 0])[2] += 1
+        grouped.setdefault((m.dim, absolute, data), [m, rank, 0])[2] += count
     simples = [(SimpleModule(m, m.char_polys() if absolute else data, rank), count)
                for (_, absolute, data), (m, rank, count) in grouped.items()]
     return sorted(simples, key=lambda t: t[0].sort_key())
@@ -385,21 +404,34 @@ def _per_table(analysis):
     family: the `analyses` dict of the loaded algebra, shared by its
     specializations and restrictions and keyed by table content (the fiber's
     `table_key`, hashed once per fiber), so the fiber at p and the generic
-    fiber of the restriction to V(p) share one result.  Every caller gets the
-    same result object and must not mutate it."""
+    fiber of the restriction to V(p) share one result.  Further arguments
+    only choose a route to that same result, so they are not part of the
+    key.  Every caller gets the same result object and must not mutate it."""
     @wraps(analysis)
-    def memoized(fiber):
+    def memoized(fiber, *args):
         key = (analysis.__name__, fiber.table_key)
         if key not in fiber.analyses:
-            fiber.analyses[key] = analysis(fiber)
+            fiber.analyses[key] = analysis(fiber, *args)
         return fiber.analyses[key]
     return memoized
 
 
 @_per_table
-def regular_factors(fiber):
-    """chop of the fiber's regular module."""
-    return chop(regular_module(fiber))
+def regular_factors(fiber, lattices=None):
+    """Composition factors of the fiber's regular module with their
+    Jordan-Hoelder multiplicities.  lattices, when given, is called for
+    (module, count) pairs whose sum of count·[module] is the regular
+    module's class in the Grothendieck group, or None when it has none;
+    the factors are then those of the pairs (`composition_factors`), and
+    otherwise the chop of the regular module.  Either way the counts times
+    the dimensions must add up to dim A, or EngineError."""
+    weighted = lattices and lattices()
+    factors = composition_factors(weighted) if weighted else chop(regular_module(fiber))
+    if sum(s.dim * m for s, m in factors) != fiber.dim:
+        raise EngineError(
+            f"composition factors {[(s.dim, m) for s, m in factors]} "
+            f"do not fill a regular module of dim {fiber.dim}")
+    return factors
 
 
 # --- radical and splitting -----------------------------------------------------------
@@ -438,9 +470,12 @@ def _assert_radical(fiber, lattice):
     nilpotent.  That I is a two-sided ideal needs no check: the load-time
     check proves the table associative, and fibers and restrictions stay
     associative; each ρ_S is a subquotient of the left regular
-    representation, whose rows `submodule` checks stable, so each ρ_S is an
-    algebra homomorphism and each ker ρ_S a two-sided ideal, and so is I.
-    Nilpotency is what checks that the list of simples is complete."""
+    representation, or of a generic simple's, itself one of the generic
+    left regular representation, reduced through the ring homomorphism
+    R_p -> k(p); `submodule` checks each subquotient's rows stable, so each
+    ρ_S is an algebra homomorphism and each ker ρ_S a two-sided ideal, and
+    so is I.  Nilpotency is what checks that the list of simples is
+    complete."""
     if nilpotency_index(fiber, lattice) is None:
         raise RadicalNotNilpotent("radical candidate is not nilpotent")
 

@@ -365,6 +365,23 @@ def test_discriminant_and_stratify_over_a_euclidean_ring(tmp_path, capsys):
     assert rc == 0 and not err and "NIL: all of Spec(R)" in out
 
 
+def test_a_local_fiber_over_a_function_field_reads_its_simple_off_the_generic_one(
+        tmp_path, capsys):
+    """NIL over Z[y] is Z[y][t]/((t - y)^2); its fiber at (2) is
+    GF(2)(y)[t]/((t + y)^2), local, whose dim-2 regular module the chop
+    cannot split over GF(2)(y).  The generic simple t -> y reduces to its
+    one simple, so decmat and trivial answer."""
+    nil = _write(tmp_path, NIL.replace("ring Q[y]", "ring Z[y]"))
+    rc, out, err = run_cli(["decmat", nil, "--prime", "p=2"], capsys)
+    assert rc == 0 and not err
+    assert out.splitlines() == ["decomposition matrix of NIL at (2)",
+                                "            T0(d1)", "    S0(d1)        1"]
+    for verify in ([], ["--verify"]):
+        rc, out, err = run_cli(["trivial", nil, *verify, "--prime", "p=2"], capsys)
+        assert rc == 0 and not err
+        assert out == "NIL at (2): Trivial (radical dims 1 generic, 1 fiber)\n"
+
+
 # the order Z 1 + Z i + 3 Mat2(Z), i = E12 - E21, on the basis (1, i, 3 E11, 3 E12)
 LAMI = """algebra LamI
 ring Z

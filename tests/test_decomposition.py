@@ -14,6 +14,7 @@ from decompgen.rings import parse_ring
 
 Z = parse_ring("Z")
 Qd = parse_ring("Q[d]")
+Zd = parse_ring("Z[d]")
 
 
 def test_decmat_examples(corpus):
@@ -136,3 +137,107 @@ def test_verify_mode_agreement(corpus):
         ev = dec_gen_membership(A, parse_prime(ps, A.ring), verify=True)
         assert ev.matrix_agrees
 
+
+
+def _wedderburn_fields(wd, lattice):
+    """Wedderburn data field by field: each simple's dimension, fingerprint
+    and image rank, the multiplicities, the JH multiplicities, the End
+    dimensions and the radical's rows."""
+    return ([(s.dim, s.fingerprint_polys, s.image_rank) for s in wd.simples],
+            wd.multiplicities, wd.jh_multiplicities, wd.endo_dims, lattice.rows)
+
+
+def _routes(A, p, monkeypatch):
+    """(the data fiber_split_data gives on a fresh memo, the data of the
+    reduced generic simples, the data of the regular module's chop, the
+    number of chops fiber_split_data took, whether the generic simples
+    reduce at p); the two explicit routes each fill a memo of their own."""
+    from decompgen import decomposition, modules
+    from decompgen.algebra import specialize
+
+    def route(lattices):
+        fiber = specialize(A, p)
+        fiber.analyses = {}
+        modules.regular_factors(fiber, lattices)
+        return _wedderburn_fields(modules.is_split(fiber)[1], modules.radical(fiber))
+
+    modules.regular_factors(A.generic_fiber())
+    reduced = decomposition.reduced_generic_simples(A, specialize(A, p))
+    chops = []
+    chop = modules.chop
+    monkeypatch.setattr(modules, "chop", lambda m: chops.append(m) or chop(m))
+    fiber = specialize(A, p)
+    for name in ("regular_factors", "is_split", "radical"):
+        A.analyses.pop((name, fiber.table_key), None)
+    wd = decomposition.fiber_split_data(A, p)
+    got = _wedderburn_fields(wd, modules.radical(fiber))
+    monkeypatch.undo()
+    return got, route(lambda: reduced), route(None), len(chops), reduced is not None
+
+
+def test_reduced_generic_simples_give_the_regular_chops_data(corpus, registry_points, monkeypatch):
+    """The fiber's Wedderburn data read off the reduced generic simples
+    equals that of the regular module's chop field by field: at every
+    registry algebra's registry points and discriminant points, at B3 over
+    Z[d]'s (2), (3), (d + 2) and (d - 1), and at the restrictions of B3 to
+    GF(2)[d] at (d) and (d + 1) and to GF(3)[d] at (d + 2).  Every one of
+    these points reduces, so fiber_split_data takes no chop."""
+    from decompgen.algebra import restrict
+    from decompgen.corpus import brauer_algebra
+    from decompgen.strata import UnresolvedPrime, candidate_discriminant, minimal_primes
+
+    B3 = brauer_algebra(3, Zd)
+    cases = []
+    for key, A in sorted(corpus.items()):
+        try:
+            split_data(A)
+        except NotSplit:
+            continue
+        points = list(registry_points(key, A))[1:]
+        points += [q for q in minimal_primes(candidate_discriminant(A))
+                   if not isinstance(q, UnresolvedPrime)]
+        cases += [(A, p) for p in dict.fromkeys(points)]
+    cases += [(B3, parse_prime(p, Zd)) for p in ("p=2", "p=3", "gen=[d + 2]", "gen=[d - 1]")]
+    for q, points in (("p=2", ("gen=[d]", "gen=[d + 1]")), ("p=3", ("gen=[d + 2]",))):
+        R = restrict(B3, parse_prime(q, Zd))
+        cases += [(R, parse_prime(p, R.ring)) for p in points]
+    for A, p in cases:
+        got, reduced, regular, chops, reduces = _routes(A, p, monkeypatch)
+        assert reduces and chops == 0, (A.name, p.short_str())
+        assert got == reduced == regular, (A.name, p.short_str())
+    assert len(cases) == 24
+
+
+def test_an_entry_outside_the_localization_takes_the_regular_chop(monkeypatch):
+    """Mat2 over Z on a basis changed by (I + 6 e_13)(I + 6 e_21) has a
+    generic simple with the entry 1/6, so at 2 and 3 fiber_split_data
+    chops the regular module, and its data is that chop's."""
+    from decompgen.corpus import matrix_algebra
+    from oracles import conjugate_algebra
+
+    A = conjugate_algebra(matrix_algebra(2, Z), [(1, 3, Z.from_int(6)), (2, 1, Z.from_int(6))])
+    split_data(A)
+    for q in (2, 3):
+        got, reduced, regular, chops, reduces = _routes(A, prime_spec(Z, [Z.from_int(q)]),
+                                                         monkeypatch)
+        assert not reduces and chops == 1, q
+        assert got == reduced == regular, q
+
+
+def test_composition_factors_that_miss_the_regular_module_raise(corpus):
+    """Counts times dimensions must add up to dim A: the reduced generic
+    simples of ZS3 at 3 with one simple left out, or with every count 1,
+    raise EngineError (an exception, so python -O keeps the check)."""
+    from decompgen.algebra import specialize
+    from decompgen.decomposition import reduced_generic_simples
+    from decompgen.errors import EngineError
+    from decompgen.modules import regular_factors
+
+    A, p = corpus["ZS3"], prime_spec(Z, [Z.from_int(3)])
+    split_data(A)
+    for doctor in (lambda ms: ms[1:], lambda ms: [(m, 1) for m, _ in ms]):
+        fiber = specialize(A, p)
+        fiber.analyses = {}
+        lattices = doctor(reduced_generic_simples(A, fiber))
+        with pytest.raises(EngineError, match="do not fill a regular module of dim 6"):
+            regular_factors(fiber, lambda: lattices)
