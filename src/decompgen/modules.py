@@ -4,12 +4,10 @@ The chop follows the classical randomized recipe: spin up kernel vectors of
 polynomial evaluations of random algebra elements to find proper submodules,
 where the spin of v is the span of v and the b_i·v (A·v is already closed;
 the opening sweeps read the spin of e_j off column j of each ρ(b_i), or off
-row j on the transpose side, and skip each e_j whose spin the parent node
-proved full: a quotient inherits the module side at its free columns, a
-submodule the transpose side at its pivots; the regular module is read
-off the table's terms, subquotients are built from nonzero columns reduced
-over the nonzero tails of echelon rows, and a transpose is built at its
-first spin),
+row j on the transpose side; the regular module is read off the table's
+terms, subquotients are built from nonzero columns reduced over the
+nonzero tails of echelon rows, and a transpose is built at its first
+spin),
 and certify simplicity either by the surjectivity-onto-End criterion (the
 image of the algebra spans the full matrix ring exactly for split simples,
 a pure rank computation that needs no factorization, asked first when
@@ -79,8 +77,6 @@ class AlgebraModule:
         self.fiber = fiber
         self.action = action  # list of Matrix
         self.dim = action[0].nrows if action else 0
-        # the j whose unit spin is known to fill, on the module and the transpose side
-        self.unit_fills = (set(), set())
 
     def act_element(self, coeffs):
         """Matrix of sum_i coeffs[i] b_i, summed over nonzero entries."""
@@ -158,28 +154,19 @@ def spin(module, vectors):
 def unit_spins(module, transpose):
     """Lazily, the spin of each e_j on the module or its transpose, read off
     the action: b_i·e_j is column j of ρ(b_i), and ρ(b_i)ᵀ·e_j its row j.
-    A j in that side's `unit_fills` is skipped, and a j whose spin fills
-    the module joins it."""
+    One span per j, so a sweep that runs to its end spun every e_j."""
     F, d = module.fiber.field, module.dim
-    fills = module.unit_fills[transpose]
     for j in range(d):
-        if j in fills:
-            continue
         images = ([(k, c) for k, c in enumerate(m.rows[j]) if c != F.zero] if transpose
                   else m.columns()[j] for m in module.action)
-        w = _span(F, d, chain([[(j, F.one)]], images))
-        if len(w) == d:
-            fills.add(j)
-        yield w
+        yield _span(F, d, chain([[(j, F.one)]], images))
 
 
 def submodule(module, rows):
     """Restriction of the action to the subspace spanned by reduced echelon
     rows, as `spin` returns them: the coordinates of a vector of that span
     are its entries at the pivot columns.  Raises Inconsistent when the
-    subspace is not stable under the action.  Coordinate a is read at pivot
-    p_a, so e_a* is the restriction of e_{p_a}*, and if the transpose spin
-    of e_{p_a} fills the module that of e_a fills the submodule."""
+    subspace is not stable under the action."""
     F = module.fiber.field
     tails = echelon_tails(F, rows)
     vecs = [[(p, F.one)] + tail for p, tail in tails]
@@ -192,16 +179,13 @@ def submodule(module, rows):
                 raise Inconsistent("the subspace is not stable under the action")
             cols.append([(a, w[p]) for a, (p, _) in enumerate(tails) if p in w])
         acts.append(Matrix.from_columns(F, len(tails), cols))
-    sub = AlgebraModule(module.fiber, acts)
-    sub.unit_fills[1].update(a for a, (p, _) in enumerate(tails) if p in module.unit_fills[1])
-    return sub
+    return AlgebraModule(module.fiber, acts)
 
 
 def quotient_module(module, rows):
     """Action on the quotient by the subspace spanned by echelon rows: the
     image of e_j, column j of ρ(b), reduced modulo their tails, at the free
-    columns.  Basis vector a is the class of the a-th free e_j, so if the
-    spin of that e_j fills the module, that of e_a fills the quotient."""
+    columns: basis vector a is the class of the a-th free e_j."""
     F = module.fiber.field
     tails = echelon_tails(F, rows)
     pivots = {p for p, _ in tails}
@@ -214,9 +198,7 @@ def quotient_module(module, rows):
             w = echelon_reduce(F, tails, col) if col else {}
             cols.append([(a, w[i]) for a, i in enumerate(free) if i in w])
         acts.append(Matrix.from_columns(F, len(free), cols))
-    quo = AlgebraModule(module.fiber, acts)
-    quo.unit_fills[0].update(a for a, j in enumerate(free) if j in module.unit_fills[0])
-    return quo
+    return AlgebraModule(module.fiber, acts)
 
 
 # --- simplicity and the chop ---------------------------------------------------------
@@ -347,8 +329,8 @@ def _split_or_certify(module, rng):
             if is_irred and len(ker) == P.udeg(f):
                 # kernel dimension equals deg f and the spins of the kernel
                 # vectors on both sides fill the module (a kernel of dimension
-                # d holds the e_j, whose spins the sweeps or the parent node
-                # proved full): Norton's criterion certifies irreducibility
+                # d holds the e_j, whose spins the sweeps proved full):
+                # Norton's criterion certifies irreducibility
                 return ("simple", algebra_image_rank(module))
     raise ChopBudgetExceeded(
         f"could not split or certify a dim-{d} module over {F!r} in {CHOP_ATTEMPTS} attempts")

@@ -12,13 +12,16 @@ different PYTHONHASHSEED values, say) compare with cmp:
     PYTHONPATH=src python tests/cli_sweep.py [--seed N] [--count N] > sweep.out
 
 With --universe it runs every call of `universe(texts)` once, in order, in
-place of a draw; tests/golden/cli_universe.txt.gz holds that output:
+place of a draw.  tests/golden/cli_universe.txt.gz holds that output, the
+oracle of every drawn call too; a change meant to alter some answer
+regenerates it and says so:
 
-    PYTHONPATH=src python tests/cli_sweep.py --universe | gzip -n > universe.txt.gz
+    PYTHONPATH=src python tests/cli_sweep.py --universe | gzip -9 -n > tests/golden/cli_universe.txt.gz
 """
 
 import argparse
 import contextlib
+import gzip
 import io
 import os
 import random
@@ -29,6 +32,8 @@ import tempfile
 from decompgen.algebra import serialize_algebra
 from decompgen.cli import main
 from decompgen.corpus import REGISTRY
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "cli_universe.txt.gz")
 
 # Q[d][t]/(t^2 - d), Q[x,y][t]/((t - x)(t - y)) and Q[y][t]/((t - y)^2)
 SQ = """algebra SQ
@@ -122,8 +127,9 @@ def primes_of(ring):
 
 
 def universe(texts):
-    """Every (key, ring, command, format) call the sweep can draw, once: the
-    CLI's --seed changes no report, so no call is drawn at several seeds."""
+    """Every (key, ring, command, format) call the sweep can draw, once, and
+    then the FIXED calls that no swapped ring reaches: the CLI's --seed
+    changes no report, so no call is drawn at several seeds."""
     calls = []
     for key, text in texts.items():
         for ring in swapped_rings(_ring_line(text)):
@@ -133,7 +139,7 @@ def universe(texts):
                 for cmd in PRIME_COMMANDS:
                     for prime in primes_of(ring):
                         calls.append((key, ring, cmd + ["--prime", prime], fmt))
-    return calls
+    return calls + [call for call in FIXED if call not in calls]
 
 
 def sweep_calls(texts, seed=1, count=300):
@@ -148,16 +154,21 @@ def _file_name(key, ring):
     return f"{key}_{re.sub(r'[^A-Za-z0-9]', '_', ring)}.alg"
 
 
+def _argv(workdir, key, ring, cmd, fmt):
+    """The command line of a call, its algebra file in workdir."""
+    return [cmd[0], os.path.join(workdir, _file_name(key, ring)), *cmd[1:], "--format", fmt]
+
+
 def run_sweep(workdir, texts, calls):
     """One (argv, exit code, stdout, stderr) record per call, with workdir
     written as <dir>."""
     records = []
     for key, ring, cmd, fmt in calls:
-        path = os.path.join(workdir, _file_name(key, ring))
+        argv = _argv(workdir, key, ring, cmd, fmt)
+        path = argv[1]
         if not os.path.exists(path):
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(texts[key].replace(f"ring {_ring_line(texts[key])}\n", f"ring {ring}\n"))
-        argv = [cmd[0], path, *cmd[1:], "--format", fmt]
         out, err = io.StringIO(), io.StringIO()
         try:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -173,6 +184,19 @@ def format_records(records):
     """The records as the script prints them, one block per call."""
     return "".join(f"$ {argv}\nexit {rc}\n{out}--- stderr\n{err}\n"
                    for argv, rc, out, err in records)
+
+
+def golden_blocks(texts):
+    """{argv: its block} for every call of the universe, cut out of the
+    committed output at each call's head line, in universe order."""
+    with gzip.open(GOLDEN, "rt", encoding="utf-8") as fh:
+        text = fh.read()
+    lines = [" ".join(_argv("<dir>", *call)) for call in universe(texts)]
+    starts, pos = [], 0
+    for line in lines:
+        pos = text.index(f"$ {line}\nexit ", pos)
+        starts.append(pos)
+    return {line: text[a:b] for line, a, b in zip(lines, starts, starts[1:] + [len(text)])}
 
 
 def _main():

@@ -499,15 +499,16 @@ def _spin_by_closure(module, vectors):
 def test_spin_matches_the_closure_reference(monkeypatch):
     """Every spin the chop makes, on a module and on its transpose, is the
     submodule the queue closure finds, and so is every span of a unit
-    vector that the two unit sweeps read off the action, and so are the
-    rows of every split the transpose side gives, the annihilator of a
-    proper transpose span, which takes no spin: the chops of the registry's
+    vector that the two unit sweeps read off the action (a sweep that runs
+    to its end spans each e_j once), and so are the rows of every split
+    the transpose side gives, the annihilator of a proper transpose span,
+    which takes no spin: the chops of the registry's
     generic fibers and of B3 over Z[d] at the generic point, (2), (3),
     (3, d) and (d - 1), where the transpose splits."""
     from decompgen.corpus import brauer_algebra
     from decompgen.primes import parse_prime
 
-    calls, transposes, splits, units = [], [], [], []
+    calls, transposes, splits, units, swept = [], [], [], [], []
     real_spin, real_transpose = modules.spin, modules.AlgebraModule.transpose_module
     real_split, real_units = modules._split_or_certify, modules.unit_spins
 
@@ -517,17 +518,18 @@ def test_spin_matches_the_closure_reference(monkeypatch):
         return calls[-1][2]
 
     def recording_units(module, transpose):
-        # the reference spins e_j on a transpose built here: the sweeps build
-        # none; they skip each j whose spin the parent node proved full
+        # the reference spins e_j on a transpose built here: the sweeps build none
         side = real_transpose(module) if transpose else module
         F = module.fiber.field
-        known = set(module.unit_fills[transpose])
-        swept = (j for j in range(module.dim) if j not in known)
-        for j, w in zip(swept, real_units(module, transpose)):
+        spans = 0
+        for j, w in enumerate(real_units(module, transpose)):
             e = [F.one if k == j else F.zero for k in range(module.dim)]
             calls.append((side, [e], w))
             units.append((transpose, 0 < len(w) < module.dim))
+            spans += 1
             yield w
+        # Norton's test reads a kernel of dimension d as proved full by the sweeps
+        swept.append(spans == module.dim)
 
     def recording_transpose(module):
         transposes.append(real_transpose(module))
@@ -551,6 +553,7 @@ def test_spin_matches_the_closure_reference(monkeypatch):
         chop(regular_module(fiber))
     assert any(0 < len(w) < m.dim for m, _, w in calls)  # proper spans
     assert {(False, True), (True, True)} <= set(units)  # both unit sweeps split
+    assert swept and all(swept)  # a sweep run to its end spun every e_j once
     assert all(len(vs) == 1 for _, vs, _ in calls)  # an annihilator is not spun
     assert any(any(m is t for t in transposes) for m, _, _ in calls)
     for module, vectors, got in calls:
@@ -561,61 +564,6 @@ def test_spin_matches_the_closure_reference(monkeypatch):
     assert annihilators
     for module, rows in annihilators:
         assert rows == _spin_by_closure(module, rows), module
-
-
-def test_unit_sweeps_skip_only_spins_known_to_fill(monkeypatch):
-    """Every unit index a chop node's sweep skips, on the module side (a
-    quotient inherits it at a free column) or on the transpose side (a
-    submodule inherits it at a pivot), spans that side whole by the queue
-    closure, and both sides skip some index; a child inherits by those two
-    rules and nothing else: the chops of the registry's generic fibers and
-    of B3 over Z[d] at the generic point, (2), (3), (3, d) and (d - 1)."""
-    from decompgen.corpus import brauer_algebra
-    from decompgen.primes import parse_prime
-
-    sweeps, real_units = [], modules.unit_spins
-
-    def inheriting(real, transpose):
-        def child_of(module, rows):
-            child = real(module, rows)
-            zero = module.fiber.field.zero
-            pivots = [next(k for k, c in enumerate(r) if c != zero) for r in rows]
-            basis = pivots if transpose else [j for j in range(module.dim) if j not in pivots]
-            known = {a for a, j in enumerate(basis) if j in module.unit_fills[transpose]}
-            assert child.unit_fills == ((set(), known) if transpose else (known, set()))
-            return child
-        return child_of
-
-    def recording_units(module, transpose):
-        spans = []
-        sweeps.append((module, transpose, set(module.unit_fills[transpose]), spans))
-        for w in real_units(module, transpose):
-            spans.append(w)
-            yield w
-        spans.append(None)  # the sweep ran to its end
-
-    monkeypatch.setattr(modules, "unit_spins", recording_units)
-    monkeypatch.setattr(modules, "submodule", inheriting(modules.submodule, True))
-    monkeypatch.setattr(modules, "quotient_module", inheriting(modules.quotient_module, False))
-    B3 = brauer_algebra(3, parse_ring("Z[d]"))
-    fibers = [e.algebra().generic_fiber() for _, e in sorted(REGISTRY.items())]
-    fibers += [specialize(B3, parse_prime(p, B3.ring))
-               for p in ("generic", "p=2", "p=3", "gen=[3, d]", "gen=[d - 1]")]
-    for fiber in fibers:
-        chop(regular_module(fiber))
-    skipped = {False: 0, True: 0}
-    for module, transpose, known, spans in sweeps:
-        d, F = module.dim, module.fiber.field
-        swept = [j for j in range(d) if j not in known]
-        # the sweep stopped at its first proper span, or ran to its end
-        reached = d if spans[-1] is None else swept[len(spans) - 1]
-        side = module.transpose_module() if transpose else module
-        for j in known:
-            if j < reached:
-                e = [F.one if k == j else F.zero for k in range(d)]
-                assert len(_spin_by_closure(side, [e])) == d, (module, transpose, j)
-                skipped[transpose] += 1
-    assert skipped[False] and skipped[True], skipped
 
 
 def _rref_image_rank(module):
