@@ -41,7 +41,9 @@ class TableKey:
     unit): scalars are canonical and a zero constant has no term, so two
     keys are equal exactly when the dense tables are.  The hash is taken
     once, when the key is built; equality still compares the content, so
-    two tables whose hashes collide never share a memo entry."""
+    two tables whose hashes collide never share a memo entry.  Modules,
+    subspaces and Wedderburn data point at their fiber's key, never at the
+    fiber, whose memo may hold them, so no result sits in a reference cycle."""
 
     __slots__ = ("content", "_hash")
 
@@ -58,6 +60,11 @@ class TableKey:
         if not isinstance(other, TableKey):
             return NotImplemented
         return self._hash == other._hash and self.content == other.content
+
+    field = property(lambda self: self.content[0])
+    dim = property(lambda self: self.content[1])
+    terms = property(lambda self: self.content[2])
+    unit = property(lambda self: self.content[3])
 
 
 class FiniteFreeAlgebra:
@@ -311,7 +318,8 @@ def restrict(A, p):
 # --- subspaces of fibers -------------------------------------------------------
 
 class SubLattice:
-    """Subspace of a fiber, as its canonical reduced echelon rows."""
+    """Subspace of a fiber, as its canonical reduced echelon rows; ambient
+    is the fiber's TableKey."""
 
     def __init__(self, ambient, rows):
         self.ambient = ambient
@@ -336,7 +344,7 @@ class SubLattice:
 def span_subspace(fiber, vectors):
     """Canonical span of the vectors in a fiber: its reduced echelon rows."""
     rows, _ = rref_rows(fiber.field, list(vectors)) if vectors else ([], [])
-    return SubLattice(fiber, rows)
+    return SubLattice(fiber.table_key, rows)
 
 
 # --- definition files -------------------------------------------------------------

@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from functools import cache
+from itertools import groupby
 
 from . import factor
 from .algebra import load_algebra_file, serialize_algebra, specialize
@@ -387,17 +388,17 @@ def _verify_jobs():
 def cmd_verify_all(args):
     report = {"jobs": [], "passed": 0, "failed": 0}
     lines = []
-    # one algebra per registry key, so its checks share the fiber analyses
-    algebras = {}
-    for job in _verify_jobs():
-        kind, key, prime_str = job
-        if key not in algebras:
-            algebras[key] = REGISTRY[key].algebra()
-        ok, msg = _verify_job(job, algebras[key])
-        label = f"{key}:{kind}" + (f"@{prime_str}" if prime_str else "")
-        report["jobs"].append({"job": label, "ok": ok, "detail": msg})
-        report["passed" if ok else "failed"] += 1
-        lines.append(f"{'PASS' if ok else 'FAIL'}  {label}  {msg}")
+    # _verify_jobs lists each key's jobs together: they share one algebra and
+    # its fiber analyses, which are freed when the sweep moves to the next key
+    for key, jobs in groupby(_verify_jobs(), key=lambda job: job[1]):
+        A = REGISTRY[key].algebra()
+        for job in jobs:
+            kind, _, prime_str = job
+            ok, msg = _verify_job(job, A)
+            label = f"{key}:{kind}" + (f"@{prime_str}" if prime_str else "")
+            report["jobs"].append({"job": label, "ok": ok, "detail": msg})
+            report["passed" if ok else "failed"] += 1
+            lines.append(f"{'PASS' if ok else 'FAIL'}  {label}  {msg}")
     lines.append(f"{report['passed']} passed, {report['failed']} failed")
     _emit(report, lines, args.format)
     return 0 if report["failed"] == 0 else 1

@@ -70,7 +70,7 @@ def reduced_generic_simples(A, fiber):
     F, p = fiber.field, fiber.prime
     image = cache(lambda c: reduce_scalar(c, p))
     try:
-        return [(AlgebraModule(fiber, [
+        return [(AlgebraModule(fiber.table_key, [
                     Matrix.from_columns(F, s.dim, [
                         [(i, e) for i, c in col for e in (image(c),) if not F.is_zero(e)]
                         for col in m.columns()])

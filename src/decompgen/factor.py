@@ -92,14 +92,12 @@ def squarefree_decomposition(F, f):
     rule handles vanishing derivatives (finite fields only)."""
     f = P.umonic(F, f)
     out = []
-
-    def rec(f, mult):
-        if P.udeg(f) < 1:
-            return
+    mult = 1
+    while P.udeg(f) >= 1:
         fp = P.uderiv(F, f)
         if not fp:
-            rec(_pth_root_poly(F, f), mult * F.characteristic)
-            return
+            f, mult = _pth_root_poly(F, f), mult * F.characteristic
+            continue
         g = P.ugcd(F, f, fp)
         w = P.uexact_div(F, f, g)
         i = 1
@@ -111,10 +109,10 @@ def squarefree_decomposition(F, f):
             w = y
             g = P.uexact_div(F, g, y)
             i += 1
-        if P.udeg(g) > 0:
-            rec(_pth_root_poly(F, g), mult * F.characteristic)
-
-    rec(f, 1)
+        if P.udeg(g) < 1:
+            break
+        # what is left of g has vanishing derivative: a p-th power
+        f, mult = _pth_root_poly(F, g), mult * F.characteristic
     out.sort(key=lambda t: P.ukey(F, t[0]))
     return out
 

@@ -71,7 +71,9 @@ CHOP_ATTEMPTS = 80
 
 
 class AlgebraModule:
-    """A module over a fiber algebra: one action matrix per basis element."""
+    """A module over a fiber algebra: one action matrix per basis element.
+    fiber is the fiber's TableKey (its field, dim, terms and unit), not the
+    fiber itself, so a memoized module does not point back at its memo."""
 
     def __init__(self, fiber, action):
         self.fiber = fiber
@@ -97,13 +99,14 @@ class AlgebraModule:
         return AlgebraModule(self.fiber, [m.transpose() for m in self.action])
 
     def __repr__(self):
-        return f"<module of dim {self.dim} over {self.fiber!r}>"
+        return f"<module of dim {self.dim} over {self.fiber.field!r}>"
 
 
 def regular_module(fiber):
     """ρ(b_i) read off the table: its column j, b_i·b_j, is terms[i][j]."""
     F, n = fiber.field, fiber.dim
-    return AlgebraModule(fiber, [Matrix.from_columns(F, n, plane) for plane in fiber.terms])
+    return AlgebraModule(fiber.table_key,
+                         [Matrix.from_columns(F, n, plane) for plane in fiber.terms])
 
 
 # --- spinning ----------------------------------------------------------------------
@@ -386,7 +389,9 @@ def _per_table(analysis):
     family: the `analyses` dict of the loaded algebra, shared by its
     specializations and restrictions and keyed by table content (the fiber's
     `table_key`, hashed once per fiber), so the fiber at p and the generic
-    fiber of the restriction to V(p) share one result.  Further arguments
+    fiber of the restriction to V(p) share one result.  A result points at
+    the TableKey, never at a fiber, so the memo holds no cycle and is freed
+    by reference counting with the last of its algebras.  Further arguments
     only choose a route to that same result, so they are not part of the
     key.  Every caller gets the same result object and must not mutate it."""
     @wraps(analysis)
@@ -442,7 +447,7 @@ def radical(fiber):
     else:
         entries = Matrix(F, cols)
         ker = [] if point_rank(entries) == fiber.dim else kernel_basis(entries)
-    lattice = SubLattice(fiber, ker)
+    lattice = SubLattice(fiber.table_key, ker)
     _assert_radical(fiber, lattice)
     return lattice
 
@@ -464,6 +469,7 @@ def _assert_radical(fiber, lattice):
 
 @dataclass
 class WedderburnData:
+    """Artin-Wedderburn data of a fiber; fiber is the fiber's TableKey."""
     fiber: object
     simples: list          # SimpleModule, canonical order
     multiplicities: list   # in the regular module of the semisimple quotient
@@ -503,7 +509,7 @@ def is_split(fiber):
         endo.append(s.dim ** 2 // r)
     mults = [s.dim // e for s, e in zip(simples, endo)]
     rad = radical(fiber)
-    data = WedderburnData(fiber, simples, mults, jh_mults, endo, rad.dim)
+    data = WedderburnData(fiber.table_key, simples, mults, jh_mults, endo, rad.dim)
     if not data.bookkeeping_ok():
         raise RadicalNotNilpotent(
             f"dimension bookkeeping failed: radical {rad.dim}, "

@@ -1,14 +1,17 @@
 """Command line surface: exit codes, formats, determinism."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import types
+from itertools import groupby
 
 import pytest
 
 from cli_sweep import BIV, NIL, SQ
-from decompgen.cli import main
+from decompgen.cli import _verify_jobs, main
 from decompgen.rings import MAX_EXPONENT
 
 
@@ -264,6 +267,54 @@ def test_verify_all_serial(capsys):
     rc, out, _ = run_cli(["verify-all", "--serial"], capsys)
     assert rc == 0
     assert "0 failed" in out
+
+
+def test_verify_jobs_list_each_key_together():
+    """cmd_verify_all keeps one algebra at a time, so each registry key's
+    jobs must come in one run."""
+    runs = [key for key, _ in groupby(key for _, key, _ in _verify_jobs())]
+    assert len(runs) == len(set(runs))
+
+
+# Every command, at an algebra and prime where it analyses fibers; the
+# prime's residue field is finite, so squarefree decompositions run too.
+_GARBAGE_FREE = [
+    ["stratify", "B2_Z.alg"],
+    ["discriminant", "B2_Z.alg", "--format", "structured"],
+    ["decmat", "B2_Z.alg", "--prime", "p=2", "--format", "structured"],
+    ["trivial", "ZS3.alg", "--prime", "p=3", "--verify"],
+    ["schur", "ZS3.alg", "--verify", "--format", "structured"],
+    ["radical", "B2_Z.alg", "--prime", "gen=[2, d]"],
+    ["simples", "B2_Z.alg", "--prime", "p=2"],
+    ["split-check", "TL2_Z.alg", "--prime", "p=3"],
+    ["verify-all", "--serial"],
+]
+
+
+@pytest.mark.parametrize("argv", _GARBAGE_FREE, ids=lambda argv: argv[0])
+def test_no_command_leaves_engine_objects_in_cyclic_garbage(corpdir, capsys, argv):
+    """A memoized analysis points at its fiber's TableKey, not at the
+    fiber, and no engine function refers to itself, so reference counting
+    frees every engine object a call makes.  With the collector off and
+    DEBUG_SAVEALL on, the objects in cycles land in gc.garbage; none may
+    have an engine type or be an engine function.  (json's indenting
+    encoder leaves a cycle of its own closures per structured report.)"""
+    argv = [str(corpdir / a) if a.endswith(".alg") else a for a in argv]
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        main(argv)
+        capsys.readouterr()
+        gc.collect()
+        leaked = [o for o in gc.garbage
+                  if getattr(o if isinstance(o, types.FunctionType) else type(o),
+                             "__module__", "").startswith("decompgen")]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert not leaked, sorted({type(o).__qualname__ for o in leaked})
 
 
 def test_max_degree_applies_to_one_call_only(corpdir, capsys, monkeypatch):

@@ -73,7 +73,7 @@ def test_fingerprint_of_direct_sum_is_entrywise_product(corpus):
             for j in range(n2):
                 rows[n1 + i][n1 + j] = mb.rows[i][j]
         summed.append(Matrix(FF, rows))
-    direct = AlgebraModule(F, summed)
+    direct = AlgebraModule(F.table_key, summed)
     fa = fingerprint_of_simple(a)
     fb = fingerprint_of_simple(b)
     assert direct.char_polys() == entrywise_product(FF, fa.polys, fb.polys)
@@ -119,7 +119,7 @@ def test_field_extension_compatibility():
 
     lifted_fiber = FiniteFreeAlgebra("F4C2", F4, group.basis_names, lifted_sc,
                                      tuple(F4.from_int(c) for c in group.unit))
-    lifted = AlgebraModule(lifted_fiber, lifted_action)
+    lifted = AlgebraModule(lifted_fiber.table_key, lifted_action)
     embedded = tuple(tuple(F4.from_int(c) for c in poly) for poly in polys)
     assert lifted.char_polys() == embedded
 

@@ -1,7 +1,9 @@
 """MeatAxe-style chopping, radicals, splitting tests."""
 
+import gc
 import random
 import types
+import weakref
 
 import pytest
 
@@ -76,11 +78,11 @@ def test_module_validation_raises_inconsistent(corpus):
     one, two = Matrix(K, [[K.one]]), Matrix(K, [[K.from_int(2)]])
     assert F.unit == (K.one, K.zero)
     with pytest.raises(Inconsistent, match="unit does not act as the identity"):
-        validate_module(AlgebraModule(F, [two, one]))
+        validate_module(AlgebraModule(F.table_key, [two, one]))
     # g^2 = 1 in the group algebra, but g acts as 2
     with pytest.raises(Inconsistent, match="action does not respect the table"):
-        validate_module(AlgebraModule(F, [one, two]))
-    validate_module(AlgebraModule(F, [one, Matrix(K, [[K.from_int(-1)]])]))
+        validate_module(AlgebraModule(F.table_key, [one, two]))
+    validate_module(AlgebraModule(F.table_key, [one, Matrix(K, [[K.from_int(-1)]])]))
 
 
 def test_chop_multiset_is_seed_independent(corpus, monkeypatch):
@@ -124,7 +126,7 @@ def test_is_isomorphic_on_conjugated_bases(corpus):
     conj_action = [sm.mul(m).mul(sinv) for m in two_dim.module.action]
     from decompgen.modules import AlgebraModule
 
-    other = AlgebraModule(F, conj_action)
+    other = AlgebraModule(F.table_key, conj_action)
     other_simple = SimpleModule(other, other.char_polys(), algebra_image_rank(other))
     assert is_isomorphic(two_dim, other_simple, cross_validate=True)
     triv = next(s for s, _ in factors if s.dim == 1)
@@ -348,6 +350,25 @@ def test_equal_fibers_share_one_memo_entry():
     assert F1 is not F2 and F1.table_key is not F2.table_key
     assert F1.table_key == F2.table_key
     assert is_split(F1) is is_split(F2)
+
+
+def test_a_memo_entry_does_not_keep_its_fiber_alive():
+    """A memoized result points at its fiber's TableKey, not at the fiber:
+    with the cycle collector off, reference counting alone frees a fiber
+    once its last name goes, and a new specialization at the same prime
+    still finds the result by its key."""
+    A = REGISTRY["ZS3"].algebra()
+    p = prime_spec(Z, [Z.from_int(3)])
+    gc.disable()
+    try:
+        fiber = specialize(A, p)
+        result = is_split(fiber)
+        ref = weakref.ref(fiber)
+        del fiber
+        assert ref() is None
+        assert is_split(specialize(A, p)) is result
+    finally:
+        gc.enable()
 
 
 def test_table_keys_with_colliding_hashes_stay_apart():
@@ -888,8 +909,9 @@ def test_hom_dim_and_image_rank_where_the_first_point_is_unlucky():
     # agree at d = 3 only
     sc = (((o, z), (z, o)), ((z, o), (K.neg(K.mul(k(3), d)), K.add(d, k(3)))))
     A = FiniteFreeAlgebra("two-roots", K, ("one", "x"), sc, (o, z))
-    S = validate_module(AlgebraModule(A, [Matrix(K, [[o]]), Matrix(K, [[d]])]))
-    T = validate_module(AlgebraModule(A, [Matrix(K, [[o]]), Matrix(K, [[k(3)]])]))
+    key = A.table_key
+    S = validate_module(AlgebraModule(key, [Matrix(K, [[o]]), Matrix(K, [[d]])]))
+    T = validate_module(AlgebraModule(key, [Matrix(K, [[o]]), Matrix(K, [[k(3)]])]))
     assert [hom_dim(S, T), hom_dim(T, S), hom_dim(S, S), hom_dim(T, T)] == [0, 0, 1, 1]
     # Mat_2(Q(d)) on the basis E11, (d - 3) E12, (d - 3) E21, E22: at d = 3
     # only the diagonal acts on the column space, whose commutant is 2-dim
@@ -902,7 +924,7 @@ def test_hom_dim_and_image_rank_where_the_first_point_is_unlucky():
     M2 = FiniteFreeAlgebra("mat2", K, ("e11", "e12", "e21", "e22"), sc, (o, z, z, o))
     acts = [Matrix(K, rows) for rows in ([[o, z], [z, z]], [[z, t], [z, z]],
                                          [[z, z], [t, z]], [[z, z], [z, o]])]
-    V = validate_module(AlgebraModule(M2, acts))
+    V = validate_module(AlgebraModule(M2.table_key, acts))
     flat = Matrix(K, [[c for row in m.rows for c in row] for m in acts])
     assert point_rank(flat) == 2
     assert algebra_image_rank(V) == 4 and hom_dim(V, V) == 1
