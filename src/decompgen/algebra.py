@@ -7,14 +7,24 @@ scalar domains the engine meets: the base ring R (scalars are RingElements,
 arithmetic through a RingScalars view) and a field (scalars are the field's
 plain data).  The fiber A(p) = k(p) (x) A is the same table with reduced
 coefficients over the residue field k(p).  A table is read through its
-nonzero constants (`terms`): a fiber or a restriction is mapped from them
-and carries only them, and its dense `sc` is built from them on first use.
+nonzero constants (`terms`): a loaded definition, a fiber and a
+restriction carry only them, and their dense `sc` is built from them on
+first use.
 
 Associativity and the unit law are verified eagerly at load time; silent
 non-associativity would poison every computation downstream.  Because
 reduction is a ring homomorphism the fiber of a valid algebra is valid;
 construction sites that build tables from scratch validate, specialization
-inherits.
+inherits.  The unit law is read off the terms.  Associativity is proved by
+Light's test (Clifford and Preston, The Algebraic Theory of Semigroups I,
+1961, 1.2): the middle nucleus {g : (x g) y = x (g y) for all x, y} is a
+subalgebra holding the unit (Teichmüller's identity), and over the fraction
+field a one-term product b_i b_j = c b_k with c nonzero brings b_k into it
+with b_i and b_j.  So the triples (b_i, g, b_k) with g in a generating set G,
+whose closure under one-term products reaches every basis index, prove the
+whole table associative: 3 * 15^2 triples for B3 where the full scan takes
+15^3.  When one of them fails, the scan over every (i, j, k) in order names
+the first failing triple.
 """
 
 from functools import cached_property
@@ -82,9 +92,13 @@ class FiniteFreeAlgebra:
         self.prime = prime  # PrimeSpec or None: the point a fiber lies over
         self.basis_names = tuple(basis_names)
         self.dim = len(self.basis_names)
-        if sc is not None:  # None: the caller sets terms
-            self.sc = sc
         self.unit = tuple(unit)
+        if sc is not None:  # None: the caller sets terms
+            n = self.dim
+            if (len(self.unit) != n or len(sc) != n
+                    or any(len(plane) != n or any(len(r) != n for r in plane) for plane in sc)):
+                raise NoUnit("unit or table has the wrong length")
+            self.sc = sc
         self.trace_vector = tuple(trace_vector) if trace_vector is not None else None
         self.analyses = {}  # the modules._per_table memo, shared through _map_table
         self._generic_fiber = None
@@ -123,22 +137,6 @@ class FiniteFreeAlgebra:
         v[i] = self.domain.one
         return v
 
-    def vec_mul(self, x, y):
-        D = self.domain
-        add, mul, is_zero = D.add, D.mul, D.is_zero
-        out = [D.zero] * self.dim
-        ys = [(j, yj) for j, yj in enumerate(y) if not is_zero(yj)]
-        for xi, row in zip(x, self.terms):
-            if is_zero(xi):
-                continue
-            for j, yj in ys:
-                ts = row[j]
-                if ts:
-                    coef = mul(xi, yj)
-                    for k, c in ts:
-                        out[k] = add(out[k], mul(coef, c))
-        return out
-
     def left_regular_matrix(self, x):
         F = self.field
         n = self.dim
@@ -152,58 +150,36 @@ class FiniteFreeAlgebra:
         return Matrix(F, rows)
 
     def _validate(self):
+        # Both laws are checked on plain data (see RingDescriptor.plain), not
+        # on RingElements, and read off the terms: 1 b_i = sum_a u_a b_a b_i
+        # and b_i 1 = sum_a u_a b_i b_a over the unit's nonzero entries u_a.
         n = self.dim
-        if (len(self.unit) != n or len(self.sc) != n
-                or any(len(plane) != n or any(len(r) != n for r in plane) for plane in self.sc)):
-            raise NoUnit("unit or table has the wrong length")
-        unit = list(self.unit)
-        for i in range(n):
-            e = self.basis_vector(i)
-            if self.vec_mul(unit, e) != e or self.vec_mul(e, unit) != e:
-                raise NoUnit(f"unit law fails on basis element {self.basis_names[i]}")
-        # (b_i b_j) b_k = sum_l c[i][j][l] b_l b_k and
-        # b_i (b_j b_k) = sum_l c[j][k][l] b_i b_l, compared term by term
-        # on plain data (see RingDescriptor.plain), not on RingElements.
-        # When b_i b_j, b_j b_k and the two entries they pick have at most
-        # one term each, each side is zero or one pair (index, c e): two zero
-        # sides, or two pairs with the same index and product, are equal, and
-        # each product c e is taken once per distinct (c, e).  Every other
-        # triple goes through _combine, which also settles pairs that only
-        # look unequal because a product c e is zero.
         if self.over_field:
-            D, terms = self.domain, self.terms
+            D, terms, unit = self.domain, self.terms, self.unit
         else:
             D, to_plain, _ = self.ring.plain()
             terms = tuple(tuple(tuple((k, to_plain(c)) for k, c in ts) for ts in plane)
                           for plane in self.terms)
-        mul, products = D.mul, {}
-
-        def product(key):
-            p = products.get(key)
-            if p is None:
-                p = products[key] = mul(*key)
-            return p
-
+            unit = tuple(to_plain(u) for u in self.unit)
+        us = [(a, u) for a, u in enumerate(unit) if not D.is_zero(u)]
         for i in range(n):
-            row_i = terms[i]
-            for j in range(n):
-                ij, row_j = row_i[j], terms[j]
-                for k in range(n):
-                    jk = row_j[k]
-                    if len(ij) < 2 and len(jk) < 2:
-                        lt = terms[ij[0][0]][k] if ij else ()
-                        rt = row_i[jk[0][0]] if jk else ()
-                        if len(lt) < 2 and len(rt) < 2:
-                            if not lt and not rt:
-                                continue
-                            if (lt and rt and lt[0][0] == rt[0][0]
-                                    and product((ij[0][1], lt[0][1]))
-                                    == product((jk[0][1], rt[0][1]))):
-                                continue
-                    left = _combine(D, ((c, terms[l][k]) for l, c in ij))
-                    if left != _combine(D, ((c, row_i[l]) for l, c in jk)):
-                        raise NotAssociative(
-                            f"(b{i} b{j}) b{k} != b{i} (b{j} b{k}) in {self.name}")
+            e = {i: D.one}
+            if (_combine(D, ((u, terms[a][i]) for a, u in us)) != e
+                    or _combine(D, ((u, terms[i][a]) for a, u in us)) != e):
+                raise NoUnit(f"unit law fails on basis element {self.basis_names[i]}")
+        # Light's test: the middle nucleus {g : (x g) y = x (g y)} is a
+        # subalgebra holding the unit, and a one-term product c b_k of two of
+        # its members brings b_k in (c is invertible over the fraction field),
+        # so the middles G whose one-term closure, with the unit's index when
+        # the unit is c b_u, reaches every index prove the table associative.
+        # When one fails, the scan over every middle names the first (i, j, k).
+        products = {}
+        gens = _generating_set(terms, [us[0][0]] if len(us) == 1 else [])
+        failing = (_first_failure(D, terms, gens, products)
+                   and _first_failure(D, terms, range(n), products))
+        if failing:
+            i, j, k = failing
+            raise NotAssociative(f"(b{i} b{j}) b{k} != b{i} (b{j} b{k}) in {self.name}")
         # a fiber's trace form may degenerate (that locus is the discriminant);
         # over R it must be nondegenerate over the fraction field
         if self.trace_vector is not None and not self.over_field:
@@ -267,6 +243,82 @@ def _combine(D, scaled):
         for k, e in ts:
             acc[k] = add(acc[k], mul(c, e)) if k in acc else mul(c, e)
     return {k: v for k, v in acc.items() if not D.is_zero(v)}
+
+
+def _generating_set(terms, known):
+    """The middles G of Light's test, given the indices known to lie in the
+    middle nucleus: walking the indices in order, G takes each index the
+    closure of known and G under one-term products b_i b_j = c b_k does not
+    reach; then each member of G whose removal keeps that closure whole is
+    dropped, in order.  A product of several terms reaches nothing."""
+    n = len(terms)
+    one_term = [{j: ts[0][0] for j, ts in enumerate(plane) if len(ts) == 1} for plane in terms]
+
+    def close(reached, new):
+        reached, todo = set(reached), list(new)
+        while todo:
+            x = todo.pop()
+            if x in reached:
+                continue
+            reached.add(x)
+            for y in reached:
+                for k in (one_term[x].get(y), one_term[y].get(x)):
+                    if k is not None and k not in reached:
+                        todo.append(k)
+        return reached
+
+    gens, reached = [], close((), known)
+    for i in range(n):
+        if i not in reached:
+            gens.append(i)
+            reached = close(reached, (i,))
+    for g in tuple(gens):
+        rest = [h for h in gens if h != g]
+        if len(close((), known + rest)) == n:
+            gens = rest
+    return gens
+
+
+def _first_failure(D, terms, middles, products):
+    """The first (i, j, k), j in middles, with (b_i b_j) b_k != b_i (b_j b_k),
+    or None; terms and D are plain data and their ops, and products memoizes
+    D.mul over the pairs of the one-term compare.
+
+    (b_i b_j) b_k = sum_l c[i][j][l] b_l b_k and b_i (b_j b_k) = sum_l
+    c[j][k][l] b_i b_l are compared term by term.  When b_i b_j, b_j b_k and
+    the two entries they pick have at most one term each, each side is zero
+    or one pair (index, c e): two zero sides, or two pairs with the same
+    index and product, are equal, and each product c e is taken once per
+    distinct (c, e).  Every other triple goes through _combine, which also
+    settles pairs that only look unequal because a product c e is zero."""
+    n, mul = len(terms), D.mul
+
+    def product(key):
+        p = products.get(key)
+        if p is None:
+            p = products[key] = mul(*key)
+        return p
+
+    for i in range(n):
+        row_i = terms[i]
+        for j in middles:
+            ij, row_j = row_i[j], terms[j]
+            for k in range(n):
+                jk = row_j[k]
+                if len(ij) < 2 and len(jk) < 2:
+                    lt = terms[ij[0][0]][k] if ij else ()
+                    rt = row_i[jk[0][0]] if jk else ()
+                    if len(lt) < 2 and len(rt) < 2:
+                        if not lt and not rt:
+                            continue
+                        if (lt and rt and lt[0][0] == rt[0][0]
+                                and product((ij[0][1], lt[0][1]))
+                                == product((jk[0][1], rt[0][1]))):
+                            continue
+                left = _combine(D, ((c, terms[l][k]) for l, c in ij))
+                if left != _combine(D, ((c, row_i[l]) for l, c in jk)):
+                    return i, j, k
+    return None
 
 
 def _map_table(A, f, name, base, prime=None, validate=False):
@@ -357,13 +409,9 @@ def serialize_algebra(A):
              "unit " + ", ".join(str(c) for c in A.unit)]
     if A.trace_vector is not None:
         lines.append("trace " + ", ".join(str(c) for c in A.trace_vector))
-    n = A.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                c = A.sc[i][j][k]
-                if not c.is_zero():
-                    lines.append(f"mul {i} {j} {k} {c}")
+    for i, plane in enumerate(A.terms):
+        for j, ts in enumerate(plane):
+            lines += [f"mul {i} {j} {k} {c}" for k, c in ts]
     return "\n".join(lines) + "\n"
 
 
@@ -430,17 +478,21 @@ def load_algebra(text, validate=True):
                 raise ValidationError(f"line {lineno}: {e}") from None
         return c
 
-    # RingElements are immutable, so every zero entry is the one ring.zero()
-    zero = ring.zero()
-    sc = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    cells = {}  # (i, j) -> the nonzero (k, constant) of b_i b_j
     for (i, j, k), (lineno, expr) in muls.items():
         if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
             raise NotAssociative(f"line {lineno}: mul indices {i} {j} {k} out of range")
-        sc[i][j][k] = parse(lineno, expr)
-    sc = tuple(tuple(tuple(row) for row in plane) for plane in sc)
+        c = parse(lineno, expr)
+        if not c.is_zero():
+            cells.setdefault((i, j), []).append((k, c))
     unit_v = [parse(unit[0], e) for e in unit[1]]
     trace_v = [parse(trace[0], e) for e in trace[1]] if trace is not None else None
-    return FiniteFreeAlgebra(name, ring, basis, sc, unit_v, trace_v, validate=validate)
+    A = FiniteFreeAlgebra(name, ring, basis, None, unit_v, trace_v, validate=False)
+    A.terms = tuple(tuple(tuple(sorted(cells.get((i, j), ()))) for j in range(n))
+                    for i in range(n))
+    if validate:
+        A._validate()
+    return A
 
 
 def load_algebra_file(path, validate=True):

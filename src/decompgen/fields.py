@@ -621,7 +621,13 @@ class FuncField:
         return self._k.to_sparse(a[1])
 
     def sort_key(self, a):
+        """P.pkey of the sparse numerator and denominator; in one variable
+        read off the dense tuples, the terms by descending degree."""
         bk = self.base.sort_key
+        if self.nv == 1:
+            is_zero = self.base.is_zero
+            return tuple(tuple(((i, (i,)), bk(u[i])) for i in range(len(u) - 1, -1, -1)
+                               if not is_zero(u[i])) for u in a)
         return (P.pkey(bk, self.numerator(a)), P.pkey(bk, self.denominator(a)))
 
     def to_str(self, a):

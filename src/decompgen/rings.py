@@ -198,7 +198,8 @@ class RingElement:
         return isinstance(other, RingElement) and self.ring == other.ring and self.data == other.data
 
     def __hash__(self):
-        return hash((self.ring, self.data))
+        # equal elements have equal data; the frozen ring is not re-hashed
+        return hash(self.data)
 
     def is_zero(self):
         return not self.data

@@ -2,11 +2,12 @@
 builders of their inputs.
 
 No command of decompgen runs any of these.  The oracles compute what the
-engine computes by a slower or more naive route: module validation against
-the table, isomorphism by Hom, the closure of an ideal under one-sided
-products, subspace and prime-ideal membership, B = A/J's whole table and
-the denominators it carries, the certificate's Gram determinant from B's
-formed Gram matrix, the stratum of a prime by descending the tree.  The
+engine computes by a slower or more naive route: the product of two vectors
+from the table, module validation against the table, isomorphism by Hom,
+the closure of an ideal under one-sided products, subspace and prime-ideal
+membership, B = A/J's whole table and the denominators it carries, the
+certificate's Gram determinant from B's formed Gram matrix, the stratum of
+a prime by descending the tree.  The
 builders give small fibers under random basis changes, direct sums and the
 Klein four-group.
 """
@@ -94,7 +95,7 @@ def table_on_basis(fiber, basis, m):
     F = fiber.field
     coords = Matrix(F, inverse(Matrix(F, basis).transpose()).rows[:m])
     vecs = [list(v) for v in basis[:m]]
-    sc = tuple(tuple(tuple(coords.apply(fiber.vec_mul(a, b))) for b in vecs) for a in vecs)
+    sc = tuple(tuple(tuple(coords.apply(vec_mul(fiber, a, b))) for b in vecs) for a in vecs)
     return sc, tuple(coords.apply(list(fiber.unit)))
 
 
@@ -249,6 +250,27 @@ def reconstruct(gb, i):
 
 
 # --- subspaces and ideals of fibers -------------------------------------------------
+
+def vec_mul(table, x, y):
+    """The product x y of two coordinate vectors over the table's scalar
+    domain, summed over the nonzero terms of each pair b_i b_j: the
+    reference for the engine's one-sided products, left regular matrices
+    and nilpotency powers."""
+    D = table.domain
+    add, mul, is_zero = D.add, D.mul, D.is_zero
+    out = [D.zero] * table.dim
+    ys = [(j, yj) for j, yj in enumerate(y) if not is_zero(yj)]
+    for xi, row in zip(x, table.terms):
+        if is_zero(xi):
+            continue
+        for j, yj in ys:
+            ts = row[j]
+            if ts:
+                coef = mul(xi, yj)
+                for k, c in ts:
+                    out[k] = add(out[k], mul(coef, c))
+    return out
+
 
 def contains_vector(lattice, vec):
     F = lattice.ambient.field

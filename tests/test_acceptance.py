@@ -24,7 +24,7 @@ from decompgen.modules import is_split, radical
 from decompgen.primes import prime_spec
 from decompgen.rings import parse_ring
 from decompgen.strata import candidate_discriminant, dec_ex, schur_elements, stratify
-from oracles import contains, contains_vector, small_fiber_family
+from oracles import contains, contains_vector, small_fiber_family, vec_mul
 
 Z = parse_ring("Z")
 Qd = parse_ring("Q[d]")
@@ -201,8 +201,8 @@ def _exhaustive_radical_dim(fiber):
         for v in lat.rows:
             for i in range(n):
                 b = fiber.basis_vector(i)
-                if not contains_vector(lat, fiber.vec_mul(b, list(v))) or \
-                   not contains_vector(lat, fiber.vec_mul(list(v), b)):
+                if not contains_vector(lat, vec_mul(fiber, b, list(v))) or \
+                   not contains_vector(lat, vec_mul(fiber, list(v), b)):
                     ok = False
                     break
             if not ok:

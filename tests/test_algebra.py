@@ -5,6 +5,7 @@ from itertools import permutations, product
 
 import pytest
 
+from decompgen import algebra
 from decompgen.algebra import (
     FiniteFreeAlgebra,
     TableKey,
@@ -28,7 +29,7 @@ from decompgen.fields import GFPrime
 from decompgen.modules import is_split, radical
 from decompgen.primes import generic_point, prime_spec, quotient_chain, reduce_elem
 from decompgen.rings import parse_ring
-from oracles import UnitInIdeal, ideal_closure, one_sided_products, quotient_algebra
+from oracles import UnitInIdeal, ideal_closure, one_sided_products, quotient_algebra, vec_mul
 
 Z = parse_ring("Z")
 Zd = parse_ring("Z[d]")
@@ -434,7 +435,7 @@ def test_left_regular_matrices(corpus):
     x = [B2.field.from_int(k) for k in (1, 2, 3)]
     y = [B2.field.from_int(k) for k in (-1, 0, 2)]
     assert B2.left_regular_matrix(x).mul(B2.left_regular_matrix(y)) == \
-        B2.left_regular_matrix(B2.vec_mul(x, y))
+        B2.left_regular_matrix(vec_mul(B2, x, y))
 
 
 def test_ideal_closure_and_quotient(corpus):
@@ -496,7 +497,7 @@ def test_one_sided_products_equal_products_with_basis_vectors(corpus):
             want = []
             for i in range(table.dim):
                 b = table.basis_vector(i)
-                want += [("left", table.vec_mul(b, v)), ("right", table.vec_mul(v, b))]
+                want += [("left", vec_mul(table, b, v)), ("right", vec_mul(table, v, b))]
             assert list(one_sided_products(table, v)) == want, table.name
 
 
@@ -527,7 +528,7 @@ def _product_nilpotency_index(fiber, lattice):
         return 1
     power, n = lattice, 1
     while True:
-        nxt = span_subspace(fiber, [fiber.vec_mul(list(x), list(y))
+        nxt = span_subspace(fiber, [vec_mul(fiber, list(x), list(y))
                                     for x in power.rows for y in lattice.rows])
         n += 1
         if nxt.dim == 0:
@@ -597,3 +598,114 @@ def test_nilpotency_index_matches_the_product_reference(corpus):
                 assert got == _product_nilpotency_index(fiber, lat), (fiber, lat.rows)
                 answers.add(got)
         assert None in answers and any(a and a > 1 for a in answers), name
+
+
+def _one_term_closure(terms, start):
+    """The indices reached from start by one-term products b_i b_j = c b_k,
+    by passes over every reached pair until a pass adds nothing."""
+    reached = set(start)
+    while True:
+        new = {terms[i][j][0][0] for i in reached for j in reached
+               if len(terms[i][j]) == 1} - reached
+        if not new:
+            return reached
+        reached |= new
+
+
+def _middles_of_validation(monkeypatch, A):
+    """The middles of every triple scan A's validation runs."""
+    scans, scan = [], algebra._first_failure
+
+    def spy(D, terms, middles, products):
+        scans.append(list(middles))
+        return scan(D, terms, middles, products)
+
+    monkeypatch.setattr(algebra, "_first_failure", spy)
+    A._validate()
+    return scans
+
+
+@pytest.mark.parametrize("build, middles", [
+    (lambda: brauer_algebra(3, Zd), [6, 8, 10]),
+    (lambda: REGISTRY["TL4_Q"].algebra(), [4, 8, 9]),
+    (lambda: REGISTRY["ZS3"].algebra(), [1, 2]),
+], ids=["B3_Z", "TL4_Q", "ZS3"])
+def test_light_test_scans_few_middles_that_generate(monkeypatch, build, middles):
+    """A valid table's associativity is proved on the triples (b_i, g, b_k)
+    with g in a generating set G of at most 3 indices, 3 * 15^2 = 675
+    triples for B3 where the full scan takes 15^3; G's closure under
+    one-term products, with the unit's basis index, reaches every index."""
+    A = build()
+    (scan,) = _middles_of_validation(monkeypatch, A)
+    assert scan == middles and len(scan) <= 3
+    u = A.unit.index(A.ring.one())
+    assert _one_term_closure(A.terms, scan + [u]) == set(range(A.dim))
+
+
+def test_light_test_on_products_of_several_terms(monkeypatch):
+    """Hecke S3's products T_s T_w with sw shorter than w have two terms and
+    reach nothing: T_1 is in the nucleus as the unit, and T_s1, T_s2 reach
+    the rest through one-term products.  Every change of a constant of a
+    product of several terms is caught and named by the reference triple."""
+    R = parse_ring("Z[q]")
+    H = hecke_s3(R)
+    assert _middles_of_validation(monkeypatch, H) == [[1, 2]]
+    several = [(i, j, k) for i in range(6) for j in range(6) if len(H.terms[i][j]) > 1
+               for k, _ in H.terms[i][j]]
+    assert len(several) == 52
+    for i, j, k in several:
+        sc = _with_constant(H, (i, j, k), H.sc[i][j][k] + R.one())
+        a, b, c = _first_failing_triple(
+            FiniteFreeAlgebra("H3", R, H.basis_names, sc, H.unit, validate=False))
+        with pytest.raises(NotAssociative,
+                           match=rf"^\(b{a} b{b}\) b{c} != b{a} \(b{b} b{c}\) in H3$"):
+            FiniteFreeAlgebra("H3", R, H.basis_names, sc, H.unit)
+
+
+# 1, a, b, c with a^2 = b + c, b^2 = c^2 = a and bc = cb = -a: a and the unit
+# lie in the middle nucleus, and associativity fails only at the middles b
+# and c, which no one-term product reaches
+SUPPORT_ONLY = """algebra support
+ring Z
+basis one a b c
+unit 1, 0, 0, 0
+mul 0 0 0 1
+mul 0 1 1 1
+mul 0 2 2 1
+mul 0 3 3 1
+mul 1 0 1 1
+mul 2 0 2 1
+mul 3 0 3 1
+mul 1 1 2 1
+mul 1 1 3 1
+mul 2 2 1 1
+mul 3 3 1 1
+mul 2 3 1 -1
+mul 3 2 1 -1
+"""
+
+
+def test_a_product_of_several_terms_reaches_no_middle():
+    """The table fails only at triples whose middle the two-term product a^2
+    = b + c alone reaches: a closure that followed its support would scan
+    the middle a alone and pass the table."""
+    bad = load_algebra(SUPPORT_ONLY, validate=False)
+    assert _first_failing_triple(bad) == (1, 2, 2)
+    with pytest.raises(NotAssociative, match=r"^\(b1 b2\) b2 != b1 \(b2 b2\) in support$"):
+        load_algebra(SUPPORT_ONLY)
+
+
+def test_a_unit_of_several_terms():
+    """Q x Q on its idempotents e1, e2 has the unit e1 + e2, no basis vector:
+    it validates, and a change of any one constant breaks the unit law,
+    first at the lower of the two indices of the changed product."""
+    Q = parse_ring("Q")
+    one, zero = Q.one(), Q.zero()
+    sc = [[[zero] * 2 for _ in range(2)] for _ in range(2)]
+    sc[0][0][0] = sc[1][1][1] = one
+    sc = tuple(tuple(tuple(r) for r in plane) for plane in sc)
+    A = FiniteFreeAlgebra("QxQ", Q, ("e1", "e2"), sc, (one, one))
+    for i, j, k in product(range(2), repeat=3):
+        changed = _with_constant(A, (i, j, k), sc[i][j][k] + one)
+        with pytest.raises(NoUnit, match=rf"^unit law fails on basis element e{min(i, j) + 1}$"):
+            FiniteFreeAlgebra("QxQ", Q, A.basis_names, changed, A.unit)

@@ -43,6 +43,7 @@ from oracles import (
     quotient_algebra,
     small_fiber_family,
     validate_module,
+    vec_mul,
     zeros,
 )
 
@@ -178,8 +179,8 @@ def test_radical_is_a_two_sided_ideal(corpus, registry_points):
         for v in rad.rows:
             for i in range(fiber.dim):
                 b = fiber.basis_vector(i)
-                assert contains_vector(rad, fiber.vec_mul(b, list(v))), (fiber, v, i)
-                assert contains_vector(rad, fiber.vec_mul(list(v), b)), (fiber, v, i)
+                assert contains_vector(rad, vec_mul(fiber, b, list(v))), (fiber, v, i)
+                assert contains_vector(rad, vec_mul(fiber, list(v), b)), (fiber, v, i)
     assert nonzero >= 10
 
 
@@ -293,8 +294,8 @@ def brute_force_radical(fiber):
         for v in lat.rows:
             for i in range(n):
                 b = fiber.basis_vector(i)
-                if not contains_vector(lat, fiber.vec_mul(b, list(v))) or \
-                   not contains_vector(lat, fiber.vec_mul(list(v), b)):
+                if not contains_vector(lat, vec_mul(fiber, b, list(v))) or \
+                   not contains_vector(lat, vec_mul(fiber, list(v), b)):
                     stable = False
                     break
             if not stable:
